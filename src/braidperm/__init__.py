@@ -1,88 +1,16 @@
 """Shuffle-built block permutations, the braid-relation groups they generate,
-and exhaustive verification of their structure at small parameters."""
+and exhaustive verification of their structure at small parameters.
 
-from .claims import REGISTRY, RunConfig, Session, run_verification
-from .groups import (
-    BSGS,
-    BraidImage,
-    GeneratedGroup,
-    SplitVerificationError,
-    TransitivityClass,
-    abelian_kernel,
-    braid_image,
-    braid_relations_hold,
-    complement_search,
-    cyclic_group,
-    extension_report,
-    gap_generators,
-    orbit,
-    orbits_partition,
-    schreier_sims,
-    split_complement,
-    symmetric_group,
-    tower,
-    transitivity_report,
-)
-from .lattice import (
-    AbelianStructure,
-    ExponentVector,
-    LatticeBasis,
-    compose_matrices,
-    coords_from_exponents,
-    expected_kernel_structure,
-    expected_monodromy_matrix,
-    exponent_vector,
-    f_vector,
-    g_vector,
-    h_vector,
-    identity_matrix,
-    kernel_box,
-    kernel_structure,
-    monodromy_kernel,
-    monodromy_matrices,
-    normalize_factors,
-    parametrize_kernel,
-    realize,
-    smith_normal_form,
-)
-from .oracles import (
-    CapExceeded,
-    EnumerationResult,
-    conjugacy_class_count,
-    count_commuting_pairs,
-    counting_report,
-    enumerate_roots,
-    enumerate_shuffles,
-)
-from .perm import (
-    CycleDecomposition,
-    CycleType,
-    Permutation,
-    block_swap,
-    canonical_cycle,
-    centralizer_order,
-    conjugate,
-    partition_count,
-    partitions,
-)
-from .report import ClaimCheck, VerificationReport
-from .shuffle import (
-    CommutingPair,
-    Component,
-    CycleMap,
-    ShuffleSpec,
-    SpecError,
-    build_pair,
-    build_shuffle,
-    component_factors,
-    components,
-    decompose_pair,
-    is_braid_like,
-    iter_cycle_maps,
-    iter_specs,
-    pair_from_shuffle,
-    shuffle_from_pair,
-    tau_cycles,
-)
+The package top level re-exports the names of the README quick tour and of
+the verification entry point; everything else is imported from its module,
+for example ``from braidperm.lattice import smith_normal_form``.
+"""
+
+from .claims import REGISTRY, RunConfig, run_verification
+from .groups import abelian_kernel, braid_image, schreier_sims, split_complement, symmetric_group
+from .lattice import kernel_structure
+from .oracles import enumerate_roots, enumerate_shuffles
+from .perm import Permutation, partition_count
+from .shuffle import ShuffleSpec, build_pair, build_shuffle
 
 __version__ = "0.1.0"

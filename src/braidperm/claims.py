@@ -19,6 +19,7 @@ from .groups import (
     BraidImage,
     SplitVerificationError,
     abelian_kernel,
+    block_split,
     braid_image,
     braid_relations_hold,
     complement_search,
@@ -111,105 +112,87 @@ def _key(p: Permutation) -> tuple[int, ...]:
 
 
 class Session:
-    """Caches shared across checkers within one run."""
+    """Values shared across checkers within one run, each built on first use.
+
+    Every accessor is one call to ``_cached`` with its own key prefix.  The
+    builder is called from a lambda inside the accessor, so a miss is a
+    builder call made directly from the accessor; perfbench/tracer.py counts
+    cache misses by exactly that.
+    """
 
     def __init__(self, config: RunConfig):
         self.config = config
         self.rng = random.Random(config.seed)
-        self._sym: dict = {}
-        self._taus: dict = {}
-        self._roots: dict = {}
-        self._shuffles: dict = {}
-        self._pool: dict = {}
-        self._images: dict = {}
-        self._b: dict = {}
-        self._a_group: dict = {}
-        self._a: dict = {}
-        self._monodromy: dict = {}
-        self._transitivity: dict = {}
+        self._cache: dict[tuple, object] = {}
+
+    def _cached(self, key: tuple, build: Callable[[], object]):
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
 
     def sym(self, d: int):
-        if d not in self._sym:
-            group = symmetric_group(d)
-            self._sym[d] = (group, schreier_sims(group))
-        return self._sym[d]
+        return self._cached(("sym", d), lambda: symmetric_group(d))
 
     def taus(self, d: int) -> list[Permutation]:
-        if d not in self._taus:
-            _, bs = self.sym(d)
-            self._taus[d] = sorted(bs.elements(), key=_key)
-        return self._taus[d]
+        """The members of S_d, sorted by their image tuples."""
+        return self._cached(
+            ("taus", d), lambda: sorted(schreier_sims(self.sym(d)).elements(), key=_key)
+        )
 
     def roots(self, d: int, tau: Permutation):
-        key = (d, _key(tau))
-        if key not in self._roots:
-            group, _ = self.sym(d)
-            self._roots[key] = enumerate_roots(group, tau, self.config.cap)
-        return self._roots[key]
+        return self._cached(
+            ("roots", d, _key(tau)), lambda: enumerate_roots(self.sym(d), tau, self.config.cap)
+        )
 
     def shuffles(self, d: int, tau: Permutation):
-        key = (d, _key(tau))
-        if key not in self._shuffles:
-            self._shuffles[key] = enumerate_shuffles(d, tau, self.config.d_cap)
-        return self._shuffles[key]
+        return self._cached(
+            ("shuffles", d, _key(tau)), lambda: enumerate_shuffles(d, tau, self.config.d_cap)
+        )
 
     def pool(self, d: int) -> list[GridCase]:
-        if d not in self._pool:
+        def build():
             cases = []
             for tau in self.taus(d):
                 for sigma in self.shuffles(d, tau).elements:
                     pair = pair_from_shuffle(sigma, d)
                     spec = decompose_pair(pair.first, pair.second, d)
                     cases.append(GridCase(d, tau, sigma, spec))
-            self._pool[d] = cases
-        return self._pool[d]
+            return cases
+
+        return self._cached(("pool", d), build)
 
     def image(self, case: GridCase, n: int) -> BraidImage:
-        key = (case.d, n, _key(case.sigma))
-        if key not in self._images:
-            self._images[key] = braid_image(case.sigma, case.d, n)
-        return self._images[key]
+        return self._cached(
+            ("image", case.d, n, _key(case.sigma)), lambda: braid_image(case.sigma, case.d, n)
+        )
 
     def b_bsgs(self, case: GridCase, n: int) -> BSGS:
-        key = (case.d, n, _key(case.sigma))
-        if key not in self._b:
-            self._b[key] = schreier_sims(self.image(case, n).group())
-        return self._b[key]
+        return self._cached(
+            ("b_bsgs", case.d, n, _key(case.sigma)),
+            lambda: schreier_sims(self.image(case, n).group()),
+        )
 
     def a_group(self, case: GridCase, n: int):
-        key = (case.d, n, _key(case.sigma))
-        if key not in self._a_group:
-            self._a_group[key] = abelian_kernel(self.image(case, n))
-        return self._a_group[key]
+        return self._cached(
+            ("a_group", case.d, n, _key(case.sigma)), lambda: abelian_kernel(self.image(case, n))
+        )
 
     def a_bsgs(self, case: GridCase, n: int) -> BSGS:
-        key = (case.d, n, _key(case.sigma))
-        if key not in self._a:
-            self._a[key] = schreier_sims(self.a_group(case, n))
-        return self._a[key]
+        return self._cached(
+            ("a_bsgs", case.d, n, _key(case.sigma)), lambda: schreier_sims(self.a_group(case, n))
+        )
 
     def monodromy(self, case: GridCase, n: int):
-        key = (case.d, n, _key(case.sigma))
-        if key not in self._monodromy:
-            self._monodromy[key] = monodromy_matrices(self.image(case, n))
-        return self._monodromy[key]
+        return self._cached(
+            ("monodromy", case.d, n, _key(case.sigma)),
+            lambda: monodromy_matrices(self.image(case, n)),
+        )
 
     def transitivity(self, case: GridCase, n: int):
-        key = (case.d, n, _key(case.sigma))
-        if key not in self._transitivity:
-            self._transitivity[key] = transitivity_report(
-                self.image(case, n), case.spec, self.b_bsgs(case, n)
-            )
-        return self._transitivity[key]
-
-
-def _block_split(square: Permutation, d: int) -> Permutation | None:
-    """The common block factor tau when square == tau * shift(tau, d), else None."""
-    first = tuple(square(i) for i in range(1, d + 1))
-    if any(x > d for x in first):
-        return None
-    tau = Permutation(first)
-    return tau if square == tau * tau.shift(d) else None
+        return self._cached(
+            ("transitivity", case.d, n, _key(case.sigma)),
+            lambda: transitivity_report(self.image(case, n), case.spec, self.b_bsgs(case, n)),
+        )
 
 
 def _check_thm_2_12(s: Session) -> list[ClaimCheck]:
@@ -217,8 +200,7 @@ def _check_thm_2_12(s: Session) -> list[ClaimCheck]:
     membership over the whole coset, plus the counting and set identities."""
     entries = []
     for d in s.config.ds():
-        _, sym_bs = s.sym(d)
-        members = sorted(sym_bs.elements(), key=_key)
+        members = s.taus(d)
         shuffle_all = set()
         for tau in s.taus(d):
             shuffle_all.update(s.shuffles(d, tau).elements)
@@ -230,7 +212,7 @@ def _check_thm_2_12(s: Session) -> list[ClaimCheck]:
             for w2 in members:
                 sigma = left * w2.shift(d)
                 braid = is_braid_like(sigma, sigma.shift(d))
-                split = _block_split(sigma * sigma, d) is not None
+                split = block_split(sigma * sigma, d) is not None
                 member = sigma in shuffle_all
                 braid_count += braid
                 if not (braid == split == member):
@@ -340,7 +322,7 @@ def _check_lemma_2_5(s: Session) -> list[ClaimCheck]:
     entries = []
     groups = []
     for d in s.config.ds():
-        groups.append((f"sym-{d}", s.sym(d)[0]))
+        groups.append((f"sym-{d}", s.sym(d)))
     for text in ["(1 2)", "(1 2 3)", "(1 2 3 4)", "(1 2)(3 4)"]:
         tau = Permutation.parse(text)
         groups.append((f"cyclic-{text}", cyclic_group(tau)))
@@ -357,8 +339,7 @@ def _check_lemma_2_5(s: Session) -> list[ClaimCheck]:
             )
         )
     for d in s.config.ds():
-        _, bs = s.sym(d)
-        members = sorted(bs.elements(), key=_key)
+        members = s.taus(d)
         checked = 0
         bad = 0
         for a in members:
@@ -829,9 +810,7 @@ def _matrices_match_conjugation(s: Session, case: GridCase, n: int, mats) -> boo
         for idx in range(1, n):
             gen = image.generators[idx - 1]
             conj = gen * elem * gen.inverse()
-            expect = coords_from_exponents(
-                exponent_vector(conj, case.tau, d, n).entries, q
-            )
+            expect = coords_from_exponents(exponent_vector(conj, case.tau, d, n), q)
             mat = mats[idx - 1]
             acted = [
                 sum(mat[i][j] * coords[j] for j in range(n)) for i in range(n)
@@ -861,6 +840,10 @@ REGISTRY: dict[str, Callable[[Session], list[ClaimCheck]]] = {
 def run_verification(config: RunConfig | None = None) -> VerificationReport:
     """Run the configured subset of the claim registry into one report."""
     config = config or RunConfig()
+    if not config.ds():
+        raise ValueError(f"d_max = {config.d_max} leaves no block size d >= 2 to check")
+    if not config.ns():
+        raise ValueError(f"n_max = {config.n_max} leaves no strand count n >= 3 to check")
     for d in config.ds():
         if not 2 <= d <= config.d_cap:
             raise ValueError(f"d = {d} outside the supported range [2, {config.d_cap}]")

@@ -14,6 +14,7 @@ import sys
 
 from .claims import REGISTRY, RunConfig, run_verification
 from .groups import braid_image, gap_generators, tower
+from .lattice import q2_of
 from .oracles import CapExceeded
 from .perm import Permutation
 from .shuffle import (
@@ -97,7 +98,7 @@ def _construct_data(spec: ShuffleSpec, n: int) -> dict:
         "sigma": str(sigma),
         "tau": str(spec.tau),
         "q": q,
-        "q2": q // (2 if q % 2 == 0 else 1),
+        "q2": q2_of(q),
         "pair": [str(pair.first), str(pair.second)],
         "components": [
             {

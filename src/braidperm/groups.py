@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import product as iter_product
 from typing import Iterable, Iterator, Sequence
 
-from .lattice import exponent_vector
+from .lattice import exponent_vector, q2_of
 from .perm import Permutation
 from .report import ClaimCheck
 from .shuffle import ShuffleSpec, component_factors, is_braid_like
@@ -24,6 +24,7 @@ __all__ = [
     "SplitVerificationError",
     "TransitivityClass",
     "abelian_kernel",
+    "block_split",
     "braid_image",
     "braid_relations_hold",
     "complement_search",
@@ -46,7 +47,6 @@ class GeneratedGroup:
 
     degree: int
     generators: tuple[Permutation, ...]
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         if not self.generators:
@@ -54,8 +54,6 @@ class GeneratedGroup:
         for g in self.generators:
             if max(g.support(), default=0) > self.degree:
                 raise ValueError("generator moves a point beyond the group degree")
-        if self.labels is not None and len(self.labels) != len(self.generators):
-            raise ValueError("labels must match generators one for one")
 
 
 def symmetric_group(d: int) -> GeneratedGroup:
@@ -107,6 +105,27 @@ class _Level:
         self.transversal: dict[int, Permutation] = {point: Permutation.identity()}
 
 
+def _sift(levels: list[_Level], g: Permutation, start: int) -> tuple[Permutation, int]:
+    """Strip g through levels[start:]: the residue and the level where it stopped.
+
+    The residue is the identity iff g lies in the stabilizer the chain
+    describes from level start on.
+    """
+    i = start
+    while i < len(levels):
+        if g.is_identity():
+            return g, i
+        level = levels[i]
+        x = g(level.point)
+        if x != level.point:
+            rep = level.transversal.get(x)
+            if rep is None:
+                return g, i
+            g = rep.inverse() * g
+        i += 1
+    return g, i
+
+
 class BSGS:
     """Base and strong generating set with per-level orbits and transversals.
 
@@ -128,23 +147,10 @@ class BSGS:
             out *= len(level.transversal)
         return out
 
-    def sift(self, g: Permutation) -> tuple[Permutation, int]:
-        """Strip g through the chain: the residue is the identity iff g is a member."""
-        for i, level in enumerate(self._levels):
-            if g.is_identity():
-                return g, i
-            x = g(level.point)
-            if x != level.point:
-                rep = level.transversal.get(x)
-                if rep is None:
-                    return g, i
-                g = rep.inverse() * g
-        return g, len(self._levels)
-
     def contains(self, g: Permutation) -> bool:
         if max(g.support(), default=0) > self.degree:
             return False
-        residue, _ = self.sift(g)
+        residue, _ = _sift(self._levels, g, 0)
         return residue.is_identity()
 
     __contains__ = contains
@@ -163,14 +169,6 @@ class BSGS:
                     yield rep * rest
 
         return rec(0)
-
-    def strong_generators(self) -> list[Permutation]:
-        out: list[Permutation] = []
-        for level in self._levels:
-            for g in level.gens:
-                if g not in out:
-                    out.append(g)
-        return out
 
 
 def schreier_sims(group: GeneratedGroup) -> BSGS:
@@ -215,21 +213,6 @@ def schreier_sims(group: GeneratedGroup) -> BSGS:
                     queue.append(y)
         level.transversal = transversal
 
-    def sift_from(g: Permutation, start: int) -> tuple[Permutation, int]:
-        i = start
-        while i < len(levels):
-            if g.is_identity():
-                return g, i
-            level = levels[i]
-            x = g(level.point)
-            if x != level.point:
-                rep = level.transversal.get(x)
-                if rep is None:
-                    return g, i
-                g = rep.inverse() * g
-            i += 1
-        return g, i
-
     i = len(levels) - 1
     while i >= 0:
         rebuild(i)
@@ -241,7 +224,7 @@ def schreier_sims(group: GeneratedGroup) -> BSGS:
                 schreier = level.transversal[s(x)].inverse() * (s * rep)
                 if schreier.is_identity():
                     continue
-                residue, j = sift_from(schreier, i + 1)
+                residue, j = _sift(levels, schreier, i + 1)
                 if not residue.is_identity():
                     failure = (residue, j)
                     break
@@ -289,9 +272,16 @@ class BraidImage:
     generators: tuple[Permutation, ...]
 
     def group(self) -> GeneratedGroup:
-        return GeneratedGroup(
-            self.n * self.d, self.generators, tuple(f"g{s}" for s in range(1, self.n))
-        )
+        return GeneratedGroup(self.n * self.d, self.generators)
+
+
+def block_split(square: Permutation, d: int) -> Permutation | None:
+    """The common block factor tau when square == tau * shift(tau, d), else None."""
+    first = tuple(square(i) for i in range(1, d + 1))
+    if any(x > d for x in first):
+        return None
+    tau = Permutation(first)
+    return tau if square == tau * tau.shift(d) else None
 
 
 def braid_image(sigma: Permutation, d: int, n: int) -> BraidImage:
@@ -313,22 +303,17 @@ def braid_image(sigma: Permutation, d: int, n: int) -> BraidImage:
     if not is_braid_like(sigma, sigma.shift(d)):
         raise ValueError("(sigma, shift(sigma, d)) is not braid-like")
     square = sigma * sigma
-    first_block = tuple(square(i) for i in range(1, d + 1))
-    if any(x > d for x in first_block):
-        raise ValueError("sigma squared does not preserve the first block")
-    tau = Permutation(first_block)
-    if square != tau * tau.shift(d):
+    tau = block_split(square, d)
+    if tau is None:
         raise ValueError("sigma squared does not split into equal block factors")
     q = tau.order()
-    q2 = q // math.gcd(q, 2)
     gens = tuple(sigma.shift((s - 1) * d) for s in range(1, n))
-    block_pair = tau * tau.shift(d)
     for s, g in enumerate(gens, start=1):
-        if g * g != block_pair.shift((s - 1) * d):
+        if g * g != square.shift((s - 1) * d):
             raise ValueError("generator square is not the shifted block pair")
     if not braid_relations_hold(gens):
         raise ValueError("generators do not satisfy the braid relations")
-    return BraidImage(sigma, d, n, tau, q, q2, gens)
+    return BraidImage(sigma, d, n, tau, q, q2_of(q), gens)
 
 
 def abelian_kernel(image: BraidImage) -> GeneratedGroup:
@@ -338,15 +323,10 @@ def abelian_kernel(image: BraidImage) -> GeneratedGroup:
     shifted tau, and the family is checked to be abelian; a violation means a
     corrupted image and raises RuntimeError.
     """
-    gens: list[Permutation] = []
-    labels: list[str] = []
-    for s in range(1, image.n):
-        gens.append(image.generators[s - 1] ** 2)
-        labels.append(f"g{s}^2")
+    gens = [g**2 for g in image.generators]
     for r in range(1, image.n - 1):
         a, b = image.generators[r - 1], image.generators[r]
         gens.append(a * (b * b) * a.inverse())
-        labels.append(f"g{r} g{r + 1}^2 g{r}^-1")
     for g in gens:
         try:
             exponent_vector(g, image.tau, image.d, image.n)
@@ -356,7 +336,7 @@ def abelian_kernel(image: BraidImage) -> GeneratedGroup:
         for b in gens[i + 1:]:
             if a * b != b * a:
                 raise RuntimeError("kernel generators do not commute")
-    return GeneratedGroup(image.n * image.d, tuple(gens), tuple(labels))
+    return GeneratedGroup(image.n * image.d, tuple(gens))
 
 
 def extension_report(
@@ -431,9 +411,7 @@ def split_complement(
     for g in gens:
         if not (g * g).is_identity():
             raise SplitVerificationError("complement generator is not an involution")
-    group = GeneratedGroup(
-        image.n * image.d, gens, tuple(f"h{s}" for s in range(1, image.n))
-    )
+    group = GeneratedGroup(image.n * image.d, gens)
     bs = schreier_sims(group)
     if bs.order() != math.factorial(image.n):
         raise SplitVerificationError(

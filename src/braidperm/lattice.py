@@ -26,8 +26,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "AbelianStructure",
-    "ExponentVector",
-    "LatticeBasis",
     "compose_matrices",
     "coords_from_exponents",
     "expected_kernel_structure",
@@ -43,6 +41,7 @@ __all__ = [
     "monodromy_matrices",
     "normalize_factors",
     "parametrize_kernel",
+    "q2_of",
     "realize",
     "smith_normal_form",
 ]
@@ -50,20 +49,9 @@ __all__ = [
 Matrix = list[list[int]]
 
 
-@dataclass(frozen=True)
-class ExponentVector:
-    """Block exponents (r_1, ..., r_n), each taken mod q."""
-
-    entries: tuple[int, ...]
-    q: int
-
-    def __post_init__(self) -> None:
-        if self.q < 1:
-            raise ValueError("q must be a positive integer")
-        object.__setattr__(self, "entries", tuple(r % self.q for r in self.entries))
-
-    def realize(self, tau: Permutation, d: int) -> Permutation:
-        return realize(self.entries, tau, d)
+def q2_of(q: int) -> int:
+    """Modulus of the last kernel coordinate: q2 = q / gcd(q, 2)."""
+    return q // math.gcd(q, 2)
 
 
 def realize(exponents: Sequence[int], tau: Permutation, d: int) -> Permutation:
@@ -74,8 +62,9 @@ def realize(exponents: Sequence[int], tau: Permutation, d: int) -> Permutation:
     return out
 
 
-def exponent_vector(g: Permutation, tau: Permutation, d: int, n: int) -> ExponentVector:
-    """Read off block exponents; ValueError when g is not in the block product."""
+def exponent_vector(g: Permutation, tau: Permutation, d: int, n: int) -> tuple[int, ...]:
+    """Block exponents (r_1, ..., r_n), each in range(q) for q = order(tau);
+    ValueError when g is not in the block product."""
     q = tau.order()
     if max(g.support(), default=0) > n * d:
         raise ValueError(f"permutation moves points beyond [1, {n * d}]")
@@ -93,7 +82,7 @@ def exponent_vector(g: Permutation, tau: Permutation, d: int, n: int) -> Exponen
         if r is None:
             raise ValueError(f"block {i + 1} is not a power of the base permutation")
         entries.append(r)
-    return ExponentVector(tuple(entries), q)
+    return tuple(entries)
 
 
 # basis vectors of Z^n
@@ -117,23 +106,6 @@ def h_vector(n: int, i: int) -> tuple[int, ...]:
     if not 1 <= i <= n:
         raise ValueError(f"h index {i} out of range [1, {n}]")
     return tuple(2 if j == i else 0 for j in range(1, n + 1))
-
-
-@dataclass(frozen=True)
-class LatticeBasis:
-    """The basis (f_1, ..., f_(n-1), h_n) of the adjacent/skip-sum sublattice.
-
-    The g_r satisfy g_r = f_r + f_(r+1) - h_(r+1) and h_r + h_(r+1) = 2 f_r
-    as integer identities, and the basis matrix has determinant of magnitude 2.
-    """
-
-    n: int
-
-    def rows(self) -> list[tuple[int, ...]]:
-        return [f_vector(self.n, i) for i in range(1, self.n)] + [h_vector(self.n, self.n)]
-
-    def determinant_magnitude(self) -> int:
-        return math.prod(smith_normal_form(self.rows()))
 
 
 def smith_normal_form(rows: Sequence[Sequence[int]]) -> list[int]:
@@ -246,9 +218,8 @@ def kernel_structure(n: int, q: int) -> AbelianStructure:
 
 
 def expected_kernel_structure(n: int, q: int) -> AbelianStructure:
-    """n-1 copies of Z/q and one Z/q2 with q2 = q / gcd(q, 2), normalized."""
-    q2 = q // math.gcd(q, 2)
-    return AbelianStructure(normalize_factors([q] * (n - 1) + [q2]))
+    """n-1 copies of Z/q and one Z/q2, normalized."""
+    return AbelianStructure(normalize_factors([q] * (n - 1) + [q2_of(q)]))
 
 
 def parametrize_kernel(coords: Sequence[int], tau: Permutation, d: int) -> Permutation:
@@ -270,8 +241,7 @@ def parametrize_kernel(coords: Sequence[int], tau: Permutation, d: int) -> Permu
 
 def kernel_box(n: int, q: int) -> Iterator[tuple[int, ...]]:
     """All canonical coordinate tuples: n-1 entries mod q, the last mod q2."""
-    q2 = q // math.gcd(q, 2)
-    yield from iter_product(*([range(q)] * (n - 1) + [range(q2)]))
+    yield from iter_product(*([range(q)] * (n - 1) + [range(q2_of(q))]))
 
 
 def coords_from_exponents(entries: Sequence[int], q: int) -> tuple[int, ...]:
@@ -282,7 +252,7 @@ def coords_from_exponents(entries: Sequence[int], q: int) -> tuple[int, ...]:
     exponent vector lies in the sublattice (mod q), else ValueError.
     """
     n = len(entries)
-    q2 = q // math.gcd(q, 2)
+    q2 = q2_of(q)
     if q == 1:
         return (0,) * n
     coords = []
@@ -326,7 +296,7 @@ def expected_monodromy_matrix(s: int, n: int, q: int) -> Matrix:
     adjacent f_r goes to g_min(r,s), and h_n goes to h_(n-1) exactly when
     s == n-1.
     """
-    q2 = q // math.gcd(q, 2)
+    q2 = q2_of(q)
 
     def h_coords(i: int) -> list[int]:
         if i == n:
@@ -364,7 +334,7 @@ def monodromy_matrices(image: "BraidImage") -> list[Matrix]:
     """
     tau, d, n, q, q2 = image.tau, image.d, image.n, image.q, image.q2
     basis = [f_vector(n, i) for i in range(1, n)] + [h_vector(n, n)]
-    delta = math.gcd(q, 2)
+    delta = q // q2
     out = []
     for s in range(1, n):
         gen = image.generators[s - 1]
@@ -373,8 +343,7 @@ def monodromy_matrices(image: "BraidImage") -> list[Matrix]:
         for vec in basis:
             elem = realize([v % q for v in vec], tau, d)
             conj = gen * elem * inv
-            entries = exponent_vector(conj, tau, d, n).entries
-            cols.append(coords_from_exponents(entries, q))
+            cols.append(coords_from_exponents(exponent_vector(conj, tau, d, n), q))
         mat = _canonical_matrix([[cols[j][i] for j in range(n)] for i in range(n)], q, q2)
         for i in range(n - 1):
             if mat[i][n - 1] % delta:

@@ -7,13 +7,10 @@ be checked against them.
 
 from __future__ import annotations
 
-import math
-import time
 from dataclasses import dataclass
 
-from .groups import GeneratedGroup, schreier_sims, symmetric_group
-from .perm import Permutation, block_swap, centralizer_order, partition_count
-from .report import ClaimCheck
+from .groups import GeneratedGroup, schreier_sims
+from .perm import Permutation, block_swap
 from .shuffle import build_shuffle, iter_specs
 
 __all__ = [
@@ -21,7 +18,6 @@ __all__ = [
     "EnumerationResult",
     "conjugacy_class_count",
     "count_commuting_pairs",
-    "counting_report",
     "enumerate_roots",
     "enumerate_shuffles",
 ]
@@ -33,20 +29,11 @@ class CapExceeded(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class EnumerationResult:
-    """A deduplicated, canonically sorted enumeration with its timing."""
+    """A deduplicated, canonically sorted enumeration."""
 
     parameters: dict
     elements: tuple[Permutation, ...]
     count: int
-    elapsed: float
-
-    def to_json_dict(self) -> dict:
-        """JSON-stable form; elements print in cycle notation, timing excluded."""
-        return {
-            "parameters": dict(self.parameters),
-            "count": self.count,
-            "elements": [str(p) for p in self.elements],
-        }
 
 
 def _sorted(perms) -> tuple[Permutation, ...]:
@@ -58,7 +45,6 @@ def enumerate_roots(
 ) -> EnumerationResult:
     """All sigma = swap * w1 * shift(w2, d) over pairs from W whose square is
     tau * shift(tau, d), found by testing every pair."""
-    start = time.perf_counter()
     bs = schreier_sims(w)
     if tau not in bs:
         raise ValueError("tau must be a member of the group")
@@ -80,7 +66,6 @@ def enumerate_roots(
         {"kind": "roots", "d": d, "tau": str(tau), "group_order": bs.order()},
         _sorted(found),
         len(found),
-        time.perf_counter() - start,
     )
 
 
@@ -89,13 +74,11 @@ def enumerate_shuffles(d: int, tau: Permutation, d_cap: int = 6) -> EnumerationR
     every choice of starting points, deduplicated."""
     if d > d_cap:
         raise CapExceeded(f"d = {d} exceeds the cap {d_cap}")
-    start = time.perf_counter()
     found = {build_shuffle(spec) for spec in iter_specs(tau, d)}
     return EnumerationResult(
         {"kind": "shuffles", "d": d, "tau": str(tau)},
         _sorted(found),
         len(found),
-        time.perf_counter() - start,
     )
 
 
@@ -130,43 +113,3 @@ def conjugacy_class_count(w: GeneratedGroup, cap: int = 10_000_000) -> int:
                     frontier.append(y)
     return classes
 
-
-def counting_report(d: int, cap: int = 10_000_000) -> list[ClaimCheck]:
-    """Counting identities at degree d.
-
-    The total number of enumerated roots over all tau must be the partition
-    count times d!, the per-tau shuffle count must equal the centralizer order
-    of tau, and the two enumerations must agree as sets for every tau.
-    """
-    sym = symmetric_group(d)
-    taus = _sorted(schreier_sims(sym).elements())
-    total = 0
-    set_mismatches: list[str] = []
-    count_mismatches: list[str] = []
-    for tau in taus:
-        roots = enumerate_roots(sym, tau, cap)
-        shuffles = enumerate_shuffles(d, tau)
-        total += roots.count
-        if roots.elements != shuffles.elements:
-            set_mismatches.append(str(tau))
-        if shuffles.count != centralizer_order(tau.cycle_type(d)):
-            count_mismatches.append(str(tau))
-    expected = partition_count(d) * math.factorial(d)
-    return [
-        ClaimCheck(
-            claim="counting-total",
-            parameters={"d": d},
-            witness={"total_roots": total, "expected": expected},
-            passed=total == expected,
-        ),
-        ClaimCheck(
-            claim="counting-sets",
-            parameters={"d": d},
-            witness={
-                "taus": len(taus),
-                "set_mismatches": set_mismatches,
-                "shuffle_count_mismatches": count_mismatches,
-            },
-            passed=not set_mismatches and not count_mismatches,
-        ),
-    ]

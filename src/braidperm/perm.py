@@ -17,18 +17,15 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 __all__ = [
-    "CycleDecomposition",
     "CycleType",
     "Permutation",
     "block_swap",
     "canonical_cycle",
     "centralizer_order",
-    "conjugate",
     "partition_count",
-    "partitions",
 ]
 
 
@@ -207,12 +204,6 @@ class Permutation:
                 out.append(tuple(cycle))
         return out
 
-    def cycle_decomposition(self, degree: int | None = None) -> "CycleDecomposition":
-        n = max(self.degree, degree or 0)
-        moved = tuple(self.cycles())
-        fixed = frozenset(range(1, n + 1)) - frozenset(x for c in moved for x in c)
-        return CycleDecomposition(moved, fixed, n)
-
     def cycle_type(self, degree: int | None = None) -> "CycleType":
         n = max(self.degree, degree or 0)
         counts: dict[int, int] = {}
@@ -238,17 +229,6 @@ class Permutation:
 
     def __repr__(self) -> str:
         return f"Permutation.parse({str(self)!r})"
-
-
-def conjugate(zeta: Permutation, sigma: Permutation) -> Permutation:
-    """Conjugate of sigma by zeta: zeta * sigma * zeta.inverse().
-
-    Relabels every cycle of sigma through zeta, so the cycle type is preserved.
-
-    >>> str(conjugate(Permutation.parse("(1 2)"), Permutation.parse("(1 3)")))
-    '(2 3)'
-    """
-    return zeta * sigma * zeta.inverse()
 
 
 def block_swap(s: int, d: int, n: int) -> Permutation:
@@ -282,23 +262,6 @@ def canonical_cycle(points: Sequence[int]) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class CycleDecomposition:
-    """Disjoint cycles of a permutation together with its fixed points in [1, degree]."""
-
-    cycles: tuple[tuple[int, ...], ...]
-    fixed_points: frozenset[int]
-    degree: int
-
-    def to_permutation(self) -> Permutation:
-        return Permutation.from_cycles(self.cycles, self.degree)
-
-    def cycles_of_length(self, m: int) -> tuple[tuple[int, ...], ...]:
-        if m == 1:
-            return tuple((x,) for x in sorted(self.fixed_points))
-        return tuple(c for c in self.cycles if len(c) == m)
-
-
-@dataclass(frozen=True)
 class CycleType:
     """Multiset of cycle lengths of a permutation of [1, degree].
 
@@ -313,19 +276,6 @@ class CycleType:
     def __post_init__(self) -> None:
         if sum(m * c for m, c in self.counts) != self.degree:
             raise ValueError("cycle lengths do not add up to the degree")
-
-    @classmethod
-    def from_partition(cls, parts: Sequence[int]) -> "CycleType":
-        counts: dict[int, int] = {}
-        for m in parts:
-            counts[m] = counts.get(m, 0) + 1
-        return cls(tuple(sorted(counts.items())), sum(parts))
-
-    def multiplicity(self, m: int) -> int:
-        return dict(self.counts).get(m, 0)
-
-    def partition(self) -> tuple[int, ...]:
-        return tuple(sorted((m for m, c in self.counts for _ in range(c)), reverse=True))
 
 
 def centralizer_order(ctype: CycleType) -> int:
@@ -350,16 +300,3 @@ def partition_count(d: int) -> int:
             table[total] += table[total - part]
     return table[d]
 
-
-def partitions(d: int) -> Iterator[tuple[int, ...]]:
-    """All partitions of d as weakly decreasing tuples."""
-
-    def rec(remaining: int, largest: int) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield ()
-            return
-        for part in range(min(remaining, largest), 0, -1):
-            for rest in rec(remaining - part, part):
-                yield (part,) + rest
-
-    yield from rec(d, d)

@@ -102,9 +102,6 @@ class CycleMap:
             pairs.append((c, by_min[target]))
         return cls(tau, degree, tuple(pairs))
 
-    def to_least_map(self) -> dict[int, int]:
-        return {a[0]: b[0] for a, b in self.mapping}
-
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         return tuple(a for a, _ in self.mapping)
 

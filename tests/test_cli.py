@@ -28,6 +28,7 @@ class TestConstruct:
         assert code == 0
         data = json.loads(out)
         assert data["sigma"] == "(1 3 2 4)"
+        assert data["q"] == 2 and data["q2"] == 1
         assert data["pair"] == ["()", "(1 2)"]
         assert data["components"][0]["y"] == [1, 2, 3, 4, 5, 6]
 
@@ -90,6 +91,18 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--d", "9")
         assert code == 2
         assert "error" in err
+
+    def test_empty_d_range_exit_2(self, capsys):
+        code, out, err = run(capsys, "verify", "--d-max", "1")
+        assert code == 2
+        assert out == ""
+        assert "no block size" in err
+
+    def test_empty_n_range_exit_2(self, capsys):
+        code, out, err = run(capsys, "verify", "--d", "2", "--n-max", "2")
+        assert code == 2
+        assert out == ""
+        assert "no strand count" in err
 
     def test_json_report_roundtrips(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"

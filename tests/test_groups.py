@@ -4,29 +4,24 @@ import random
 
 import pytest
 
-from braidperm import (
-    CycleMap,
+from braidperm.groups import (
     GeneratedGroup,
-    Permutation,
-    ShuffleSpec,
     abelian_kernel,
-    block_swap,
     braid_image,
-    build_shuffle,
     complement_search,
     cyclic_group,
-    decompose_pair,
     extension_report,
     gap_generators,
     orbit,
     orbits_partition,
-    pair_from_shuffle,
     schreier_sims,
     split_complement,
     symmetric_group,
     tower,
     transitivity_report,
 )
+from braidperm.perm import Permutation, block_swap
+from braidperm.shuffle import CycleMap, ShuffleSpec, build_shuffle, decompose_pair, pair_from_shuffle
 
 
 def perm(text):

@@ -1,19 +1,16 @@
-import math
-
 import pytest
 
-from braidperm import (
+from braidperm import RunConfig, run_verification
+from braidperm.groups import cyclic_group, symmetric_group
+from braidperm.oracles import (
     CapExceeded,
-    Permutation,
     conjugacy_class_count,
     count_commuting_pairs,
-    counting_report,
-    cyclic_group,
     enumerate_roots,
     enumerate_shuffles,
-    is_braid_like,
-    symmetric_group,
 )
+from braidperm.perm import Permutation
+from braidperm.shuffle import is_braid_like
 
 
 def perm(text):
@@ -87,15 +84,20 @@ class TestCommutingPairs:
 
 
 class TestCountingReport:
+    """The counting identities, as thm-2.12's counts entry reports them."""
+
     @pytest.mark.parametrize("d,total", [(2, 4), (3, 18)])
     def test_small_degrees(self, d, total):
-        entries = counting_report(d)
-        assert all(e.passed for e in entries)
-        assert entries[0].witness["total_roots"] == total
-        assert entries[0].witness["expected"] == total
+        report = run_verification(RunConfig(d=d, claims=("thm-2.12",)))
+        (counts,) = [e for e in report.entries if e.parameters["check"] == "counts"]
+        assert counts.passed
+        assert counts.witness["total_roots"] == total
+        assert counts.witness["expected"] == total
+        assert counts.witness["set_mismatches"] == []
+        assert counts.witness["shuffle_count_mismatches"] == []
 
     def test_results_are_deterministic(self):
         a = enumerate_roots(symmetric_group(3), perm("(1 2 3)"))
         b = enumerate_roots(symmetric_group(3), perm("(1 2 3)"))
         assert a.elements == b.elements
-        assert math.isfinite(a.elapsed)
+        assert a.count == b.count == len(a.elements)
