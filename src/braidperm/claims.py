@@ -44,7 +44,7 @@ from .lattice import (
     parametrize_kernel,
     realize,
 )
-from .oracles import count_commuting_pairs, conjugacy_class_count, enumerate_roots, enumerate_shuffles
+from .oracles import count_commuting_pairs, conjugacy_class_count, enumerate_shuffles, roots_by_tau
 from .perm import Permutation, block_swap, centralizer_order, partition_count
 from .report import ClaimCheck, VerificationReport
 from .shuffle import (
@@ -140,9 +140,10 @@ class Session:
         )
 
     def roots(self, d: int, tau: Permutation):
+        """tau's bucket of the one root sweep over the coset of S_d."""
         return self._cached(
-            ("roots", d, _key(tau)), lambda: enumerate_roots(self.sym(d), tau, self.config.cap)
-        )
+            ("roots", d), lambda: roots_by_tau(self.sym(d), self.config.cap)
+        )[_key(tau)]
 
     def shuffles(self, d: int, tau: Permutation):
         return self._cached(

@@ -20,6 +20,7 @@ __all__ = [
     "count_commuting_pairs",
     "enumerate_roots",
     "enumerate_shuffles",
+    "roots_by_tau",
 ]
 
 
@@ -40,33 +41,52 @@ def _sorted(perms) -> tuple[Permutation, ...]:
     return tuple(sorted(perms, key=lambda p: p.canonical()))
 
 
-def enumerate_roots(
-    w: GeneratedGroup, tau: Permutation, cap: int = 10_000_000
-) -> EnumerationResult:
-    """All sigma = swap * w1 * shift(w2, d) over pairs from W whose square is
-    tau * shift(tau, d), found by testing every pair."""
+def roots_by_tau(
+    w: GeneratedGroup, cap: int = 10_000_000
+) -> dict[tuple[int, ...], EnumerationResult]:
+    """For every member tau of W, keyed by ``tau.canonical()``: all
+    sigma = swap * w1 * shift(w2, d) over pairs from W whose square is
+    tau * shift(tau, d).
+
+    One pass over the coset tests each pair once: sigma * sigma is looked up
+    among the targets tau * shift(tau, d).  A target's first block is tau, so
+    the targets are distinct and sigma lands in the one bucket whose defining
+    equation it satisfies, or in none.
+    """
     bs = schreier_sims(w)
-    if tau not in bs:
-        raise ValueError("tau must be a member of the group")
     if bs.order() ** 2 > cap:
         raise CapExceeded(f"|W|^2 = {bs.order() ** 2} exceeds the cap {cap}")
     d = w.degree
     swap = block_swap(1, d, 2)
-    target = tau * tau.shift(d)
     members = _sorted(bs.elements())
     shifted = [x.shift(d) for x in members]
-    found = set()
+    targets = {tau * tau.shift(d): tau for tau in members}
+    found: dict[Permutation, set[Permutation]] = {tau: set() for tau in members}
     for w1 in members:
         left = swap * w1
         for w2 in shifted:
             sigma = left * w2
-            if sigma * sigma == target:
-                found.add(sigma)
-    return EnumerationResult(
-        {"kind": "roots", "d": d, "tau": str(tau), "group_order": bs.order()},
-        _sorted(found),
-        len(found),
-    )
+            tau = targets.get(sigma * sigma)
+            if tau is not None:
+                found[tau].add(sigma)
+    return {
+        tau.canonical(): EnumerationResult(
+            {"kind": "roots", "d": d, "tau": str(tau), "group_order": bs.order()},
+            _sorted(roots),
+            len(roots),
+        )
+        for tau, roots in found.items()
+    }
+
+
+def enumerate_roots(
+    w: GeneratedGroup, tau: Permutation, cap: int = 10_000_000
+) -> EnumerationResult:
+    """All sigma = swap * w1 * shift(w2, d) over pairs from W whose square is
+    tau * shift(tau, d): tau's bucket of ``roots_by_tau``."""
+    if tau not in schreier_sims(w):
+        raise ValueError("tau must be a member of the group")
+    return roots_by_tau(w, cap)[tau.canonical()]
 
 
 def enumerate_shuffles(d: int, tau: Permutation, d_cap: int = 6) -> EnumerationResult:

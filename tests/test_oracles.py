@@ -1,15 +1,18 @@
+import math
+
 import pytest
 
 from braidperm import RunConfig, run_verification
-from braidperm.groups import cyclic_group, symmetric_group
+from braidperm.groups import cyclic_group, schreier_sims, symmetric_group
 from braidperm.oracles import (
     CapExceeded,
     conjugacy_class_count,
     count_commuting_pairs,
     enumerate_roots,
     enumerate_shuffles,
+    roots_by_tau,
 )
-from braidperm.perm import Permutation
+from braidperm.perm import Permutation, block_swap, partition_count
 from braidperm.shuffle import is_braid_like
 
 
@@ -44,6 +47,61 @@ class TestEnumerateRoots:
         for tau in [Permutation.identity(3), perm("(1 2)"), perm("(1 2 3)")]:
             for sigma in enumerate_roots(symmetric_group(3), tau).elements:
                 assert is_braid_like(sigma, sigma.shift(3))
+
+
+class TestRootsByTau:
+    """The one-pass sweep against the per-tau definition."""
+
+    GROUPS = {
+        "S2": symmetric_group(2),
+        "S3": symmetric_group(3),
+        "S4": symmetric_group(4),
+        "C3": cyclic_group(perm("(1 2 3)")),
+        "trivial": cyclic_group(Permutation.identity(2), degree=2),
+    }
+
+    @pytest.mark.parametrize("name", sorted(GROUPS))
+    def test_buckets_match_definition(self, name):
+        w = self.GROUPS[name]
+        d = w.degree
+        members = list(schreier_sims(w).elements())
+        buckets = roots_by_tau(w)
+        assert set(buckets) == {tau.canonical() for tau in members}
+        swap = block_swap(1, d, 2)
+        for tau in members:
+            expected = set()
+            for w1 in members:
+                for w2 in members:
+                    sigma = swap * w1 * w2.shift(d)
+                    if sigma * sigma == tau * tau.shift(d):
+                        expected.add(sigma)
+            result = buckets[tau.canonical()]
+            assert set(result.elements) == expected
+            assert result.count == len(expected)
+            assert result.parameters == {
+                "kind": "roots",
+                "d": d,
+                "tau": str(tau),
+                "group_order": len(members),
+            }
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_counts_sum_over_symmetric_group(self, d):
+        buckets = roots_by_tau(symmetric_group(d))
+        assert sum(r.count for r in buckets.values()) == partition_count(d) * math.factorial(d)
+
+    def test_cap_checked_before_the_sweep(self, monkeypatch):
+        assert len(roots_by_tau(symmetric_group(4), cap=24**2)) == 24
+
+        def no_sweep(*args):
+            raise AssertionError("the sweep started before the cap check")
+
+        # Every sweep starts by building the block swap of its coset.
+        monkeypatch.setattr("braidperm.oracles.block_swap", no_sweep)
+        with pytest.raises(CapExceeded):
+            roots_by_tau(symmetric_group(4), cap=24**2 - 1)
+        with pytest.raises(CapExceeded):
+            enumerate_roots(symmetric_group(4), Permutation.identity(4), cap=24**2 - 1)
 
 
 class TestEnumerateShuffles:
@@ -86,7 +144,7 @@ class TestCommutingPairs:
 class TestCountingReport:
     """The counting identities, as thm-2.12's counts entry reports them."""
 
-    @pytest.mark.parametrize("d,total", [(2, 4), (3, 18)])
+    @pytest.mark.parametrize("d,total", [(2, 4), (3, 18), (5, 840)])
     def test_small_degrees(self, d, total):
         report = run_verification(RunConfig(d=d, claims=("thm-2.12",)))
         (counts,) = [e for e in report.entries if e.parameters["check"] == "counts"]
