@@ -44,7 +44,7 @@ from .lattice import (
     parametrize_kernel,
     realize,
 )
-from .oracles import count_commuting_pairs, conjugacy_class_count, enumerate_shuffles, roots_by_tau
+from .oracles import D_CAP, count_commuting_pairs, conjugacy_class_count, enumerate_shuffles, roots_by_tau
 from .perm import Permutation, block_swap, centralizer_order, partition_count
 from .report import ClaimCheck, VerificationReport
 from .shuffle import (
@@ -61,6 +61,9 @@ from .shuffle import (
 
 __all__ = ["REGISTRY", "RunConfig", "Session", "run_verification"]
 
+RANDOM_INSTANCES = 1000  # cor-2.13 samples, spread over the case pool
+SEARCH_CAP = 4096  # most generator-lift combinations thm-3.4's complement search tries
+
 
 @dataclass
 class RunConfig:
@@ -73,9 +76,6 @@ class RunConfig:
     claims: tuple[str, ...] | None = None
     seed: int = 0
     cap: int = 10_000_000
-    d_cap: int = 6
-    random_instances: int = 1000
-    search_cap: int = 4096
 
     def ds(self) -> list[int]:
         return [self.d] if self.d is not None else list(range(2, self.d_max + 1))
@@ -91,9 +91,9 @@ class RunConfig:
             "n": self.n,
             "claims": list(self.claims) if self.claims else None,
             "cap": self.cap,
-            "d_cap": self.d_cap,
-            "random_instances": self.random_instances,
-            "search_cap": self.search_cap,
+            "d_cap": D_CAP,
+            "random_instances": RANDOM_INSTANCES,
+            "search_cap": SEARCH_CAP,
         }
 
 
@@ -146,9 +146,7 @@ class Session:
         )[_key(tau)]
 
     def shuffles(self, d: int, tau: Permutation):
-        return self._cached(
-            ("shuffles", d, _key(tau)), lambda: enumerate_shuffles(d, tau, self.config.d_cap)
-        )
+        return self._cached(("shuffles", d, _key(tau)), lambda: enumerate_shuffles(d, tau))
 
     def pool(self, d: int) -> list[GridCase]:
         def build():
@@ -369,7 +367,7 @@ def _check_cor_2_13(s: Session) -> list[ClaimCheck]:
     with random k, l the square of sigma * a is the (k+l+1)-power block pair,
     and sigma * a appears in the enumeration for that power."""
     pool = [case for d in s.config.ds() for case in s.pool(d)]
-    reps = max(1, -(-s.config.random_instances // max(1, len(pool))))
+    reps = max(1, -(-RANDOM_INSTANCES // max(1, len(pool))))
     instances = 0
     failures: list[str] = []
     for case in pool:
@@ -629,7 +627,7 @@ def _check_thm_3_4(s: Session) -> list[ClaimCheck]:
                 else:
                     split_even += 1
                     searches.append(
-                        complement_search(image, a_bsgs, s.config.search_cap)
+                        complement_search(image, a_bsgs, SEARCH_CAP)
                     )
             searched = [x for x in searches if x["searched"]]
             entries.append(
@@ -846,8 +844,8 @@ def run_verification(config: RunConfig | None = None) -> VerificationReport:
     if not config.ns():
         raise ValueError(f"n_max = {config.n_max} leaves no strand count n >= 3 to check")
     for d in config.ds():
-        if not 2 <= d <= config.d_cap:
-            raise ValueError(f"d = {d} outside the supported range [2, {config.d_cap}]")
+        if not 2 <= d <= D_CAP:
+            raise ValueError(f"d = {d} outside the supported range [2, {D_CAP}]")
     for n in config.ns():
         if n < 3:
             raise ValueError(f"n = {n} must be at least 3")

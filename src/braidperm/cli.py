@@ -63,20 +63,17 @@ def _spec_from_args(args) -> ShuffleSpec:
         raise SpecError("give --spec FILE, or both --d and --tau")
     tau = Permutation.parse(args.tau)
     d = args.d
+    mins = [c[0] for c in tau_cycles(tau, d)]
     if args.u in (None, "id"):
         u = CycleMap.identity(tau, d)
     else:
         label_perm = Permutation.parse(args.u)
-        mins = {c[0] for c in tau_cycles(tau, d)}
         moved = set(label_perm.support())
-        if not moved <= mins:
-            raise SpecError(
-                f"--u permutes cycle labels {sorted(mins)}, got points {sorted(moved)}"
-            )
+        if not moved <= set(mins):
+            raise SpecError(f"--u permutes cycle labels {mins}, got points {sorted(moved)}")
         u = CycleMap.from_least_map(tau, d, {a: label_perm(a) for a in mins})
     choices = None
     if args.i1 or args.j1:
-        mins = [c[0] for c in tau_cycles(tau, d)]
         i1s, j1s = args.i1 or [], args.j1 or []
         if len(i1s) != len(mins) or len(j1s) != len(mins):
             raise SpecError(
@@ -114,6 +111,8 @@ def _construct_data(spec: ShuffleSpec, n: int) -> dict:
 
 
 def _cmd_construct(args) -> int:
+    if args.n < 1:
+        raise SpecError(f"n must be positive, got {args.n}")
     spec = _spec_from_args(args)
     data = _construct_data(spec, args.n)
     if args.format == "json":

@@ -179,7 +179,8 @@ def schreier_sims(group: GeneratedGroup) -> BSGS:
     Schreier generator of a level must sift to the identity through the levels
     below, and a failure adds the sifted residue as a strong generator and
     resumes at the deepest level it affects.  New base points are the smallest
-    points moved by the offending element.
+    points moved by the offending element.  A residue joins no level deeper
+    than the one the loop resumes at, so every level is current at the end.
     """
     base: list[int] = []
     strong: list[Permutation] = []
@@ -204,8 +205,7 @@ def schreier_sims(group: GeneratedGroup) -> BSGS:
         ]
         transversal = {level.point: Permutation.identity()}
         queue = [level.point]
-        while queue:
-            x = queue.pop(0)
+        for x in queue:
             for g in level.gens:
                 y = g(x)
                 if y not in transversal:
@@ -236,8 +236,6 @@ def schreier_sims(group: GeneratedGroup) -> BSGS:
         residue, j = failure
         add_strong(residue)
         i = min(j, len(levels) - 1)
-    for i in range(len(levels)):
-        rebuild(i)
     return BSGS(group.degree, levels)
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations as iter_permutations, product as iter_product
+from itertools import product as iter_product
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .perm import Permutation
@@ -352,38 +352,26 @@ def monodromy_matrices(image: "BraidImage") -> list[Matrix]:
     return out
 
 
-def _adjacent_word(line: Sequence[int]) -> list[int]:
-    """Adjacent-swap word for a one-line permutation of [1, n].
-
-    Returns indices s_1, ..., s_k with the permutation equal to the functional
-    composition t_(s_k) o ... o t_(s_1) of adjacent transpositions.
-    """
-    work = list(line)
-    word = []
-    while True:
-        for i in range(len(work) - 1):
-            if work[i] > work[i + 1]:
-                work[i], work[i + 1] = work[i + 1], work[i]
-                word.append(i + 1)
-                break
-        else:
-            return word
-
-
 def monodromy_kernel(image: "BraidImage", matrices: list[Matrix] | None = None) -> int:
     """Number of block permutations acting trivially on the kernel coordinates.
 
-    Enumerates all n! words, composes the corresponding matrices, and counts
-    identities; size one means the action separates the block permutations.
+    Walks S_n breadth-first from the identity along the adjacent
+    transpositions: a permutation p first reached as p' * (s s+1) gets the
+    matrix of p' times matrix s.  Counts the identity matrices among the n!
+    results; size one means the action separates the block permutations.  The
+    count does not depend on the walk when the matrices satisfy the Coxeter
+    relations, which prop-3.11 checks separately.
     """
     n, q, q2 = image.n, image.q, image.q2
     matrices = matrices if matrices is not None else monodromy_matrices(image)
     ident = identity_matrix(n, q, q2)
-    kernel = 0
-    for line in iter_permutations(range(1, n + 1)):
-        mat = ident
-        for s in _adjacent_word(line):
-            mat = compose_matrices(matrices[s - 1], mat, q, q2)
-        if mat == ident:
-            kernel += 1
-    return kernel
+    reached = {tuple(range(1, n + 1)): ident}
+    queue = list(reached)
+    for line in queue:
+        mat = reached[line]
+        for s in range(1, n):
+            nxt = line[: s - 1] + (line[s], line[s - 1]) + line[s + 1:]
+            if nxt not in reached:
+                reached[nxt] = compose_matrices(mat, matrices[s - 1], q, q2)
+                queue.append(nxt)
+    return sum(mat == ident for mat in reached.values())

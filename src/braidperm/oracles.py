@@ -24,6 +24,9 @@ __all__ = [
 ]
 
 
+D_CAP = 6  # largest block size the shuffle enumeration and the grid accept
+
+
 class CapExceeded(RuntimeError):
     """An enumeration would exceed its configured size cap."""
 
@@ -89,11 +92,11 @@ def enumerate_roots(
     return roots_by_tau(w, cap)[tau.canonical()]
 
 
-def enumerate_shuffles(d: int, tau: Permutation, d_cap: int = 6) -> EnumerationResult:
+def enumerate_shuffles(d: int, tau: Permutation) -> EnumerationResult:
     """All distinct shuffle-built permutations over tau: every cycle map and
     every choice of starting points, deduplicated."""
-    if d > d_cap:
-        raise CapExceeded(f"d = {d} exceeds the cap {d_cap}")
+    if d > D_CAP:
+        raise CapExceeded(f"d = {d} exceeds the cap {D_CAP}")
     found = {build_shuffle(spec) for spec in iter_specs(tau, d)}
     return EnumerationResult(
         {"kind": "shuffles", "d": d, "tau": str(tau)},

@@ -143,10 +143,9 @@ class Permutation:
         if not isinstance(other, Permutation):
             return NotImplemented
         a, b = self.images, other.images
-        if len(a) == len(b):
-            return Permutation(tuple(a[x - 1] for x in b))
-        n = max(len(a), len(b))
-        return Permutation(tuple(self(other(x)) for x in range(1, n + 1)))
+        if len(a) < len(b):
+            a += tuple(range(len(a) + 1, len(b) + 1))
+        return Permutation(tuple([a[x - 1] for x in b]) + a[len(b):])
 
     def inverse(self) -> "Permutation":
         inv = [0] * len(self.images)

@@ -50,6 +50,8 @@ class SpecError(ValueError):
 
 def tau_cycles(tau: Permutation, d: int) -> tuple[tuple[int, ...], ...]:
     """Cycles of tau on [1, d] with fixed points as 1-cycles, sorted by least point."""
+    if d < 1:
+        raise SpecError("d must be positive")
     if tau.degree > d and max(tau.support(), default=0) > d:
         raise SpecError(f"tau moves points beyond [1, {d}]")
     return tuple(tau.cycles(include_fixed=True, degree=d))
@@ -159,8 +161,6 @@ class ShuffleSpec:
     choices: tuple[tuple[tuple[int, ...], int, int], ...]
 
     def __post_init__(self) -> None:
-        if self.d < 1:
-            raise SpecError("d must be positive")
         if self.u.tau != self.tau or self.u.degree != self.d:
             raise SpecError("cycle map does not belong to this tau and d")
         cycles = tau_cycles(self.tau, self.d)
@@ -218,16 +218,26 @@ class ShuffleSpec:
     @classmethod
     def from_json_dict(cls, data) -> "ShuffleSpec":
         try:
-            d = int(data["d"])
+            d = _json_int(data["d"], "d")
+            if not isinstance(data["tau"], str):
+                raise TypeError(f"tau must be a string, got {data['tau']!r}")
             tau = Permutation.parse(data["tau"])
-            least = {int(a): int(b) for a, b in data.get("u", [])}
-            choices = {
-                int(entry["alpha_min"]): (int(entry["i1"]), int(entry["j1"]))
-                for entry in data.get("choices", [])
-            }
+            least = {_json_int(a, "u"): _json_int(b, "u") for a, b in data.get("u", [])}
+            choices = {}
+            for entry in data.get("choices", []):
+                alpha = _json_int(entry["alpha_min"], "alpha_min")
+                if alpha in choices:
+                    raise ValueError(f"duplicate alpha_min {alpha}")
+                choices[alpha] = (_json_int(entry["i1"], "i1"), _json_int(entry["j1"], "j1"))
         except (KeyError, TypeError, ValueError) as exc:
             raise SpecError(f"bad spec document: {exc}") from exc
         return cls.make(tau, d, CycleMap.from_least_map(tau, d, least), choices)
+
+
+def _json_int(value, name: str) -> int:
+    if type(value) is not int:  # JSON true and 2.0 load as bool and float
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def _walk(tau: Permutation, start: int, m: int) -> list[int]:

@@ -11,6 +11,22 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+SPEC = {
+    "d": 2,
+    "tau": "(1 2)",
+    "u": [[1, 1]],
+    "choices": [{"alpha_min": 1, "i1": 1, "j1": 1}],
+}
+
+
+def spec_with(**changes):
+    return {**SPEC, **changes}
+
+
+def choice_with(**changes):
+    return spec_with(choices=[{**SPEC["choices"][0], **changes}])
+
+
 class TestConstruct:
     def test_basic(self, capsys):
         code, out, _ = run(
@@ -63,6 +79,38 @@ class TestConstruct:
     def test_bad_tau_exits_2(self, capsys):
         code, _, _ = run(capsys, "construct", "--d", "2", "--tau", "(1 2")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "spec,args,message",
+        [
+            (SPEC, (), None),
+            (spec_with(tau=5), (), "tau must be a string, got 5"),
+            (spec_with(tau=None), (), "tau must be a string, got None"),
+            (spec_with(d=2.7), (), "d must be an integer, got 2.7"),
+            (spec_with(d=True), (), "d must be an integer, got True"),
+            (spec_with(u=[[1, 1.0]]), (), "u must be an integer, got 1.0"),
+            (choice_with(alpha_min=False), (), "alpha_min must be an integer"),
+            (choice_with(i1=1.0), (), "i1 must be an integer"),
+            (choice_with(j1="1"), (), "j1 must be an integer"),
+            (spec_with(choices=SPEC["choices"] * 2), (), "duplicate alpha_min 1"),
+            (None, ("--d", "2", "--tau", "()", "--n", "0"), "n must be positive"),
+            (None, ("--d", "2", "--tau", "()", "--n", "-3"), "n must be positive"),
+            (None, ("--d", "-1", "--tau", "()"), "d must be positive"),
+            (None, ("--d", "0", "--tau", "()"), "d must be positive"),
+        ],
+    )
+    def test_bad_input_exits_2(self, capsys, tmp_path, spec, args, message):
+        if spec is not None:
+            path = tmp_path / "spec.json"
+            path.write_text(json.dumps(spec))
+            args = ("--spec", str(path), *args)
+        code, out, err = run(capsys, "construct", *args)
+        if message is None:  # the unaltered spec builds
+            assert code == 0 and "sigma = " in out
+            return
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and message in err
 
 
 class TestVerify:

@@ -20,6 +20,7 @@ from braidperm.groups import (
     tower,
     transitivity_report,
 )
+from braidperm.oracles import enumerate_shuffles
 from braidperm.perm import Permutation, block_swap
 from braidperm.shuffle import CycleMap, ShuffleSpec, build_shuffle, decompose_pair, pair_from_shuffle
 
@@ -46,6 +47,20 @@ def brute_elements(gens, degree):
                 seen.add(y)
                 frontier.append(y)
     return seen
+
+
+@pytest.fixture(scope="module")
+def golden_grid_groups():
+    """Every braid image and abelian kernel of the golden reports' grids:
+    d <= 3 with n <= 4, and d = 4 with n = 3."""
+    groups = []
+    for d, ns in ((2, (3, 4)), (3, (3, 4)), (4, (3,))):
+        for tau in schreier_sims(symmetric_group(d)).elements():
+            for sigma in enumerate_shuffles(d, tau).elements:
+                for n in ns:
+                    image = braid_image(sigma, d, n)
+                    groups += [image.group(), abelian_kernel(image)]
+    return groups
 
 
 class TestOrbits:
@@ -117,6 +132,26 @@ class TestSchreierSims:
                 gens.append(Permutation(tuple(imgs)))
             bs = schreier_sims(GeneratedGroup(degree, tuple(gens)))
             assert bs.order() == len(brute_elements(gens, degree))
+
+    def test_golden_grid_against_brute_force(self, golden_grid_groups):
+        assert len(golden_grid_groups) == 328
+        for group in golden_grid_groups:
+            bs = schreier_sims(group)
+            closure = brute_elements(group.generators, group.degree)
+            assert bs.order() == len(closure)
+            assert set(bs.elements()) == closure
+            assert all(g in bs for g in closure)
+
+    def test_golden_grid_orders_against_sympy(self, golden_grid_groups):
+        pytest.importorskip("sympy")
+        from sympy.combinatorics import Permutation as SympyPermutation, PermutationGroup
+
+        for group in golden_grid_groups:
+            gens = [
+                SympyPermutation([g(x) - 1 for x in range(1, group.degree + 1)])
+                for g in group.generators
+            ]
+            assert schreier_sims(group).order() == PermutationGroup(gens).order()
 
 
 class TestBraidImage:

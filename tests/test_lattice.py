@@ -36,6 +36,20 @@ def image_for(tau, d, n):
     return braid_image(build_shuffle(ShuffleSpec.make(tau, d)), d, n)
 
 
+def bubble_sort_word(line):
+    """Indices s_1, ..., s_k with line == t_(s_k) o ... o t_(s_1), t_s = (s s+1)."""
+    work = list(line)
+    word = []
+    while True:
+        for i in range(len(work) - 1):
+            if work[i] > work[i + 1]:
+                work[i], work[i + 1] = work[i + 1], work[i]
+                word.append(i + 1)
+                break
+        else:
+            return word
+
+
 class TestExponentVectors:
     def test_block_pair(self):
         tau = perm("(1 2)")
@@ -254,16 +268,33 @@ class TestMonodromy:
         assert monodromy_kernel(image_for(perm("(1 2 3)"), 3, 3)) == 1
 
     def test_trivial_module_kernel_is_everything(self):
-        image = image_for(Permutation.identity(2), 2, 3)
-        assert monodromy_kernel(image) == math.factorial(3)
+        for n in range(3, 7):
+            image = image_for(Permutation.identity(2), 2, n)
+            assert monodromy_kernel(image) == math.factorial(n)
 
-    def test_word_composition_matches_permutation(self):
-        # recompose the adjacent-swap word and compare with the original
-        from braidperm.lattice import _adjacent_word
-
-        for line in permutations(range(1, 5)):
-            word = _adjacent_word(line)
-            rebuilt = Permutation.identity(4)
-            for s in word:
-                rebuilt = Permutation.from_cycles([(s, s + 1)], 4) * rebuilt
+    @pytest.mark.parametrize(
+        "tau,d,n",
+        [
+            ("(1 2)", 2, 3),
+            ("(1 2)", 2, 4),
+            ("(1 2 3)", 3, 3),
+            ("(1 2 3)", 3, 4),
+            ("()", 2, 3),
+            ("()", 2, 4),
+        ],
+    )
+    def test_kernel_matches_bubble_sort_words(self, tau, d, n):
+        # the kernel counted one word at a time: every permutation of the
+        # blocks gets the matrix product along its bubble-sort word
+        image = image_for(perm(tau), d, n)
+        mats = monodromy_matrices(image)
+        ident = identity_matrix(n, image.q, image.q2)
+        count = 0
+        for line in permutations(range(1, n + 1)):
+            rebuilt, mat = Permutation.identity(n), ident
+            for s in bubble_sort_word(line):
+                rebuilt = Permutation.from_cycles([(s, s + 1)], n) * rebuilt
+                mat = compose_matrices(mats[s - 1], mat, image.q, image.q2)
             assert rebuilt == Permutation(tuple(line))
+            count += mat == ident
+        assert monodromy_kernel(image, mats) == count

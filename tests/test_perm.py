@@ -13,6 +13,9 @@ from braidperm.perm import (
 )
 
 S8 = st.permutations(tuple(range(1, 9)))
+UP_TO_S8 = st.integers(min_value=0, max_value=8).flatmap(
+    lambda n: st.permutations(tuple(range(1, n + 1)))
+)
 
 
 def perm(text):
@@ -53,6 +56,14 @@ class TestBasics:
         assert p * Permutation.identity() == p
         assert p * p.inverse() == Permutation.identity()
         assert p.inverse() * p == Permutation.identity()
+
+    @given(UP_TO_S8, UP_TO_S8)
+    def test_product_is_pointwise_composition(self, a, b):
+        # any two degrees in 0..8: the product is p(q(x)) point by point
+        p, q = Permutation(tuple(a)), Permutation(tuple(b))
+        n = max(p.degree, q.degree)
+        assert (p * q).degree == n
+        assert [(p * q)(x) for x in range(1, n + 1)] == [p(q(x)) for x in range(1, n + 1)]
 
     def test_powers(self):
         p = perm("(1 2 3 4)")
