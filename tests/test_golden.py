@@ -1,4 +1,4 @@
-"""Golden reports: two committed JSON reports that every refactor must
+"""Golden reports: three committed JSON reports that every refactor must
 reproduce byte for byte.
 
 A change to a file under ``tests/golden/`` is a change of behaviour.  To
@@ -16,6 +16,8 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN = {
     "d3_n4.json": ["verify", "--d-max", "3", "--n-max", "4", "--format", "json", "--seed", "0"],
     "d4_n3.json": ["verify", "--d", "4", "--n", "3", "--format", "json", "--seed", "0"],
+    # the only golden with q = 6, where q is even and q2 = 3 is odd
+    "d5_n3.json": ["verify", "--d", "5", "--n", "3", "--format", "json", "--seed", "0"],
 }
 
 
