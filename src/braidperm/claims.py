@@ -16,6 +16,7 @@ from typing import Callable
 
 from .groups import (
     BSGS,
+    SEARCH_CAP,
     BraidImage,
     SplitVerificationError,
     abelian_kernel,
@@ -31,12 +32,13 @@ from .groups import (
     transitivity_report,
 )
 from .lattice import (
+    apply_matrix,
     compose_matrices,
-    coords_from_exponents,
     expected_kernel_structure,
     expected_monodromy_matrix,
     exponent_vector,
     identity_matrix,
+    kernel_action,
     kernel_box,
     kernel_structure,
     monodromy_kernel,
@@ -44,7 +46,7 @@ from .lattice import (
     parametrize_kernel,
     realize,
 )
-from .oracles import D_CAP, count_commuting_pairs, conjugacy_class_count, enumerate_shuffles, roots_by_tau
+from .oracles import D_CAP, DEFAULT_CAP, count_commuting_pairs, conjugacy_class_count, enumerate_shuffles, roots_by_tau
 from .perm import Permutation, block_swap, centralizer_order, partition_count
 from .report import ClaimCheck, VerificationReport
 from .shuffle import (
@@ -62,7 +64,6 @@ from .shuffle import (
 __all__ = ["REGISTRY", "RunConfig", "Session", "run_verification"]
 
 RANDOM_INSTANCES = 1000  # cor-2.13 samples, spread over the case pool
-SEARCH_CAP = 4096  # most generator-lift combinations thm-3.4's complement search tries
 
 
 @dataclass
@@ -75,7 +76,7 @@ class RunConfig:
     n: int | None = None
     claims: tuple[str, ...] | None = None
     seed: int = 0
-    cap: int = 10_000_000
+    cap: int = DEFAULT_CAP
 
     def ds(self) -> list[int]:
         return [self.d] if self.d is not None else list(range(2, self.d_max + 1))
@@ -594,7 +595,7 @@ def _check_thm_3_4(s: Session) -> list[ClaimCheck]:
                     order_failures += 1
                     errors.append(f"orders {case.sigma}: {exc}")
                     continue
-                q, q2 = image.q, image.q2
+                q = image.q
                 if kernel_structure(n, q) != expected_kernel_structure(n, q):
                     structure_failures += 1
                     errors.append(f"structure {case.sigma}")
@@ -768,7 +769,7 @@ def _check_prop_3_11(s: Session) -> list[ClaimCheck]:
                 if not _matrix_relations_hold(mats, n, q, q2):
                     relation_failures += 1
                     examples.append(f"relations {case.sigma}")
-                if not _matrices_match_conjugation(s, case, n, mats):
+                if not _matrices_match_conjugation(image, mats):
                     action_mismatches += 1
                     examples.append(f"action {case.sigma}")
                 if monodromy_kernel(image, mats) != 1:
@@ -799,25 +800,13 @@ def _check_prop_3_11(s: Session) -> list[ClaimCheck]:
     return entries
 
 
-def _matrices_match_conjugation(s: Session, case: GridCase, n: int, mats) -> bool:
+def _matrices_match_conjugation(image: BraidImage, mats) -> bool:
     """Cross-check the matrices extensionally: applying a matrix to kernel
     coordinates agrees with conjugating the realized element."""
-    image = s.image(case, n)
-    q, q2, d = image.q, image.q2, image.d
-    for coords in kernel_box(n, q):
-        elem = parametrize_kernel(coords, case.tau, d)
-        for idx in range(1, n):
-            gen = image.generators[idx - 1]
-            conj = gen * elem * gen.inverse()
-            expect = coords_from_exponents(exponent_vector(conj, case.tau, d, n), q)
-            mat = mats[idx - 1]
-            acted = [
-                sum(mat[i][j] * coords[j] for j in range(n)) for i in range(n)
-            ]
-            acted = tuple(
-                v % (q if i < n - 1 else q2) for i, v in enumerate(acted)
-            )
-            if acted != expect:
+    for coords in kernel_box(image.n, image.q):
+        elem = parametrize_kernel(coords, image.tau, image.d)
+        for idx, mat in enumerate(mats, start=1):
+            if apply_matrix(mat, coords, image.q, image.q2) != kernel_action(image, idx, elem):
                 return False
     return True
 

@@ -15,7 +15,7 @@ import sys
 from .claims import REGISTRY, RunConfig, run_verification
 from .groups import braid_image, gap_generators, tower
 from .lattice import q2_of
-from .oracles import CapExceeded
+from .oracles import DEFAULT_CAP, CapExceeded
 from .perm import Permutation
 from .shuffle import (
     CycleMap,
@@ -36,7 +36,7 @@ EXIT_IO = 3
 def _default_cap() -> int:
     raw = os.environ.get("BRAIDPERM_CAP")
     if raw is None:
-        return 10_000_000
+        return DEFAULT_CAP
     try:
         return int(raw)
     except ValueError as exc:

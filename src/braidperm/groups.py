@@ -422,8 +422,11 @@ def split_complement(
     return group
 
 
+SEARCH_CAP = 4096  # most generator-lift combinations complement_search tries by default
+
+
 def complement_search(
-    image: BraidImage, a_bsgs: BSGS | None = None, cap: int = 4096
+    image: BraidImage, a_bsgs: BSGS | None = None, cap: int = SEARCH_CAP
 ) -> dict:
     """Exhaustive search for order-n! complements among generator lifts.
 

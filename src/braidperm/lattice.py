@@ -26,6 +26,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "AbelianStructure",
+    "apply_matrix",
     "compose_matrices",
     "coords_from_exponents",
     "expected_kernel_structure",
@@ -33,8 +34,8 @@ __all__ = [
     "exponent_vector",
     "f_vector",
     "g_vector",
-    "h_vector",
     "identity_matrix",
+    "kernel_action",
     "kernel_box",
     "kernel_structure",
     "monodromy_kernel",
@@ -54,34 +55,37 @@ def q2_of(q: int) -> int:
     return q // math.gcd(q, 2)
 
 
+def _powers(tau: Permutation, d: int) -> list[tuple[int, ...]]:
+    """Image tuples on [1, d] of tau**0, ..., tau**(q-1), q = order(tau)."""
+    powers = [tuple(range(1, d + 1))]
+    while (nxt := tuple(tau(y) for y in powers[-1])) != powers[0]:
+        powers.append(nxt)
+    return powers
+
+
 def realize(exponents: Sequence[int], tau: Permutation, d: int) -> Permutation:
-    """Product over blocks i of shift(tau**r_i, (i-1)*d)."""
-    out = Permutation.identity()
+    """Product over blocks i of shift(tau**r_i, (i-1)*d); degree len(exponents)*d."""
+    powers = _powers(tau, d)
+    images: list[int] = []
     for i, r in enumerate(exponents):
-        out = out * (tau**r).shift(i * d)
-    return out
+        images.extend(i * d + y for y in powers[r % len(powers)])
+    return Permutation(tuple(images))
 
 
 def exponent_vector(g: Permutation, tau: Permutation, d: int, n: int) -> tuple[int, ...]:
     """Block exponents (r_1, ..., r_n), each in range(q) for q = order(tau);
     ValueError when g is not in the block product."""
-    q = tau.order()
-    if max(g.support(), default=0) > n * d:
+    images = g.canonical()
+    if len(images) > n * d:
         raise ValueError(f"permutation moves points beyond [1, {n * d}]")
-    powers = {(tau**r).canonical(): r for r in range(q)}
+    images += tuple(range(len(images) + 1, n * d + 1))
+    powers = _powers(tau, d)
     entries = []
-    for i in range(n):
-        base = i * d
-        images = []
-        for x in range(1, d + 1):
-            y = g(base + x)
-            if not base < y <= base + d:
-                raise ValueError(f"block {i + 1} is not preserved")
-            images.append(y - base)
-        r = powers.get(Permutation(tuple(images)).canonical())
-        if r is None:
-            raise ValueError(f"block {i + 1} is not a power of the base permutation")
-        entries.append(r)
+    for base in range(0, n * d, d):
+        block = tuple(y - base for y in images[base: base + d])
+        if block not in powers:
+            raise ValueError(f"block {base // d + 1} is not a power of the base permutation")
+        entries.append(powers.index(block))
     return tuple(entries)
 
 
@@ -99,13 +103,6 @@ def g_vector(n: int, r: int) -> tuple[int, ...]:
     if not 1 <= r <= n - 2:
         raise ValueError(f"g index {r} out of range [1, {n - 2}]")
     return tuple(1 if j in (r, r + 2) else 0 for j in range(1, n + 1))
-
-
-def h_vector(n: int, i: int) -> tuple[int, ...]:
-    """2 e_i for 1 <= i <= n."""
-    if not 1 <= i <= n:
-        raise ValueError(f"h index {i} out of range [1, {n}]")
-    return tuple(2 if j == i else 0 for j in range(1, n + 1))
 
 
 def smith_normal_form(rows: Sequence[Sequence[int]]) -> list[int]:
@@ -239,9 +236,14 @@ def parametrize_kernel(coords: Sequence[int], tau: Permutation, d: int) -> Permu
     return realize(exps, tau, d)
 
 
+def _moduli(n: int, q: int, q2: int) -> list[int]:
+    """Moduli of the kernel coordinates: q for the first n-1, q2 for the last."""
+    return [q] * (n - 1) + [q2]
+
+
 def kernel_box(n: int, q: int) -> Iterator[tuple[int, ...]]:
     """All canonical coordinate tuples: n-1 entries mod q, the last mod q2."""
-    yield from iter_product(*([range(q)] * (n - 1) + [range(q2_of(q))]))
+    yield from iter_product(*map(range, _moduli(n, q, q2_of(q))))
 
 
 def coords_from_exponents(entries: Sequence[int], q: int) -> tuple[int, ...]:
@@ -251,31 +253,31 @@ def coords_from_exponents(entries: Sequence[int], q: int) -> tuple[int, ...]:
     directly; the last equation 2*c_n = remainder is solvable exactly when the
     exponent vector lies in the sublattice (mod q), else ValueError.
     """
-    n = len(entries)
-    q2 = q2_of(q)
-    if q == 1:
-        return (0,) * n
     coords = []
     prev = 0
-    for i in range(n - 1):
-        c = (entries[i] - prev) % q
-        coords.append(c)
-        prev = c
-    t = (entries[n - 1] - prev) % q
-    if q % 2 == 0:
-        if t % 2:
-            raise ValueError("exponent vector is not in the adjacent-sum sublattice")
-        last = (t // 2) % q2
-    else:
-        last = (t * pow(2, -1, q)) % q
-    return tuple(coords) + (last,)
+    for r in entries[:-1]:
+        prev = (r - prev) % q
+        coords.append(prev)
+    t = (entries[-1] - prev) % q
+    if q % 2:
+        return (*coords, t * pow(2, -1, q) % q)
+    if t % 2:
+        raise ValueError("exponent vector is not in the adjacent-sum sublattice")
+    return (*coords, t // 2 % q2_of(q))
 
 
 # matrices over Z/q in the basis (f_1, ..., f_(n-1), h_n)
 
 def _canonical_matrix(m: Matrix, q: int, q2: int) -> Matrix:
-    n = len(m)
-    return [[v % (q if i < n - 1 else q2) for v in row] for i, row in enumerate(m)]
+    return [[v % mod for v in row] for row, mod in zip(m, _moduli(len(m), q, q2))]
+
+
+def apply_matrix(mat: Matrix, coords: Sequence[int], q: int, q2: int) -> tuple[int, ...]:
+    """Canonical coordinates of mat @ coords."""
+    return tuple(
+        sum(a * c for a, c in zip(row, coords)) % mod
+        for row, mod in zip(mat, _moduli(len(mat), q, q2))
+    )
 
 
 def identity_matrix(n: int, q: int, q2: int) -> Matrix:
@@ -324,26 +326,27 @@ def expected_monodromy_matrix(s: int, n: int, q: int) -> Matrix:
     return _canonical_matrix([[cols[j][i] for j in range(n)] for i in range(n)], q, q2)
 
 
+def kernel_action(image: "BraidImage", s: int, elem: Permutation) -> tuple[int, ...]:
+    """Kernel coordinates of g_s * elem * g_s^-1, g_s the s-th generator."""
+    gen = image.generators[s - 1]
+    conj = gen * elem * gen.inverse()
+    return coords_from_exponents(exponent_vector(conj, image.tau, image.d, image.n), image.q)
+
+
 def monodromy_matrices(image: "BraidImage") -> list[Matrix]:
     """Conjugation by each generator as a matrix on kernel coordinates.
 
-    Computed by conjugating the realization of every basis vector and
-    re-expressing the result in the basis; raises when a conjugate leaves the
-    block product or the matrix violates the coordinate moduli (both would
-    signal an upstream bug).
+    Column j is the kernel action on the realization of the unit coordinate
+    e_j, which is f_j for j < n and h_n for j = n; raises when a conjugate
+    leaves the block product or the matrix violates the coordinate moduli
+    (both would signal an upstream bug).
     """
     tau, d, n, q, q2 = image.tau, image.d, image.n, image.q, image.q2
-    basis = [f_vector(n, i) for i in range(1, n)] + [h_vector(n, n)]
+    basis = [parametrize_kernel([int(i == j) for i in range(n)], tau, d) for j in range(n)]
     delta = q // q2
     out = []
     for s in range(1, n):
-        gen = image.generators[s - 1]
-        inv = gen.inverse()
-        cols = []
-        for vec in basis:
-            elem = realize([v % q for v in vec], tau, d)
-            conj = gen * elem * inv
-            cols.append(coords_from_exponents(exponent_vector(conj, tau, d, n), q))
+        cols = [kernel_action(image, s, elem) for elem in basis]
         mat = _canonical_matrix([[cols[j][i] for j in range(n)] for i in range(n)], q, q2)
         for i in range(n - 1):
             if mat[i][n - 1] % delta:

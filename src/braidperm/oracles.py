@@ -25,6 +25,7 @@ __all__ = [
 
 
 D_CAP = 6  # largest block size the shuffle enumeration and the grid accept
+DEFAULT_CAP = 10_000_000  # largest enumeration size when no cap is given
 
 
 class CapExceeded(RuntimeError):
@@ -45,7 +46,7 @@ def _sorted(perms) -> tuple[Permutation, ...]:
 
 
 def roots_by_tau(
-    w: GeneratedGroup, cap: int = 10_000_000
+    w: GeneratedGroup, cap: int = DEFAULT_CAP
 ) -> dict[tuple[int, ...], EnumerationResult]:
     """For every member tau of W, keyed by ``tau.canonical()``: all
     sigma = swap * w1 * shift(w2, d) over pairs from W whose square is
@@ -83,7 +84,7 @@ def roots_by_tau(
 
 
 def enumerate_roots(
-    w: GeneratedGroup, tau: Permutation, cap: int = 10_000_000
+    w: GeneratedGroup, tau: Permutation, cap: int = DEFAULT_CAP
 ) -> EnumerationResult:
     """All sigma = swap * w1 * shift(w2, d) over pairs from W whose square is
     tau * shift(tau, d): tau's bucket of ``roots_by_tau``."""
@@ -105,7 +106,7 @@ def enumerate_shuffles(d: int, tau: Permutation) -> EnumerationResult:
     )
 
 
-def count_commuting_pairs(w: GeneratedGroup, cap: int = 10_000_000) -> int:
+def count_commuting_pairs(w: GeneratedGroup, cap: int = DEFAULT_CAP) -> int:
     """Number of ordered commuting pairs of members, by double loop."""
     bs = schreier_sims(w)
     if bs.order() ** 2 > cap:
@@ -114,7 +115,7 @@ def count_commuting_pairs(w: GeneratedGroup, cap: int = 10_000_000) -> int:
     return sum(1 for a in members for b in members if a * b == b * a)
 
 
-def conjugacy_class_count(w: GeneratedGroup, cap: int = 10_000_000) -> int:
+def conjugacy_class_count(w: GeneratedGroup, cap: int = DEFAULT_CAP) -> int:
     """Number of conjugacy classes, by orbit closure under generator conjugation."""
     bs = schreier_sims(w)
     if bs.order() > cap:

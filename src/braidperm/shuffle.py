@@ -222,7 +222,10 @@ class ShuffleSpec:
             if not isinstance(data["tau"], str):
                 raise TypeError(f"tau must be a string, got {data['tau']!r}")
             tau = Permutation.parse(data["tau"])
-            least = {_json_int(a, "u"): _json_int(b, "u") for a, b in data.get("u", [])}
+            pairs = [(_json_int(a, "u"), _json_int(b, "u")) for a, b in data.get("u", [])]
+            least = dict(pairs)
+            if len(least) != len(pairs):
+                raise ValueError("duplicate least element in u")
             choices = {}
             for entry in data.get("choices", []):
                 alpha = _json_int(entry["alpha_min"], "alpha_min")

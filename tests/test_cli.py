@@ -97,6 +97,7 @@ class TestConstruct:
             (None, ("--d", "2", "--tau", "()", "--n", "-3"), "n must be positive"),
             (None, ("--d", "-1", "--tau", "()"), "d must be positive"),
             (None, ("--d", "0", "--tau", "()"), "d must be positive"),
+            ({"d": 3, "tau": "()", "u": [[1, 3], [1, 1]]}, (), "duplicate least element in u"),
         ],
     )
     def test_bad_input_exits_2(self, capsys, tmp_path, spec, args, message):

@@ -1,11 +1,12 @@
 import math
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 
 from braidperm.groups import braid_image
 from braidperm.lattice import (
     AbelianStructure,
+    apply_matrix,
     compose_matrices,
     coords_from_exponents,
     expected_kernel_structure,
@@ -13,8 +14,8 @@ from braidperm.lattice import (
     exponent_vector,
     f_vector,
     g_vector,
-    h_vector,
     identity_matrix,
+    kernel_action,
     kernel_box,
     kernel_structure,
     monodromy_kernel,
@@ -48,6 +49,69 @@ def bubble_sort_word(line):
                 break
         else:
             return word
+
+
+def realize_by_products(exponents, tau, d):
+    """The block product as a product of shifted powers of tau."""
+    out = Permutation.identity()
+    for i, r in enumerate(exponents):
+        out = out * (tau**r).shift(i * d)
+    return out
+
+
+# tau = () at d = 2; (1 2) at d = 3, where tau's degree is below d;
+# (1 2 3) at d = 3; (1 2)(3 4 5) at d = 5, where q = 6
+FLAT_CASES = [("()", 2), ("(1 2)", 3), ("(1 2 3)", 3), ("(1 2)(3 4 5)", 5)]
+
+
+class TestFlatEncoding:
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("tau,d", FLAT_CASES)
+    def test_realize_matches_products(self, tau, d, n):
+        tau = perm(tau)
+        q = tau.order()
+        for exps in product(range(q), repeat=n):
+            g = realize(exps, tau, d)
+            assert g == realize_by_products(exps, tau, d)
+            assert g.degree == n * d
+            assert exponent_vector(g, tau, d, n) == exps
+
+    @pytest.mark.parametrize("tau,d", FLAT_CASES)
+    def test_realize_reduces_exponents(self, tau, d):
+        tau = perm(tau)
+        q = tau.order()
+        for exps in [(q, -1, 2 * q + 1), (-q - 1, 3 * q, -2), (-1, -1, -1)]:
+            g = realize(exps, tau, d)
+            assert g == realize_by_products(exps, tau, d)
+            assert g == realize([e % q for e in exps], tau, d)
+            assert exponent_vector(g, tau, d, 3) == tuple(e % q for e in exps)
+
+    def test_degree_above_block_product_with_fixed_tail(self):
+        tau = perm("(1 2)(3 4 5)")
+        g = realize((1, 5, 2), tau, 5)
+        padded = Permutation(g.images + (16, 17, 18))
+        assert exponent_vector(padded, tau, 5, 3) == (1, 5, 2)
+
+    def test_degree_below_block_product(self):
+        tau = perm("(1 2 3)")
+        assert exponent_vector(tau, tau, 3, 4) == (1, 0, 0, 0)
+        assert exponent_vector(tau.shift(3), tau, 3, 4) == (0, 1, 0, 0)
+
+    def test_rejects_points_beyond_the_blocks(self):
+        tau = perm("(1 2 3)")
+        with pytest.raises(ValueError):
+            exponent_vector(realize((1, 1, 1, 1), tau, 3), tau, 3, 3)
+        with pytest.raises(ValueError):
+            exponent_vector(perm("(9 10)"), tau, 3, 3)
+
+    def test_rejects_blocks_outside_the_powers(self):
+        tau = perm("(1 2)(3 4 5)")
+        with pytest.raises(ValueError):
+            exponent_vector(perm("(6 8)"), tau, 5, 3)  # (1 3) in block 2
+        with pytest.raises(ValueError):
+            exponent_vector(perm("(11 12 13)"), tau, 5, 3)  # (1 2 3) in block 3
+        with pytest.raises(ValueError):
+            exponent_vector(perm("(5 6)"), tau, 5, 3)  # crosses blocks 1 and 2
 
 
 class TestExponentVectors:
@@ -87,22 +151,23 @@ class TestLatticeIdentities:
         for n in (3, 4, 5):
             for r in range(1, n - 1):
                 lhs = g_vector(n, r)
-                rhs = tuple(
-                    a + b - c
-                    for a, b, c in zip(f_vector(n, r), f_vector(n, r + 1), h_vector(n, r + 1))
-                )
+                h = tuple(2 * (j == r + 1) for j in range(1, n + 1))
+                rhs = tuple(a + b - c for a, b, c in zip(f_vector(n, r), f_vector(n, r + 1), h))
                 assert lhs == rhs
 
     def test_h_sum(self):
         for n in (3, 4, 5):
             for r in range(1, n):
-                lhs = tuple(a + b for a, b in zip(h_vector(n, r), h_vector(n, r + 1)))
+                h_r = tuple(2 * (j == r) for j in range(1, n + 1))
+                h_r1 = tuple(2 * (j == r + 1) for j in range(1, n + 1))
+                lhs = tuple(a + b for a, b in zip(h_r, h_r1))
                 assert lhs == tuple(2 * v for v in f_vector(n, r))
 
     def test_basis_determinant(self):
         # the basis (f_1, ..., f_(n-1), h_n) spans a sublattice of index 2
         for n in (3, 4, 5, 6):
-            rows = [f_vector(n, i) for i in range(1, n)] + [h_vector(n, n)]
+            h_n = tuple(2 * (j == n) for j in range(1, n + 1))
+            rows = [f_vector(n, i) for i in range(1, n)] + [h_n]
             assert math.prod(smith_normal_form(rows)) == 2
 
 
@@ -247,20 +312,23 @@ class TestMonodromy:
                 assert compose_matrices(mat, mat, image.q, image.q2) == ident
 
     def test_action_matches_conjugation_exhaustively(self):
-        image = image_for(perm("(1 2)"), 2, 3)
-        tau, q, q2, n = image.tau, image.q, image.q2, image.n
-        mats = monodromy_matrices(image)
-        for coords in kernel_box(n, q):
-            elem = parametrize_kernel(coords, tau, 2)
-            for s in range(1, n):
-                gen = image.generators[s - 1]
-                conj = gen * elem * gen.inverse()
-                expect = coords_from_exponents(exponent_vector(conj, tau, 2, n), q)
-                acted = [
-                    sum(mats[s - 1][i][j] * coords[j] for j in range(n)) for i in range(n)
-                ]
-                acted = tuple(v % (q if i < n - 1 else q2) for i, v in enumerate(acted))
-                assert acted == expect
+        for tau, d, n in [("(1 2)", 2, 3), ("(1 2 3)", 3, 4), ("(1 2)(3 4 5)", 5, 3)]:
+            image = image_for(perm(tau), d, n)
+            tau, q, q2 = image.tau, image.q, image.q2
+            mats = monodromy_matrices(image)
+            for coords in kernel_box(n, q):
+                elem = parametrize_kernel(coords, tau, d)
+                for s in range(1, n):
+                    gen = image.generators[s - 1]
+                    conj = gen * elem * gen.inverse()
+                    expect = coords_from_exponents(exponent_vector(conj, tau, d, n), q)
+                    assert kernel_action(image, s, elem) == expect
+                    acted = [
+                        sum(mats[s - 1][i][j] * coords[j] for j in range(n)) for i in range(n)
+                    ]
+                    acted = tuple(v % (q if i < n - 1 else q2) for i, v in enumerate(acted))
+                    assert apply_matrix(mats[s - 1], coords, q, q2) == acted
+                    assert acted == expect
 
     def test_kernel_sizes(self):
         assert monodromy_kernel(image_for(perm("(1 2)"), 2, 3)) == 1
