@@ -13,7 +13,7 @@ from itertools import product as iter_product
 from typing import Iterable, Iterator, Sequence
 
 from .lattice import exponent_vector, q2_of
-from .perm import Permutation
+from .perm import Permutation, _compose, _invert, _padded, _trusted
 from .report import ClaimCheck
 from .shuffle import ShuffleSpec, component_factors, is_braid_like
 
@@ -97,37 +97,41 @@ def orbits_partition(group: GeneratedGroup) -> list[frozenset[int]]:
 
 
 class _Level:
-    __slots__ = ("point", "gens", "transversal")
+    """A base point and the inverses of its coset representatives, keyed by orbit point."""
+
+    __slots__ = ("point", "inverses")
 
     def __init__(self, point: int):
         self.point = point
-        self.gens: list[Permutation] = []
-        self.transversal: dict[int, Permutation] = {point: Permutation.identity()}
+        self.inverses: dict[int, tuple[int, ...]] = {}
 
 
-def _sift(levels: list[_Level], g: Permutation, start: int) -> tuple[Permutation, int]:
-    """Strip g through levels[start:]: the residue and the level where it stopped.
+def _sift(
+    levels: list[_Level], g: tuple[int, ...], start: int, ident: tuple[int, ...]
+) -> tuple[tuple[int, ...], int]:
+    """Strip the image tuple g through levels[start:]: the residue and the
+    level where it stopped.
 
-    The residue is the identity iff g lies in the stabilizer the chain
-    describes from level start on.
+    The residue is ident iff g lies in the stabilizer the chain describes
+    from level start on.
     """
     i = start
     while i < len(levels):
-        if g.is_identity():
+        if g == ident:
             return g, i
         level = levels[i]
-        x = g(level.point)
+        x = g[level.point - 1]
         if x != level.point:
-            rep = level.transversal.get(x)
-            if rep is None:
+            inv = level.inverses.get(x)
+            if inv is None:
                 return g, i
-            g = rep.inverse() * g
+            g = _compose(inv, g)
         i += 1
     return g, i
 
 
 class BSGS:
-    """Base and strong generating set with per-level orbits and transversals.
+    """Base and strong generating set with per-level orbits and inverse transversals.
 
     A finished chain is immutable and supports exact order, membership, and
     deterministic element enumeration.
@@ -136,43 +140,35 @@ class BSGS:
     def __init__(self, degree: int, levels: list[_Level]):
         self.degree = degree
         self._levels = levels
+        self._ident = tuple(range(1, degree + 1))
 
     @property
     def base(self) -> tuple[int, ...]:
         return tuple(level.point for level in self._levels)
 
     def order(self) -> int:
-        out = 1
-        for level in self._levels:
-            out *= len(level.transversal)
-        return out
+        return math.prod(len(level.inverses) for level in self._levels)
 
     def contains(self, g: Permutation) -> bool:
-        if max(g.support(), default=0) > self.degree:
+        images = _padded(g, self.degree)
+        if len(images) > self.degree:
             return False
-        residue, _ = _sift(self._levels, g, 0)
-        return residue.is_identity()
+        return _sift(self._levels, images, 0, self._ident)[0] == self._ident
 
     __contains__ = contains
 
     def elements(self) -> Iterator[Permutation]:
         """All members, deterministically ordered by transversal points."""
-
-        def rec(i: int) -> Iterator[Permutation]:
-            if i == len(self._levels):
-                yield Permutation.identity()
-                return
-            level = self._levels[i]
-            for x in sorted(level.transversal):
-                rep = level.transversal[x]
-                for rest in rec(i + 1):
-                    yield rep * rest
-
-        return rec(0)
+        reps = [[_invert(lv.inverses[x]) for x in sorted(lv.inverses)] for lv in self._levels]
+        for combo in iter_product(*reps):
+            g = self._ident
+            for rep in combo:
+                g = _compose(g, rep)
+            yield _trusted(g)
 
 
 def schreier_sims(group: GeneratedGroup) -> BSGS:
-    """Deterministic stabilizer chain.
+    """Deterministic stabilizer chain on image tuples padded to the group degree.
 
     One shared strong generator list; level i uses the strong generators that
     fix the first i base points.  Levels are verified bottom-up: every
@@ -182,50 +178,53 @@ def schreier_sims(group: GeneratedGroup) -> BSGS:
     points moved by the offending element.  A residue joins no level deeper
     than the one the loop resumes at, so every level is current at the end.
     """
+    ident = tuple(range(1, group.degree + 1))
     base: list[int] = []
-    strong: list[Permutation] = []
+    strong: list[tuple[int, ...]] = []
     levels: list[_Level] = []
 
-    def add_strong(g: Permutation) -> None:
+    def add_strong(g: tuple[int, ...]) -> None:
         strong.append(g)
-        if all(g(b) == b for b in base):
-            base.append(min(g.support()))
+        if all(g[b - 1] == b for b in base):
+            base.append(next(x for x, y in enumerate(g, start=1) if x != y))
             levels.append(_Level(base[-1]))
 
-    for g in group.generators:
-        if not g.is_identity() and g not in strong:
+    for gen in group.generators:
+        g = _padded(gen, group.degree)
+        if g != ident and g not in strong:
             add_strong(g)
     if not strong:
         return BSGS(group.degree, [])
 
-    def rebuild(i: int) -> None:
+    def rebuild(i: int) -> tuple[list[tuple[int, ...]], dict[int, tuple[int, ...]]]:
+        """Level i's generators and forward transversal; stores the inverses."""
         level = levels[i]
-        level.gens = [
-            g for g in strong if all(g(base[j]) == base[j] for j in range(i))
-        ]
-        transversal = {level.point: Permutation.identity()}
+        gens = [g for g in strong if all(g[b - 1] == b for b in base[:i])]
+        transversal = {level.point: ident}
         queue = [level.point]
         for x in queue:
-            for g in level.gens:
-                y = g(x)
+            for g in gens:
+                y = g[x - 1]
                 if y not in transversal:
-                    transversal[y] = g * transversal[x]
+                    transversal[y] = _compose(g, transversal[x])
                     queue.append(y)
-        level.transversal = transversal
+        level.inverses = {x: _invert(rep) for x, rep in transversal.items()}
+        return gens, transversal
 
     i = len(levels) - 1
     while i >= 0:
-        rebuild(i)
-        level = levels[i]
-        failure: tuple[Permutation, int] | None = None
-        for x in sorted(level.transversal):
-            rep = level.transversal[x]
-            for s in level.gens:
-                schreier = level.transversal[s(x)].inverse() * (s * rep)
-                if schreier.is_identity():
+        gens, transversal = rebuild(i)
+        inverses = levels[i].inverses
+        failure: tuple[tuple[int, ...], int] | None = None
+        for x in sorted(transversal):
+            rep = transversal[x]
+            for s in gens:
+                inv = inverses[s[x - 1]]
+                schreier = tuple([inv[s[y - 1] - 1] for y in rep])
+                if schreier == ident:
                     continue
-                residue, j = _sift(levels, schreier, i + 1)
-                if not residue.is_identity():
+                residue, j = _sift(levels, schreier, i + 1, ident)
+                if residue != ident:
                     failure = (residue, j)
                     break
             if failure:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import product as iter_product
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .perm import Permutation
+from .perm import Permutation, _compose, _padded, _trusted
 
 if TYPE_CHECKING:  # pragma: no cover
     from .groups import BraidImage
@@ -57,8 +57,9 @@ def q2_of(q: int) -> int:
 
 def _powers(tau: Permutation, d: int) -> list[tuple[int, ...]]:
     """Image tuples on [1, d] of tau**0, ..., tau**(q-1), q = order(tau)."""
+    images = _padded(tau, d)
     powers = [tuple(range(1, d + 1))]
-    while (nxt := tuple(tau(y) for y in powers[-1])) != powers[0]:
+    while (nxt := _compose(images, powers[-1])) != powers[0]:
         powers.append(nxt)
     return powers
 
@@ -75,10 +76,9 @@ def realize(exponents: Sequence[int], tau: Permutation, d: int) -> Permutation:
 def exponent_vector(g: Permutation, tau: Permutation, d: int, n: int) -> tuple[int, ...]:
     """Block exponents (r_1, ..., r_n), each in range(q) for q = order(tau);
     ValueError when g is not in the block product."""
-    images = g.canonical()
+    images = _padded(g, n * d)
     if len(images) > n * d:
         raise ValueError(f"permutation moves points beyond [1, {n * d}]")
-    images += tuple(range(len(images) + 1, n * d + 1))
     powers = _powers(tau, d)
     entries = []
     for base in range(0, n * d, d):
@@ -328,9 +328,13 @@ def expected_monodromy_matrix(s: int, n: int, q: int) -> Matrix:
 
 def kernel_action(image: "BraidImage", s: int, elem: Permutation) -> tuple[int, ...]:
     """Kernel coordinates of g_s * elem * g_s^-1, g_s the s-th generator."""
-    gen = image.generators[s - 1]
-    conj = gen * elem * gen.inverse()
-    return coords_from_exponents(exponent_vector(conj, image.tau, image.d, image.n), image.q)
+    degree = max(image.n * image.d, len(elem.canonical()))
+    gen, images = _padded(image.generators[s - 1], degree), _padded(elem, degree)
+    conj = [0] * degree
+    for x, y in zip(gen, images):
+        conj[x - 1] = gen[y - 1]
+    exponents = exponent_vector(_trusted(tuple(conj)), image.tau, image.d, image.n)
+    return coords_from_exponents(exponents, image.q)
 
 
 def monodromy_matrices(image: "BraidImage") -> list[Matrix]:

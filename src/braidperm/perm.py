@@ -52,7 +52,7 @@ class Permutation:
 
     @classmethod
     def identity(cls, degree: int = 0) -> "Permutation":
-        return cls(tuple(range(1, degree + 1)))
+        return _trusted(tuple(range(1, degree + 1)))
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[int, int], degree: int) -> "Permutation":
@@ -128,7 +128,7 @@ class Permutation:
         return images[:n]
 
     def is_identity(self) -> bool:
-        return all(y == x + 1 for x, y in enumerate(self.images))
+        return self.images == tuple(range(1, len(self.images) + 1))
 
     def support(self) -> tuple[int, ...]:
         """Moved points, ascending."""
@@ -145,13 +145,10 @@ class Permutation:
         a, b = self.images, other.images
         if len(a) < len(b):
             a += tuple(range(len(a) + 1, len(b) + 1))
-        return Permutation(tuple([a[x - 1] for x in b]) + a[len(b):])
+        return _trusted(_compose(a, b) + a[len(b):])
 
     def inverse(self) -> "Permutation":
-        inv = [0] * len(self.images)
-        for x, y in enumerate(self.images, start=1):
-            inv[y - 1] = x
-        return Permutation(tuple(inv))
+        return _trusted(_invert(self.images))
 
     def __pow__(self, k: int) -> "Permutation":
         if k < 0:
@@ -176,7 +173,7 @@ class Permutation:
             raise ValueError("shift distance must be nonnegative")
         if k == 0:
             return self
-        return Permutation(tuple(range(1, k + 1)) + tuple(y + k for y in self.images))
+        return _trusted(tuple(range(1, k + 1)) + tuple(y + k for y in self.images))
 
     # cycle structure
 
@@ -228,6 +225,33 @@ class Permutation:
 
     def __repr__(self) -> str:
         return f"Permutation.parse({str(self)!r})"
+
+
+def _trusted(images: tuple[int, ...]) -> Permutation:
+    """A Permutation on images known to be a bijection, without the check:
+    only the public constructors validate, derived permutations are trusted."""
+    p = object.__new__(Permutation)
+    object.__setattr__(p, "images", images)
+    return p
+
+
+def _padded(p: Permutation, degree: int) -> tuple[int, ...]:
+    """Images of p on [1, degree]; longer when p moves a point above degree."""
+    images = p.canonical()
+    return images + tuple(range(len(images) + 1, degree + 1))
+
+
+def _compose(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    """Image tuple of a∘b on [1, len(b)]; a must cover every image of b."""
+    return tuple([a[x - 1] for x in b])
+
+
+def _invert(a: Sequence[int]) -> tuple[int, ...]:
+    """Image tuple of the inverse of the bijection with images a."""
+    inv = [0] * len(a)
+    for x, y in enumerate(a, start=1):
+        inv[y - 1] = x
+    return tuple(inv)
 
 
 def block_swap(s: int, d: int, n: int) -> Permutation:

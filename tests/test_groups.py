@@ -49,18 +49,32 @@ def brute_elements(gens, degree):
     return seen
 
 
-@pytest.fixture(scope="module")
-def golden_grid_groups():
-    """Every braid image and abelian kernel of the golden reports' grids:
-    d <= 3 with n <= 4, and d = 4 with n = 3."""
+def grid_groups(slices):
+    """Every braid image and abelian kernel for each (d, ns) in slices."""
     groups = []
-    for d, ns in ((2, (3, 4)), (3, (3, 4)), (4, (3,))):
+    for d, ns in slices:
         for tau in schreier_sims(symmetric_group(d)).elements():
             for sigma in enumerate_shuffles(d, tau).elements:
                 for n in ns:
                     image = braid_image(sigma, d, n)
                     groups += [image.group(), abelian_kernel(image)]
     return groups
+
+
+def assert_chain_matches_closure(group):
+    """Order, element set and membership of every element of the closure."""
+    bs = schreier_sims(group)
+    closure = brute_elements(group.generators, group.degree)
+    assert bs.order() == len(closure)
+    assert set(bs.elements()) == closure
+    assert all(g in bs for g in closure)
+
+
+@pytest.fixture(scope="module")
+def golden_grid_groups():
+    """Every braid image and abelian kernel of the golden reports' grids:
+    d <= 3 with n <= 4, and d = 4 with n = 3."""
+    return grid_groups(((2, (3, 4)), (3, (3, 4)), (4, (3,))))
 
 
 class TestOrbits:
@@ -123,6 +137,8 @@ class TestSchreierSims:
 
     def test_against_brute_force_random(self):
         rng = random.Random(7)
+        draws = random.Random(8)
+        non_members = 0
         for _ in range(40):
             degree = rng.randint(2, 7)
             gens = []
@@ -131,16 +147,41 @@ class TestSchreierSims:
                 rng.shuffle(imgs)
                 gens.append(Permutation(tuple(imgs)))
             bs = schreier_sims(GeneratedGroup(degree, tuple(gens)))
-            assert bs.order() == len(brute_elements(gens, degree))
+            closure = brute_elements(gens, degree)
+            assert bs.order() == len(closure)
+            # random permutations of [1, degree]: members and non-members
+            for _ in range(20):
+                p = Permutation(tuple(draws.sample(range(1, degree + 1), degree)))
+                assert (p in bs) == (p in closure)
+                non_members += p not in closure
+        assert non_members >= 200
 
     def test_golden_grid_against_brute_force(self, golden_grid_groups):
         assert len(golden_grid_groups) == 328
         for group in golden_grid_groups:
-            bs = schreier_sims(group)
-            closure = brute_elements(group.generators, group.degree)
-            assert bs.order() == len(closure)
-            assert set(bs.elements()) == closure
-            assert all(g in bs for g in closure)
+            assert_chain_matches_closure(group)
+
+    def test_d4_n4_against_brute_force(self):
+        groups = grid_groups(((4, (4,)),))
+        assert len(groups) == 240
+        assert max(schreier_sims(group).order() for group in groups) == 3072
+        for group in groups:
+            assert_chain_matches_closure(group)
+
+    def test_contains_at_the_degree_edges(self):
+        bs = schreier_sims(symmetric_group(3))
+        # a member with a fixed tail beyond the chain degree
+        assert Permutation((2, 3, 1, 4, 5)) in bs
+        # moving a point beyond the degree, on its own or beside a member
+        assert perm("(3 4)") not in bs
+        assert perm("(1 2 3)(4 5)") not in bs
+        # a member given at a lower degree than the chain
+        image, _ = image_for("(1 2)", 2, 3)
+        bs = schreier_sims(image.group())
+        assert bs.degree == 6
+        assert perm("(1 3 2 4)") in bs and perm("(1 2)(3 4)") in bs
+        assert Permutation.identity() in bs and Permutation.identity(2) in bs
+        assert perm("(1 2)") not in bs
 
     def test_golden_grid_orders_against_sympy(self, golden_grid_groups):
         pytest.importorskip("sympy")

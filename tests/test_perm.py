@@ -29,10 +29,19 @@ def cycle_types(d):
 
 class TestBasics:
     def test_validation(self):
+        # every public constructor rejects a non-bijection
         with pytest.raises(ValueError):
             Permutation((1, 1, 3))
         with pytest.raises(ValueError):
             Permutation((0, 1))
+        with pytest.raises(ValueError, match="bijection"):
+            Permutation.from_mapping({1: 3, 2: 3}, 3)
+        with pytest.raises(ValueError):
+            Permutation.from_cycles([(1, 2), (2, 3)])
+        with pytest.raises(ValueError):
+            Permutation.from_cycles([(1, 2, 1)])
+        with pytest.raises(ValueError):
+            Permutation.parse("(1 3)(3 2)")
 
     def test_apply_beyond_degree_is_fixed(self):
         p = perm("(1 2)")
@@ -64,6 +73,14 @@ class TestBasics:
         n = max(p.degree, q.degree)
         assert (p * q).degree == n
         assert [(p * q)(x) for x in range(1, n + 1)] == [p(q(x)) for x in range(1, n + 1)]
+
+    @given(UP_TO_S8, UP_TO_S8, st.integers(min_value=0, max_value=8), st.integers(-9, 9))
+    def test_derived_permutations_are_bijections(self, a, b, k, e):
+        # products, inverses, shifts and powers skip the bijection check that
+        # the public constructors run, so check its invariant on each result
+        p, q = Permutation(tuple(a)), Permutation(tuple(b))
+        for r in (p * q, q * p, p.inverse(), p.shift(k), p**e, Permutation.identity(k)):
+            assert sorted(r.images) == list(range(1, r.degree + 1))
 
     def test_powers(self):
         p = perm("(1 2 3 4)")
