@@ -16,7 +16,7 @@ from .claims import REGISTRY, RunConfig, run_verification
 from .groups import braid_image, gap_generators, tower
 from .lattice import q2_of
 from .oracles import DEFAULT_CAP, CapExceeded
-from .perm import Permutation
+from .perm import Permutation, parse_cycles
 from .shuffle import (
     CycleMap,
     ShuffleSpec,
@@ -25,6 +25,7 @@ from .shuffle import (
     build_shuffle,
     components,
     tau_cycles,
+    tau_from_cycles,
 )
 
 EXIT_OK = 0
@@ -61,16 +62,17 @@ def _spec_from_args(args) -> ShuffleSpec:
         return ShuffleSpec.from_json_dict(data)
     if args.d is None or args.tau is None:
         raise SpecError("give --spec FILE, or both --d and --tau")
-    tau = Permutation.parse(args.tau)
     d = args.d
+    tau = tau_from_cycles(parse_cycles(args.tau), d)
     mins = [c[0] for c in tau_cycles(tau, d)]
     if args.u in (None, "id"):
         u = CycleMap.identity(tau, d)
     else:
-        label_perm = Permutation.parse(args.u)
-        moved = set(label_perm.support())
-        if not moved <= set(mins):
-            raise SpecError(f"--u permutes cycle labels {mins}, got points {sorted(moved)}")
+        cycles = parse_cycles(args.u)
+        named = sorted({x for cycle in cycles for x in cycle})
+        if not set(named) <= set(mins):
+            raise SpecError(f"--u permutes cycle labels {mins}, got points {named}")
+        label_perm = Permutation.from_cycles(cycles)
         u = CycleMap.from_least_map(tau, d, {a: label_perm(a) for a in mins})
     choices = None
     if args.i1 or args.j1:

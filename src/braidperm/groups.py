@@ -14,7 +14,6 @@ from typing import Iterable, Iterator, Sequence
 
 from .lattice import exponent_vector, q2_of
 from .perm import Permutation, _compose, _invert, _padded, _trusted
-from .report import ClaimCheck
 from .shuffle import ShuffleSpec, component_factors, is_braid_like
 
 __all__ = [
@@ -29,7 +28,7 @@ __all__ = [
     "braid_relations_hold",
     "complement_search",
     "cyclic_group",
-    "extension_report",
+    "extension_holds",
     "gap_generators",
     "orbit",
     "orbits_partition",
@@ -336,42 +335,17 @@ def abelian_kernel(image: BraidImage) -> GeneratedGroup:
     return GeneratedGroup(image.n * image.d, tuple(gens))
 
 
-def extension_report(
-    image: BraidImage, b: BSGS | None = None, a: BSGS | None = None
-) -> ClaimCheck:
-    """Order and normality checks for the abelian kernel inside the full group.
-
-    Expects the group order to be n! times the kernel order, the kernel order
-    to be q^(n-1) * q2, and the kernel to be stable under conjugation by every
-    generator.
-    """
-    b = b or schreier_sims(image.group())
-    kernel = abelian_kernel(image)
-    a = a or schreier_sims(kernel)
+def extension_holds(image: BraidImage, kernel: GeneratedGroup, b: BSGS, a: BSGS) -> bool:
+    """Order and normality checks for the abelian kernel, with chain a, inside
+    the full group, with chain b: the kernel order is q^(n-1) * q2, the group
+    order n! times that, and the kernel lies in the group, stable under
+    conjugation by every generator."""
     expected_a = image.q ** (image.n - 1) * image.q2
-    expected_b = math.factorial(image.n) * expected_a
-    kernel_inside = all(k in b for k in kernel.generators)
-    normal = all(
-        g * k * g.inverse() in a for g in image.generators for k in kernel.generators
-    )
-    passed = (
+    return (
         a.order() == expected_a
-        and b.order() == expected_b
-        and normal
-        and kernel_inside
-    )
-    return ClaimCheck(
-        claim="extension-structure",
-        parameters={"d": image.d, "n": image.n, "tau": str(image.tau), "sigma": str(image.sigma)},
-        witness={
-            "b_order": b.order(),
-            "a_order": a.order(),
-            "expected_b": expected_b,
-            "expected_a": expected_a,
-            "kernel_inside": kernel_inside,
-            "kernel_normal": normal,
-        },
-        passed=passed,
+        and b.order() == math.factorial(image.n) * expected_a
+        and all(k in b for k in kernel.generators)
+        and all(g * k * g.inverse() in a for g in image.generators for k in kernel.generators)
     )
 
 
@@ -381,17 +355,14 @@ class SplitVerificationError(RuntimeError):
 
 
 def split_complement(
-    image: BraidImage,
-    k: int | None = None,
-    l: int | None = None,
-    a_bsgs: BSGS | None = None,
+    image: BraidImage, a_bsgs: BSGS, k: int | None = None, l: int | None = None
 ) -> GeneratedGroup | None:
     """For odd q, build and verify a complement of order n!; None when q is even.
 
     The complement is generated by the block shifts of
     sigma * tau**k * shift(tau**l, d) with k + l + 1 divisible by q (defaults
     k=0, l=q-1).  Verified: every generator squares to the identity, the group
-    has order exactly n!, and only the identity lies in the abelian kernel.
+    has order exactly n!, and only the identity lies in the kernel chain a_bsgs.
     """
     if image.q % 2 == 0:
         return None
@@ -414,28 +385,24 @@ def split_complement(
         raise SplitVerificationError(
             f"complement order {bs.order()} != {math.factorial(image.n)}"
         )
-    a_bsgs = a_bsgs or schreier_sims(abelian_kernel(image))
     for h in bs.elements():
         if not h.is_identity() and h in a_bsgs:
             raise SplitVerificationError("complement meets the kernel nontrivially")
     return group
 
 
-SEARCH_CAP = 4096  # most generator-lift combinations complement_search tries by default
+SEARCH_CAP = 4096  # most generator-lift combinations complement_search tries
 
 
-def complement_search(
-    image: BraidImage, a_bsgs: BSGS | None = None, cap: int = SEARCH_CAP
-) -> dict:
+def complement_search(image: BraidImage, a_bsgs: BSGS) -> dict:
     """Exhaustive search for order-n! complements among generator lifts.
 
     Any complement maps onto the block permutations, so it is generated by one
     element from each coset generator * kernel; filtering involution lifts and
     checking relations, order, and trivial intersection over all combinations
-    is therefore exhaustive.  Returns a summary; the search runs only when the
-    number of combinations stays within cap.
+    is therefore exhaustive.  Returns a summary; the search over the kernel
+    chain a_bsgs runs only when the number of combinations is within SEARCH_CAP.
     """
-    a_bsgs = a_bsgs or schreier_sims(abelian_kernel(image))
     kernel_elements = list(a_bsgs.elements())
     combos = len(kernel_elements) ** (image.n - 1)
     summary: dict = {
@@ -445,7 +412,7 @@ def complement_search(
         "complements_found": 0,
         "example": None,
     }
-    if combos > cap:
+    if combos > SEARCH_CAP:
         return summary
     summary["searched"] = True
     candidates = []
@@ -490,31 +457,27 @@ class TransitivityClass:
     orbits_match: bool
     restrictions_match: bool
     subdirect: bool
-    restriction_orders: tuple[int, ...]
 
 
 def transitivity_report(
-    image: BraidImage, spec: ShuffleSpec, b_bsgs: BSGS | None = None
+    image: BraidImage, spec: ShuffleSpec, b_bsgs: BSGS
 ) -> TransitivityClass:
     """Compare the orbit partition with the towers over the u-orbits.
 
     Also checks that restricting the group to each tower reproduces the group
-    generated by the shifted component factor, which makes the whole group a
-    subdirect product of the per-tower groups.
+    generated by the shifted component factor, which makes the whole group,
+    whose chain is b_bsgs, a subdirect product of the per-tower groups.
     """
-    group = image.group()
-    orbits = tuple(orbits_partition(group))
+    orbits = tuple(orbits_partition(image.group()))
     comps = component_factors(image.sigma, spec)
     towers_ = tuple(tower(c.points, image.d, image.n) for c in comps)
     orbits_match = set(orbits) == set(towers_)
-    restriction_orders = []
     restrictions_match = True
     product_order = 1
     for comp, y in zip(comps, towers_):
         invariant = all(g(x) in y for g in image.generators for x in y)
         local = tuple(comp.factor.shift((s - 1) * image.d) for s in range(1, image.n))
         bs_local = schreier_sims(GeneratedGroup(image.n * image.d, local))
-        restriction_orders.append(bs_local.order())
         product_order *= bs_local.order()
         if not invariant:
             restrictions_match = False
@@ -530,7 +493,6 @@ def transitivity_report(
             and all(g in bs_restricted for g in local)
         )
         restrictions_match = restrictions_match and same
-    b_bsgs = b_bsgs or schreier_sims(group)
     subdirect = restrictions_match and product_order % b_bsgs.order() == 0
     return TransitivityClass(
         orbits=orbits,
@@ -540,7 +502,6 @@ def transitivity_report(
         orbits_match=orbits_match,
         restrictions_match=restrictions_match,
         subdirect=subdirect,
-        restriction_orders=tuple(restriction_orders),
     )
 
 

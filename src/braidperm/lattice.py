@@ -359,7 +359,7 @@ def monodromy_matrices(image: "BraidImage") -> list[Matrix]:
     return out
 
 
-def monodromy_kernel(image: "BraidImage", matrices: list[Matrix] | None = None) -> int:
+def monodromy_kernel(image: "BraidImage", matrices: list[Matrix]) -> int:
     """Number of block permutations acting trivially on the kernel coordinates.
 
     Walks S_n breadth-first from the identity along the adjacent
@@ -370,7 +370,6 @@ def monodromy_kernel(image: "BraidImage", matrices: list[Matrix] | None = None) 
     relations, which prop-3.11 checks separately.
     """
     n, q, q2 = image.n, image.q, image.q2
-    matrices = matrices if matrices is not None else monodromy_matrices(image)
     ident = identity_matrix(n, q, q2)
     reached = {tuple(range(1, n + 1)): ident}
     queue = list(reached)

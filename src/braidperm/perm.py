@@ -25,6 +25,7 @@ __all__ = [
     "block_swap",
     "canonical_cycle",
     "centralizer_order",
+    "parse_cycles",
     "partition_count",
 ]
 
@@ -94,15 +95,7 @@ class Permutation:
         >>> Permutation.parse("(2 1)(4 3)") == Permutation.parse("(1 2)(3 4)")
         True
         """
-        s = text.strip()
-        if re.fullmatch(r"\(\s*\)", s):
-            return cls.identity()
-        if not s or not re.fullmatch(r"(\s*\(\s*\d+(?:[\s,]+\d+)*\s*\))+\s*", s):
-            raise ValueError(f"malformed cycle notation: {text!r}")
-        cycles = []
-        for body in re.findall(r"\(([^()]*)\)", s):
-            cycles.append([int(tok) for tok in re.split(r"[\s,]+", body.strip()) if tok])
-        return cls.from_cycles(cycles)
+        return cls.from_cycles(parse_cycles(text))
 
     # basic queries
 
@@ -282,6 +275,19 @@ def canonical_cycle(points: Sequence[int]) -> tuple[int, ...]:
         raise ValueError(f"cycle has repeated points: {pts!r}")
     i = pts.index(min(pts))
     return pts[i:] + pts[:i]
+
+
+def parse_cycles(text: str) -> list[list[int]]:
+    """Point lists of the cycles written in cycle notation; nothing is built."""
+    s = text.strip()
+    if re.fullmatch(r"\(\s*\)", s):
+        return []
+    if not s or not re.fullmatch(r"(\s*\(\s*\d+(?:[\s,]+\d+)*\s*\))+\s*", s):
+        raise ValueError(f"malformed cycle notation: {text!r}")
+    return [
+        [int(tok) for tok in re.split(r"[\s,]+", body.strip()) if tok]
+        for body in re.findall(r"\(([^()]*)\)", s)
+    ]
 
 
 @dataclass(frozen=True)

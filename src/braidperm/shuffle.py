@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import permutations as iter_permutations, product as iter_product
 from typing import Iterator, Mapping
 
-from .perm import Permutation, block_swap, canonical_cycle
+from .perm import Permutation, block_swap, canonical_cycle, parse_cycles
 
 __all__ = [
     "CommutingPair",
@@ -41,11 +41,22 @@ __all__ = [
     "pair_from_shuffle",
     "shuffle_from_pair",
     "tau_cycles",
+    "tau_from_cycles",
 ]
 
 
 class SpecError(ValueError):
     """Raised when shuffle-construction data is malformed or inconsistent."""
+
+
+def tau_from_cycles(cycles: list[list[int]], d: int) -> Permutation:
+    """tau from its cycles; a point beyond [1, d] is refused before anything is
+    built, since a permutation holds as many images as its largest point."""
+    if d < 1:
+        raise SpecError("d must be positive")
+    if any(x > d for cycle in cycles for x in cycle):
+        raise SpecError(f"tau moves points beyond [1, {d}]")
+    return Permutation.from_cycles(cycles)
 
 
 def tau_cycles(tau: Permutation, d: int) -> tuple[tuple[int, ...], ...]:
@@ -221,7 +232,7 @@ class ShuffleSpec:
             d = _json_int(data["d"], "d")
             if not isinstance(data["tau"], str):
                 raise TypeError(f"tau must be a string, got {data['tau']!r}")
-            tau = Permutation.parse(data["tau"])
+            tau = tau_from_cycles(parse_cycles(data["tau"]), d)
             pairs = [(_json_int(a, "u"), _json_int(b, "u")) for a, b in data.get("u", [])]
             least = dict(pairs)
             if len(least) != len(pairs):
@@ -232,6 +243,8 @@ class ShuffleSpec:
                 if alpha in choices:
                     raise ValueError(f"duplicate alpha_min {alpha}")
                 choices[alpha] = (_json_int(entry["i1"], "i1"), _json_int(entry["j1"], "j1"))
+        except SpecError:
+            raise
         except (KeyError, TypeError, ValueError) as exc:
             raise SpecError(f"bad spec document: {exc}") from exc
         return cls.make(tau, d, CycleMap.from_least_map(tau, d, least), choices)

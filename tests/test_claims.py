@@ -1,6 +1,11 @@
+from itertools import product
+
 import pytest
 
 from braidperm import REGISTRY, RunConfig, run_verification
+from braidperm.claims import Session
+from braidperm.groups import schreier_sims
+from braidperm.lattice import realize
 
 EXPECTED_TAGS = [
     "thm-2.12",
@@ -100,3 +105,21 @@ class TestDeterminism:
         assert set(data) == {"schema", "seed", "config", "claims", "all_pass"}
         for entry in data["claims"]:
             assert set(entry) == {"claim", "parameters", "witness", "pass"}
+
+
+class TestSharedKernelChain:
+    @pytest.mark.parametrize("d,cases,chains", [(2, 4, 2), (3, 18, 6), (4, 120, 24)])
+    def test_one_chain_per_distinct_kernel(self, d, cases, chains):
+        s = Session(RunConfig(d=d))
+        for n in (3, 4):
+            pool = s.pool(d)
+            kernels = {tuple(g.canonical() for g in s.a_group(c, n).generators) for c in pool}
+            shared = {id(s.a_bsgs(c, n)) for c in pool}
+            assert (len(pool), len(kernels), len(shared)) == (cases, chains, chains)
+            for case in pool:
+                chain = s.a_bsgs(case, n)
+                fresh = schreier_sims(s.a_group(case, n))
+                assert chain.order() == fresh.order()
+                for exps in product(range(case.tau.order()), repeat=n):
+                    g = realize(exps, case.tau, d)
+                    assert (g in chain) == (g in fresh)

@@ -1,7 +1,13 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import braidperm
 from braidperm.cli import main
 
 
@@ -112,6 +118,47 @@ class TestConstruct:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and message in err
+
+
+def _limit_address_space():
+    limit = 300 * 2**20
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+class TestFarPoints:
+    """A point far beyond d is refused before a permutation of that size is
+    built.  Each case runs in a child process whose address space is capped,
+    so a regression dies there with MemoryError instead of exhausting memory."""
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (("--d", "3", "--tau", "(1 5000000)"), "tau moves points beyond [1, 3]"),
+            (
+                ("--d", "3", "--tau", "(1 2 3)", "--u", "(1 5000000)"),
+                "--u permutes cycle labels [1], got points [1, 5000000]",
+            ),
+            (("--d", "3", "--tau", "(1 1000000000000000000)"), "tau moves points beyond [1, 3]"),
+            ({"d": 2, "tau": "(1 5000000)", "u": [[1, 1]]}, "tau moves points beyond [1, 2]"),
+        ],
+    )
+    def test_exits_2_within_memory_limit(self, tmp_path, args, message):
+        if isinstance(args, dict):
+            path = tmp_path / "spec.json"
+            path.write_text(json.dumps(args))
+            args = ("--spec", str(path))
+        src = str(Path(braidperm.__file__).resolve().parent.parent)
+        result = subprocess.run(
+            [sys.executable, "-m", "braidperm.cli", "construct", *args],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            preexec_fn=_limit_address_space,
+            timeout=60,
+        )
+        assert result.returncode == 2, result.stderr
+        assert result.stdout == ""
+        assert result.stderr == f"error: {message}\n"
 
 
 class TestVerify:

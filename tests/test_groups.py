@@ -10,7 +10,7 @@ from braidperm.groups import (
     braid_image,
     complement_search,
     cyclic_group,
-    extension_report,
+    extension_holds,
     gap_generators,
     orbit,
     orbits_partition,
@@ -47,6 +47,12 @@ def brute_elements(gens, degree):
                 seen.add(y)
                 frontier.append(y)
     return seen
+
+
+def chains(image):
+    """The kernel of image with the chains of the whole group and of the kernel."""
+    kernel = abelian_kernel(image)
+    return kernel, schreier_sims(image.group()), schreier_sims(kernel)
 
 
 def grid_groups(slices):
@@ -251,59 +257,72 @@ class TestAbelianKernel:
 class TestExtension:
     def test_24_is_6_times_4(self):
         image, _ = image_for("(1 2)", 2, 3)
-        entry = extension_report(image)
-        assert entry.passed
-        assert entry.witness["b_order"] == 24
-        assert entry.witness["a_order"] == 4
+        kernel, b, a = chains(image)
+        assert extension_holds(image, kernel, b, a)
+        assert b.order() == 24
+        assert a.order() == 4
 
     def test_192_is_24_times_8(self):
         image, _ = image_for("(1 2)", 2, 4)
-        entry = extension_report(image)
-        assert entry.passed
-        assert (entry.witness["b_order"], entry.witness["a_order"]) == (192, 8)
+        kernel, b, a = chains(image)
+        assert extension_holds(image, kernel, b, a)
+        assert (b.order(), a.order()) == (192, 8)
 
     def test_double_transposition(self):
         image, _ = image_for("(1 2)(3 4)", 4, 3)
-        entry = extension_report(image)
-        assert entry.passed
-        assert (entry.witness["b_order"], entry.witness["a_order"]) == (24, 4)
+        kernel, b, a = chains(image)
+        assert extension_holds(image, kernel, b, a)
+        assert (b.order(), a.order()) == (24, 4)
+
+    def test_whole_group_chain_as_kernel_chain_fails(self):
+        image, _ = image_for("(1 2)", 2, 3)
+        kernel, b, _ = chains(image)
+        assert not extension_holds(image, kernel, b, b)
+
+    def test_trivial_kernel_fails(self):
+        image, _ = image_for("(1 2)", 2, 3)
+        _, b, _ = chains(image)
+        trivial, _, trivial_a = chains(image_for(None, 2, 3)[0])
+        assert trivial_a.order() == 1
+        assert not extension_holds(image, trivial, b, trivial_a)
 
 
 class TestSplitComplement:
     def test_odd_q(self):
         image, _ = image_for("(1 2 3)", 3, 3)
-        comp = split_complement(image)
+        _, _, kernel_bs = chains(image)
+        comp = split_complement(image, kernel_bs)
         assert comp is not None
         bs = schreier_sims(comp)
         assert bs.order() == 6
-        kernel_bs = schreier_sims(abelian_kernel(image))
         assert all(h.is_identity() or h not in kernel_bs for h in bs.elements())
 
     def test_q_one_complement_is_whole_group(self):
         image, _ = image_for(None, 2, 3)
-        comp = split_complement(image)
+        comp = split_complement(image, chains(image)[2])
         assert schreier_sims(comp).order() == 6 == schreier_sims(image.group()).order()
 
     def test_even_q_not_attempted(self):
         image, _ = image_for("(1 2)", 2, 3)
-        assert split_complement(image) is None
+        assert split_complement(image, chains(image)[2]) is None
 
     def test_custom_twist_exponents(self):
         image, _ = image_for("(1 2 3)", 3, 3)
-        comp = split_complement(image, k=1, l=1)
+        _, _, a = chains(image)
+        comp = split_complement(image, a, k=1, l=1)
         assert schreier_sims(comp).order() == 6
         with pytest.raises(ValueError):
-            split_complement(image, k=0, l=0)
+            split_complement(image, a, k=0, l=0)
 
     def test_search_finds_complements_for_even_q_n3(self):
         image, _ = image_for("(1 2)", 2, 3)
-        summary = complement_search(image)
+        summary = complement_search(image, chains(image)[2])
         assert summary["searched"]
         assert summary["complements_found"] == 4
 
     def test_search_finds_none_for_even_q_n4(self):
         image, _ = image_for("(1 2)", 2, 4)
-        summary = complement_search(image)
+        summary = complement_search(image, chains(image)[2])
         assert summary["searched"]
         assert summary["complements_found"] == 0
 
@@ -311,20 +330,20 @@ class TestSplitComplement:
 class TestTransitivity:
     def test_long_cycle_transitive(self):
         image, spec = image_for("(1 2)", 2, 3)
-        trep = transitivity_report(image, spec)
+        trep = transitivity_report(image, spec, chains(image)[1])
         assert trep.transitive and trep.u_long_cycle and trep.orbits_match
         assert trep.restrictions_match and trep.subdirect
 
     def test_two_fixed_points_identity_map(self):
         image, spec = image_for(None, 2, 3)
-        trep = transitivity_report(image, spec)
+        trep = transitivity_report(image, spec, chains(image)[1])
         assert not trep.transitive
         assert trep.orbits_match
         assert set(trep.towers) == {frozenset({1, 3, 5}), frozenset({2, 4, 6})}
 
     def test_transposition_with_fixed_point(self):
         image, spec = image_for("(1 2)", 3, 3)
-        trep = transitivity_report(image, spec)
+        trep = transitivity_report(image, spec, chains(image)[1])
         assert set(trep.orbits) == {
             frozenset({1, 2, 4, 5, 7, 8}),
             frozenset({3, 6, 9}),
@@ -335,7 +354,7 @@ class TestTransitivity:
         # single u-orbit of length two: the towers predict one orbit of size
         # six, the group of order six actually has two orbits of size three
         image, spec = image_for(None, 2, 3, u_map={1: 2, 2: 1})
-        trep = transitivity_report(image, spec)
+        trep = transitivity_report(image, spec, chains(image)[1])
         assert trep.u_long_cycle
         assert not trep.transitive
         assert not trep.orbits_match

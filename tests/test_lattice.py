@@ -331,14 +331,14 @@ class TestMonodromy:
                     assert acted == expect
 
     def test_kernel_sizes(self):
-        assert monodromy_kernel(image_for(perm("(1 2)"), 2, 3)) == 1
-        assert monodromy_kernel(image_for(perm("(1 2)"), 2, 4)) == 1
-        assert monodromy_kernel(image_for(perm("(1 2 3)"), 3, 3)) == 1
+        for tau, d, n in [("(1 2)", 2, 3), ("(1 2)", 2, 4), ("(1 2 3)", 3, 3)]:
+            image = image_for(perm(tau), d, n)
+            assert monodromy_kernel(image, monodromy_matrices(image)) == 1
 
     def test_trivial_module_kernel_is_everything(self):
         for n in range(3, 7):
             image = image_for(Permutation.identity(2), 2, n)
-            assert monodromy_kernel(image) == math.factorial(n)
+            assert monodromy_kernel(image, monodromy_matrices(image)) == math.factorial(n)
 
     @pytest.mark.parametrize(
         "tau,d,n",
