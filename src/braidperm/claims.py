@@ -53,7 +53,7 @@ from .shuffle import (
     ShuffleSpec,
     build_pair,
     build_shuffle,
-    component_factors,
+    components,
     decompose_pair,
     is_braid_like,
     iter_specs,
@@ -284,7 +284,7 @@ def _check_lemma_2_4(s: Session) -> list[ClaimCheck]:
                     examples.append(f"factorization {spec.to_json_dict()}")
                 if pair.product != tau:
                     failures["pair_product"] += 1
-                comps = component_factors(sigma, spec)
+                comps = components(spec)
                 prod = Permutation.identity()
                 for comp in comps:
                     prod = prod * comp.factor

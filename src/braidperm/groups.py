@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .lattice import exponent_vector, q2_of
 from .perm import Permutation, _compose, _invert, _padded, _trusted
-from .shuffle import ShuffleSpec, component_factors, is_braid_like
+from .shuffle import ShuffleSpec, components, is_braid_like
 
 __all__ = [
     "BSGS",
@@ -450,8 +450,6 @@ def tower(points: Iterable[int], d: int, n: int) -> frozenset[int]:
 class TransitivityClass:
     """Orbit analysis of a braid image against its u-orbit block towers."""
 
-    orbits: tuple[frozenset[int], ...]
-    towers: tuple[frozenset[int], ...]
     transitive: bool
     u_long_cycle: bool
     orbits_match: bool
@@ -464,44 +462,28 @@ def transitivity_report(
 ) -> TransitivityClass:
     """Compare the orbit partition with the towers over the u-orbits.
 
-    Also checks that restricting the group to each tower reproduces the group
-    generated by the shifted component factor, which makes the whole group,
-    whose chain is b_bsgs, a subdirect product of the per-tower groups.
+    Also checks that on each tower the generators equal the shifts of the
+    component factor.  Those shifts map the tower into itself and restriction
+    is a homomorphism, so the restricted group is the component group, and the
+    whole group, whose chain is b_bsgs, is a subdirect product of them.
     """
-    orbits = tuple(orbits_partition(image.group()))
-    comps = component_factors(image.sigma, spec)
-    towers_ = tuple(tower(c.points, image.d, image.n) for c in comps)
-    orbits_match = set(orbits) == set(towers_)
+    orbits = orbits_partition(image.group())
+    comps = components(spec)
+    towers = [tower(c.points, image.d, image.n) for c in comps]
     restrictions_match = True
     product_order = 1
-    for comp, y in zip(comps, towers_):
-        invariant = all(g(x) in y for g in image.generators for x in y)
+    for comp, y in zip(comps, towers):
         local = tuple(comp.factor.shift((s - 1) * image.d) for s in range(1, image.n))
-        bs_local = schreier_sims(GeneratedGroup(image.n * image.d, local))
-        product_order *= bs_local.order()
-        if not invariant:
-            restrictions_match = False
-            continue
-        restricted = tuple(
-            Permutation.from_mapping({x: g(x) for x in y}, image.n * image.d)
-            for g in image.generators
+        product_order *= schreier_sims(GeneratedGroup(image.n * image.d, local)).order()
+        restrictions_match = restrictions_match and all(
+            g(x) == h(x) for g, h in zip(image.generators, local) for x in y
         )
-        bs_restricted = schreier_sims(GeneratedGroup(image.n * image.d, restricted))
-        same = (
-            bs_restricted.order() == bs_local.order()
-            and all(g in bs_local for g in restricted)
-            and all(g in bs_restricted for g in local)
-        )
-        restrictions_match = restrictions_match and same
-    subdirect = restrictions_match and product_order % b_bsgs.order() == 0
     return TransitivityClass(
-        orbits=orbits,
-        towers=towers_,
         transitive=len(orbits) == 1,
         u_long_cycle=spec.u.is_long_cycle(),
-        orbits_match=orbits_match,
+        orbits_match=set(orbits) == set(towers),
         restrictions_match=restrictions_match,
-        subdirect=subdirect,
+        subdirect=restrictions_match and product_order % b_bsgs.order() == 0,
     )
 
 

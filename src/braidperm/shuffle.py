@@ -32,7 +32,6 @@ __all__ = [
     "SpecError",
     "build_pair",
     "build_shuffle",
-    "component_factors",
     "components",
     "decompose_pair",
     "is_braid_like",
@@ -387,11 +386,11 @@ class Component:
     second: Permutation
     product: Permutation
     swap: Permutation
-    d: int
 
 
 def components(spec: ShuffleSpec) -> tuple[Component, ...]:
-    """The per-u-orbit factor data of a spec, ordered by least point."""
+    """The per-u-orbit factor data of a spec, ordered by least point.  The
+    factors have pairwise disjoint supports and multiply to build_shuffle(spec)."""
     chosen = {alpha: (i1, j1) for alpha, i1, j1 in spec.choices}
     out = []
     for orbit in spec.u.orbits():
@@ -423,19 +422,9 @@ def components(spec: ShuffleSpec) -> tuple[Component, ...]:
                 second=Permutation.from_mapping(q_map, spec.d),
                 product=Permutation.from_cycles(orbit, spec.d),
                 swap=swap,
-                d=spec.d,
             )
         )
     return tuple(out)
-
-
-def component_factors(sigma: Permutation, spec: ShuffleSpec) -> tuple[Component, ...]:
-    """Split sigma into its per-u-orbit factors; they have pairwise disjoint
-    supports and multiply back to sigma.  Raises when sigma was not built from
-    this spec."""
-    if sigma != build_shuffle(spec):
-        raise SpecError("permutation was not built from this spec")
-    return components(spec)
 
 
 def iter_specs(tau: Permutation, d: int) -> Iterator[ShuffleSpec]:

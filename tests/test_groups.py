@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from braidperm import groups
+from braidperm.claims import RunConfig, Session
 from braidperm.groups import (
     GeneratedGroup,
     abelian_kernel,
@@ -22,7 +24,7 @@ from braidperm.groups import (
 )
 from braidperm.oracles import enumerate_shuffles
 from braidperm.perm import Permutation, block_swap
-from braidperm.shuffle import CycleMap, ShuffleSpec, build_shuffle, decompose_pair, pair_from_shuffle
+from braidperm.shuffle import CycleMap, ShuffleSpec, build_shuffle, components, iter_specs
 
 
 def perm(text):
@@ -327,6 +329,17 @@ class TestSplitComplement:
         assert summary["complements_found"] == 0
 
 
+def pool_cases(slices):
+    """(image, spec) for every Session pool case of each (d, ns) in slices."""
+    session = Session(RunConfig())
+    return [
+        (session.image(case, n), case.spec)
+        for d, ns in slices
+        for case in session.pool(d)
+        for n in ns
+    ]
+
+
 class TestTransitivity:
     def test_long_cycle_transitive(self):
         image, spec = image_for("(1 2)", 2, 3)
@@ -339,12 +352,13 @@ class TestTransitivity:
         trep = transitivity_report(image, spec, chains(image)[1])
         assert not trep.transitive
         assert trep.orbits_match
-        assert set(trep.towers) == {frozenset({1, 3, 5}), frozenset({2, 4, 6})}
+        towers = {tower(c.points, 2, 3) for c in components(spec)}
+        assert towers == {frozenset({1, 3, 5}), frozenset({2, 4, 6})}
 
     def test_transposition_with_fixed_point(self):
         image, spec = image_for("(1 2)", 3, 3)
         trep = transitivity_report(image, spec, chains(image)[1])
-        assert set(trep.orbits) == {
+        assert set(orbits_partition(image.group())) == {
             frozenset({1, 2, 4, 5, 7, 8}),
             frozenset({3, 6, 9}),
         }
@@ -358,9 +372,72 @@ class TestTransitivity:
         assert trep.u_long_cycle
         assert not trep.transitive
         assert not trep.orbits_match
-        assert set(trep.orbits) == {frozenset({1, 4, 5}), frozenset({2, 3, 6})}
+        assert set(orbits_partition(image.group())) == {
+            frozenset({1, 4, 5}),
+            frozenset({2, 3, 6}),
+        }
         # the true parts survive: towers are invariant and restrictions agree
         assert trep.restrictions_match and trep.subdirect
+
+    def test_restrictions_against_restricted_groups(self):
+        # the reference: restrict the generators to each tower, build the
+        # chains of the restricted and the local group, compare the groups
+        cases = pool_cases(((2, (3, 4)), (3, (3, 4)), (4, (3,))))
+        towers_seen = 0
+        for image, spec in cases:
+            degree = image.n * image.d
+            for comp in components(spec):
+                towers_seen += 1
+                y = tower(comp.points, image.d, image.n)
+                assert all(g(x) in y for g in image.generators for x in y)
+                restricted = tuple(
+                    Permutation.from_mapping({x: g(x) for x in y}, degree)
+                    for g in image.generators
+                )
+                local = tuple(
+                    comp.factor.shift((s - 1) * image.d) for s in range(1, image.n)
+                )
+                bs_restricted = schreier_sims(GeneratedGroup(degree, restricted))
+                bs_local = schreier_sims(GeneratedGroup(degree, local))
+                assert bs_restricted.order() == bs_local.order()
+                assert all(g in bs_local for g in restricted)
+                assert all(g in bs_restricted for g in local)
+            trep = transitivity_report(image, spec, schreier_sims(image.group()))
+            assert trep.restrictions_match
+        assert (len(cases), towers_seen) == (164, 286)
+
+    def test_mismatched_spec_fails_restrictions(self):
+        # each image reported against a spec that builds another sigma; the
+        # last pair agrees on the first block and differs only on the second
+        other = next(
+            sp for sp in iter_specs(perm("(1 2)"), 2) if build_shuffle(sp) == perm("(1 4 2 3)")
+        )
+        _, swapped = image_for(None, 2, 3, u_map={1: 2, 2: 1})
+        _, long_cycle = image_for("(1 2)", 2, 3)
+        for sigma, spec in (
+            ("(1 3 2 4)", other),
+            ("(1 3)(2 4)", swapped),
+            ("(1 3)(2 4)", long_cycle),
+        ):
+            image = braid_image(perm(sigma), 2, 3)
+            assert build_shuffle(spec) != image.sigma
+            trep = transitivity_report(image, spec, chains(image)[1])
+            assert not trep.restrictions_match
+            assert not trep.subdirect
+
+    def test_one_chain_per_tower(self, monkeypatch):
+        cases = pool_cases(((2, (3, 4)), (3, (3, 4))))
+        b_chains = [schreier_sims(image.group()) for image, _ in cases]
+        builds = []
+
+        def counting(group):
+            builds.append(group)
+            return schreier_sims(group)
+
+        monkeypatch.setattr(groups, "schreier_sims", counting)
+        for (image, spec), b in zip(cases, b_chains):
+            transitivity_report(image, spec, b)
+        assert len(builds) == sum(len(components(spec)) for _, spec in cases)
 
     def test_tower(self):
         assert tower({1, 2}, 2, 3) == frozenset({1, 2, 3, 4, 5, 6})

@@ -10,7 +10,7 @@ from braidperm.shuffle import (
     SpecError,
     build_pair,
     build_shuffle,
-    component_factors,
+    components,
     decompose_pair,
     is_braid_like,
     iter_specs,
@@ -138,13 +138,13 @@ class TestDecompose:
 class TestComponents:
     def test_two_fixed_points(self):
         spec = ShuffleSpec.make(Permutation.identity(2), 2)
-        comps = component_factors(build_shuffle(spec), spec)
+        comps = components(spec)
         assert [c.factor for c in comps] == [perm("(1 3)"), perm("(2 4)")]
         assert [sorted(c.points) for c in comps] == [[1], [2]]
 
     def test_single_orbit_is_whole_sigma(self):
         spec = ShuffleSpec.make(perm("(1 2 3)"), 3)
-        comps = component_factors(build_shuffle(spec), spec)
+        comps = components(spec)
         assert len(comps) == 1
         assert comps[0].factor == build_shuffle(spec)
 
@@ -154,16 +154,11 @@ class TestComponents:
                 sigma = build_shuffle(spec)
                 prod = Permutation.identity()
                 supports = set()
-                for comp in component_factors(sigma, spec):
+                for comp in components(spec):
                     prod = prod * comp.factor
                     assert supports.isdisjoint(comp.factor.support())
                     supports.update(comp.factor.support())
                 assert prod == sigma
-
-    def test_mismatched_sigma_rejected(self):
-        spec = ShuffleSpec.make(perm("(1 2)"), 2)
-        with pytest.raises(SpecError):
-            component_factors(perm("(1 4 2 3)"), spec)
 
 
 class TestRotationRedundancy:
