@@ -38,7 +38,7 @@ from .lattice import (
     expected_monodromy_matrix,
     exponent_vector,
     identity_matrix,
-    kernel_action,
+    kernel_actions,
     kernel_box,
     kernel_structure,
     monodromy_kernel,
@@ -802,11 +802,10 @@ def _check_prop_3_11(s: Session) -> list[ClaimCheck]:
 def _matrices_match_conjugation(image: BraidImage, mats) -> bool:
     """Cross-check the matrices extensionally: applying a matrix to kernel
     coordinates agrees with conjugating the realized element."""
-    for coords in kernel_box(image.n, image.q):
-        elem = parametrize_kernel(coords, image.tau, image.d)
-        for idx, mat in enumerate(mats, start=1):
-            if apply_matrix(mat, coords, image.q, image.q2) != kernel_action(image, idx, elem):
-                return False
+    n, q, q2 = image.n, image.q, image.q2
+    for coords, actions in zip(kernel_box(n, q), kernel_actions(image, kernel_box(n, q))):
+        if any(apply_matrix(m, coords, q, q2) != acted for m, acted in zip(mats, actions)):
+            return False
     return True
 
 

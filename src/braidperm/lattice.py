@@ -17,9 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product as iter_product
-from typing import TYPE_CHECKING, Iterator, Sequence
+from operator import add, mul
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .perm import Permutation, _compose, _padded, _trusted
+from .perm import Permutation, _compose, _invert, _padded
 
 if TYPE_CHECKING:  # pragma: no cover
     from .groups import BraidImage
@@ -35,7 +36,7 @@ __all__ = [
     "f_vector",
     "g_vector",
     "identity_matrix",
-    "kernel_action",
+    "kernel_actions",
     "kernel_box",
     "kernel_structure",
     "monodromy_kernel",
@@ -73,20 +74,32 @@ def realize(exponents: Sequence[int], tau: Permutation, d: int) -> Permutation:
     return Permutation(tuple(images))
 
 
+def _block_powers(tau: Permutation, d: int, n: int):
+    """Per block i of n: the images on that block of tau**r shifted by i*d,
+    for r in range(order(tau)), and the lookup {block images: r}."""
+    powers = _powers(tau, d)
+    shifted = [[tuple(i * d + y for y in p) for p in powers] for i in range(n)]
+    return shifted, [{block: r for r, block in enumerate(blocks)} for blocks in shifted]
+
+
+def _read_exponents(images: tuple[int, ...], lookups, d: int) -> tuple[int, ...]:
+    """Block exponents of an image tuple of degree n*d: one lookup per block."""
+    entries = []
+    for i, lookup in enumerate(lookups):
+        r = lookup.get(images[i * d: (i + 1) * d])
+        if r is None:
+            raise ValueError(f"block {i + 1} is not a power of the base permutation")
+        entries.append(r)
+    return tuple(entries)
+
+
 def exponent_vector(g: Permutation, tau: Permutation, d: int, n: int) -> tuple[int, ...]:
     """Block exponents (r_1, ..., r_n), each in range(q) for q = order(tau);
     ValueError when g is not in the block product."""
     images = _padded(g, n * d)
     if len(images) > n * d:
         raise ValueError(f"permutation moves points beyond [1, {n * d}]")
-    powers = _powers(tau, d)
-    entries = []
-    for base in range(0, n * d, d):
-        block = tuple(y - base for y in images[base: base + d])
-        if block not in powers:
-            raise ValueError(f"block {base // d + 1} is not a power of the base permutation")
-        entries.append(powers.index(block))
-    return tuple(entries)
+    return _read_exponents(images, _block_powers(tau, d, n)[1], d)
 
 
 # basis vectors of Z^n
@@ -219,21 +232,19 @@ def expected_kernel_structure(n: int, q: int) -> AbelianStructure:
     return AbelianStructure(normalize_factors([q] * (n - 1) + [q2_of(q)]))
 
 
-def parametrize_kernel(coords: Sequence[int], tau: Permutation, d: int) -> Permutation:
-    """Realize kernel coordinates (c_1, ..., c_n).
-
-    The block exponents are (c_1, c_1 + c_2, ..., c_(n-2) + c_(n-1),
-    c_(n-1) + 2 c_n); over the canonical coordinate box this parametrizes the
-    kernel subgroup bijectively.
-    """
+def _kernel_exponents(coords: Sequence[int]) -> list[int]:
+    """Block exponents (c_1, c_1 + c_2, ..., c_(n-2) + c_(n-1), c_(n-1) + 2 c_n)
+    of kernel coordinates (c_1, ..., c_n)."""
     n = len(coords)
     if n < 2:
         raise ValueError("need at least two coordinates")
-    exps = [coords[0]]
-    for i in range(1, n - 1):
-        exps.append(coords[i - 1] + coords[i])
-    exps.append(coords[n - 2] + 2 * coords[n - 1])
-    return realize(exps, tau, d)
+    return [coords[0], *map(add, coords, coords[1:-1]), coords[-2] + 2 * coords[-1]]
+
+
+def parametrize_kernel(coords: Sequence[int], tau: Permutation, d: int) -> Permutation:
+    """Realize kernel coordinates: over the canonical coordinate box this
+    parametrizes the kernel subgroup bijectively."""
+    return realize(_kernel_exponents(coords), tau, d)
 
 
 def _moduli(n: int, q: int, q2: int) -> list[int]:
@@ -275,8 +286,7 @@ def _canonical_matrix(m: Matrix, q: int, q2: int) -> Matrix:
 def apply_matrix(mat: Matrix, coords: Sequence[int], q: int, q2: int) -> tuple[int, ...]:
     """Canonical coordinates of mat @ coords."""
     return tuple(
-        sum(a * c for a, c in zip(row, coords)) % mod
-        for row, mod in zip(mat, _moduli(len(mat), q, q2))
+        sum(map(mul, row, coords)) % mod for row, mod in zip(mat, _moduli(len(mat), q, q2))
     )
 
 
@@ -326,15 +336,17 @@ def expected_monodromy_matrix(s: int, n: int, q: int) -> Matrix:
     return _canonical_matrix([[cols[j][i] for j in range(n)] for i in range(n)], q, q2)
 
 
-def kernel_action(image: "BraidImage", s: int, elem: Permutation) -> tuple[int, ...]:
-    """Kernel coordinates of g_s * elem * g_s^-1, g_s the s-th generator."""
-    degree = max(image.n * image.d, len(elem.canonical()))
-    gen, images = _padded(image.generators[s - 1], degree), _padded(elem, degree)
-    conj = [0] * degree
-    for x, y in zip(gen, images):
-        conj[x - 1] = gen[y - 1]
-    exponents = exponent_vector(_trusted(tuple(conj)), image.tau, image.d, image.n)
-    return coords_from_exponents(exponents, image.q)
+def kernel_actions(image: "BraidImage", coords_iter: Iterable[Sequence[int]]) -> Iterator:
+    """Per kernel coordinate tuple c, the kernel coordinates of g_s * elem * g_s^-1
+    for each generator g_s, s = 1, ..., n-1, with elem = parametrize_kernel(c);
+    computed on image tuples of degree n*d.  ValueError when one leaves the kernel."""
+    d, n, q = image.d, image.n, image.q
+    shifted, lookups = _block_powers(image.tau, d, n)
+    pairs = [(g, _invert(g)) for g in (_padded(g, n * d) for g in image.generators)]
+    for coords in coords_iter:
+        elem = [y for blocks, r in zip(shifted, _kernel_exponents(coords)) for y in blocks[r % q]]
+        conjugates = (tuple([g[elem[x - 1] - 1] for x in inv]) for g, inv in pairs)
+        yield tuple(coords_from_exponents(_read_exponents(c, lookups, d), q) for c in conjugates)
 
 
 def monodromy_matrices(image: "BraidImage") -> list[Matrix]:
@@ -345,18 +357,24 @@ def monodromy_matrices(image: "BraidImage") -> list[Matrix]:
     leaves the block product or the matrix violates the coordinate moduli
     (both would signal an upstream bug).
     """
-    tau, d, n, q, q2 = image.tau, image.d, image.n, image.q, image.q2
-    basis = [parametrize_kernel([int(i == j) for i in range(n)], tau, d) for j in range(n)]
-    delta = q // q2
+    n, q, q2 = image.n, image.q, image.q2
+    by_unit = list(kernel_actions(image, [tuple(int(i == j) for i in range(n)) for j in range(n)]))
     out = []
-    for s in range(1, n):
-        cols = [kernel_action(image, s, elem) for elem in basis]
-        mat = _canonical_matrix([[cols[j][i] for j in range(n)] for i in range(n)], q, q2)
-        for i in range(n - 1):
-            if mat[i][n - 1] % delta:
-                raise AssertionError("matrix does not respect the coordinate moduli")
+    for s in range(n - 1):
+        mat = _canonical_matrix([[by_unit[j][s][i] for j in range(n)] for i in range(n)], q, q2)
+        if any(row[n - 1] % (q // q2) for row in mat[:-1]):
+            raise AssertionError("matrix does not respect the coordinate moduli")
         out.append(mat)
     return out
+
+
+def _changed_columns(m: Matrix) -> list[tuple[int, list[int], list[int]]]:
+    """(j, rows, entries) for each column j of m other than e_j: the rows it
+    reads (its nonzero entries and row j, so never none) and their entries."""
+    units = [tuple(int(k == j) for k in range(len(m))) for j in range(len(m))]
+    changed = [(j, col) for j, col in enumerate(zip(*m)) if col != units[j]]
+    rows = [[k for k, v in enumerate(col) if v or k == j] for j, col in changed]
+    return [(j, r, [col[k] for k in r]) for (j, col), r in zip(changed, rows)]
 
 
 def monodromy_kernel(image: "BraidImage", matrices: list[Matrix]) -> int:
@@ -368,9 +386,13 @@ def monodromy_kernel(image: "BraidImage", matrices: list[Matrix]) -> int:
     results; size one means the action separates the block permutations.  The
     count does not depend on the walk when the matrices satisfy the Coxeter
     relations, which prop-3.11 checks separately.
+
+    Matrices are held column-major: column j of A @ M_s is column j of A when
+    column j of M_s is e_j, and only the other columns of M_s are multiplied out.
     """
-    n, q, q2 = image.n, image.q, image.q2
-    ident = identity_matrix(n, q, q2)
+    n, moduli = image.n, _moduli(image.n, image.q, image.q2)
+    ident = tuple(zip(*identity_matrix(n, image.q, image.q2)))
+    changes = [_changed_columns(m) for m in matrices]
     reached = {tuple(range(1, n + 1)): ident}
     queue = list(reached)
     for line in queue:
@@ -378,6 +400,10 @@ def monodromy_kernel(image: "BraidImage", matrices: list[Matrix]) -> int:
         for s in range(1, n):
             nxt = line[: s - 1] + (line[s], line[s - 1]) + line[s + 1:]
             if nxt not in reached:
-                reached[nxt] = compose_matrices(mat, matrices[s - 1], q, q2)
+                cols = list(mat)
+                for j, rows, coefs in changes[s - 1]:
+                    used = zip(*[mat[k] for k in rows])
+                    cols[j] = tuple(sum(map(mul, coefs, r)) % mod for r, mod in zip(used, moduli))
+                reached[nxt] = tuple(cols)
                 queue.append(nxt)
     return sum(mat == ident for mat in reached.values())

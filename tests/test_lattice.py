@@ -1,8 +1,13 @@
+import dataclasses
 import math
+import random
 from itertools import combinations_with_replacement, permutations, product
+from types import SimpleNamespace
 
 import pytest
 
+from braidperm import claims, lattice
+from braidperm.claims import RunConfig, Session
 from braidperm.groups import braid_image
 from braidperm.lattice import (
     AbelianStructure,
@@ -15,13 +20,14 @@ from braidperm.lattice import (
     f_vector,
     g_vector,
     identity_matrix,
-    kernel_action,
+    kernel_actions,
     kernel_box,
     kernel_structure,
     monodromy_kernel,
     monodromy_matrices,
     normalize_factors,
     parametrize_kernel,
+    q2_of,
     realize,
     smith_normal_form,
 )
@@ -99,18 +105,19 @@ class TestFlatEncoding:
 
     def test_rejects_points_beyond_the_blocks(self):
         tau = perm("(1 2 3)")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"moves points beyond \[1, 9\]"):
             exponent_vector(realize((1, 1, 1, 1), tau, 3), tau, 3, 3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"moves points beyond \[1, 9\]"):
             exponent_vector(perm("(9 10)"), tau, 3, 3)
 
     def test_rejects_blocks_outside_the_powers(self):
         tau = perm("(1 2)(3 4 5)")
-        with pytest.raises(ValueError):
+        not_a_power = "block {} is not a power of the base permutation"
+        with pytest.raises(ValueError, match=not_a_power.format(2)):
             exponent_vector(perm("(6 8)"), tau, 5, 3)  # (1 3) in block 2
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=not_a_power.format(3)):
             exponent_vector(perm("(11 12 13)"), tau, 5, 3)  # (1 2 3) in block 3
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=not_a_power.format(1)):
             exponent_vector(perm("(5 6)"), tau, 5, 3)  # crosses blocks 1 and 2
 
 
@@ -316,19 +323,32 @@ class TestMonodromy:
             image = image_for(perm(tau), d, n)
             tau, q, q2 = image.tau, image.q, image.q2
             mats = monodromy_matrices(image)
-            for coords in kernel_box(n, q):
+            box = list(kernel_box(n, q))
+            for coords, actions in zip(box, kernel_actions(image, box), strict=True):
+                assert len(actions) == n - 1
                 elem = parametrize_kernel(coords, tau, d)
                 for s in range(1, n):
                     gen = image.generators[s - 1]
                     conj = gen * elem * gen.inverse()
                     expect = coords_from_exponents(exponent_vector(conj, tau, d, n), q)
-                    assert kernel_action(image, s, elem) == expect
+                    assert actions[s - 1] == expect
                     acted = [
                         sum(mats[s - 1][i][j] * coords[j] for j in range(n)) for i in range(n)
                     ]
                     acted = tuple(v % (q if i < n - 1 else q2) for i, v in enumerate(acted))
                     assert apply_matrix(mats[s - 1], coords, q, q2) == acted
                     assert acted == expect
+
+    def test_actions_reject_conjugates_outside_the_block_product(self):
+        # (1 3) conjugates the realization (1 2) of e_1 to (2 3), which
+        # breaks block 1
+        image = image_for(perm("(1 2)"), 2, 3)
+        broken = dataclasses.replace(image, generators=(perm("(1 3)"), image.generators[1]))
+        match = "block 1 is not a power of the base permutation"
+        with pytest.raises(ValueError, match=match):
+            list(kernel_actions(broken, [(1, 0, 0)]))
+        with pytest.raises(ValueError, match=match):
+            monodromy_matrices(broken)
 
     def test_kernel_sizes(self):
         for tau, d, n in [("(1 2)", 2, 3), ("(1 2)", 2, 4), ("(1 2 3)", 3, 3)]:
@@ -366,3 +386,97 @@ class TestMonodromy:
             assert rebuilt == Permutation(tuple(line))
             count += mat == ident
         assert monodromy_kernel(image, mats) == count
+
+
+def dense_walk(mats, n, q, q2):
+    """The monodromy kernel by dense products: breadth-first over S_n along
+    the adjacent transpositions, a permutation first reached as p * (s s+1)
+    getting the matrix of p times matrix s."""
+    ident = identity_matrix(n, q, q2)
+    reached = {tuple(range(1, n + 1)): ident}
+    queue = list(reached)
+    for line in queue:
+        for s in range(1, n):
+            nxt = line[: s - 1] + (line[s], line[s - 1]) + line[s + 1:]
+            if nxt not in reached:
+                reached[nxt] = compose_matrices(reached[line], mats[s - 1], q, q2)
+                queue.append(nxt)
+    assert len(reached) == math.factorial(n)
+    return sum(mat == ident for mat in reached.values())
+
+
+class TestMonodromyWalk:
+    """The sparse column walk of monodromy_kernel against dense_walk."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("q", [1, 2, 3, 4, 6])
+    def test_matches_dense_walk(self, n, q):
+        rng = random.Random(1000 * n + q)
+        q2 = q2_of(q)
+        image = SimpleNamespace(n=n, q=q, q2=q2)
+        stated = [expected_monodromy_matrix(s, n, q) for s in range(1, n)]
+
+        def word(length):
+            mat = identity_matrix(n, q, q2)
+            for _ in range(length):
+                mat = compose_matrices(mat, rng.choice(stated), q, q2)
+            return mat
+
+        def near_identity():
+            # the identity with one or two columns replaced by random vectors
+            cols = [list(col) for col in zip(*identity_matrix(n, q, q2))]
+            for j in rng.sample(range(n), rng.randint(1, 2)):
+                cols[j] = [rng.randrange(2 * q + 1) - q for _ in range(n)]
+            return [list(row) for row in zip(*cols)]
+
+        sets = [stated, stated[::-1]]
+        # elements of the group the stated matrices generate: products land
+        # back on the identity often, and most such sets break the relations
+        sets += [[word(rng.randint(0, 4)) for _ in range(n - 1)] for _ in range(12)]
+        sets += [[rng.choice(stated) for _ in range(n - 1)] for _ in range(4)]
+        sets += [
+            [[[rng.randrange(q) for _ in range(n)] for _ in range(n)] for _ in range(n - 1)]
+            for _ in range(2)
+        ]
+        sets += [[near_identity() for _ in range(n - 1)] for _ in range(2)]
+        counts = []
+        for mats in sets:
+            counts.append(dense_walk(mats, n, q, q2))
+            assert monodromy_kernel(image, mats) == counts[-1]
+        assert counts[0] == (math.factorial(n) if q == 1 else 1)
+        if q > 1:
+            assert not all(claims._matrix_relations_hold(mats, n, q, q2) for mats in sets)
+            assert any(1 < c < math.factorial(n) for c in counts)
+
+
+class TestMonodromyBudget:
+    def test_no_dense_products_or_permutation_round_trips(self, monkeypatch):
+        session = Session(RunConfig())
+        cases = [
+            (session.image(case, n), session.monodromy(case, n))
+            for d in (2, 3)
+            for case in session.pool(d)
+            for n in (3, 4)
+        ]
+        calls = {"compose_matrices": 0, "exponent_vector": 0, "parametrize_kernel": 0}
+
+        def counting(name):
+            original = getattr(lattice, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return wrapper
+
+        for name in calls:
+            wrapper = counting(name)
+            monkeypatch.setattr(lattice, name, wrapper)
+            monkeypatch.setattr(claims, name, wrapper)
+        for image, mats in cases:
+            expected = math.factorial(image.n) if image.q == 1 else 1
+            assert monodromy_kernel(image, mats) == expected
+            assert claims._matrices_match_conjugation(image, mats)
+            assert monodromy_matrices(image) == mats
+        assert len(cases) > 40
+        assert calls == {"compose_matrices": 0, "exponent_vector": 0, "parametrize_kernel": 0}
