@@ -150,8 +150,10 @@ class BSGS:
 
     def contains(self, g: Permutation) -> bool:
         images = _padded(g, self.degree)
-        if len(images) > self.degree:
-            return False
+        return len(images) == self.degree and self._contains_images(images)
+
+    def _contains_images(self, images: tuple[int, ...]) -> bool:
+        """Membership of the permutation with these images, exactly degree many."""
         return _sift(self._levels, images, 0, self._ident)[0] == self._ident
 
     __contains__ = contains
@@ -239,13 +241,19 @@ def schreier_sims(group: GeneratedGroup) -> BSGS:
 
 def braid_relations_hold(gens: Sequence[Permutation]) -> bool:
     """Adjacent triple products agree and distant generators commute."""
+    degree = max((g.degree for g in gens), default=0)
+    return _braid_relations_hold([_padded(g, degree) for g in gens])
+
+
+def _braid_relations_hold(gens: Sequence[tuple[int, ...]]) -> bool:
+    """braid_relations_hold on image tuples of one common length."""
     for r in range(len(gens)):
         for s in range(r + 1, len(gens)):
             a, b = gens[r], gens[s]
             if s - r == 1:
-                if a * b * a != b * a * b:
+                if _compose(a, _compose(b, a)) != _compose(b, _compose(a, b)):
                     return False
-            elif a * b != b * a:
+            elif _compose(a, b) != _compose(b, a):
                 return False
     return True
 
@@ -339,13 +347,19 @@ def extension_holds(image: BraidImage, kernel: GeneratedGroup, b: BSGS, a: BSGS)
     """Order and normality checks for the abelian kernel, with chain a, inside
     the full group, with chain b: the kernel order is q^(n-1) * q2, the group
     order n! times that, and the kernel lies in the group, stable under
-    conjugation by every generator."""
+    conjugation by every generator.  Both chains have degree n*d."""
     expected_a = image.q ** (image.n - 1) * image.q2
+    degree = image.n * image.d
+    pairs = [(g, _invert(g)) for g in (_padded(g, degree) for g in image.generators)]
     return (
         a.order() == expected_a
         and b.order() == math.factorial(image.n) * expected_a
         and all(k in b for k in kernel.generators)
-        and all(g * k * g.inverse() in a for g in image.generators for k in kernel.generators)
+        and all(
+            a._contains_images(_compose(g, _compose(_padded(k, degree), inv)))
+            for g, inv in pairs
+            for k in kernel.generators
+        )
     )
 
 
@@ -386,7 +400,7 @@ def split_complement(
             f"complement order {bs.order()} != {math.factorial(image.n)}"
         )
     for h in bs.elements():
-        if not h.is_identity() and h in a_bsgs:
+        if not h.is_identity() and a_bsgs._contains_images(h.images):
             raise SplitVerificationError("complement meets the kernel nontrivially")
     return group
 
@@ -403,7 +417,7 @@ def complement_search(image: BraidImage, a_bsgs: BSGS) -> dict:
     is therefore exhaustive.  Returns a summary; the search over the kernel
     chain a_bsgs runs only when the number of combinations is within SEARCH_CAP.
     """
-    kernel_elements = list(a_bsgs.elements())
+    kernel_elements = [x.images for x in a_bsgs.elements()]
     combos = len(kernel_elements) ** (image.n - 1)
     summary: dict = {
         "kernel_order": len(kernel_elements),
@@ -415,27 +429,28 @@ def complement_search(image: BraidImage, a_bsgs: BSGS) -> dict:
     if combos > SEARCH_CAP:
         return summary
     summary["searched"] = True
+    degree = image.n * image.d
+    ident = tuple(range(1, degree + 1))
     candidates = []
-    for s in range(1, image.n):
-        g = image.generators[s - 1]
-        lifts = [g * x for x in kernel_elements]
-        candidates.append([h for h in lifts if (h * h).is_identity()])
+    for g in image.generators:
+        lifts = [_compose(_padded(g, degree), x) for x in kernel_elements]
+        candidates.append([h for h in lifts if _compose(h, h) == ident])
     found: set[frozenset] = set()
     example = None
     for lift in iter_product(*candidates):
-        if not braid_relations_hold(lift):
+        if not _braid_relations_hold(lift):
             continue
-        bs = schreier_sims(GeneratedGroup(image.n * image.d, tuple(lift)))
+        bs = schreier_sims(GeneratedGroup(degree, tuple(map(_trusted, lift))))
         if bs.order() != math.factorial(image.n):
             continue
-        elements = list(bs.elements())
-        if any(not h.is_identity() and h in a_bsgs for h in elements):
+        elements = [h.images for h in bs.elements()]
+        if any(h != ident and a_bsgs._contains_images(h) for h in elements):
             continue
-        key = frozenset(h.canonical() for h in elements)
+        key = frozenset(elements)
         if key not in found:
             found.add(key)
             if example is None:
-                example = [str(h) for h in lift]
+                example = [str(_trusted(h)) for h in lift]
     summary["complements_found"] = len(found)
     summary["example"] = example
     return summary

@@ -27,7 +27,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "AbelianStructure",
-    "apply_matrix",
     "compose_matrices",
     "coords_from_exponents",
     "expected_kernel_structure",
@@ -42,9 +41,7 @@ __all__ = [
     "monodromy_kernel",
     "monodromy_matrices",
     "normalize_factors",
-    "parametrize_kernel",
     "q2_of",
-    "realize",
     "smith_normal_form",
 ]
 
@@ -65,21 +62,18 @@ def _powers(tau: Permutation, d: int) -> list[tuple[int, ...]]:
     return powers
 
 
-def realize(exponents: Sequence[int], tau: Permutation, d: int) -> Permutation:
-    """Product over blocks i of shift(tau**r_i, (i-1)*d); degree len(exponents)*d."""
-    powers = _powers(tau, d)
-    images: list[int] = []
-    for i, r in enumerate(exponents):
-        images.extend(i * d + y for y in powers[r % len(powers)])
-    return Permutation(tuple(images))
-
-
 def _block_powers(tau: Permutation, d: int, n: int):
     """Per block i of n: the images on that block of tau**r shifted by i*d,
     for r in range(order(tau)), and the lookup {block images: r}."""
     powers = _powers(tau, d)
     shifted = [[tuple(i * d + y for y in p) for p in powers] for i in range(n)]
     return shifted, [{block: r for r, block in enumerate(blocks)} for blocks in shifted]
+
+
+def _realize(shifted, exponents: Sequence[int]) -> tuple[int, ...]:
+    """Image tuple of the product over blocks i of shift(tau**r_i, (i-1)*d),
+    from the shifted powers of _block_powers; exponents are reduced mod q."""
+    return tuple([y for blocks, r in zip(shifted, exponents) for y in blocks[r % len(blocks)]])
 
 
 def _read_exponents(images: tuple[int, ...], lookups, d: int) -> tuple[int, ...]:
@@ -241,12 +235,6 @@ def _kernel_exponents(coords: Sequence[int]) -> list[int]:
     return [coords[0], *map(add, coords, coords[1:-1]), coords[-2] + 2 * coords[-1]]
 
 
-def parametrize_kernel(coords: Sequence[int], tau: Permutation, d: int) -> Permutation:
-    """Realize kernel coordinates: over the canonical coordinate box this
-    parametrizes the kernel subgroup bijectively."""
-    return realize(_kernel_exponents(coords), tau, d)
-
-
 def _moduli(n: int, q: int, q2: int) -> list[int]:
     """Moduli of the kernel coordinates: q for the first n-1, q2 for the last."""
     return [q] * (n - 1) + [q2]
@@ -281,13 +269,6 @@ def coords_from_exponents(entries: Sequence[int], q: int) -> tuple[int, ...]:
 
 def _canonical_matrix(m: Matrix, q: int, q2: int) -> Matrix:
     return [[v % mod for v in row] for row, mod in zip(m, _moduli(len(m), q, q2))]
-
-
-def apply_matrix(mat: Matrix, coords: Sequence[int], q: int, q2: int) -> tuple[int, ...]:
-    """Canonical coordinates of mat @ coords."""
-    return tuple(
-        sum(map(mul, row, coords)) % mod for row, mod in zip(mat, _moduli(len(mat), q, q2))
-    )
 
 
 def identity_matrix(n: int, q: int, q2: int) -> Matrix:
@@ -338,13 +319,14 @@ def expected_monodromy_matrix(s: int, n: int, q: int) -> Matrix:
 
 def kernel_actions(image: "BraidImage", coords_iter: Iterable[Sequence[int]]) -> Iterator:
     """Per kernel coordinate tuple c, the kernel coordinates of g_s * elem * g_s^-1
-    for each generator g_s, s = 1, ..., n-1, with elem = parametrize_kernel(c);
-    computed on image tuples of degree n*d.  ValueError when one leaves the kernel."""
+    for each generator g_s, s = 1, ..., n-1, with elem the block product with
+    exponents _kernel_exponents(c); computed on image tuples of degree n*d.
+    ValueError when one leaves the kernel."""
     d, n, q = image.d, image.n, image.q
     shifted, lookups = _block_powers(image.tau, d, n)
     pairs = [(g, _invert(g)) for g in (_padded(g, n * d) for g in image.generators)]
     for coords in coords_iter:
-        elem = [y for blocks, r in zip(shifted, _kernel_exponents(coords)) for y in blocks[r % q]]
+        elem = _realize(shifted, _kernel_exponents(coords))
         conjugates = (tuple([g[elem[x - 1] - 1] for x in inv]) for g, inv in pairs)
         yield tuple(coords_from_exponents(_read_exponents(c, lookups, d), q) for c in conjugates)
 

@@ -2,10 +2,11 @@ from itertools import product
 
 import pytest
 
-from braidperm import REGISTRY, RunConfig, run_verification
+from braidperm import REGISTRY, RunConfig, claims, lattice, run_verification
 from braidperm.claims import Session
-from braidperm.groups import schreier_sims
-from braidperm.lattice import realize
+from braidperm.groups import BSGS, GeneratedGroup, schreier_sims
+from braidperm.perm import Permutation
+from test_lattice import realize_by_products
 
 EXPECTED_TAGS = [
     "thm-2.12",
@@ -121,5 +122,66 @@ class TestSharedKernelChain:
                 fresh = schreier_sims(s.a_group(case, n))
                 assert chain.order() == fresh.order()
                 for exps in product(range(case.tau.order()), repeat=n):
-                    g = realize(exps, case.tau, d)
+                    g = realize_by_products(exps, case.tau, d)
                     assert (g in chain) == (g in fresh)
+
+
+def thm_3_4_session():
+    """A Session over d in {2, 3}, n in {3, 4} with every case's chains built."""
+    session = Session(RunConfig(d_max=3, n_max=4))
+    cases = [(case, n) for d in (2, 3) for case in session.pool(d) for n in (3, 4)]
+    for case, n in cases:
+        session.b_bsgs(case, n)
+        session.a_bsgs(case, n)
+    return session, cases
+
+
+class TestThm34:
+    def test_powers_once_per_case_and_fewer_sifts_than_elements(self, monkeypatch):
+        session, cases = thm_3_4_session()
+        # the box and the block product of every case; the block product
+        # element count is q^n
+        elements = sum(session.a_bsgs(c, n).order() + c.tau.order() ** n for c, n in cases)
+        calls = {"_powers": 0, "contains": 0}
+        powers, contains = lattice._powers, BSGS.contains
+
+        def counting_powers(*args):
+            calls["_powers"] += 1
+            return powers(*args)
+
+        def counting_contains(self, g):
+            calls["contains"] += 1
+            return contains(self, g)
+
+        monkeypatch.setattr(lattice, "_powers", counting_powers)
+        monkeypatch.setattr(BSGS, "contains", counting_contains)
+        monkeypatch.setattr(BSGS, "__contains__", counting_contains)
+        entries = claims._check_thm_3_4(session)
+        assert len(entries) == 4 and all(e.passed for e in entries)
+        assert len(cases) == 44
+        assert calls["_powers"] == len(cases)
+        assert 0 < calls["contains"] < elements
+
+    # in place of A: the group of the first kernel generator, of order at
+    # most q < |A| when q > 1; and A conjugated by the transposition (d d+1),
+    # of order |A|, which only the sifts tell apart from A (the generators do
+    # not normalize it)
+    @pytest.mark.parametrize("substitute", ["first-generator", "conjugate"])
+    def test_failures_counted_against_another_kernel_chain(self, monkeypatch, substitute):
+        def substitute_chain(self, case, n):
+            kernel = self.a_group(case, n)
+            gens = kernel.generators[:1]
+            if substitute == "conjugate":
+                x = Permutation.from_cycles([(case.d, case.d + 1)], kernel.degree)
+                gens = tuple(x * k * x for k in kernel.generators)
+            return schreier_sims(GeneratedGroup(kernel.degree, gens))
+
+        session, _ = thm_3_4_session()
+        monkeypatch.setattr(Session, "a_bsgs", substitute_chain)
+        entries = claims._check_thm_3_4(session)
+        assert len(entries) == 4
+        for entry in entries:
+            assert entry.witness["order_failures"] > 0
+            assert entry.witness["parametrization_failures"] > 0
+            assert entry.witness["intersection_failures"] > 0
+            assert not entry.passed

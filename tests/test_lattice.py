@@ -11,7 +11,6 @@ from braidperm.claims import RunConfig, Session
 from braidperm.groups import braid_image
 from braidperm.lattice import (
     AbelianStructure,
-    apply_matrix,
     compose_matrices,
     coords_from_exponents,
     expected_kernel_structure,
@@ -26,9 +25,7 @@ from braidperm.lattice import (
     monodromy_kernel,
     monodromy_matrices,
     normalize_factors,
-    parametrize_kernel,
     q2_of,
-    realize,
     smith_normal_form,
 )
 from braidperm.perm import Permutation
@@ -63,6 +60,27 @@ def realize_by_products(exponents, tau, d):
     for i, r in enumerate(exponents):
         out = out * (tau**r).shift(i * d)
     return out
+
+
+def parametrize_by_products(coords, tau, d):
+    """Kernel coordinates (c_1, ..., c_n) realized as the block product with
+    exponents c_1 f_1 + ... + c_(n-1) f_(n-1) + c_n h_n, where h_n = 2 e_n."""
+    n = len(coords)
+    basis = [f_vector(n, i) for i in range(1, n)] + [(0,) * (n - 1) + (2,)]
+    exponents = [sum(c * v[j] for c, v in zip(coords, basis)) for j in range(n)]
+    return realize_by_products(exponents, tau, d)
+
+
+def realize(exponents, tau, d):
+    """The block product as the checks build it: one image tuple from tau's
+    shifted powers."""
+    shifted = lattice._block_powers(tau, d, len(exponents))[0]
+    return Permutation(lattice._realize(shifted, exponents))
+
+
+def parametrize(coords, tau, d):
+    """Kernel coordinates realized as thm-3.4 realizes its coordinate box."""
+    return realize(lattice._kernel_exponents(coords), tau, d)
 
 
 # tau = () at d = 2; (1 2) at d = 3, where tau's degree is below d;
@@ -267,15 +285,22 @@ class TestParametrization:
         tau = perm("(1 2)")
         image = image_for(tau, 2, 3)
         first = image.generators[0]
-        assert parametrize_kernel((1, 0, 0), tau, 2) == first * first
+        assert parametrize((1, 0, 0), tau, 2) == first * first
 
     def test_zero_is_identity(self):
-        assert parametrize_kernel((0, 0, 0), perm("(1 2)"), 2).is_identity()
+        assert parametrize((0, 0, 0), perm("(1 2)"), 2).is_identity()
 
     def test_image_size(self):
         tau = perm("(1 2)")
-        images = {parametrize_kernel(c, tau, 2).canonical() for c in kernel_box(3, 2)}
+        images = {parametrize(c, tau, 2).canonical() for c in kernel_box(3, 2)}
         assert len(images) == 4
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("tau,d", FLAT_CASES)
+    def test_matches_products_of_basis_powers(self, tau, d, n):
+        tau = perm(tau)
+        for coords in kernel_box(n, tau.order()):
+            assert parametrize(coords, tau, d) == parametrize_by_products(coords, tau, d)
 
     def test_box_size(self):
         assert len(list(kernel_box(3, 2))) == 4
@@ -326,7 +351,7 @@ class TestMonodromy:
             box = list(kernel_box(n, q))
             for coords, actions in zip(box, kernel_actions(image, box), strict=True):
                 assert len(actions) == n - 1
-                elem = parametrize_kernel(coords, tau, d)
+                elem = parametrize_by_products(coords, tau, d)
                 for s in range(1, n):
                     gen = image.generators[s - 1]
                     conj = gen * elem * gen.inverse()
@@ -336,8 +361,27 @@ class TestMonodromy:
                         sum(mats[s - 1][i][j] * coords[j] for j in range(n)) for i in range(n)
                     ]
                     acted = tuple(v % (q if i < n - 1 else q2) for i, v in enumerate(acted))
-                    assert apply_matrix(mats[s - 1], coords, q, q2) == acted
                     assert acted == expect
+
+    # q = 2, 4, 3 and 6: q2 = 1, 2, 3 and 3
+    @pytest.mark.parametrize(
+        "tau,d,n", [("(1 2)", 2, 3), ("(1 2 3 4)", 4, 3), ("(1 2 3)", 3, 4), ("(1 2)(3 4 5)", 5, 3)]
+    )
+    def test_conjugation_check_sees_every_entry(self, tau, d, n):
+        # changing one entry by 1 changes the action on a unit coordinate
+        # whenever that coordinate and the entry's row have modulus above 1
+        image = image_for(perm(tau), d, n)
+        mats = monodromy_matrices(image)
+        assert claims._matrices_match_conjugation(image, mats)
+        moduli = [image.q] * (n - 1) + [image.q2]
+        changed = 0
+        for s, i, j in product(range(n - 1), range(n), range(n)):
+            if moduli[i] > 1 and moduli[j] > 1:
+                bad = [[row[:] for row in m] for m in mats]
+                bad[s][i][j] = (bad[s][i][j] + 1) % moduli[i]
+                assert not claims._matrices_match_conjugation(image, bad)
+                changed += 1
+        assert changed >= (n - 1) ** 3
 
     def test_actions_reject_conjugates_outside_the_block_product(self):
         # (1 3) conjugates the realization (1 2) of e_1 to (2 3), which
@@ -458,7 +502,7 @@ class TestMonodromyBudget:
             for case in session.pool(d)
             for n in (3, 4)
         ]
-        calls = {"compose_matrices": 0, "exponent_vector": 0, "parametrize_kernel": 0}
+        calls = {"compose_matrices": 0, "exponent_vector": 0}
 
         def counting(name):
             original = getattr(lattice, name)
@@ -479,4 +523,4 @@ class TestMonodromyBudget:
             assert claims._matrices_match_conjugation(image, mats)
             assert monodromy_matrices(image) == mats
         assert len(cases) > 40
-        assert calls == {"compose_matrices": 0, "exponent_vector": 0, "parametrize_kernel": 0}
+        assert calls == {"compose_matrices": 0, "exponent_vector": 0}
