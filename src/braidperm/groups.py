@@ -417,10 +417,9 @@ def complement_search(image: BraidImage, a_bsgs: BSGS) -> dict:
     is therefore exhaustive.  Returns a summary; the search over the kernel
     chain a_bsgs runs only when the number of combinations is within SEARCH_CAP.
     """
-    kernel_elements = [x.images for x in a_bsgs.elements()]
-    combos = len(kernel_elements) ** (image.n - 1)
+    combos = a_bsgs.order() ** (image.n - 1)
     summary: dict = {
-        "kernel_order": len(kernel_elements),
+        "kernel_order": a_bsgs.order(),
         "combinations": combos,
         "searched": False,
         "complements_found": 0,
@@ -429,6 +428,7 @@ def complement_search(image: BraidImage, a_bsgs: BSGS) -> dict:
     if combos > SEARCH_CAP:
         return summary
     summary["searched"] = True
+    kernel_elements = [x.images for x in a_bsgs.elements()]
     degree = image.n * image.d
     ident = tuple(range(1, degree + 1))
     candidates = []

@@ -328,6 +328,15 @@ class TestSplitComplement:
         assert summary["searched"]
         assert summary["complements_found"] == 0
 
+    def test_search_over_the_cap_lists_no_kernel_element(self, monkeypatch):
+        image, _ = image_for("(1 2 3 4)", 4, 4)
+        a = chains(image)[2]
+        monkeypatch.setattr(groups.BSGS, "elements", None)
+        summary = complement_search(image, a)
+        assert summary["kernel_order"] == a.order() == 4**3 * 2
+        assert summary["combinations"] == a.order() ** 3 > groups.SEARCH_CAP
+        assert not summary["searched"]
+
 
 def pool_cases(slices):
     """(image, spec) for every Session pool case of each (d, ns) in slices."""
