@@ -432,8 +432,8 @@ def complement_search(image: BraidImage, a_bsgs: BSGS) -> dict:
     degree = image.n * image.d
     ident = tuple(range(1, degree + 1))
     candidates = []
-    for g in image.generators:
-        lifts = [_compose(_padded(g, degree), x) for x in kernel_elements]
+    for g in (_padded(g, degree) for g in image.generators):
+        lifts = [_compose(g, x) for x in kernel_elements]
         candidates.append([h for h in lifts if _compose(h, h) == ident])
     found: set[frozenset] = set()
     example = None
