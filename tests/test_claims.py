@@ -142,24 +142,31 @@ class TestThm34:
         # the box and the block product of every case; the block product
         # element count is q^n
         elements = sum(session.a_bsgs(c, n).order() + c.tau.order() ** n for c, n in cases)
-        calls = {"_powers": 0, "contains": 0}
-        powers, contains = lattice._powers, BSGS.contains
+        calls = {"_powers": 0, "contains": 0, "kernel_structure": 0}
+        powers, contains, structure = lattice._powers, BSGS.contains, claims.kernel_structure
 
         def counting_powers(*args):
             calls["_powers"] += 1
             return powers(*args)
+
+        def counting_structure(*args):
+            calls["kernel_structure"] += 1
+            return structure(*args)
 
         def counting_contains(self, g):
             calls["contains"] += 1
             return contains(self, g)
 
         monkeypatch.setattr(lattice, "_powers", counting_powers)
+        monkeypatch.setattr(claims, "kernel_structure", counting_structure)
         monkeypatch.setattr(BSGS, "contains", counting_contains)
         monkeypatch.setattr(BSGS, "__contains__", counting_contains)
         entries = claims._check_thm_3_4(session)
         assert len(entries) == 4 and all(e.passed for e in entries)
         assert len(cases) == 44
         assert calls["_powers"] == len(cases)
+        # once per (n, q): q in {1, 2, 3}, n in {3, 4}
+        assert calls["kernel_structure"] == len({(n, c.tau.order()) for c, n in cases}) == 6
         assert 0 < calls["contains"] < elements
 
     # in place of A: the group of the first kernel generator, of order at
