@@ -66,8 +66,8 @@ def symmetric_group(d: int) -> GeneratedGroup:
     return GeneratedGroup(d, tuple(gens))
 
 
-def cyclic_group(p: Permutation, degree: int | None = None) -> GeneratedGroup:
-    return GeneratedGroup(max(p.degree, degree or 1), (p,))
+def cyclic_group(p: Permutation) -> GeneratedGroup:
+    return GeneratedGroup(max(p.degree, 1), (p,))
 
 
 def orbit(points: Iterable[int], group: GeneratedGroup) -> frozenset[int]:
@@ -368,92 +368,57 @@ class SplitVerificationError(RuntimeError):
     structure claim; treat as a bug or a falsifying witness."""
 
 
-def split_complement(
-    image: BraidImage, a_bsgs: BSGS, k: int | None = None, l: int | None = None
-) -> GeneratedGroup | None:
-    """For odd q, build and verify a complement of order n!; None when q is even.
+def _complement_elements(
+    gens: Sequence[tuple[int, ...]], a_bsgs: BSGS
+) -> list[tuple[int, ...]] | None:
+    """Elements of the group generated by the image tuples gens, of degree
+    a_bsgs.degree, when it is a complement to the kernel chain a_bsgs: every
+    generator is an involution, the braid relations hold, the order is
+    (len(gens) + 1)!, and only the identity lies in a_bsgs.  Else None."""
+    ident = a_bsgs._ident
+    if any(_compose(g, g) != ident for g in gens) or not _braid_relations_hold(gens):
+        return None
+    bs = schreier_sims(GeneratedGroup(a_bsgs.degree, tuple(map(_trusted, gens))))
+    if bs.order() != math.factorial(len(gens) + 1):
+        return None
+    elements = [h.images for h in bs.elements()]
+    if any(h != ident and a_bsgs._contains_images(h) for h in elements):
+        return None
+    return elements
 
-    The complement is generated by the block shifts of
-    sigma * tau**k * shift(tau**l, d) with k + l + 1 divisible by q (defaults
-    k=0, l=q-1).  Verified: every generator squares to the identity, the group
-    has order exactly n!, and only the identity lies in the kernel chain a_bsgs.
-    """
+
+def split_complement(image: BraidImage, a_bsgs: BSGS) -> GeneratedGroup | None:
+    """For odd q, the complement generated by the block shifts of
+    sigma * shift(tau**(q-1), d), verified against the kernel chain a_bsgs by
+    _complement_elements (SplitVerificationError on failure); None for even q."""
     if image.q % 2 == 0:
         return None
-    q = image.q
-    if k is None and l is None:
-        k, l = 0, q - 1
-    if k is None or l is None:
-        raise ValueError("give both k and l or neither")
-    if (k + l + 1) % q:
-        raise ValueError(f"k + l + 1 must be divisible by q = {q}")
-    twist = (image.tau**k) * (image.tau**l).shift(image.d)
-    eta = image.sigma * twist
+    eta = image.sigma * (image.tau ** (image.q - 1)).shift(image.d)
     gens = tuple(eta.shift((s - 1) * image.d) for s in range(1, image.n))
-    for g in gens:
-        if not (g * g).is_identity():
-            raise SplitVerificationError("complement generator is not an involution")
-    group = GeneratedGroup(image.n * image.d, gens)
-    bs = schreier_sims(group)
-    if bs.order() != math.factorial(image.n):
-        raise SplitVerificationError(
-            f"complement order {bs.order()} != {math.factorial(image.n)}"
-        )
-    for h in bs.elements():
-        if not h.is_identity() and a_bsgs._contains_images(h.images):
-            raise SplitVerificationError("complement meets the kernel nontrivially")
-    return group
+    if _complement_elements([_padded(g, a_bsgs.degree) for g in gens], a_bsgs) is None:
+        raise SplitVerificationError("the twisted generators fail the complement checks")
+    return GeneratedGroup(image.n * image.d, gens)
 
 
 SEARCH_CAP = 4096  # most generator-lift combinations complement_search tries
 
 
-def complement_search(image: BraidImage, a_bsgs: BSGS) -> dict:
-    """Exhaustive search for order-n! complements among generator lifts.
-
-    Any complement maps onto the block permutations, so it is generated by one
-    element from each coset generator * kernel; filtering involution lifts and
-    checking relations, order, and trivial intersection over all combinations
-    is therefore exhaustive.  Returns a summary; the search over the kernel
-    chain a_bsgs runs only when the number of combinations is within SEARCH_CAP.
-    """
-    combos = a_bsgs.order() ** (image.n - 1)
-    summary: dict = {
-        "kernel_order": a_bsgs.order(),
-        "combinations": combos,
-        "searched": False,
-        "complements_found": 0,
-        "example": None,
-    }
-    if combos > SEARCH_CAP:
-        return summary
-    summary["searched"] = True
+def complement_search(image: BraidImage, a_bsgs: BSGS) -> int | None:
+    """Number of distinct complements to the kernel chain a_bsgs among the
+    generator lifts, or None, with a_bsgs not listed, when the |A|^(n-1) lift
+    combinations exceed SEARCH_CAP.  Any complement maps onto the block
+    permutations, so one lift in each coset generator * A generates it, and
+    checking every combination of involution lifts is exhaustive."""
+    if a_bsgs.order() ** (image.n - 1) > SEARCH_CAP:
+        return None
     kernel_elements = [x.images for x in a_bsgs.elements()]
-    degree = image.n * image.d
-    ident = tuple(range(1, degree + 1))
+    ident = a_bsgs._ident
     candidates = []
-    for g in (_padded(g, degree) for g in image.generators):
+    for g in (_padded(g, a_bsgs.degree) for g in image.generators):
         lifts = [_compose(g, x) for x in kernel_elements]
         candidates.append([h for h in lifts if _compose(h, h) == ident])
-    found: set[frozenset] = set()
-    example = None
-    for lift in iter_product(*candidates):
-        if not _braid_relations_hold(lift):
-            continue
-        bs = schreier_sims(GeneratedGroup(degree, tuple(map(_trusted, lift))))
-        if bs.order() != math.factorial(image.n):
-            continue
-        elements = [h.images for h in bs.elements()]
-        if any(h != ident and a_bsgs._contains_images(h) for h in elements):
-            continue
-        key = frozenset(elements)
-        if key not in found:
-            found.add(key)
-            if example is None:
-                example = [str(_trusted(h)) for h in lift]
-    summary["complements_found"] = len(found)
-    summary["example"] = example
-    return summary
+    found = (_complement_elements(lift, a_bsgs) for lift in iter_product(*candidates))
+    return len({frozenset(elements) for elements in found if elements is not None})
 
 
 def tower(points: Iterable[int], d: int, n: int) -> frozenset[int]:

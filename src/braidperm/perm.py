@@ -69,17 +69,19 @@ class Permutation:
     def from_cycles(cls, cycles: Iterable[Sequence[int]], degree: int = 0) -> "Permutation":
         """Product of pairwise disjoint cycles given as point sequences."""
         mapping: dict[int, int] = {}
-        seen: set[int] = set()
-        for cycle in cycles:
+        seen: dict[int, int] = {}  # point -> index of its cycle
+        for k, cycle in enumerate(cycles):
             points = list(cycle)
             if not points:
                 raise ValueError("empty cycle")
             for x in points:
                 if not isinstance(x, int) or x < 1:
                     raise ValueError(f"cycle point {x!r} is not a positive integer")
+                if seen.get(x) == k:
+                    raise ValueError(f"point {x} repeats within a cycle")
                 if x in seen:
                     raise ValueError(f"point {x} appears in more than one cycle")
-                seen.add(x)
+                seen[x] = k
             for a, b in zip(points, points[1:] + points[:1]):
                 mapping[a] = b
         degree = max([degree, *seen]) if seen else degree

@@ -104,6 +104,7 @@ class TestConstruct:
             (None, ("--d", "-1", "--tau", "()"), "d must be positive"),
             (None, ("--d", "0", "--tau", "()"), "d must be positive"),
             ({"d": 3, "tau": "()", "u": [[1, 3], [1, 1]]}, (), "duplicate least element in u"),
+            (None, ("--d", "2", "--tau", "(1 1)"), "point 1 repeats within a cycle"),
         ],
     )
     def test_bad_input_exits_2(self, capsys, tmp_path, spec, args, message):

@@ -308,34 +308,64 @@ class TestSplitComplement:
         image, _ = image_for("(1 2)", 2, 3)
         assert split_complement(image, chains(image)[2]) is None
 
-    def test_custom_twist_exponents(self):
+    def test_identity_lifts_have_order_one(self):
         image, _ = image_for("(1 2 3)", 3, 3)
-        _, _, a = chains(image)
-        comp = split_complement(image, a, k=1, l=1)
-        assert schreier_sims(comp).order() == 6
-        with pytest.raises(ValueError):
-            split_complement(image, a, k=0, l=0)
+        a = chains(image)[2]
+        assert groups._complement_elements([a._ident, a._ident], a) is None
+
+    def test_generators_that_are_not_involutions(self):
+        image, _ = image_for("(1 2 3)", 3, 3)
+        a = chains(image)[2]
+        gens = [tuple(map(g, range(1, a.degree + 1))) for g in image.generators]
+        assert groups._complement_elements(gens, a) is None
+        # a 6-cycle twice passes every other check: order 3!, braid relations,
+        # and no power preserves the blocks
+        six = Permutation.from_cycles([(1, 2, 3, 4, 5, 6)], a.degree).images
+        assert groups._complement_elements([six, six], a) is None
+
+    def test_generators_that_fail_the_braid_relation(self):
+        image, _ = image_for("(1 2 3)", 3, 3)
+        a = chains(image)[2]
+        gens = [Permutation.from_cycles([c], a.degree).images for c in [(1, 2), (4, 5)]]
+        assert groups._complement_elements(gens, a) is None
+        # (1 4), (1 7), (1 10) pass every other check at n = 4: they generate
+        # the symmetric group on one point per block, but the distant pair
+        # does not commute
+        image, _ = image_for("(1 2 3)", 3, 4)
+        a = chains(image)[2]
+        gens = [Permutation.from_cycles([(1, x)], a.degree).images for x in (4, 7, 10)]
+        assert groups._complement_elements(gens, a) is None
+
+    def test_complement_meeting_the_kernel_raises(self):
+        image, _ = image_for("(1 2 3)", 3, 3)
+        with pytest.raises(groups.SplitVerificationError):
+            split_complement(image, chains(image)[1])
+
+    @pytest.mark.parametrize(
+        "tau,d,n,count",
+        [(None, 2, 3, 1), (None, 2, 4, 1), (None, 3, 3, 1), ("(1 2 3)", 3, 3, 9)],
+    )
+    def test_search_agrees_with_split_for_odd_q(self, tau, d, n, count):
+        image, _ = image_for(tau, d, n)
+        a = chains(image)[2]
+        assert split_complement(image, a) is not None
+        assert complement_search(image, a) == count
 
     def test_search_finds_complements_for_even_q_n3(self):
         image, _ = image_for("(1 2)", 2, 3)
-        summary = complement_search(image, chains(image)[2])
-        assert summary["searched"]
-        assert summary["complements_found"] == 4
+        assert complement_search(image, chains(image)[2]) == 4
 
     def test_search_finds_none_for_even_q_n4(self):
         image, _ = image_for("(1 2)", 2, 4)
-        summary = complement_search(image, chains(image)[2])
-        assert summary["searched"]
-        assert summary["complements_found"] == 0
+        assert complement_search(image, chains(image)[2]) == 0
 
     def test_search_over_the_cap_lists_no_kernel_element(self, monkeypatch):
         image, _ = image_for("(1 2 3 4)", 4, 4)
         a = chains(image)[2]
         monkeypatch.setattr(groups.BSGS, "elements", None)
-        summary = complement_search(image, a)
-        assert summary["kernel_order"] == a.order() == 4**3 * 2
-        assert summary["combinations"] == a.order() ** 3 > groups.SEARCH_CAP
-        assert not summary["searched"]
+        assert a.order() == 4**3 * 2
+        assert a.order() ** 3 > groups.SEARCH_CAP
+        assert complement_search(image, a) is None
 
 
 def pool_cases(slices):

@@ -31,7 +31,7 @@ class TestEnumerateRoots:
         assert [str(x) for x in result.elements] == ["(1 3)(2 4)", "(1 4)(2 3)"]
 
     def test_trivial_group(self):
-        trivial = cyclic_group(Permutation.identity(2), degree=2)
+        trivial = cyclic_group(Permutation.identity(2))
         result = enumerate_roots(trivial, Permutation.identity(2))
         assert [str(x) for x in result.elements] == ["(1 3)(2 4)"]
 
@@ -57,7 +57,7 @@ class TestRootsByTau:
         "S3": symmetric_group(3),
         "S4": symmetric_group(4),
         "C3": cyclic_group(perm("(1 2 3)")),
-        "trivial": cyclic_group(Permutation.identity(2), degree=2),
+        "trivial": cyclic_group(Permutation.identity(2)),
     }
 
     @pytest.mark.parametrize("name", sorted(GROUPS))
@@ -127,7 +127,7 @@ class TestCommutingPairs:
     def test_counts(self):
         assert count_commuting_pairs(symmetric_group(3)) == 18
         assert count_commuting_pairs(symmetric_group(4)) == 120
-        assert count_commuting_pairs(cyclic_group(Permutation.identity(1), degree=1)) == 1
+        assert count_commuting_pairs(cyclic_group(Permutation.identity(1))) == 1
 
     def test_cyclic_groups(self):
         for text in ["(1 2)", "(1 2 3)", "(1 2 3 4)"]:

@@ -1,4 +1,5 @@
 import math
+import re
 from itertools import permutations
 
 import pytest
@@ -200,6 +201,18 @@ class TestParsePrint:
         for bad in ["", "1 2", "(1 2", "(1 2)(2 3)", "(0 1)", "(a b)", "(1 2) junk"]:
             with pytest.raises(ValueError):
                 Permutation.parse(bad)
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("(1 1)", "point 1 repeats within a cycle"),
+            ("(1 2 1)", "point 1 repeats within a cycle"),
+            ("(1 2)(2 3)", "point 2 appears in more than one cycle"),
+        ],
+    )
+    def test_repeated_point_messages(self, text, message):
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            Permutation.parse(text)
 
 
 class TestCountingHelpers:

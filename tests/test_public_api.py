@@ -1,7 +1,10 @@
 """Every public name is used: each entry of a module's ``__all__`` is
 referenced somewhere in ``src/braidperm`` outside its own definition and the
 ``__all__`` lists, or is named in README.md.  A name only the tests use
-belongs in the tests.
+belongs in the tests.  Likewise every defaulted parameter of a module-level
+function in ``__all__`` is passed, by keyword or by position, by some call in
+``src/braidperm``, unless README.md names the function: a setting with one
+value in use is a constant.
 """
 
 import ast
@@ -43,6 +46,10 @@ def _references(tree, skip):
     return found
 
 
+def _in_readme(name, readme):
+    return re.search(rf"\b{re.escape(name)}\b", readme) is not None
+
+
 def unused_public_names():
     trees = _trees()
     readme = (ROOT / "README.md").read_text()
@@ -53,11 +60,54 @@ def unused_public_names():
                 name in _references(other, {name} if other is tree else set())
                 for other in trees.values()
             )
-            if not referenced and not re.search(rf"\b{re.escape(name)}\b", readme):
+            if not referenced and not _in_readme(name, readme):
                 unused.append(f"{module}.{name}")
     return unused
+
+
+def _passed(call, position, name):
+    """Whether call gives the parameter at this position with this name a value."""
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    if position is None:
+        return False
+    return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def unpassed_defaults():
+    """module.function(parameter) for each defaulted parameter of a function
+    in a module's ``__all__`` that no call in the package passes."""
+    trees = _trees()
+    readme = (ROOT / "README.md").read_text()
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unpassed = []
+    for module, tree in trees.items():
+        public = set(_exported(tree))
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef) or node.name not in public:
+                continue
+            if _in_readme(node.name, readme):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            defaulted = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
+            defaulted += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+            for position, name in defaulted:
+                if not any(_passed(c, position, name) for c in calls.get(node.name, [])):
+                    unpassed.append(f"{module}.{node.name}({name})")
+    return unpassed
 
 
 def test_every_public_name_is_used_or_documented():
     assert unused_public_names() == []
 
+
+def test_every_defaulted_parameter_is_passed_or_documented():
+    assert unpassed_defaults() == []
