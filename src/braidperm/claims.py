@@ -9,6 +9,7 @@ are stable identifiers used verbatim in reports and by the CLI.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from itertools import product as iter_product
@@ -41,7 +42,6 @@ from .lattice import (
     compose_matrices,
     expected_kernel_structure,
     expected_monodromy_matrix,
-    exponent_vector,
     identity_matrix,
     kernel_actions,
     kernel_box,
@@ -426,7 +426,7 @@ def _check_prop_3_30(s: Session) -> list[ClaimCheck]:
             for case in s.pool(d):
                 cases += 1
                 image = s.image(case, n)
-                if not braid_relations_hold(image.generators):
+                if not braid_relations_hold(image.generators, operator.mul):
                     relation_failures += 1
                     examples.append(f"relations {case.sigma}")
                 trep = s.transitivity(case, n)
@@ -519,7 +519,12 @@ def _check_cor_3_31(s: Session) -> list[ClaimCheck]:
 
 
 def _check_lemma_3_3(s: Session) -> list[ClaimCheck]:
-    """Conjugation identities on the kernel, exhaustively over s and r.
+    """Conjugation identities on the kernel, exhaustively over s and r: the
+    shift-down g_s * shift(tau^2, s*d) * g_s^-1 = shift(tau^2, (s-1)*d), and
+    the mixed g_(r+1) * g_r^2 * g_(r+1)^-1 = g_r * g_(r+1)^2 * g_r^-1, which is
+    tau on blocks r and r+2.  The squares and conjugates are abelian_kernel's
+    generators; it raises when one leaves the block product or two do not
+    commute, and that fault counts as a failure of the case.
 
     The shift exponent in the mixed identity is (r-1)*d, forced by the block
     structure; all cases are checked at that reading.
@@ -532,26 +537,19 @@ def _check_lemma_3_3(s: Session) -> list[ClaimCheck]:
             for case in s.pool(d):
                 cases += 1
                 image = s.image(case, n)
-                kernel_gens = s.a_group(case, n).generators
+                try:
+                    kernel_gens = s.a_group(case, n).generators
+                except RuntimeError as exc:
+                    failures.append(f"kernel {case.sigma}: {exc}")
+                    continue
                 tau2 = case.tau * case.tau
-                for idx in range(1, n):
-                    gen = image.generators[idx - 1]
-                    sq = gen * gen
-                    try:
-                        exponent_vector(sq, case.tau, d, n)
-                    except ValueError:
-                        failures.append(f"square outside product s={idx} {case.sigma}")
+                for idx, gen in enumerate(image.generators, start=1):
                     if gen * tau2.shift(idx * d) * gen.inverse() != tau2.shift((idx - 1) * d):
                         failures.append(f"shift-down s={idx} {case.sigma}")
-                    for a in kernel_gens:
-                        if gen * (gen * a * gen.inverse()) * gen.inverse() != a:
-                            failures.append(f"involution s={idx} {case.sigma}")
-                            break
-                for r in range(1, n - 1):
-                    g_r = image.generators[r - 1]
+                # kernel_gens: the n-1 squares g_r^2, then the g_r * g_(r+1)^2 * g_r^-1
+                for r, right in enumerate(kernel_gens[n - 1:], start=1):
                     g_r1 = image.generators[r]
-                    left = g_r1 * (g_r * g_r) * g_r1.inverse()
-                    right = g_r * (g_r1 * g_r1) * g_r.inverse()
+                    left = g_r1 * kernel_gens[r - 1] * g_r1.inverse()
                     expected = case.tau.shift((r - 1) * d) * case.tau.shift((r + 1) * d)
                     if left != right or right != expected:
                         failures.append(f"mixed r={r} {case.sigma}")
@@ -706,19 +704,9 @@ def _check_cor_3_10(s: Session) -> list[ClaimCheck]:
 
 def _matrix_relations_hold(mats, n: int, q: int, q2: int) -> bool:
     ident = identity_matrix(n, q, q2)
-    for i, a in enumerate(mats):
-        if compose_matrices(a, a, q, q2) != ident:
-            return False
-        for j in range(i + 1, len(mats)):
-            b = mats[j]
-            if j - i == 1:
-                aba = compose_matrices(a, compose_matrices(b, a, q, q2), q, q2)
-                bab = compose_matrices(b, compose_matrices(a, b, q, q2), q, q2)
-                if aba != bab:
-                    return False
-            elif compose_matrices(a, b, q, q2) != compose_matrices(b, a, q, q2):
-                return False
-    return True
+    return all(compose_matrices(a, a, q, q2) == ident for a in mats) and braid_relations_hold(
+        mats, lambda a, b: compose_matrices(a, b, q, q2)
+    )
 
 
 def _check_prop_3_11(s: Session) -> list[ClaimCheck]:

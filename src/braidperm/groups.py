@@ -8,11 +8,12 @@ package works at.  Orders are exact Python integers throughout.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import product as iter_product
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .lattice import exponent_vector, q2_of
+from .lattice import _block_powers, _read_exponents, q2_of
 from .perm import Permutation, _compose, _invert, _padded, _trusted
 from .shuffle import ShuffleSpec, components, is_braid_like
 
@@ -239,21 +240,16 @@ def schreier_sims(group: GeneratedGroup) -> BSGS:
     return BSGS(group.degree, levels)
 
 
-def braid_relations_hold(gens: Sequence[Permutation]) -> bool:
-    """Adjacent triple products agree and distant generators commute."""
-    degree = max((g.degree for g in gens), default=0)
-    return _braid_relations_hold([_padded(g, degree) for g in gens])
-
-
-def _braid_relations_hold(gens: Sequence[tuple[int, ...]]) -> bool:
-    """braid_relations_hold on image tuples of one common length."""
-    for r in range(len(gens)):
+def braid_relations_hold(gens: Sequence, mul: Callable) -> bool:
+    """Under the product mul, adjacent triple products agree and distant
+    generators commute."""
+    for r, a in enumerate(gens):
         for s in range(r + 1, len(gens)):
-            a, b = gens[r], gens[s]
+            b = gens[s]
             if s - r == 1:
-                if _compose(a, _compose(b, a)) != _compose(b, _compose(a, b)):
+                if mul(a, mul(b, a)) != mul(b, mul(a, b)):
                     return False
-            elif _compose(a, b) != _compose(b, a):
+            elif mul(a, b) != mul(b, a):
                 return False
     return True
 
@@ -315,7 +311,7 @@ def braid_image(sigma: Permutation, d: int, n: int) -> BraidImage:
     for s, g in enumerate(gens, start=1):
         if g * g != square.shift((s - 1) * d):
             raise ValueError("generator square is not the shifted block pair")
-    if not braid_relations_hold(gens):
+    if not braid_relations_hold(gens, operator.mul):
         raise ValueError("generators do not satisfy the braid relations")
     return BraidImage(sigma, d, n, tau, q, q2_of(q), gens)
 
@@ -331,9 +327,10 @@ def abelian_kernel(image: BraidImage) -> GeneratedGroup:
     for r in range(1, image.n - 1):
         a, b = image.generators[r - 1], image.generators[r]
         gens.append(a * (b * b) * a.inverse())
+    lookups = _block_powers(image.tau, image.d, image.n)[1]
     for g in gens:
         try:
-            exponent_vector(g, image.tau, image.d, image.n)
+            _read_exponents(_padded(g, image.n * image.d), lookups, image.d)
         except ValueError as exc:
             raise RuntimeError(f"kernel generator escapes the block product: {exc}") from exc
     for i, a in enumerate(gens):
@@ -376,7 +373,7 @@ def _complement_elements(
     generator is an involution, the braid relations hold, the order is
     (len(gens) + 1)!, and only the identity lies in a_bsgs.  Else None."""
     ident = a_bsgs._ident
-    if any(_compose(g, g) != ident for g in gens) or not _braid_relations_hold(gens):
+    if any(_compose(g, g) != ident for g in gens) or not braid_relations_hold(gens, _compose):
         return None
     bs = schreier_sims(GeneratedGroup(a_bsgs.degree, tuple(map(_trusted, gens))))
     if bs.order() != math.factorial(len(gens) + 1):

@@ -31,7 +31,6 @@ __all__ = [
     "coords_from_exponents",
     "expected_kernel_structure",
     "expected_monodromy_matrix",
-    "exponent_vector",
     "f_vector",
     "g_vector",
     "identity_matrix",
@@ -85,15 +84,6 @@ def _read_exponents(images: tuple[int, ...], lookups, d: int) -> tuple[int, ...]
             raise ValueError(f"block {i + 1} is not a power of the base permutation")
         entries.append(r)
     return tuple(entries)
-
-
-def exponent_vector(g: Permutation, tau: Permutation, d: int, n: int) -> tuple[int, ...]:
-    """Block exponents (r_1, ..., r_n), each in range(q) for q = order(tau);
-    ValueError when g is not in the block product."""
-    images = _padded(g, n * d)
-    if len(images) > n * d:
-        raise ValueError(f"permutation moves points beyond [1, {n * d}]")
-    return _read_exponents(images, _block_powers(tau, d, n)[1], d)
 
 
 # basis vectors of Z^n

@@ -122,9 +122,6 @@ class Permutation:
             n -= 1
         return images[:n]
 
-    def is_identity(self) -> bool:
-        return self.images == tuple(range(1, len(self.images) + 1))
-
     def support(self) -> tuple[int, ...]:
         """Moved points, ascending."""
         return tuple(x + 1 for x, y in enumerate(self.images) if y != x + 1)

@@ -1,9 +1,11 @@
+import json
 from itertools import product
 
 import pytest
 
 from braidperm import REGISTRY, RunConfig, claims, lattice, run_verification
 from braidperm.claims import Session
+from braidperm.cli import main
 from braidperm.groups import BSGS, GeneratedGroup, schreier_sims
 from braidperm.perm import Permutation
 from test_lattice import realize_by_products
@@ -106,6 +108,24 @@ class TestDeterminism:
         assert set(data) == {"schema", "seed", "config", "claims", "all_pass"}
         for entry in data["claims"]:
             assert set(entry) == {"claim", "parameters", "witness", "pass"}
+
+
+class TestLemma33:
+    def test_kernel_fault_is_counted_not_raised(self, monkeypatch, tmp_path):
+        def faulty_kernel(image):
+            raise RuntimeError("kernel generators do not commute")
+
+        monkeypatch.setattr(claims, "abelian_kernel", faulty_kernel)
+        report = run_verification(RunConfig(d=2, n=3, claims=("lemma-3.3",)))
+        [entry] = report.entries
+        assert not entry.passed and entry.witness["failures"] == 4
+        examples = entry.witness["examples"]
+        assert examples and all(e.startswith("kernel ") for e in examples)
+        out = tmp_path / "report.json"
+        args = ["verify", "--d", "2", "--n", "3", "--claim", "lemma-3.3", "--format", "json"]
+        assert main([*args, "--out", str(out)]) == 1
+        [written] = json.loads(out.read_text())["claims"]
+        assert written["witness"]["failures"] == 4 and not written["pass"]
 
 
 class TestSharedKernelChain:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from braidperm.groups import (
     GeneratedGroup,
     abelian_kernel,
     braid_image,
+    braid_relations_hold,
     complement_search,
     cyclic_group,
     extension_holds,
@@ -22,8 +24,9 @@ from braidperm.groups import (
     tower,
     transitivity_report,
 )
+from braidperm.lattice import compose_matrices, expected_monodromy_matrix
 from braidperm.oracles import enumerate_shuffles
-from braidperm.perm import Permutation, block_swap
+from braidperm.perm import Permutation, _compose, _invert, _padded, block_swap
 from braidperm.shuffle import CycleMap, ShuffleSpec, build_shuffle, components, iter_specs
 
 
@@ -236,6 +239,46 @@ class TestBraidImage:
             assert g * g == pairblock.shift((s - 1) * 3)
 
 
+def transposition_sets():
+    """(1 2), (2 3), (3 4), (1 3) have degrees 2, 3, 4 and 3."""
+    t12, t23, t34, t13 = map(perm, ["(1 2)", "(2 3)", "(3 4)", "(1 3)"])
+    return [t12, t23, t34], [t12, t34], [t12, t23, t13]
+
+
+def image_tuple_sets():
+    """The generators of the tau = (1 2 3), d = 3, n = 4 image, padded to 12."""
+    g1, g2, g3 = (_padded(g, 12) for g in image_for("(1 2 3)", 3, 4)[0].generators)
+    return [g1, g2, g3], [g1, g3], [g1, g2, _compose(g2, _compose(g1, _invert(g2)))]
+
+
+def matrix_sets():
+    """The stated monodromy matrices at n = 4, q = q2 = 3; each is an involution."""
+    m1, m2, m3 = (expected_monodromy_matrix(s, 4, 3) for s in (1, 2, 3))
+    conjugate = compose_matrices(m2, compose_matrices(m1, m2, 3, 3), 3, 3)
+    return [m1, m2, m3], [m1, m3], [m1, m2, conjugate]
+
+
+# product -> (generator sets, product): per product one set that satisfies
+# the braid relations, one where a distant pair stands adjacent and breaks
+# the adjacent relation, and one whose third generator g2 * g1 * g2^-1 braids
+# with g2 but does not commute with g1
+RELATION_PRODUCTS = {
+    "permutations": (transposition_sets, operator.mul),
+    "image-tuples": (image_tuple_sets, _compose),
+    "matrices": (matrix_sets, lambda a, b: compose_matrices(a, b, 3, 3)),
+}
+
+
+@pytest.mark.parametrize("product", sorted(RELATION_PRODUCTS))
+def test_braid_relations_under_each_product(product):
+    build, mul = RELATION_PRODUCTS[product]
+    holding, adjacent_broken, distant_broken = build()
+    assert braid_relations_hold(holding, mul)
+    assert not braid_relations_hold(adjacent_broken, mul)
+    assert not braid_relations_hold(distant_broken, mul)
+    assert all(braid_relations_hold(distant_broken[i:i + 2], mul) for i in range(2))
+
+
 class TestAbelianKernel:
     def test_example_generators(self):
         image, _ = image_for("(1 2)", 2, 3)
@@ -297,7 +340,7 @@ class TestSplitComplement:
         assert comp is not None
         bs = schreier_sims(comp)
         assert bs.order() == 6
-        assert all(h.is_identity() or h not in kernel_bs for h in bs.elements())
+        assert all(h == Permutation.identity() or h not in kernel_bs for h in bs.elements())
 
     def test_q_one_complement_is_whole_group(self):
         image, _ = image_for(None, 2, 3)

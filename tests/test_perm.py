@@ -114,7 +114,7 @@ class TestShift:
         assert perm("(1 2)").shift(1) == perm("(2 3)")
 
     def test_identity(self):
-        assert Permutation.identity(4).shift(3).is_identity()
+        assert Permutation.identity(4).shift(3) == Permutation.identity()
 
     def test_iteration_adds(self):
         p = perm("(1 3 2)")
@@ -134,7 +134,7 @@ class TestBlockSwap:
     def test_involution(self):
         for s, d, n in [(1, 2, 2), (2, 3, 4), (3, 1, 4)]:
             t = block_swap(s, d, n)
-            assert (t * t).is_identity()
+            assert t * t == Permutation.identity()
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -184,7 +184,7 @@ class TestCycles:
 class TestParsePrint:
     def test_parse_examples(self):
         assert perm("(1 3 2 4)").images == (3, 4, 2, 1)
-        assert perm("()").is_identity()
+        assert perm("()") == Permutation.identity()
         assert perm("(1, 2)(3, 4)") == perm("(1 2)(3 4)")
 
     def test_print_canonicalizes(self):

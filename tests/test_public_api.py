@@ -4,7 +4,9 @@ referenced somewhere in ``src/braidperm`` outside its own definition and the
 belongs in the tests.  Likewise every defaulted parameter of a module-level
 function in ``__all__`` is passed, by keyword or by position, by some call in
 ``src/braidperm``, unless README.md names the function: a setting with one
-value in use is a constant.
+value in use is a constant.  And every public method or property of a class
+defined in the package is read, as an attribute or a name, in ``src/braidperm``
+or in the ``perfbench/`` harness, or is named in README.md.
 """
 
 import ast
@@ -13,12 +15,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "braidperm"
+HARNESS = ROOT / "perfbench"
 
 
-def _trees():
+def _trees(directory=PACKAGE):
     return {
         path.stem: ast.parse(path.read_text(), str(path))
-        for path in sorted(PACKAGE.glob("*.py"))
+        for path in sorted(directory.glob("*.py"))
     }
 
 
@@ -105,9 +108,34 @@ def unpassed_defaults():
     return unpassed
 
 
+def unused_public_methods():
+    """module.Class.method for each public method or property of a class in
+    the package that no attribute or name in the package or the harness reads."""
+    trees = _trees()
+    readme = (ROOT / "README.md").read_text()
+    sources = [*trees.values(), *_trees(HARNESS).values()]
+    read = set().union(*(_references(tree, set()) for tree in sources))
+    unused = []
+    for module, tree in trees.items():
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            for node in cls.body:
+                if (
+                    isinstance(node, ast.FunctionDef)
+                    and not node.name.startswith("_")
+                    and node.name not in read
+                    and not _in_readme(node.name, readme)
+                ):
+                    unused.append(f"{module}.{cls.name}.{node.name}")
+    return unused
+
+
 def test_every_public_name_is_used_or_documented():
     assert unused_public_names() == []
 
 
 def test_every_defaulted_parameter_is_passed_or_documented():
     assert unpassed_defaults() == []
+
+
+def test_every_public_method_is_used_or_documented():
+    assert unused_public_methods() == []

@@ -59,7 +59,7 @@ class TestBuildPair:
     def test_long_cycle_least_points(self):
         spec = ShuffleSpec.make(perm("(1 2)"), 2)
         pair = build_pair(spec)
-        assert pair.first.is_identity()
+        assert pair.first == Permutation.identity()
         assert pair.second == perm("(1 2)")
 
     def test_swapped_fixed_points(self):
@@ -115,7 +115,7 @@ class TestDecompose:
         assert spec.choices[0][1:] == (1, 1)
 
         spec2 = decompose_pair(perm("(1 2)"), perm("(1 2)"), 2)
-        assert spec2.tau.is_identity()
+        assert spec2.tau == Permutation.identity()
         assert spec2.to_json_dict()["u"] == [[1, 2], [2, 1]]
 
     def test_non_commuting_rejected(self):
