@@ -9,11 +9,10 @@ are stable identifiers used verbatim in reports and by the CLI.
 from __future__ import annotations
 
 import math
-import operator
 import random
 from dataclasses import dataclass
 from itertools import product as iter_product
-from operator import mod
+from operator import mod, mul
 from typing import Callable
 
 from .groups import (
@@ -426,7 +425,7 @@ def _check_prop_3_30(s: Session) -> list[ClaimCheck]:
             for case in s.pool(d):
                 cases += 1
                 image = s.image(case, n)
-                if not braid_relations_hold(image.generators, operator.mul):
+                if not braid_relations_hold(image.generators, mul):
                     relation_failures += 1
                     examples.append(f"relations {case.sigma}")
                 trep = s.transitivity(case, n)
