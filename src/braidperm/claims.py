@@ -20,8 +20,8 @@ from .groups import (
     SEARCH_CAP,
     BraidImage,
     SplitVerificationError,
+    _block_split,
     abelian_kernel,
-    block_split,
     braid_image,
     braid_relations_hold,
     complement_search,
@@ -49,15 +49,25 @@ from .lattice import (
     monodromy_matrices,
 )
 from .oracles import D_CAP, DEFAULT_CAP, count_commuting_pairs, conjugacy_class_count, enumerate_shuffles, roots_by_tau
-from .perm import Permutation, block_swap, centralizer_order, partition_count
+from .perm import (
+    Permutation,
+    _compose,
+    _padded,
+    _shifted,
+    _trusted,
+    block_swap,
+    centralizer_order,
+    partition_count,
+)
 from .report import ClaimCheck, VerificationReport
 from .shuffle import (
     ShuffleSpec,
+    SpecError,
+    _is_braid_like,
     build_pair,
     build_shuffle,
     components,
     decompose_pair,
-    is_braid_like,
     iter_specs,
     pair_from_shuffle,
     shuffle_from_pair,
@@ -203,23 +213,25 @@ def _check_thm_2_12(s: Session) -> list[ClaimCheck]:
     membership over the whole coset, plus the counting and set identities."""
     entries = []
     for d in s.config.ds():
-        members = s.taus(d)
-        shuffle_all = set()
-        for tau in s.taus(d):
-            shuffle_all.update(s.shuffles(d, tau).elements)
-        swap = block_swap(1, d, 2)
+        members = [_padded(w, d) for w in s.taus(d)]
+        shuffle_all = {p.canonical() for tau in s.taus(d) for p in s.shuffles(d, tau).elements}
+        swap = block_swap(1, d, 2).images
+        upper = tuple(range(d + 1, 2 * d + 1))
+        top = tuple(range(2 * d + 1, 3 * d + 1))
+        shifted = [_shifted(w2, d) for w2 in members]
         braid_count = 0
         disagreements: list[str] = []
         for w1 in members:
-            left = swap * w1
-            for w2 in members:
-                sigma = left * w2.shift(d)
-                braid = is_braid_like(sigma, sigma.shift(d))
-                split = block_split(sigma * sigma, d) is not None
+            left = _compose(swap, w1 + upper)
+            for w2 in shifted:
+                # sigma(2d) = w2(d) <= d, so this degree-2d tuple is canonical
+                sigma = _compose(left, w2)
+                braid = _is_braid_like(sigma + top, _shifted(sigma, d))
+                split = _block_split(_compose(sigma, sigma), d) is not None
                 member = sigma in shuffle_all
                 braid_count += braid
                 if not (braid == split == member):
-                    disagreements.append(str(sigma))
+                    disagreements.append(str(_trusted(sigma)))
         entries.append(
             ClaimCheck(
                 claim="thm-2.12",
@@ -276,29 +288,38 @@ def _check_lemma_2_4(s: Session) -> list[ClaimCheck]:
             "rotation": 0,
         }
         examples: list[str] = []
+        ident = tuple(range(1, 2 * d + 1))
+        upper = ident[d:]
         for tau in s.taus(d):
             for spec in iter_specs(tau, d):
                 spec_count += 1
                 sigma = build_shuffle(spec)
-                pair = build_pair(spec)
-                if shuffle_from_pair(pair.first, pair.second, d) != sigma:
-                    failures["factorization"] += 1
-                    examples.append(f"factorization {spec.to_json_dict()}")
-                if pair.product != tau:
+                try:
+                    pair = build_pair(spec)
+                except SpecError as exc:  # the glued maps do not commute or multiply to tau
                     failures["pair_product"] += 1
-                comps = components(spec)
-                prod = Permutation.identity()
-                for comp in comps:
-                    prod = prod * comp.factor
-                    if comp.swap * comp.first * comp.second.shift(d) != comp.factor:
+                    examples.append(f"pair_product {spec.to_json_dict()}: {exc}")
+                else:
+                    if shuffle_from_pair(pair.first, pair.second, d) != sigma:
+                        failures["factorization"] += 1
+                        examples.append(f"factorization {spec.to_json_dict()}")
+                    if pair.product != tau:
+                        failures["pair_product"] += 1
+                        examples.append(f"pair_product {spec.to_json_dict()}")
+                # the component identities, on image tuples of degree 2d and d
+                prod = ident
+                for comp in components(spec):
+                    factor = _padded(comp.factor, 2 * d)
+                    first, second = _padded(comp.first, d), _padded(comp.second, d)
+                    product = _padded(comp.product, d)
+                    prod = _compose(prod, factor)
+                    swapped = _compose(_padded(comp.swap, 2 * d), first + upper)
+                    if _compose(swapped, _shifted(second, d)) != factor:
                         failures["orbit_factor"] += 1
                         examples.append(f"orbit_factor {spec.to_json_dict()}")
-                    if (
-                        comp.first * comp.second != comp.product
-                        or comp.second * comp.first != comp.product
-                    ):
+                    if _compose(first, second) != product or _compose(second, first) != product:
                         failures["orbit_commute"] += 1
-                if prod != sigma:
+                if prod != _padded(sigma, 2 * d):
                     failures["factor_product"] += 1
                 rotated = ShuffleSpec(
                     d,
@@ -342,16 +363,19 @@ def _check_lemma_2_5(s: Session) -> list[ClaimCheck]:
             )
         )
     for d in s.config.ds():
-        members = s.taus(d)
+        members = [(w, _padded(w, d)) for w in s.taus(d)]
         checked = 0
         bad = 0
-        for a in members:
-            for b in members:
-                if a * b != b * a:
+        for a, a_images in members:
+            for b, b_images in members:
+                if _compose(a_images, b_images) != _compose(b_images, a_images):
                     continue
                 checked += 1
-                spec = decompose_pair(a, b, d)
-                rebuilt = build_pair(spec)
+                try:
+                    rebuilt = build_pair(decompose_pair(a, b, d))
+                except (SpecError, RuntimeError):  # a failed round trip or rebuild
+                    bad += 1
+                    continue
                 if rebuilt.first != a or rebuilt.second != b:
                     bad += 1
         entries.append(

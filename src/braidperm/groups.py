@@ -275,13 +275,18 @@ class BraidImage:
         return GeneratedGroup(self.n * self.d, self.generators)
 
 
+def _block_split(square: tuple[int, ...], d: int) -> tuple[int, ...] | None:
+    """tau's images on [1, d] when the image tuple square, of degree at least
+    2d, is that of tau * shift(tau, d), else None.  square is a bijection,
+    so images tau + d on [d+1, 2d] keep tau inside [1, d]."""
+    tau = square[:d]
+    return tau if square[d:] == tuple([x + d for x in tau]) else None
+
+
 def block_split(square: Permutation, d: int) -> Permutation | None:
     """The common block factor tau when square == tau * shift(tau, d), else None."""
-    first = tuple(square(i) for i in range(1, d + 1))
-    if any(x > d for x in first):
-        return None
-    tau = Permutation(first)
-    return tau if square == tau * tau.shift(d) else None
+    tau = _block_split(_padded(square, 2 * d), d)
+    return None if tau is None else _trusted(tau)
 
 
 def braid_image(sigma: Permutation, d: int, n: int) -> BraidImage:

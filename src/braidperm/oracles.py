@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .groups import GeneratedGroup, schreier_sims
-from .perm import Permutation, block_swap
+from .perm import Permutation, _compose, block_swap
 from .shuffle import build_shuffle, iter_specs
 
 __all__ = [
@@ -107,12 +107,13 @@ def enumerate_shuffles(d: int, tau: Permutation) -> EnumerationResult:
 
 
 def count_commuting_pairs(w: GeneratedGroup, cap: int = DEFAULT_CAP) -> int:
-    """Number of ordered commuting pairs of members, by double loop."""
+    """Number of ordered commuting pairs of members, by double loop over
+    their image tuples, all of the group's degree."""
     bs = schreier_sims(w)
     if bs.order() ** 2 > cap:
         raise CapExceeded(f"|W|^2 = {bs.order() ** 2} exceeds the cap {cap}")
-    members = list(bs.elements())
-    return sum(1 for a in members for b in members if a * b == b * a)
+    members = [g.images for g in bs.elements()]
+    return sum(1 for a in members for b in members if _compose(a, b) == _compose(b, a))
 
 
 def conjugacy_class_count(w: GeneratedGroup, cap: int = DEFAULT_CAP) -> int:

@@ -165,7 +165,7 @@ class Permutation:
             raise ValueError("shift distance must be nonnegative")
         if k == 0:
             return self
-        return _trusted(tuple(range(1, k + 1)) + tuple(y + k for y in self.images))
+        return _trusted(_shifted(self.images, k))
 
     # cycle structure
 
@@ -231,6 +231,11 @@ def _padded(p: Permutation, degree: int) -> tuple[int, ...]:
     """Images of p on [1, degree]; longer when p moves a point above degree."""
     images = p.canonical()
     return images + tuple(range(len(images) + 1, degree + 1))
+
+
+def _shifted(images: Sequence[int], k: int) -> tuple[int, ...]:
+    """Image tuple of the shift by k of the permutation with these images."""
+    return tuple(range(1, k + 1)) + tuple([y + k for y in images])
 
 
 def _compose(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:

@@ -18,11 +18,11 @@ supports, which drives the orbit analysis of the generated groups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import permutations as iter_permutations, product as iter_product
 from typing import Iterator, Mapping
 
-from .perm import Permutation, block_swap, canonical_cycle, parse_cycles
+from .perm import Permutation, _compose, _padded, _trusted, canonical_cycle, parse_cycles
 
 __all__ = [
     "CommutingPair",
@@ -281,21 +281,20 @@ def build_shuffle(spec: ShuffleSpec) -> Permutation:
 
 @dataclass(frozen=True)
 class CommutingPair:
-    """An ordered pair of commuting permutations with their common product."""
+    """An ordered pair of commuting permutations with their common product,
+    which is computed, once, from the pair."""
 
     first: Permutation
     second: Permutation
-    product: Permutation
+    product: Permutation = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.first * self.second != self.second * self.first:
+        degree = max(self.first.degree, self.second.degree)
+        a, b = _padded(self.first, degree), _padded(self.second, degree)
+        product = _compose(a, b)
+        if product != _compose(b, a):
             raise SpecError("pair does not commute")
-        if self.first * self.second != self.product:
-            raise SpecError("product field does not match first * second")
-
-    @classmethod
-    def of(cls, first: Permutation, second: Permutation) -> "CommutingPair":
-        return cls(first, second, first * second)
+        object.__setattr__(self, "product", _trusted(product))
 
 
 def build_pair(spec: ShuffleSpec) -> CommutingPair:
@@ -309,7 +308,7 @@ def build_pair(spec: ShuffleSpec) -> CommutingPair:
         for t in range(m):
             p_map[i_seq[t]] = j_seq[t]
             q_map[j_seq[t]] = i_seq[(t + 1) % m]
-    pair = CommutingPair.of(
+    pair = CommutingPair(
         Permutation.from_mapping(p_map, spec.d),
         Permutation.from_mapping(q_map, spec.d),
     )
@@ -319,12 +318,13 @@ def build_pair(spec: ShuffleSpec) -> CommutingPair:
 
 
 def shuffle_from_pair(first: Permutation, second: Permutation, d: int) -> Permutation:
-    """swap * first * shift(second, d) for the 2-block swap of [1, 2d]."""
+    """swap * first * shift(second, d) for the 2-block swap of [1, 2d]: it maps
+    i to first(i) + d and d + i to second(i) for i in [1, d]."""
     if max(first.degree, second.degree) > d and max(
         (*first.support(), *second.support()), default=0
     ) > d:
         raise ValueError(f"pair must live on [1, {d}]")
-    return block_swap(1, d, 2) * first * second.shift(d)
+    return _trusted(tuple([x + d for x in _padded(first, d)]) + _padded(second, d))
 
 
 def pair_from_shuffle(sigma: Permutation, d: int) -> CommutingPair:
@@ -337,14 +337,19 @@ def pair_from_shuffle(sigma: Permutation, d: int) -> CommutingPair:
         raise SpecError("permutation does not map the first block onto the second")
     first = Permutation(tuple(sigma(i) - d for i in range(1, d + 1)))
     second = Permutation(tuple(sigma(d + i) for i in range(1, d + 1)))
-    return CommutingPair.of(first, second)
+    return CommutingPair(first, second)
+
+
+def _is_braid_like(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    """is_braid_like on image tuples of equal length."""
+    ab, ba = _compose(a, b), _compose(b, a)
+    return ab != ba and _compose(ab, a) == _compose(ba, b)
 
 
 def is_braid_like(a: Permutation, b: Permutation) -> bool:
     """True when a and b do not commute but a*b*a == b*a*b."""
-    ab = a * b
-    ba = b * a
-    return ab != ba and ab * a == ba * b
+    degree = max(a.degree, b.degree)
+    return _is_braid_like(_padded(a, degree), _padded(b, degree))
 
 
 def decompose_pair(first: Permutation, second: Permutation, d: int | None = None) -> ShuffleSpec:
@@ -354,10 +359,10 @@ def decompose_pair(first: Permutation, second: Permutation, d: int | None = None
     through first (the two commute, so that is again a cycle of tau), and the
     starting points are read off as (least point of alpha, first(least point)).
     """
-    if first * second != second * first:
+    tau = first * second
+    if tau != second * first:
         raise ValueError("permutations do not commute")
     d = max(first.degree, second.degree, d or 1)
-    tau = first * second
     pairs = []
     choices = []
     for alpha in tau_cycles(tau, d):

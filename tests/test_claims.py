@@ -7,7 +7,9 @@ from braidperm import REGISTRY, RunConfig, claims, lattice, run_verification
 from braidperm.claims import Session
 from braidperm.cli import main
 from braidperm.groups import BSGS, GeneratedGroup, schreier_sims
+from braidperm.oracles import EnumerationResult
 from braidperm.perm import Permutation
+from braidperm.shuffle import SpecError
 from test_lattice import realize_by_products
 
 EXPECTED_TAGS = [
@@ -126,6 +128,87 @@ class TestLemma33:
         assert main([*args, "--out", str(out)]) == 1
         [written] = json.loads(out.read_text())["claims"]
         assert written["witness"]["failures"] == 4 and not written["pass"]
+
+
+def faulty_report(monkeypatch, tmp_path, name, fault, tag):
+    """The report entries of tag at d = 3, n = 3 with claims.<name> replaced by
+    a function raising fault; the CLI must write the report and exit 1 (a
+    failed claim), not 2 or with a traceback."""
+
+    def faulty(*args):
+        raise fault
+
+    monkeypatch.setattr(claims, name, faulty)
+    out = tmp_path / "report.json"
+    args = ["verify", "--d", "3", "--n", "3", "--claim", tag, "--format", "json"]
+    assert main([*args, "--out", str(out)]) == 1
+    return json.loads(out.read_text())["claims"]
+
+
+class TestPairFaults:
+    def test_build_pair_fault_counts_against_pair_product(self, monkeypatch, tmp_path):
+        fault = SpecError("pair construction did not multiply back to tau; this is a bug")
+        [entry] = faulty_report(monkeypatch, tmp_path, "build_pair", fault, "lemma-2.4")
+        witness = entry["witness"]
+        # the 36 = 6 + 3 * 4 + 2 * 9 specs over the identity, the
+        # transpositions and the 3-cycles
+        assert witness["pair_product"] == witness["specs"] == 36 and not entry["pass"]
+        assert witness["factorization"] == 0
+        examples = witness["examples"]
+        assert len(examples) == 3 and all(e.startswith("pair_product {") for e in examples)
+        assert all(e.endswith(str(fault)) for e in examples)
+
+    def test_decompose_fault_counts_as_roundtrip_failure(self, monkeypatch, tmp_path):
+        fault = RuntimeError("decomposition failed to round-trip; this is a bug")
+        entries = faulty_report(monkeypatch, tmp_path, "decompose_pair", fault, "lemma-2.5")
+        [entry] = [e for e in entries if e["parameters"].get("check") == "roundtrip"]
+        assert entry["witness"] == {"commuting_pairs": 18, "roundtrip_failures": 18}
+        assert not entry["pass"]
+        assert all(e["pass"] for e in entries if e is not entry)
+
+
+class TestThm212:
+    def test_missing_shuffle_is_a_disagreement(self, monkeypatch):
+        s = Session(RunConfig(d=3, n=3, claims=("thm-2.12",)))
+        tau = Permutation.parse("(1 2 3)")
+        full = s.shuffles(3, tau)
+        dropped = full.elements[0]
+        shuffles = Session.shuffles
+
+        def one_fewer(self, d, t):
+            result = shuffles(self, d, t)
+            if t != tau:
+                return result
+            return EnumerationResult(result.parameters, result.elements[1:], result.count - 1)
+
+        monkeypatch.setattr(Session, "shuffles", one_fewer)
+        equivalence, counts = claims._check_thm_2_12(s)
+        assert equivalence.parameters == {"d": 3, "check": "equivalence"}
+        assert equivalence.witness["disagreement_count"] == 1
+        assert equivalence.witness["examples"] == [str(dropped)]
+        assert equivalence.witness["braid_like"] == 18 and not equivalence.passed
+        assert counts.witness["set_mismatches"] == [str(tau)] and not counts.passed
+
+    def test_sweeps_make_no_quadratic_products(self, monkeypatch):
+        """thm-2.12 sweeps the 576-element coset at d = 4, and lemma-2.5 the
+        576 pairs of S_4, without a Permutation product per element or pair."""
+        s = Session(RunConfig(d=4))
+        for tau in s.taus(4):
+            s.roots(4, tau)
+            s.shuffles(4, tau)
+        calls = 0
+        mul = Permutation.__mul__
+
+        def counting_mul(self, other):
+            nonlocal calls
+            calls += 1
+            return mul(self, other)
+
+        monkeypatch.setattr(Permutation, "__mul__", counting_mul)
+        assert all(e.passed for e in claims._check_thm_2_12(s))
+        assert calls == 0
+        assert all(e.passed for e in claims._check_lemma_2_5(s))
+        assert 0 < calls < 24**2
 
 
 class TestSharedKernelChain:

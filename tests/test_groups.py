@@ -4,12 +4,15 @@ import operator
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from braidperm import groups
 from braidperm.claims import RunConfig, Session
 from braidperm.groups import (
     GeneratedGroup,
+    _block_split,
     abelian_kernel,
+    block_split,
     braid_image,
     braid_relations_hold,
     complement_search,
@@ -28,6 +31,7 @@ from braidperm.lattice import compose_matrices, expected_monodromy_matrix
 from braidperm.oracles import enumerate_shuffles
 from braidperm.perm import Permutation, _compose, _invert, _padded, block_swap
 from braidperm.shuffle import CycleMap, ShuffleSpec, build_shuffle, components, iter_specs
+from test_shuffle import coset
 
 
 def perm(text):
@@ -204,6 +208,47 @@ class TestSchreierSims:
                 for g in group.generators
             ]
             assert schreier_sims(group).order() == PermutationGroup(gens).order()
+
+
+def split_by_products(square, d):
+    """The tau of S_d with square == tau * shift(tau, d), by trying them all."""
+    for images in itertools.permutations(range(1, d + 1)):
+        tau = Permutation(images)
+        if square == tau * tau.shift(d):
+            return tau
+    return None
+
+
+def assert_tuple_split(square, d, expected):
+    found = _block_split(_padded(square, 2 * d), d)
+    assert found == (None if expected is None else _padded(expected, d))
+
+
+class TestBlockSplit:
+    # a square of degree up to 8, which may move points above 2d, and a
+    # block pair tau * shift(tau, d), which always splits
+    @given(
+        st.integers(min_value=1, max_value=4).flatmap(
+            lambda d: st.tuples(st.just(d), st.permutations(tuple(range(1, d + 1))))
+        ),
+        st.integers(min_value=0, max_value=8).flatmap(
+            lambda n: st.permutations(tuple(range(1, n + 1)))
+        ),
+    )
+    def test_tuple_routine_agrees_with_products(self, d_tau, images):
+        d, tau = d_tau[0], Permutation(d_tau[1])
+        for square in (Permutation(images), tau * tau.shift(d)):
+            expected = split_by_products(square, d)
+            assert block_split(square, d) == expected
+            assert_tuple_split(square, d, expected)
+
+    def test_tuple_routine_on_the_d3_coset(self):
+        found = 0
+        for sigma in coset(3):
+            expected = split_by_products(sigma * sigma, 3)
+            assert_tuple_split(sigma * sigma, 3, expected)
+            found += expected is not None
+        assert found == 18
 
 
 class TestBraidImage:

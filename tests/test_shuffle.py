@@ -1,13 +1,15 @@
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from braidperm.groups import schreier_sims, symmetric_group
-from braidperm.perm import Permutation, centralizer_order
+from braidperm.perm import Permutation, _padded, block_swap, centralizer_order
 from braidperm.shuffle import (
     CycleMap,
     ShuffleSpec,
     SpecError,
+    _is_braid_like,
     build_pair,
     build_shuffle,
     components,
@@ -25,6 +27,21 @@ def perm(text):
 
 def all_of_sd(d):
     return sorted(schreier_sims(symmetric_group(d)).elements(), key=lambda p: p.canonical())
+
+
+UP_TO_S8 = st.integers(min_value=0, max_value=8).flatmap(
+    lambda n: st.permutations(tuple(range(1, n + 1)))
+)
+
+
+def braid_like_by_products(a, b):
+    return a * b != b * a and a * b * a == b * a * b
+
+
+def coset(d):
+    """Every element of swap * S_d * shift(S_d, d), by Permutation products."""
+    swap = block_swap(1, d, 2)
+    return [swap * w1 * w2.shift(d) for w1 in all_of_sd(d) for w2 in all_of_sd(d)]
 
 
 class TestBuildShuffle:
@@ -105,6 +122,26 @@ class TestBraidLike:
         assert not is_braid_like(perm("(1 2)"), perm("(3 4)"))
         s = perm("(1 4 2)")
         assert not is_braid_like(s, s)
+
+    # a random pair of mixed degrees rarely braids; conjugates of (1 2) and
+    # (2 3) always do
+    @given(UP_TO_S8, UP_TO_S8, UP_TO_S8)
+    def test_tuple_routine_agrees_with_products(self, a, b, c):
+        c = Permutation(c)
+        braiding = [c * perm(t) * c.inverse() for t in ("(1 2)", "(2 3)")]
+        for x, y in [(Permutation(a), Permutation(b)), braiding]:
+            expected = braid_like_by_products(x, y)
+            assert is_braid_like(x, y) == expected
+            for degree in {max(x.degree, y.degree), 8}:
+                assert _is_braid_like(_padded(x, degree), _padded(y, degree)) == expected
+
+    def test_tuple_routine_on_the_d3_coset(self):
+        found = 0
+        for sigma in coset(3):
+            expected = braid_like_by_products(sigma, sigma.shift(3))
+            assert _is_braid_like(_padded(sigma, 9), _padded(sigma.shift(3), 9)) == expected
+            found += expected
+        assert found == 18
 
 
 class TestDecompose:
