@@ -1,5 +1,5 @@
-"""Golden reports: five committed JSON reports that every refactor must
-reproduce byte for byte.
+"""Golden outputs: committed `verify` reports and `construct` outputs, in
+JSON, that every refactor must reproduce byte for byte.
 
 A change to a file under ``tests/golden/`` is a change of behaviour.  To
 regenerate one, run the command in ``GOLDEN`` with ``--out`` pointing at it.
@@ -13,8 +13,8 @@ from braidperm.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
-# name -> (verify arguments, expected exit code); criterion 7's refuted
-# claims make every full grid report fail overall
+# name -> (arguments, expected exit code); criterion 7's refuted claims make
+# every full grid report fail overall
 GOLDEN = {
     "d3_n4.json": (
         ["verify", "--d-max", "3", "--n-max", "4", "--format", "json", "--seed", "0"], 1),
@@ -31,6 +31,21 @@ GOLDEN = {
     "d3_n5_kernel.json": (
         ["verify", "--d", "3", "--n", "5", "--claim", "lemma-3.3", "--claim", "prop-3.30",
          "--claim", "thm-3.4", "--format", "json", "--seed", "0"], 1),
+    # construct pins the spec document, its "u" included: swapped fixed
+    # points; given starts on a 2-orbit of u; a 2-orbit beside fixed points;
+    # a 3-orbit of u, whose component lists its cycles in orbit order
+    "construct_d2_swap.json": (
+        ["construct", "--d", "2", "--tau", "()", "--u", "(1 2)", "--format", "json"], 0),
+    "construct_d4_starts.json": (
+        ["construct", "--d", "4", "--tau", "(1 2)(3 4)", "--u", "(1 3)", "--i1", "2",
+         "--i1", "3", "--j1", "4", "--j1", "1", "--n", "3", "--format", "json"], 0),
+    "construct_d5_fixed.json": (
+        ["construct", "--d", "5", "--tau", "(1 2)(3 4)", "--u", "(1 3)", "--format", "json"],
+        0),
+    "construct_d6_orbit3.json": (
+        ["construct", "--d", "6", "--tau", "(1 2)(3 4)(5 6)", "--u", "(1 5 3)", "--i1", "2",
+         "--i1", "3", "--i1", "6", "--j1", "6", "--j1", "2", "--j1", "3", "--n", "2",
+         "--format", "json"], 0),
 }
 
 
