@@ -322,10 +322,7 @@ def _check_lemma_2_4(s: Session) -> list[ClaimCheck]:
                 if prod != _padded(sigma, 2 * d):
                     failures["factor_product"] += 1
                 rotated = ShuffleSpec(
-                    d,
-                    tau,
-                    spec.u,
-                    tuple((a, tau(i1), tau(j1)) for a, i1, j1 in spec.choices),
+                    d, tau, tuple((a, tau(i1), tau(j1)) for a, i1, j1 in spec.choices)
                 )
                 if build_shuffle(rotated) != sigma:
                     failures["rotation"] += 1
@@ -461,7 +458,7 @@ def _check_prop_3_30(s: Session) -> list[ClaimCheck]:
                     examples.append(f"subdirect {case.sigma}")
                 if not trep.orbits_match:
                     orbit_mismatches.append(str(case.sigma))
-                u_is_identity = all(len(o) == 1 for o in case.spec.u.orbits())
+                u_is_identity = all(len(o) == 1 for o in case.spec.orbits())
                 if trep.orbits_match != u_is_identity:
                     refinement_holds = False
             entries.append(
@@ -520,7 +517,7 @@ def _check_cor_3_31(s: Session) -> list[ClaimCheck]:
                     mismatches.append(str(case.sigma))
                 if trep.transitive and not trep.u_long_cycle:
                     only_if_holds = False
-                tau_single_cycle = len(case.spec.u.cycles()) == 1
+                tau_single_cycle = len(case.spec.u) == 1
                 if trep.transitive != tau_single_cycle:
                     refined_holds = False
             entries.append(

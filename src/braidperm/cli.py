@@ -18,7 +18,6 @@ from .lattice import q2_of
 from .oracles import DEFAULT_CAP, CapExceeded
 from .perm import Permutation, parse_cycles
 from .shuffle import (
-    CycleMap,
     ShuffleSpec,
     SpecError,
     build_pair,
@@ -65,15 +64,14 @@ def _spec_from_args(args) -> ShuffleSpec:
     d = args.d
     tau = tau_from_cycles(parse_cycles(args.tau), d)
     mins = [c[0] for c in tau_cycles(tau, d)]
-    if args.u in (None, "id"):
-        u = CycleMap.identity(tau, d)
-    else:
+    u = None
+    if args.u not in (None, "id"):
         cycles = parse_cycles(args.u)
         named = sorted({x for cycle in cycles for x in cycle})
         if not set(named) <= set(mins):
             raise SpecError(f"--u permutes cycle labels {mins}, got points {named}")
         label_perm = Permutation.from_cycles(cycles)
-        u = CycleMap.from_least_map(tau, d, {a: label_perm(a) for a in mins})
+        u = {a: label_perm(a) for a in mins}
     choices = None
     if args.i1 or args.j1:
         i1s, j1s = args.i1 or [], args.j1 or []

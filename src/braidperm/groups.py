@@ -462,7 +462,7 @@ def transitivity_report(
         )
     return TransitivityClass(
         transitive=len(orbits) == 1,
-        u_long_cycle=spec.u.is_long_cycle(),
+        u_long_cycle=len(spec.orbits()) == 1,
         orbits_match=set(orbits) == set(towers),
         restrictions_match=restrictions_match,
         subdirect=restrictions_match and product_order % b_bsgs.order() == 0,

@@ -3,8 +3,10 @@
 The construction data (a ShuffleSpec) is a permutation tau of [1, d], a
 length-preserving bijection u of the cycles of tau (fixed points count as
 1-cycles), and for every cycle alpha a starting point i1 of alpha together
-with a starting point j1 of u(alpha).  Writing alpha = (i1 i2 ... im) and
-u(alpha) = (j1 j2 ... jm) along tau, the spec produces
+with a starting point j1 of u(alpha).  The cycles of tau are disjoint, so the
+j1s determine u: a spec stores tau and the starting points, and reads u off
+them.  Writing alpha = (i1 i2 ... im) and u(alpha) = (j1 j2 ... jm) along tau,
+the spec produces
 
 - a shuffled 2m-cycle (i1, j1+d, i2, j2+d, ..., im, jm+d) per alpha; their
   product is a permutation of [1, 2d] mapping [1, d] onto [d+1, 2d] whose
@@ -27,7 +29,6 @@ from .perm import Permutation, _compose, _padded, _trusted, canonical_cycle, par
 __all__ = [
     "CommutingPair",
     "Component",
-    "CycleMap",
     "ShuffleSpec",
     "SpecError",
     "build_pair",
@@ -35,7 +36,6 @@ __all__ = [
     "components",
     "decompose_pair",
     "is_braid_like",
-    "iter_cycle_maps",
     "iter_specs",
     "pair_from_shuffle",
     "shuffle_from_pair",
@@ -68,68 +68,91 @@ def tau_cycles(tau: Permutation, d: int) -> tuple[tuple[int, ...], ...]:
 
 
 @dataclass(frozen=True)
-class CycleMap:
-    """A length-preserving bijection of the cycles of tau on [1, degree]."""
+class ShuffleSpec:
+    """Construction data: tau and per-cycle starting points.
 
+    ``choices`` holds one (cycle, i1, j1) triple per cycle of tau with i1 on
+    the cycle.  The cycles of tau are disjoint, so j1 names the image cycle:
+    ``u`` is read off the j1s as the (alpha, u(alpha)) pairs, ordered by least
+    point, and must be a length-preserving bijection of the cycles.
+    """
+
+    d: int
     tau: Permutation
-    degree: int
-    mapping: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    choices: tuple[tuple[tuple[int, ...], int, int], ...]
+    u: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        cycles = tau_cycles(self.tau, self.degree)
-        mapping = tuple(
-            sorted(
-                ((canonical_cycle(a), canonical_cycle(b)) for a, b in self.mapping),
-                key=lambda ab: ab[0][0],
-            )
-        )
-        object.__setattr__(self, "mapping", mapping)
-        if tuple(a for a, _ in mapping) != cycles:
-            raise SpecError("cycle map must be defined on exactly the cycles of tau")
-        if sorted(b for _, b in mapping) != sorted(cycles):
+        cycles = tau_cycles(self.tau, self.d)
+        # a cycle's least point comes first, so the triples sort by it
+        choices = tuple(sorted((canonical_cycle(a), i1, j1) for a, i1, j1 in self.choices))
+        object.__setattr__(self, "choices", choices)
+        if tuple(a for a, _, _ in choices) != cycles:
+            raise SpecError("choices must cover exactly the cycles of tau")
+        through = {x: c for c in cycles for x in c}
+        for alpha, i1, j1 in choices:
+            if i1 not in alpha:
+                raise SpecError(f"starting point i1={i1} is not on the cycle {alpha}")
+            if j1 not in through:
+                raise SpecError(f"starting point j1={j1} is not in [1, {self.d}]")
+        u = tuple((alpha, through[j1]) for alpha, _, j1 in choices)
+        if sorted(b for _, b in u) != list(cycles):
             raise SpecError("cycle map must be a bijection of the cycles of tau")
-        for a, b in mapping:
+        for a, b in u:
             if len(a) != len(b):
                 raise SpecError(f"cycle map sends the {len(a)}-cycle {a} to the {len(b)}-cycle {b}")
+        object.__setattr__(self, "u", u)
 
     @classmethod
-    def identity(cls, tau: Permutation, degree: int) -> "CycleMap":
-        return cls(tau, degree, tuple((c, c) for c in tau_cycles(tau, degree)))
+    def make(
+        cls,
+        tau: Permutation,
+        d: int | None = None,
+        u: Mapping[int, int] | None = None,
+        choices: Mapping[int, tuple[int, int]] | None = None,
+    ) -> "ShuffleSpec":
+        """Convenience builder; defaults to the identity cycle map and least starting points.
 
-    @classmethod
-    def from_least_map(cls, tau: Permutation, degree: int, least: Mapping[int, int]) -> "CycleMap":
-        """Build from a map of least elements; cycles not mentioned stay put."""
-        cycles = tau_cycles(tau, degree)
+        ``u`` maps least elements of cycles of tau to least elements; cycles not
+        mentioned stay put.  ``choices`` maps the least element of a cycle to
+        its (i1, j1) pair, and j1 must lie on the u-image of the cycle.
+        """
+        d = d if d is not None else max(tau.degree, 1)
+        cycles = tau_cycles(tau, d)
         by_min = {c[0]: c for c in cycles}
+        least = u or {}
         unknown = sorted(set(least) - set(by_min))
         if unknown:
             raise SpecError(
                 f"{unknown} are not least elements of cycles of tau (these are {sorted(by_min)})"
             )
-        pairs = []
-        for c in cycles:
-            target = least.get(c[0], c[0])
+        targets = [least.get(c[0], c[0]) for c in cycles]
+        for target in targets:
             if target not in by_min:
                 raise SpecError(f"{target} is not the least element of a cycle of tau")
-            pairs.append((c, by_min[target]))
-        return cls(tau, degree, tuple(pairs))
-
-    def cycles(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(a for a, _ in self.mapping)
-
-    def apply(self, alpha) -> tuple[int, ...]:
-        key = canonical_cycle(alpha)
-        for a, b in self.mapping:
-            if a == key:
-                return b
-        raise SpecError(f"{key} is not a cycle of tau")
+        # the least starting points; building this spec checks u
+        spec = cls(d, tau, tuple((c, c[0], t) for c, t in zip(cycles, targets)))
+        if not choices:
+            return spec
+        stray = sorted(set(choices) - set(by_min))
+        if stray:
+            raise SpecError(f"choices given for {stray}, which are not least elements of cycles")
+        full = []
+        for alpha, image in spec.u:
+            i1, j1 = choices.get(alpha[0], (alpha[0], image[0]))
+            if i1 not in alpha:
+                raise SpecError(f"starting point i1={i1} is not on the cycle {alpha}")
+            if j1 not in image:
+                raise SpecError(f"starting point j1={j1} is not on the image cycle {image}")
+            full.append((alpha, i1, j1))
+        return cls(d, tau, tuple(full))
 
     def orbits(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """Cycles of the map itself, each as (alpha, u(alpha), u^2(alpha), ...)."""
-        remaining = dict(self.mapping)
+        """Cycles of u itself, each as (alpha, u(alpha), u^2(alpha), ...)."""
+        remaining = dict(self.u)
         out = []
         while remaining:
-            start = min(remaining, key=lambda c: c[0])
+            start = next(iter(remaining))
             orbit = [start]
             nxt = remaining.pop(start)
             while nxt != start:
@@ -138,88 +161,11 @@ class CycleMap:
             out.append(tuple(orbit))
         return tuple(out)
 
-    def is_long_cycle(self) -> bool:
-        return len(self.orbits()) == 1
-
-
-def iter_cycle_maps(tau: Permutation, d: int) -> Iterator[CycleMap]:
-    """All length-preserving bijections of the cycles of tau, deterministically ordered."""
-    cycles = tau_cycles(tau, d)
-    classes: dict[int, list[tuple[int, ...]]] = {}
-    for c in cycles:
-        classes.setdefault(len(c), []).append(c)
-    lengths = sorted(classes)
-    for combo in iter_product(*(iter_permutations(classes[m]) for m in lengths)):
-        target: dict[tuple[int, ...], tuple[int, ...]] = {}
-        for m, images in zip(lengths, combo):
-            for src, dst in zip(classes[m], images):
-                target[src] = dst
-        yield CycleMap(tau, d, tuple((c, target[c]) for c in cycles))
-
-
-@dataclass(frozen=True)
-class ShuffleSpec:
-    """Construction data: tau, a cycle map u, and per-cycle starting points.
-
-    ``choices`` holds one (cycle, i1, j1) triple per cycle of tau with i1 on
-    the cycle and j1 on its u-image.
-    """
-
-    d: int
-    tau: Permutation
-    u: CycleMap
-    choices: tuple[tuple[tuple[int, ...], int, int], ...]
-
-    def __post_init__(self) -> None:
-        if self.u.tau != self.tau or self.u.degree != self.d:
-            raise SpecError("cycle map does not belong to this tau and d")
-        cycles = tau_cycles(self.tau, self.d)
-        choices = tuple(
-            sorted(
-                ((canonical_cycle(a), i1, j1) for a, i1, j1 in self.choices),
-                key=lambda c: c[0][0],
-            )
-        )
-        object.__setattr__(self, "choices", choices)
-        if tuple(a for a, _, _ in choices) != cycles:
-            raise SpecError("choices must cover exactly the cycles of tau")
-        for alpha, i1, j1 in choices:
-            if i1 not in alpha:
-                raise SpecError(f"starting point i1={i1} is not on the cycle {alpha}")
-            image = self.u.apply(alpha)
-            if j1 not in image:
-                raise SpecError(f"starting point j1={j1} is not on the image cycle {image}")
-
-    @classmethod
-    def make(
-        cls,
-        tau: Permutation,
-        d: int | None = None,
-        u: CycleMap | None = None,
-        choices: Mapping[int, tuple[int, int]] | None = None,
-    ) -> "ShuffleSpec":
-        """Convenience builder; defaults to the identity cycle map and least starting points.
-
-        ``choices`` maps the least element of a cycle to its (i1, j1) pair.
-        """
-        d = d if d is not None else max(tau.degree, 1)
-        u = u or CycleMap.identity(tau, d)
-        cycles = tau_cycles(tau, d)
-        known = {c[0] for c in cycles}
-        stray = sorted(set(choices or {}) - known)
-        if stray:
-            raise SpecError(f"choices given for {stray}, which are not least elements of cycles")
-        full = []
-        for alpha in cycles:
-            i1, j1 = (choices or {}).get(alpha[0], (alpha[0], u.apply(alpha)[0]))
-            full.append((alpha, i1, j1))
-        return cls(d, tau, u, tuple(full))
-
     def to_json_dict(self) -> dict:
         return {
             "d": self.d,
             "tau": str(self.tau),
-            "u": [[a[0], b[0]] for a, b in self.u.mapping],
+            "u": [[a[0], b[0]] for a, b in self.u],
             "choices": [
                 {"alpha_min": a[0], "i1": i1, "j1": j1} for a, i1, j1 in self.choices
             ],
@@ -246,7 +192,7 @@ class ShuffleSpec:
             raise
         except (KeyError, TypeError, ValueError) as exc:
             raise SpecError(f"bad spec document: {exc}") from exc
-        return cls.make(tau, d, CycleMap.from_least_map(tau, d, least), choices)
+        return cls.make(tau, d, least, choices)
 
 
 def _json_int(value, name: str) -> int:
@@ -355,21 +301,17 @@ def is_braid_like(a: Permutation, b: Permutation) -> bool:
 def decompose_pair(first: Permutation, second: Permutation, d: int | None = None) -> ShuffleSpec:
     """Invert the pair construction: a spec with build_pair(spec) == (first, second).
 
-    The cycle map sends each cycle of tau = first * second to its relabeling
-    through first (the two commute, so that is again a cycle of tau), and the
-    starting points are read off as (least point of alpha, first(least point)).
+    The starting points are read off as (least point of alpha, first(least
+    point)), so the cycle map sends each cycle of tau = first * second to its
+    relabeling through first (the two commute, so that is again a cycle of tau).
     """
     tau = first * second
     if tau != second * first:
         raise ValueError("permutations do not commute")
     d = max(first.degree, second.degree, d or 1)
-    pairs = []
-    choices = []
-    for alpha in tau_cycles(tau, d):
-        image = canonical_cycle(tuple(first(x) for x in alpha))
-        pairs.append((alpha, image))
-        choices.append((alpha, alpha[0], first(alpha[0])))
-    spec = ShuffleSpec(d, tau, CycleMap(tau, d, tuple(pairs)), tuple(choices))
+    spec = ShuffleSpec(
+        d, tau, tuple((alpha, alpha[0], first(alpha[0])) for alpha in tau_cycles(tau, d))
+    )
     rebuilt = build_pair(spec)
     if rebuilt.first != first or rebuilt.second != second:
         raise RuntimeError("decomposition failed to round-trip; this is a bug")
@@ -398,7 +340,7 @@ def components(spec: ShuffleSpec) -> tuple[Component, ...]:
     factors have pairwise disjoint supports and multiply to build_shuffle(spec)."""
     chosen = {alpha: (i1, j1) for alpha, i1, j1 in spec.choices}
     out = []
-    for orbit in spec.u.orbits():
+    for orbit in spec.orbits():
         factor_map: dict[int, int] = {}
         p_map: dict[int, int] = {}
         q_map: dict[int, int] = {}
@@ -433,12 +375,19 @@ def components(spec: ShuffleSpec) -> tuple[Component, ...]:
 
 
 def iter_specs(tau: Permutation, d: int) -> Iterator[ShuffleSpec]:
-    """Every spec over tau: all cycle maps and all starting-point choices."""
+    """Every spec over tau: all length-preserving bijections u of its cycles,
+    and for each all starting-point choices, with j1 on u(alpha)."""
     cycles = tau_cycles(tau, d)
-    for u in iter_cycle_maps(tau, d):
-        pools = []
-        for alpha in cycles:
-            image = u.apply(alpha)
-            pools.append([(alpha, i1, j1) for i1 in alpha for j1 in image])
+    classes: dict[int, list[tuple[int, ...]]] = {}
+    for c in cycles:
+        classes.setdefault(len(c), []).append(c)
+    lengths = sorted(classes)
+    for images in iter_product(*(iter_permutations(classes[m]) for m in lengths)):
+        u = {
+            alpha: image
+            for m, row in zip(lengths, images)
+            for alpha, image in zip(classes[m], row)
+        }
+        pools = [[(alpha, i1, j1) for i1 in alpha for j1 in u[alpha]] for alpha in cycles]
         for combo in iter_product(*pools):
-            yield ShuffleSpec(d, tau, u, tuple(combo))
+            yield ShuffleSpec(d, tau, combo)

@@ -105,6 +105,13 @@ class TestConstruct:
             (None, ("--d", "0", "--tau", "()"), "d must be positive"),
             ({"d": 3, "tau": "()", "u": [[1, 3], [1, 1]]}, (), "duplicate least element in u"),
             (None, ("--d", "2", "--tau", "(1 1)"), "point 1 repeats within a cycle"),
+            # two faults: u is checked before the starting points
+            (
+                {"d": 3, "tau": "()", "u": [[1, 2]],
+                 "choices": [{"alpha_min": 1, "i1": 1, "j1": 3}]},
+                (),
+                "cycle map must be a bijection of the cycles of tau",
+            ),
         ],
     )
     def test_bad_input_exits_2(self, capsys, tmp_path, spec, args, message):

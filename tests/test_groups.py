@@ -30,7 +30,7 @@ from braidperm.groups import (
 from braidperm.lattice import compose_matrices, expected_monodromy_matrix
 from braidperm.oracles import enumerate_shuffles
 from braidperm.perm import Permutation, _compose, _invert, _padded, block_swap
-from braidperm.shuffle import CycleMap, ShuffleSpec, build_shuffle, components, iter_specs
+from braidperm.shuffle import ShuffleSpec, build_shuffle, components, iter_specs
 from test_shuffle import coset
 
 
@@ -40,8 +40,7 @@ def perm(text):
 
 def image_for(tau_text, d, n, u_map=None, choices=None):
     tau = Permutation.parse(tau_text) if tau_text else Permutation.identity(d)
-    u = CycleMap.from_least_map(tau, d, u_map or {})
-    spec = ShuffleSpec.make(tau, d, u, choices)
+    spec = ShuffleSpec.make(tau, d, u_map, choices)
     return braid_image(build_shuffle(spec), d, n), spec
 
 

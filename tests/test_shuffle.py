@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,7 +7,6 @@ from hypothesis import given, strategies as st
 from braidperm.groups import schreier_sims, symmetric_group
 from braidperm.perm import Permutation, _padded, block_swap, centralizer_order
 from braidperm.shuffle import (
-    CycleMap,
     ShuffleSpec,
     SpecError,
     _is_braid_like,
@@ -34,6 +34,15 @@ UP_TO_S8 = st.integers(min_value=0, max_value=8).flatmap(
 )
 
 
+def cycle_through(tau, x):
+    """The cycle of tau through x, least point first, by walking tau."""
+    walk = [x]
+    while tau(walk[-1]) != x:
+        walk.append(tau(walk[-1]))
+    i = walk.index(min(walk))
+    return tuple(walk[i:] + walk[:i])
+
+
 def braid_like_by_products(a, b):
     return a * b != b * a and a * b * a == b * a * b
 
@@ -55,8 +64,7 @@ class TestBuildShuffle:
 
     def test_swapped_fixed_points(self):
         tau = Permutation.identity(2)
-        u = CycleMap.from_least_map(tau, 2, {1: 2, 2: 1})
-        spec = ShuffleSpec.make(tau, 2, u)
+        spec = ShuffleSpec.make(tau, 2, {1: 2, 2: 1})
         assert build_shuffle(spec) == perm("(1 4)(2 3)")
 
     def test_maps_first_block_onto_second(self):
@@ -81,8 +89,7 @@ class TestBuildPair:
 
     def test_swapped_fixed_points(self):
         tau = Permutation.identity(2)
-        u = CycleMap.from_least_map(tau, 2, {1: 2, 2: 1})
-        pair = build_pair(ShuffleSpec.make(tau, 2, u))
+        pair = build_pair(ShuffleSpec.make(tau, 2, {1: 2, 2: 1}))
         assert pair.first == perm("(1 2)")
         assert pair.second == perm("(1 2)")
 
@@ -202,9 +209,7 @@ class TestRotationRedundancy:
     def test_rotating_both_starts_fixes_sigma(self):
         tau = perm("(1 2 3)")
         for spec in iter_specs(tau, 3):
-            rotated = ShuffleSpec(
-                3, tau, spec.u, tuple((a, tau(i), tau(j)) for a, i, j in spec.choices)
-            )
+            rotated = ShuffleSpec(3, tau, tuple((a, tau(i), tau(j)) for a, i, j in spec.choices))
             assert build_shuffle(rotated) == build_shuffle(spec)
 
     def test_distinct_count_is_centralizer_order(self):
@@ -226,12 +231,11 @@ class TestSpecValidation:
     def test_cycle_map_must_preserve_length(self):
         tau = perm("(1 2)")
         with pytest.raises(SpecError):
-            CycleMap.from_least_map(tau, 3, {1: 3})
+            ShuffleSpec.make(tau, 3, {1: 3})
 
     def test_json_roundtrip(self):
         tau = Permutation.identity(2)
-        u = CycleMap.from_least_map(tau, 2, {1: 2, 2: 1})
-        spec = ShuffleSpec.make(tau, 2, u)
+        spec = ShuffleSpec.make(tau, 2, {1: 2, 2: 1})
         data = spec.to_json_dict()
         assert data == {
             "d": 2,
@@ -243,6 +247,31 @@ class TestSpecValidation:
             ],
         }
         assert ShuffleSpec.from_json_dict(data) == spec
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_cycle_map_is_read_off_the_j1s(self, d):
+        for tau in all_of_sd(d):
+            for spec in iter_specs(tau, d):
+                assert ShuffleSpec.from_json_dict(spec.to_json_dict()) == spec
+                assert spec.u == tuple(
+                    (alpha, cycle_through(tau, j1)) for alpha, _, j1 in spec.choices
+                )
+
+    @pytest.mark.parametrize(
+        "d,tau,choices,message",
+        [
+            # both fixed points start their image on 2
+            (2, "()", (((1,), 1, 2), ((2,), 2, 2)),
+             "cycle map must be a bijection of the cycles of tau"),
+            (3, "(1 2)", (((1, 2), 1, 3), ((3,), 3, 1)),
+             "cycle map sends the 2-cycle (1, 2) to the 1-cycle (3,)"),
+            (2, "(1 2)", (((1, 2), 1, 3),), "starting point j1=3 is not in [1, 2]"),
+            (2, "(1 2)", (((1, 2), 1, 0),), "starting point j1=0 is not in [1, 2]"),
+        ],
+    )
+    def test_direct_spec_checks_the_derived_map(self, d, tau, choices, message):
+        with pytest.raises(SpecError, match=re.escape(message)):
+            ShuffleSpec(d, perm(tau), choices)
 
     def test_bad_json(self):
         with pytest.raises(SpecError):
