@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .groups import GeneratedGroup, schreier_sims
-from .perm import Permutation, _compose, block_swap
+from .perm import Permutation, _compose, _padded, _shifted, _trusted, block_swap
 from .shuffle import build_shuffle, iter_specs
 
 __all__ = [
@@ -52,31 +52,33 @@ def roots_by_tau(
     sigma = swap * w1 * shift(w2, d) over pairs from W whose square is
     tau * shift(tau, d).
 
-    One pass over the coset tests each pair once: sigma * sigma is looked up
-    among the targets tau * shift(tau, d).  A target's first block is tau, so
-    the targets are distinct and sigma lands in the one bucket whose defining
-    equation it satisfies, or in none.
+    One pass over the coset tests each pair once, on image tuples of degree
+    2d: sigma * sigma is looked up among the targets tau * shift(tau, d).  A
+    target's first block is tau, so the targets are distinct and sigma lands
+    in the one bucket whose defining equation it satisfies, or in none.
     """
     bs = schreier_sims(w)
     if bs.order() ** 2 > cap:
         raise CapExceeded(f"|W|^2 = {bs.order() ** 2} exceeds the cap {cap}")
     d = w.degree
-    swap = block_swap(1, d, 2)
     members = _sorted(bs.elements())
-    shifted = [x.shift(d) for x in members]
-    targets = {tau * tau.shift(d): tau for tau in members}
-    found: dict[Permutation, set[Permutation]] = {tau: set() for tau in members}
-    for w1 in members:
-        left = swap * w1
+    images = [_padded(x, d) for x in members]
+    swap = _padded(block_swap(1, d, 2), 2 * d)
+    upper = tuple(range(d + 1, 2 * d + 1))
+    shifted = [_shifted(x, d) for x in images]
+    targets = {_compose(x + upper, s): tau for tau, x, s in zip(members, images, shifted)}
+    found: dict[Permutation, set[tuple[int, ...]]] = {tau: set() for tau in members}
+    for w1 in images:
+        left = _compose(swap, w1 + upper)
         for w2 in shifted:
-            sigma = left * w2
-            tau = targets.get(sigma * sigma)
+            sigma = _compose(left, w2)
+            tau = targets.get(_compose(sigma, sigma))
             if tau is not None:
                 found[tau].add(sigma)
     return {
         tau.canonical(): EnumerationResult(
             {"kind": "roots", "d": d, "tau": str(tau), "group_order": bs.order()},
-            _sorted(roots),
+            _sorted(map(_trusted, roots)),
             len(roots),
         )
         for tau, roots in found.items()
