@@ -4,9 +4,10 @@ The construction data (a ShuffleSpec) is a permutation tau of [1, d], a
 length-preserving bijection u of the cycles of tau (fixed points count as
 1-cycles), and for every cycle alpha a starting point i1 of alpha together
 with a starting point j1 of u(alpha).  The cycles of tau are disjoint, so the
-j1s determine u: a spec stores tau and the starting points, and reads u off
-them.  Writing alpha = (i1 i2 ... im) and u(alpha) = (j1 j2 ... jm) along tau,
-the spec produces
+j1s determine u: a spec stores tau and the starting points and reads u off
+them; a u given from outside, as in a spec file, is checked against them.
+Writing alpha = (i1 i2 ... im) and u(alpha) = (j1 j2 ... jm) along tau, the
+spec produces
 
 - a shuffled 2m-cycle (i1, j1+d, i2, j2+d, ..., im, jm+d) per alpha; their
   product is a permutation of [1, 2d] mapping [1, d] onto [d+1, 2d] whose
@@ -74,7 +75,9 @@ class ShuffleSpec:
     ``choices`` holds one (cycle, i1, j1) triple per cycle of tau with i1 on
     the cycle.  The cycles of tau are disjoint, so j1 names the image cycle:
     ``u`` is read off the j1s as the (alpha, u(alpha)) pairs, ordered by least
-    point, and must be a length-preserving bijection of the cycles.
+    point, and must be a length-preserving bijection of the cycles.  ``make``
+    and ``from_json_dict`` take u as a map of least elements, as a spec
+    file's ``"u"`` gives it, and check the given j1s against it.
     """
 
     d: int

@@ -12,6 +12,7 @@ import pytest
 from braidperm.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 # name -> (arguments, expected exit code); criterion 7's refuted claims make
 # every full grid report fail overall
@@ -56,3 +57,10 @@ def test_report_is_byte_identical_to_golden(name, tmp_path, monkeypatch):
     out = tmp_path / name
     assert main([*args, "--out", str(out)]) == expected_code
     assert out.read_bytes() == (GOLDEN_DIR / name).read_bytes()
+
+
+def test_every_golden_file_has_a_command_and_is_named_in_readme():
+    readme = README.read_text(encoding="utf-8")
+    files = sorted(path.name for path in GOLDEN_DIR.iterdir())
+    assert [name for name in files if name not in GOLDEN] == []
+    assert [name for name in files if f"`{name}`" not in readme] == []
