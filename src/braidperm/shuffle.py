@@ -155,7 +155,7 @@ class ShuffleSpec:
         remaining = dict(self.u)
         out = []
         while remaining:
-            start = next(iter(remaining))
+            start = next(iter(remaining))  # u is sorted, so this is the least left
             orbit = [start]
             nxt = remaining.pop(start)
             while nxt != start:
