@@ -32,6 +32,10 @@ GOLDEN = {
     "d3_n5_kernel.json": (
         ["verify", "--d", "3", "--n", "5", "--claim", "lemma-3.3", "--claim", "prop-3.30",
          "--claim", "thm-3.4", "--format", "json", "--seed", "0"], 1),
+    # thm-3.4 and prop-3.11 at n = 4 for q = 4, 5 and 6
+    "d5_n4_kernel.json": (
+        ["verify", "--d", "5", "--n", "4", "--claim", "thm-3.4", "--claim", "prop-3.11",
+         "--format", "json", "--seed", "0"], 0),
     # construct pins the spec document, its "u" included: swapped fixed
     # points; given starts on a 2-orbit of u; a 2-orbit beside fixed points;
     # a 3-orbit of u, whose component lists its cycles in orbit order
