@@ -177,6 +177,8 @@ class ShuffleSpec:
     @classmethod
     def from_json_dict(cls, data) -> "ShuffleSpec":
         try:
+            if unknown := set(data) - {"d", "tau", "u", "choices"}:
+                raise ValueError(f"unknown key {min(unknown)!r}")
             d = _json_int(data["d"], "d")
             if not isinstance(data["tau"], str):
                 raise TypeError(f"tau must be a string, got {data['tau']!r}")
@@ -187,6 +189,8 @@ class ShuffleSpec:
                 raise ValueError("duplicate least element in u")
             choices = {}
             for entry in data.get("choices", []):
+                if unknown := set(entry) - {"alpha_min", "i1", "j1"}:
+                    raise ValueError(f"unknown key {min(unknown)!r} in a choice entry")
                 alpha = _json_int(entry["alpha_min"], "alpha_min")
                 if alpha in choices:
                     raise ValueError(f"duplicate alpha_min {alpha}")

@@ -112,6 +112,13 @@ class TestConstruct:
                 (),
                 "cycle map must be a bijection of the cycles of tau",
             ),
+            # a misspelt key would otherwise drop the choices it holds
+            (
+                {"d": 2, "tau": "(1 2)", "choice": [{"alpha_min": 1, "i1": 1, "j1": 2}]},
+                (),
+                "unknown key 'choice'",
+            ),
+            (choice_with(j2=1), (), "unknown key 'j2' in a choice entry"),
         ],
     )
     def test_bad_input_exits_2(self, capsys, tmp_path, spec, args, message):
