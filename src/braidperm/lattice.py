@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product as iter_product
 from operator import add, mul
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
@@ -35,7 +34,6 @@ __all__ = [
     "g_vector",
     "identity_matrix",
     "kernel_actions",
-    "kernel_box",
     "kernel_structure",
     "monodromy_kernel",
     "monodromy_matrices",
@@ -230,11 +228,6 @@ def _moduli(n: int, q: int, q2: int) -> list[int]:
     return [q] * (n - 1) + [q2]
 
 
-def kernel_box(n: int, q: int) -> Iterator[tuple[int, ...]]:
-    """All canonical coordinate tuples: n-1 entries mod q, the last mod q2."""
-    yield from iter_product(*map(range, _moduli(n, q, q2_of(q))))
-
-
 def coords_from_exponents(entries: Sequence[int], q: int) -> tuple[int, ...]:
     """Solve for canonical coordinates with the given block exponents mod q.
 
@@ -253,6 +246,11 @@ def coords_from_exponents(entries: Sequence[int], q: int) -> tuple[int, ...]:
     if t % 2:
         raise ValueError("exponent vector is not in the adjacent-sum sublattice")
     return (*coords, t // 2 % q2_of(q))
+
+
+def _read_coords(images: tuple[int, ...], lookups, d: int, q: int) -> tuple[int, ...]:
+    """Kernel coordinates of an image tuple of degree n*d; ValueError outside the kernel."""
+    return coords_from_exponents(_read_exponents(images, lookups, d), q)
 
 
 # matrices over Z/q in the basis (f_1, ..., f_(n-1), h_n)
@@ -318,7 +316,7 @@ def kernel_actions(image: "BraidImage", coords_iter: Iterable[Sequence[int]]) ->
     for coords in coords_iter:
         elem = _realize(shifted, _kernel_exponents(coords))
         conjugates = (tuple([g[elem[x - 1] - 1] for x in inv]) for g, inv in pairs)
-        yield tuple(coords_from_exponents(_read_exponents(c, lookups, d), q) for c in conjugates)
+        yield tuple(_read_coords(c, lookups, d, q) for c in conjugates)
 
 
 def monodromy_matrices(image: "BraidImage") -> list[Matrix]:

@@ -10,7 +10,12 @@ from braidperm.groups import BSGS, GeneratedGroup, schreier_sims
 from braidperm.oracles import EnumerationResult
 from braidperm.perm import Permutation
 from braidperm.shuffle import SpecError
-from test_lattice import realize_by_products
+from test_lattice import (
+    box_matches_conjugation,
+    box_parametrizes,
+    realize_by_products,
+    sweep_intersects,
+)
 
 EXPECTED_TAGS = [
     "thm-2.12",
@@ -245,8 +250,10 @@ class TestThm34:
         # the box and the block product of every case; the block product
         # element count is q^n
         elements = sum(session.a_bsgs(c, n).order() + c.tau.order() ** n for c, n in cases)
-        calls = {"_powers": 0, "contains": 0, "kernel_structure": 0}
+        calls = {"_powers": 0, "contains": 0, "kernel_structure": 0, "sifts": 0}
         powers, contains, structure = lattice._powers, BSGS.contains, claims.kernel_structure
+        sift = BSGS._contains_images
+        inside = 0  # nesting depth in the order and splitting checks
 
         def counting_powers(*args):
             calls["_powers"] += 1
@@ -260,10 +267,28 @@ class TestThm34:
             calls["contains"] += 1
             return contains(self, g)
 
+        def counting_sifts(self, images):
+            calls["sifts"] += not inside
+            return sift(self, images)
+
+        def apart(check):
+            def wrapper(*args):
+                nonlocal inside
+                inside += 1
+                try:
+                    return check(*args)
+                finally:
+                    inside -= 1
+
+            return wrapper
+
         monkeypatch.setattr(lattice, "_powers", counting_powers)
         monkeypatch.setattr(claims, "kernel_structure", counting_structure)
         monkeypatch.setattr(BSGS, "contains", counting_contains)
         monkeypatch.setattr(BSGS, "__contains__", counting_contains)
+        monkeypatch.setattr(BSGS, "_contains_images", counting_sifts)
+        for name in ("extension_holds", "split_complement", "complement_search"):
+            monkeypatch.setattr(claims, name, apart(getattr(claims, name)))
         entries = claims._check_thm_3_4(session)
         assert len(entries) == 4 and all(e.passed for e in entries)
         assert len(cases) == 44
@@ -271,6 +296,9 @@ class TestThm34:
         # once per (n, q): q in {1, 2, 3}, n in {3, 4}
         assert calls["kernel_structure"] == len({(n, c.tau.order()) for c, n in cases}) == 6
         assert 0 < calls["contains"] < elements
+        # parametrization and intersection: one sift per unit coordinate, and
+        # one more for even q
+        assert calls["sifts"] == sum(n + 1 - c.tau.order() % 2 for c, n in cases)
 
     # in place of A: the group of the first kernel generator, of order at
     # most q < |A| when q > 1; and A conjugated by the transposition (d d+1),
@@ -295,3 +323,115 @@ class TestThm34:
             assert entry.witness["parametrization_failures"] > 0
             assert entry.witness["intersection_failures"] > 0
             assert not entry.passed
+
+    # for even q, the block-product elements whose first exponent is even: of
+    # order |A| like A, but without the realization of e_1, which is tau on
+    # blocks 1 and 2
+    def test_failures_counted_against_another_index_2_subgroup(self, monkeypatch):
+        def substitute_chain(self, case, n):
+            kernel = self.a_group(case, n)
+            if case.tau.order() % 2:
+                return schreier_sims(kernel)
+            units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+            exps = [(2,) + (0,) * (n - 1), *units[1:]]
+            gens = tuple(realize_by_products(e, case.tau, case.d) for e in exps)
+            chain = schreier_sims(GeneratedGroup(kernel.degree, gens))
+            assert chain.order() == schreier_sims(kernel).order()
+            return chain
+
+        session, _ = thm_3_4_session()
+        monkeypatch.setattr(Session, "a_bsgs", substitute_chain)
+        entries = claims._check_thm_3_4(session)
+        assert len(entries) == 4
+        for entry in entries:
+            even = sum(c.tau.order() % 2 == 0 for c in session.pool(entry.parameters["d"]))
+            assert entry.witness["parametrization_failures"] == even > 0
+            assert not entry.passed
+
+    # B's chain with the realization of (1, 0, ..., 0) added, which for even q
+    # lies in the block product outside A
+    def test_failures_counted_against_an_enlarged_braid_chain(self, monkeypatch):
+        def enlarged_chain(self, case, n):
+            group = self.image(case, n).group()
+            extra = realize_by_products((1,) + (0,) * (n - 1), case.tau, case.d)
+            return schreier_sims(GeneratedGroup(group.degree, (*group.generators, extra)))
+
+        session, _ = thm_3_4_session()
+        monkeypatch.setattr(Session, "b_bsgs", enlarged_chain)
+        entries = claims._check_thm_3_4(session)
+        assert len(entries) == 4
+        for entry in entries:
+            even = sum(c.tau.order() % 2 == 0 for c in session.pool(entry.parameters["d"]))
+            assert entry.witness["intersection_failures"] == even > 0
+            assert not entry.passed
+
+    # for even q, the block product extended by the even permutations of the
+    # blocks: of order n! * |A| and containing A like B, so every premise
+    # holds, but it meets the block product in all of it
+    def test_failures_counted_against_a_braid_chain_of_the_right_order(self, monkeypatch):
+        def substitute_chain(self, case, n):
+            group = self.image(case, n).group()
+            if case.tau.order() % 2:
+                return schreier_sims(group)
+            d = case.d
+            units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+            gens = [realize_by_products(e, case.tau, d) for e in units]
+            for b in range(3, n + 1):  # the block 3-cycles (1 2 b) generate A_n
+                cycles = [(x, d + x, (b - 1) * d + x) for x in range(1, d + 1)]
+                gens.append(Permutation.from_cycles(cycles, group.degree))
+            return schreier_sims(GeneratedGroup(group.degree, tuple(gens)))
+
+        session, _ = thm_3_4_session()
+        monkeypatch.setattr(Session, "b_bsgs", substitute_chain)
+        entries = claims._check_thm_3_4(session)
+        assert len(entries) == 4
+        for entry in entries:
+            even = sum(c.tau.order() % 2 == 0 for c in session.pool(entry.parameters["d"]))
+            assert entry.witness["order_failures"] == 0
+            assert entry.witness["parametrization_failures"] == 0
+            assert entry.witness["intersection_failures"] == even > 0
+            assert not entry.passed
+
+    # for even q, A's generators with the realization of (1, 0, ..., 0)
+    # added, which has no coordinates, beside the chain of A itself
+    def test_failures_counted_against_a_kernel_generator_without_coordinates(
+        self, monkeypatch
+    ):
+        a_group = Session.a_group
+
+        def chain(self, case, n):
+            return schreier_sims(a_group(self, case, n))
+
+        def listed(self, case, n):
+            kernel = a_group(self, case, n)
+            if case.tau.order() % 2:
+                return kernel
+            extra = realize_by_products((1,) + (0,) * (n - 1), case.tau, case.d)
+            return GeneratedGroup(kernel.degree, (*kernel.generators, extra))
+
+        session, _ = thm_3_4_session()
+        monkeypatch.setattr(Session, "a_bsgs", chain)
+        monkeypatch.setattr(Session, "a_group", listed)
+        entries = claims._check_thm_3_4(session)
+        assert len(entries) == 4
+        for entry in entries:
+            even = sum(c.tau.order() % 2 == 0 for c in session.pool(entry.parameters["d"]))
+            assert entry.witness["parametrization_failures"] == even > 0
+            assert not entry.passed
+
+
+class TestChecksMatchReferences:
+    # the acceptance grid, and n = 6 at d = 3 as in the prop-3.11 golden
+    @pytest.mark.parametrize("d,n", [(d, n) for d in (2, 3, 4) for n in (3, 4)] + [(3, 6)])
+    def test_per_case_verdicts(self, monkeypatch, d, n):
+        session = Session(RunConfig(d=d, n=n))
+        for case in session.pool(d):
+            image, mats = session.image(case, n), session.monodromy(case, n)
+            b_bsgs, a_bsgs = session.b_bsgs(case, n), session.a_bsgs(case, n)
+            monkeypatch.setattr(session, "pool", lambda _: [case])
+            [entry] = claims._check_thm_3_4(session)
+            witness = entry.witness
+            assert witness["parametrization_failures"] == (not box_parametrizes(image, a_bsgs))
+            assert witness["intersection_failures"] == (not sweep_intersects(image, b_bsgs, a_bsgs))
+            matches = claims._matrices_match_conjugation(image, mats)
+            assert matches == box_matches_conjugation(image, mats)

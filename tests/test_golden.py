@@ -22,8 +22,8 @@ GOLDEN = {
     "d4_n3.json": (["verify", "--d", "4", "--n", "3", "--format", "json", "--seed", "0"], 1),
     # the only golden with q = 6, where q is even and q2 = 3 is odd
     "d5_n3.json": (["verify", "--d", "5", "--n", "3", "--format", "json", "--seed", "0"], 1),
-    # the only golden at n = 6: the monodromy walk over S_6 and the
-    # kernel boxes of up to 3^5 * 3 elements
+    # the only golden at n = 6: the monodromy walk over S_6, and matrices of
+    # size 6 with modulus up to 3 checked against conjugation
     "d3_n6_prop311.json": (
         ["verify", "--d", "3", "--n", "6", "--claim", "prop-3.11", "--format", "json",
          "--seed", "0"], 0),

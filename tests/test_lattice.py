@@ -2,6 +2,7 @@ import dataclasses
 import math
 import random
 from itertools import combinations_with_replacement, permutations, product
+from operator import mul
 from types import SimpleNamespace
 
 import pytest
@@ -19,7 +20,6 @@ from braidperm.lattice import (
     g_vector,
     identity_matrix,
     kernel_actions,
-    kernel_box,
     kernel_structure,
     monodromy_kernel,
     monodromy_matrices,
@@ -87,8 +87,44 @@ def exponent_vector(g, tau, d, n):
 
 
 def parametrize(coords, tau, d):
-    """Kernel coordinates realized as thm-3.4 realizes its coordinate box."""
+    """Kernel coordinates realized as thm-3.4 realizes the unit coordinates."""
     return realize(lattice._kernel_exponents(coords), tau, d)
+
+
+def kernel_box(n, q):
+    """All canonical coordinate tuples: n-1 entries mod q, the last mod q2."""
+    return product(*map(range, lattice._moduli(n, q, q2_of(q))))
+
+
+# thm-3.4's and prop-3.11's checks element by element, as references for the
+# checks on generators
+
+
+def box_parametrizes(image, a_bsgs):
+    """The realized kernel box is |A| distinct elements of the chain a_bsgs."""
+    shifted = lattice._block_powers(image.tau, image.d, image.n)[0]
+    coords = kernel_box(image.n, image.q)
+    box = [lattice._realize(shifted, lattice._kernel_exponents(c)) for c in coords]
+    return len(set(box)) == len(box) == a_bsgs.order() and all(map(a_bsgs._contains_images, box))
+
+
+def sweep_intersects(image, b_bsgs, a_bsgs):
+    """Each of the q^n block-product elements lies in the chain b_bsgs exactly
+    when it lies in the chain a_bsgs."""
+    shifted = lattice._block_powers(image.tau, image.d, image.n)[0]
+    block_product = (lattice._realize(shifted, e) for e in product(range(image.q), repeat=image.n))
+    return all(b_bsgs._contains_images(g) == a_bsgs._contains_images(g) for g in block_product)
+
+
+def box_matches_conjugation(image, mats):
+    """Each matrix acts on every kernel-box element as conjugation does."""
+    moduli = lattice._moduli(image.n, image.q, image.q2)
+    box = list(kernel_box(image.n, image.q))
+    return all(
+        tuple(sum(map(mul, row, coords)) % k for row, k in zip(m, moduli)) == acted
+        for coords, actions in zip(box, kernel_actions(image, box))
+        for m, acted in zip(mats, actions)
+    )
 
 
 # tau = () at d = 2; (1 2) at d = 3, where tau's degree is below d;
@@ -390,6 +426,30 @@ class TestMonodromy:
                 assert not claims._matrices_match_conjugation(image, bad)
                 changed += 1
         assert changed > 0
+
+    @pytest.mark.parametrize(
+        "tau,d,n", [("(1 2)", 2, 3), ("(1 2 3 4)", 4, 3), ("(1 2 3)", 3, 4), ("(1 2)(3 4 5)", 5, 3)]
+    )
+    def test_conjugation_check_sees_the_skip_sums(self, monkeypatch, tau, d, n):
+        # the matrices are read from the unit coordinates, so a check on those
+        # alone would be circular: perturb the action on the skip sum
+        # e_1 + e_3 only
+        image = image_for(perm(tau), d, n)
+        mats = monodromy_matrices(image)
+        skip = coords_from_exponents(g_vector(n, 1), image.q)
+        actions = claims.kernel_actions
+
+        def perturbed(image, coords_iter):
+            coords = list(coords_iter)
+            for c, acted in zip(coords, actions(image, coords)):
+                if tuple(c) == skip:
+                    first = acted[0]
+                    acted = ((first[0] + 1) % image.q, *first[1:]), *acted[1:]
+                yield acted
+
+        assert claims._matrices_match_conjugation(image, mats)
+        monkeypatch.setattr(claims, "kernel_actions", perturbed)
+        assert not claims._matrices_match_conjugation(image, mats)
 
     def test_actions_reject_conjugates_outside_the_block_product(self):
         # (1 3) conjugates the realization (1 2) of e_1 to (2 3), which
