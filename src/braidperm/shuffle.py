@@ -177,8 +177,7 @@ class ShuffleSpec:
     @classmethod
     def from_json_dict(cls, data) -> "ShuffleSpec":
         try:
-            if unknown := set(data) - {"d", "tau", "u", "choices"}:
-                raise ValueError(f"unknown key {min(unknown)!r}")
+            _json_object(data, {"d", "tau", "u", "choices"}, "the document")
             d = _json_int(data["d"], "d")
             if not isinstance(data["tau"], str):
                 raise TypeError(f"tau must be a string, got {data['tau']!r}")
@@ -189,8 +188,7 @@ class ShuffleSpec:
                 raise ValueError("duplicate least element in u")
             choices = {}
             for entry in data.get("choices", []):
-                if unknown := set(entry) - {"alpha_min", "i1", "j1"}:
-                    raise ValueError(f"unknown key {min(unknown)!r} in a choice entry")
+                _json_object(entry, {"alpha_min", "i1", "j1"}, "a choice entry")
                 alpha = _json_int(entry["alpha_min"], "alpha_min")
                 if alpha in choices:
                     raise ValueError(f"duplicate alpha_min {alpha}")
@@ -200,6 +198,14 @@ class ShuffleSpec:
         except (KeyError, TypeError, ValueError) as exc:
             raise SpecError(f"bad spec document: {exc}") from exc
         return cls.make(tau, d, least, choices)
+
+
+def _json_object(value, keys: set[str], name: str) -> None:
+    """Reject a non-object or a key outside keys, so a misspelt key drops nothing."""
+    if type(value) is not dict:
+        raise TypeError(f"{name} must be a JSON object, got {value!r}")
+    if unknown := value.keys() - keys:
+        raise ValueError(f"unknown key {min(unknown)!r} in {name}")
 
 
 def _json_int(value, name: str) -> int:

@@ -116,9 +116,11 @@ class TestConstruct:
             (
                 {"d": 2, "tau": "(1 2)", "choice": [{"alpha_min": 1, "i1": 1, "j1": 2}]},
                 (),
-                "unknown key 'choice'",
+                "unknown key 'choice' in the document",
             ),
             (choice_with(j2=1), (), "unknown key 'j2' in a choice entry"),
+            ([SPEC], (), "the document must be a JSON object, got [{"),
+            (spec_with(choices=["i1"]), (), "a choice entry must be a JSON object, got 'i1'"),
         ],
     )
     def test_bad_input_exits_2(self, capsys, tmp_path, spec, args, message):
