@@ -366,6 +366,10 @@ class TestParametrization:
             coords_from_exponents((0, 0, 1), 2)
 
 
+# prop-3.11 cross-check cases with q = 2, 4, 3 and 6: q2 = 1, 2, 3 and 3
+CHECK_CASES = [("(1 2)", 2, 3), ("(1 2 3 4)", 4, 3), ("(1 2 3)", 3, 4), ("(1 2)(3 4 5)", 5, 3)]
+
+
 class TestMonodromy:
     def test_matrices_match_formulas(self):
         image = image_for(perm("(1 2)"), 2, 3)
@@ -407,10 +411,7 @@ class TestMonodromy:
                     acted = tuple(v % (q if i < n - 1 else q2) for i, v in enumerate(acted))
                     assert acted == expect
 
-    # q = 2, 4, 3 and 6: q2 = 1, 2, 3 and 3
-    @pytest.mark.parametrize(
-        "tau,d,n", [("(1 2)", 2, 3), ("(1 2 3 4)", 4, 3), ("(1 2 3)", 3, 4), ("(1 2)(3 4 5)", 5, 3)]
-    )
+    @pytest.mark.parametrize("tau,d,n", CHECK_CASES)
     def test_conjugation_check_sees_every_entry(self, tau, d, n):
         # changing one entry by 1 changes the action on a unit coordinate
         # whenever that coordinate and the entry's row have modulus above 1
@@ -427,9 +428,7 @@ class TestMonodromy:
                 changed += 1
         assert changed > 0
 
-    @pytest.mark.parametrize(
-        "tau,d,n", [("(1 2)", 2, 3), ("(1 2 3 4)", 4, 3), ("(1 2 3)", 3, 4), ("(1 2)(3 4 5)", 5, 3)]
-    )
+    @pytest.mark.parametrize("tau,d,n", CHECK_CASES)
     def test_conjugation_check_sees_the_skip_sums(self, monkeypatch, tau, d, n):
         # the matrices are read from the unit coordinates, so a check on those
         # alone would be circular: perturb the action on the skip sum
