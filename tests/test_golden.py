@@ -27,6 +27,11 @@ GOLDEN = {
     "d3_n6_prop311.json": (
         ["verify", "--d", "3", "--n", "6", "--claim", "prop-3.11", "--format", "json",
          "--seed", "0"], 0),
+    # prop-3.11 at n = 6 for q = 2, 3 and 4: the walk over S_6 on the most
+    # cases of any golden
+    "d4_n6_prop311.json": (
+        ["verify", "--d", "4", "--n", "6", "--claim", "prop-3.11", "--format", "json",
+         "--seed", "0"], 0),
     # lemma-3.3, prop-3.30 and thm-3.4 at n = 5; exit 1 from prop-3.30's
     # refuted orbit partition
     "d3_n5_kernel.json": (
