@@ -122,6 +122,10 @@ def _key(p: Permutation) -> tuple[int, ...]:
     return p.canonical()
 
 
+def _matrix_key(mats) -> tuple:
+    return tuple(tuple(map(tuple, m)) for m in mats)
+
+
 class Session:
     """Values shared across checkers within one run, each built on first use.
 
@@ -204,6 +208,16 @@ class Session:
             ("monodromy", case.d, n, _key(case.sigma)),
             lambda: monodromy_matrices(self.image(case, n)),
         )
+
+    def kernel_size(self, mats, q: int, q2: int) -> int:
+        """monodromy_kernel(mats, q, q2), memoized exactly: it is pure in q, q2 and the entries."""
+        key = ("kernel_size", q, q2, _matrix_key(mats))
+        return self._cached(key, lambda: monodromy_kernel(mats, q, q2))
+
+    def relations_hold(self, mats, q: int, q2: int) -> bool:
+        """The Coxeter relation verdict, memoized exactly: it is pure in q, q2 and the entries."""
+        key = ("relations", q, q2, _matrix_key(mats))
+        return self._cached(key, lambda: _matrix_relations_hold(mats, len(mats[0]), q, q2))
 
     def transitivity(self, case: GridCase, n: int):
         return self._cached(
@@ -713,10 +727,7 @@ def _check_cor_3_10(s: Session) -> list[ClaimCheck]:
     for (q, n), cases in sorted(by_qn.items()):
         orders = {s.b_bsgs(case, n).order() for case, n in cases}
         kernel_orders = {s.a_bsgs(case, n).order() for case, n in cases}
-        mats = {
-            tuple(tuple(tuple(row) for row in m) for m in s.monodromy(case, n))
-            for case, n in cases
-        }
+        mats = {_matrix_key(s.monodromy(case, n)) for case, n in cases}
         consistent = len(orders) == 1 and len(kernel_orders) == 1 and len(mats) == 1
         entries.append(
             ClaimCheck(
@@ -770,7 +781,7 @@ def _check_prop_3_11(s: Session) -> list[ClaimCheck]:
                     continue
                 if q == 1:
                     trivial_cases += 1
-                    if monodromy_kernel(image, mats) != math.factorial(n):
+                    if s.kernel_size(mats, q, q2) != math.factorial(n):
                         kernel_failures += 1
                         examples.append(f"trivial-kernel {case.sigma}")
                     continue
@@ -783,17 +794,16 @@ def _check_prop_3_11(s: Session) -> list[ClaimCheck]:
                         "generators": [[v for row in m for v in row] for m in mats],
                     },
                 )
-                expected = [expected_monodromy_matrix(idx, n, q) for idx in range(1, n)]
-                if mats != expected:
+                if mats != [expected_monodromy_matrix(idx, n, q) for idx in range(1, n)]:
                     matrix_mismatches += 1
                     examples.append(f"formula {case.sigma}")
-                if not _matrix_relations_hold(mats, n, q, q2):
+                if not s.relations_hold(mats, q, q2):
                     relation_failures += 1
                     examples.append(f"relations {case.sigma}")
-                if not _matrices_match_conjugation(image, mats):
+                if not _matrices_match_conjugation(image, s.a_group(case, n).generators, mats):
                     action_mismatches += 1
                     examples.append(f"action {case.sigma}")
-                if monodromy_kernel(image, mats) != 1:
+                if s.kernel_size(mats, q, q2) != 1:
                     kernel_failures += 1
                     examples.append(f"kernel {case.sigma}")
             entries.append(
@@ -821,18 +831,17 @@ def _check_prop_3_11(s: Session) -> list[ClaimCheck]:
     return entries
 
 
-def _matrices_match_conjugation(image: BraidImage, mats) -> bool:
+def _matrices_match_conjugation(image: BraidImage, kernel_gens, mats) -> bool:
     """Cross-check the matrices against conjugation of realized kernel elements.
 
     Both c -> M_s c and c -> coordinates of g_s * realized(c) * g_s^-1 are
     homomorphisms of the coordinate group, and homomorphisms that agree on
     generators are equal: so they are compared on the coordinates of
-    abelian_kernel's generators, among which the skip sums bring in h_n."""
+    kernel_gens, abelian_kernel's generators, among which the skip sums bring in h_n."""
     n, d, q = image.n, image.d, image.q
     moduli = _moduli(n, q, image.q2)
     lookups = _block_powers(image.tau, d, n)[1]
-    kernel = abelian_kernel(image).generators
-    gens = [_read_coords(_padded(k, n * d), lookups, d, q) for k in kernel]
+    gens = [_read_coords(_padded(k, n * d), lookups, d, q) for k in kernel_gens]
     for coords, actions in zip(gens, kernel_actions(image, gens)):
         for m, acted in zip(mats, actions):
             if tuple(sum(map(mul, row, coords)) % k for row, k in zip(m, moduli)) != acted:

@@ -347,8 +347,9 @@ def _changed_columns(m: Matrix) -> list[tuple[int, list[int], list[int]]]:
     return [(j, r, [col[k] for k in r]) for (j, col), r in zip(changed, rows)]
 
 
-def monodromy_kernel(image: "BraidImage", matrices: list[Matrix]) -> int:
-    """Number of block permutations acting trivially on the kernel coordinates.
+def monodromy_kernel(matrices: list[Matrix], q: int, q2: int) -> int:
+    """Number of block permutations acting trivially on the kernel coordinates,
+    given the n-1 matrices of size n and the coordinate moduli q and q2.
 
     Walks S_n breadth-first from the identity along the adjacent
     transpositions: a permutation p first reached as p' * (s s+1) gets the
@@ -360,8 +361,8 @@ def monodromy_kernel(image: "BraidImage", matrices: list[Matrix]) -> int:
     Matrices are held column-major: column j of A @ M_s is column j of A when
     column j of M_s is e_j, and only the other columns of M_s are multiplied out.
     """
-    n, moduli = image.n, _moduli(image.n, image.q, image.q2)
-    ident = tuple(zip(*identity_matrix(n, image.q, image.q2)))
+    n = len(matrices[0])
+    moduli, ident = _moduli(n, q, q2), tuple(zip(*identity_matrix(n, q, q2)))
     changes = [_changed_columns(m) for m in matrices]
     reached = {tuple(range(1, n + 1)): ident}
     queue = list(reached)

@@ -420,6 +420,60 @@ class TestThm34:
             assert not entry.passed
 
 
+class TestProp311:
+    @pytest.mark.parametrize("position", [0, -1])
+    def test_each_case_is_decided_on_its_own_matrices(self, monkeypatch, position):
+        """The first or the last case with q = 3 at d = 3, n = 4 gets identity
+        matrices, which satisfy the relations but fix all n! block
+        permutations.  That case alone counts a formula mismatch and a kernel
+        failure: a verdict reused across cases of equal (q, n) but other
+        matrices would add or hide one."""
+        session = Session(RunConfig(d=3, n=4))
+        target = [case for case in session.pool(3) if case.tau.order() == 3][position]
+        monodromy = Session.monodromy
+
+        def patched(self, case, n):
+            if case == target:
+                return [lattice.identity_matrix(n, 3, 3) for _ in range(n - 1)]
+            return monodromy(self, case, n)
+
+        monkeypatch.setattr(Session, "monodromy", patched)
+        [entry] = claims._check_prop_3_11(session)
+        witness = entry.witness
+        assert witness["matrix_mismatches"] == witness["kernel_failures"] == 1
+        assert witness["relation_failures"] == 0 and not entry.passed
+        examples = witness["examples"]
+        assert f"formula {target.sigma}" in examples and f"kernel {target.sigma}" in examples
+
+    @pytest.mark.parametrize(
+        "config,walks,relations",
+        [
+            (RunConfig(d=3, n=6, claims=("prop-3.11",)), 3, 2),
+            (RunConfig(d_max=4, n_max=4), 8, 6),
+        ],
+    )
+    def test_matrix_checks_once_per_distinct_matrix_set(
+        self, monkeypatch, config, walks, relations
+    ):
+        """The walk runs once per distinct (q, n) and the relations once per
+        distinct (q, n) with q >= 2, however many cases share the matrices."""
+        calls = {"monodromy_kernel": 0, "_matrix_relations_hold": 0}
+
+        def counting(name):
+            original = getattr(claims, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(claims, name, counting(name))
+        run_verification(config)
+        assert calls == {"monodromy_kernel": walks, "_matrix_relations_hold": relations}
+
+
 class TestChecksMatchReferences:
     # the acceptance grid, and n = 6 at d = 3 as in the prop-3.11 golden
     @pytest.mark.parametrize("d,n", [(d, n) for d in (2, 3, 4) for n in (3, 4)] + [(3, 6)])
@@ -433,5 +487,6 @@ class TestChecksMatchReferences:
             witness = entry.witness
             assert witness["parametrization_failures"] == (not box_parametrizes(image, a_bsgs))
             assert witness["intersection_failures"] == (not sweep_intersects(image, b_bsgs, a_bsgs))
-            matches = claims._matrices_match_conjugation(image, mats)
+            kernel_gens = session.a_group(case, n).generators
+            matches = claims._matrices_match_conjugation(image, kernel_gens, mats)
             assert matches == box_matches_conjugation(image, mats)

@@ -3,13 +3,12 @@ import math
 import random
 from itertools import combinations_with_replacement, permutations, product
 from operator import mul
-from types import SimpleNamespace
 
 import pytest
 
 from braidperm import claims, lattice
 from braidperm.claims import RunConfig, Session
-from braidperm.groups import braid_image
+from braidperm.groups import abelian_kernel, braid_image
 from braidperm.lattice import (
     AbelianStructure,
     compose_matrices,
@@ -416,15 +415,15 @@ class TestMonodromy:
         # changing one entry by 1 changes the action on a unit coordinate
         # whenever that coordinate and the entry's row have modulus above 1
         image = image_for(perm(tau), d, n)
-        mats = monodromy_matrices(image)
-        assert claims._matrices_match_conjugation(image, mats)
+        mats, kernel_gens = monodromy_matrices(image), abelian_kernel(image).generators
+        assert claims._matrices_match_conjugation(image, kernel_gens, mats)
         moduli = [image.q] * (n - 1) + [image.q2]
         changed = 0
         for s, i, j in product(range(n - 1), range(n), range(n)):
             if moduli[i] > 1 and moduli[j] > 1:
                 bad = [[row[:] for row in m] for m in mats]
                 bad[s][i][j] = (bad[s][i][j] + 1) % moduli[i]
-                assert not claims._matrices_match_conjugation(image, bad)
+                assert not claims._matrices_match_conjugation(image, kernel_gens, bad)
                 changed += 1
         assert changed > 0
 
@@ -434,7 +433,7 @@ class TestMonodromy:
         # alone would be circular: perturb the action on the skip sum
         # e_1 + e_3 only
         image = image_for(perm(tau), d, n)
-        mats = monodromy_matrices(image)
+        mats, kernel_gens = monodromy_matrices(image), abelian_kernel(image).generators
         skip = coords_from_exponents(g_vector(n, 1), image.q)
         actions = claims.kernel_actions
 
@@ -446,9 +445,9 @@ class TestMonodromy:
                     acted = ((first[0] + 1) % image.q, *first[1:]), *acted[1:]
                 yield acted
 
-        assert claims._matrices_match_conjugation(image, mats)
+        assert claims._matrices_match_conjugation(image, kernel_gens, mats)
         monkeypatch.setattr(claims, "kernel_actions", perturbed)
-        assert not claims._matrices_match_conjugation(image, mats)
+        assert not claims._matrices_match_conjugation(image, kernel_gens, mats)
 
     def test_actions_reject_conjugates_outside_the_block_product(self):
         # (1 3) conjugates the realization (1 2) of e_1 to (2 3), which
@@ -464,12 +463,13 @@ class TestMonodromy:
     def test_kernel_sizes(self):
         for tau, d, n in [("(1 2)", 2, 3), ("(1 2)", 2, 4), ("(1 2 3)", 3, 3)]:
             image = image_for(perm(tau), d, n)
-            assert monodromy_kernel(image, monodromy_matrices(image)) == 1
+            assert monodromy_kernel(monodromy_matrices(image), image.q, image.q2) == 1
 
     def test_trivial_module_kernel_is_everything(self):
         for n in range(3, 7):
             image = image_for(Permutation.identity(2), 2, n)
-            assert monodromy_kernel(image, monodromy_matrices(image)) == math.factorial(n)
+            mats = monodromy_matrices(image)
+            assert monodromy_kernel(mats, image.q, image.q2) == math.factorial(n)
 
     @pytest.mark.parametrize(
         "tau,d,n",
@@ -496,7 +496,7 @@ class TestMonodromy:
                 mat = compose_matrices(mats[s - 1], mat, image.q, image.q2)
             assert rebuilt == Permutation(tuple(line))
             count += mat == ident
-        assert monodromy_kernel(image, mats) == count
+        assert monodromy_kernel(mats, image.q, image.q2) == count
 
 
 def dense_walk(mats, n, q, q2):
@@ -524,7 +524,6 @@ class TestMonodromyWalk:
     def test_matches_dense_walk(self, n, q):
         rng = random.Random(1000 * n + q)
         q2 = q2_of(q)
-        image = SimpleNamespace(n=n, q=q, q2=q2)
         stated = [expected_monodromy_matrix(s, n, q) for s in range(1, n)]
 
         def word(length):
@@ -553,7 +552,7 @@ class TestMonodromyWalk:
         counts = []
         for mats in sets:
             counts.append(dense_walk(mats, n, q, q2))
-            assert monodromy_kernel(image, mats) == counts[-1]
+            assert monodromy_kernel(mats, q, q2) == counts[-1]
         assert counts[0] == (math.factorial(n) if q == 1 else 1)
         if q > 1:
             assert not all(claims._matrix_relations_hold(mats, n, q, q2) for mats in sets)
@@ -564,7 +563,7 @@ class TestMonodromyBudget:
     def test_no_dense_products_or_permutation_round_trips(self, monkeypatch):
         session = Session(RunConfig())
         cases = [
-            (session.image(case, n), session.monodromy(case, n))
+            (session.image(case, n), session.a_group(case, n), session.monodromy(case, n))
             for d in (2, 3)
             for case in session.pool(d)
             for n in (3, 4)
@@ -584,10 +583,10 @@ class TestMonodromyBudget:
             wrapper = counting(name)
             monkeypatch.setattr(lattice, name, wrapper)
             monkeypatch.setattr(claims, name, wrapper)
-        for image, mats in cases:
+        for image, kernel, mats in cases:
             expected = math.factorial(image.n) if image.q == 1 else 1
-            assert monodromy_kernel(image, mats) == expected
-            assert claims._matrices_match_conjugation(image, mats)
+            assert monodromy_kernel(mats, image.q, image.q2) == expected
+            assert claims._matrices_match_conjugation(image, kernel.generators, mats)
             assert monodromy_matrices(image) == mats
         assert len(cases) > 40
         assert calls == {"compose_matrices": 0}
