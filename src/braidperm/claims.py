@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from operator import mul
 from typing import Callable
@@ -324,20 +325,19 @@ def _check_lemma_2_4(s: Session) -> list[ClaimCheck]:
                     if pair.product != tau:
                         failures["pair_product"] += 1
                         examples.append(f"pair_product {spec.to_json_dict()}")
-                # the component identities, on image tuples of degree 2d and d
+                # the component identities, on the built image tuples of degree 2d and d
                 prod = ident
                 for comp in components(spec):
-                    factor = _padded(comp.factor, 2 * d)
-                    first, second = _padded(comp.first, d), _padded(comp.second, d)
-                    product = _padded(comp.product, d)
+                    factor, product = comp.factor.images, comp.product.images
+                    first, second = comp.first.images, comp.second.images
                     prod = _compose(prod, factor)
-                    swapped = _compose(_padded(comp.swap, 2 * d), first + upper)
+                    swapped = _compose(comp.swap.images, first + upper)
                     if _compose(swapped, _shifted(second, d)) != factor:
                         failures["orbit_factor"] += 1
                         examples.append(f"orbit_factor {spec.to_json_dict()}")
                     if _compose(first, second) != product or _compose(second, first) != product:
                         failures["orbit_commute"] += 1
-                if prod != _padded(sigma, 2 * d):
+                if prod != sigma.images:
                     failures["factor_product"] += 1
                 rotated = ShuffleSpec(
                     d, tau, tuple((a, tau(i1), tau(j1)) for a, i1, j1 in spec.choices)
@@ -426,7 +426,9 @@ def _check_cor_2_13(s: Session) -> list[ClaimCheck]:
             if twisted * twisted != target:
                 failures.append(f"d={case.d} sigma={case.sigma} k={k} l={l}")
                 continue
-            if twisted not in s.roots(case.d, power).elements:
+            roots = s.roots(case.d, power).elements  # sorted by canonical()
+            at = bisect_left(roots, twisted.canonical(), key=Permutation.canonical)
+            if roots[at : at + 1] != (twisted,):
                 failures.append(f"membership d={case.d} sigma={case.sigma} k={k} l={l}")
     return [
         ClaimCheck(

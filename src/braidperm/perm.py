@@ -175,19 +175,19 @@ class Permutation:
         With ``include_fixed`` the fixed points of [1, degree] appear as
         1-cycles.
         """
-        n = max(self.degree, degree or 0)
-        seen = [False] * (n + 1)
+        images = self.images + tuple(range(self.degree + 1, (degree or 0) + 1))
+        seen = [False] * (len(images) + 1)
         out: list[tuple[int, ...]] = []
-        for start in range(1, n + 1):
+        for start in range(1, len(images) + 1):
             if seen[start]:
                 continue
             cycle = [start]
             seen[start] = True
-            x = self(start)
+            x = images[start - 1]
             while x != start:
                 cycle.append(x)
                 seen[x] = True
-                x = self(x)
+                x = images[x - 1]
             if len(cycle) > 1 or include_fixed:
                 out.append(tuple(cycle))
         return out

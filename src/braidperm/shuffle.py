@@ -214,28 +214,30 @@ def _json_int(value, name: str) -> int:
     return value
 
 
-def _walk(tau: Permutation, start: int, m: int) -> list[int]:
-    seq = [start]
-    for _ in range(m - 1):
-        seq.append(tau(seq[-1]))
-    return seq
+def _steps(spec: ShuffleSpec, cycles=None) -> Iterator[tuple[int, int, int]]:
+    """(i_t, j_t, i_(t+1)) for every t and every chosen cycle alpha, or every
+    alpha in cycles.  A spec stores alpha and u(alpha) from their least points
+    along tau, so rotating them to start at i1 and j1 is walking tau there."""
+    for (alpha, i1, j1), (_, image) in zip(spec.choices, spec.u):
+        if cycles is None or alpha in cycles:
+            k, l = alpha.index(i1), image.index(j1)
+            i_seq, j_seq = alpha[k:] + alpha[:k], image[l:] + image[:l]
+            yield from zip(i_seq, j_seq, i_seq[1:] + i_seq[:1])
 
 
 def build_shuffle(spec: ShuffleSpec) -> Permutation:
     """Product of the shuffled 2m-cycles; maps [1, d] onto [d+1, 2d].
 
     Advancing (i1, j1) together along tau rotates each 2m-cycle in place, so
-    specs differing only by such a rotation build the same permutation.
+    specs differing only by such a rotation build the same permutation.  The
+    i_t and the j_t each run once over [1, d], so every image is set: a valid
+    spec makes the images a bijection, and they are not checked again.
     """
-    mapping: dict[int, int] = {}
-    for alpha, i1, j1 in spec.choices:
-        m = len(alpha)
-        i_seq = _walk(spec.tau, i1, m)
-        j_seq = [x + spec.d for x in _walk(spec.tau, j1, m)]
-        for t in range(m):
-            mapping[i_seq[t]] = j_seq[t]
-            mapping[j_seq[t]] = i_seq[(t + 1) % m]
-    return Permutation.from_mapping(mapping, 2 * spec.d)
+    images = [0] * (2 * spec.d)
+    for i, j, i_next in _steps(spec):
+        images[i - 1] = j + spec.d
+        images[j + spec.d - 1] = i_next
+    return _trusted(tuple(images))
 
 
 @dataclass(frozen=True)
@@ -258,19 +260,11 @@ class CommutingPair:
 
 def build_pair(spec: ShuffleSpec) -> CommutingPair:
     """The commuting pair glued from the per-cycle point maps; multiplies to tau."""
-    p_map: dict[int, int] = {}
-    q_map: dict[int, int] = {}
-    for alpha, i1, j1 in spec.choices:
-        m = len(alpha)
-        i_seq = _walk(spec.tau, i1, m)
-        j_seq = _walk(spec.tau, j1, m)
-        for t in range(m):
-            p_map[i_seq[t]] = j_seq[t]
-            q_map[j_seq[t]] = i_seq[(t + 1) % m]
-    pair = CommutingPair(
-        Permutation.from_mapping(p_map, spec.d),
-        Permutation.from_mapping(q_map, spec.d),
-    )
+    first, second = [0] * spec.d, [0] * spec.d
+    for i, j, i_next in _steps(spec):
+        first[i - 1] = j
+        second[j - 1] = i_next
+    pair = CommutingPair(_trusted(tuple(first)), _trusted(tuple(second)))
     if pair.product != spec.tau:
         raise SpecError("pair construction did not multiply back to tau; this is a bug")
     return pair
@@ -350,40 +344,22 @@ class Component:
 
 def components(spec: ShuffleSpec) -> tuple[Component, ...]:
     """The per-u-orbit factor data of a spec, ordered by least point.  The
-    factors have pairwise disjoint supports and multiply to build_shuffle(spec)."""
-    chosen = {alpha: (i1, j1) for alpha, i1, j1 in spec.choices}
+    factors have pairwise disjoint supports and multiply to build_shuffle(spec).
+    Like build_shuffle's, their images are not checked again."""
+    d = spec.d
     out = []
     for orbit in spec.orbits():
-        factor_map: dict[int, int] = {}
-        p_map: dict[int, int] = {}
-        q_map: dict[int, int] = {}
-        points: set[int] = set()
-        for alpha in orbit:
-            points.update(alpha)
-            i1, j1 = chosen[alpha]
-            m = len(alpha)
-            i_seq = _walk(spec.tau, i1, m)
-            j_seq = _walk(spec.tau, j1, m)
-            for t in range(m):
-                factor_map[i_seq[t]] = j_seq[t] + spec.d
-                factor_map[j_seq[t] + spec.d] = i_seq[(t + 1) % m]
-                p_map[i_seq[t]] = j_seq[t]
-                q_map[j_seq[t]] = i_seq[(t + 1) % m]
-        swap = Permutation.from_mapping(
-            {**{x: x + spec.d for x in points}, **{x + spec.d: x for x in points}},
-            2 * spec.d,
-        )
-        out.append(
-            Component(
-                cycles=orbit,
-                points=frozenset(points),
-                factor=Permutation.from_mapping(factor_map, 2 * spec.d),
-                first=Permutation.from_mapping(p_map, spec.d),
-                second=Permutation.from_mapping(q_map, spec.d),
-                product=Permutation.from_cycles(orbit, spec.d),
-                swap=swap,
-            )
-        )
+        points = frozenset(x for alpha in orbit for x in alpha)
+        factor, swap = list(range(1, 2 * d + 1)), list(range(1, 2 * d + 1))
+        first, second, product = (list(range(1, d + 1)) for _ in range(3))
+        for i, j, i_next in _steps(spec, orbit):
+            factor[i - 1], factor[j + d - 1] = j + d, i_next
+            first[i - 1], second[j - 1] = j, i_next
+        for x in points:
+            product[x - 1] = spec.tau(x)
+            swap[x - 1], swap[x + d - 1] = x + d, x
+        perms = (_trusted(tuple(images)) for images in (factor, first, second, product, swap))
+        out.append(Component(orbit, points, *perms))
     return tuple(out)
 
 

@@ -1,4 +1,7 @@
 import json
+import random
+import re
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -143,7 +146,25 @@ def faulty_report(monkeypatch, tmp_path, name, fault, tag):
     def faulty(*args):
         raise fault
 
-    monkeypatch.setattr(claims, name, faulty)
+    return replaced_report(monkeypatch, tmp_path, name, faulty, tag)
+
+
+def corrupted_report(monkeypatch, tmp_path, name, corrupt, tag):
+    """As faulty_report, with claims.<name> returning a wrong result instead:
+    corrupt applied to what the real function returns."""
+    real = getattr(claims, name)
+    return replaced_report(monkeypatch, tmp_path, name, lambda *args: corrupt(real(*args)), tag)
+
+
+def swapped_images(p, i, j):
+    """p with the images of the points i and j exchanged: another bijection."""
+    images = list(p.images)
+    images[i - 1], images[j - 1] = images[j - 1], images[i - 1]
+    return Permutation(tuple(images))
+
+
+def replaced_report(monkeypatch, tmp_path, name, replacement, tag):
+    monkeypatch.setattr(claims, name, replacement)
     out = tmp_path / "report.json"
     args = ["verify", "--d", "3", "--n", "3", "--claim", tag, "--format", "json"]
     assert main([*args, "--out", str(out)]) == 1
@@ -170,6 +191,69 @@ class TestPairFaults:
         assert entry["witness"] == {"commuting_pairs": 18, "roundtrip_failures": 18}
         assert not entry["pass"]
         assert all(e["pass"] for e in entries if e is not entry)
+
+
+class TestLemma24:
+    def test_construction_makes_no_validated_permutations(self, monkeypatch):
+        """lemma-2.4 at d = 4 builds every sigma, pair and component from the
+        spec's stored cycles without one validated Permutation construction."""
+        s = Session(RunConfig(d=4))
+        s.taus(4)
+        calls = 0
+        init = Permutation.__init__
+
+        def counting_init(self, *args, **kwargs):
+            nonlocal calls
+            calls += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Permutation, "__init__", counting_init)
+        [entry] = claims._check_lemma_2_4(s)
+        assert entry.passed
+        assert calls == 0
+
+    def test_wrong_sigma_counts_factorization_failures(self, monkeypatch, tmp_path):
+        def corrupt(sigma):
+            return swapped_images(sigma, 1, 2)
+
+        [entry] = corrupted_report(monkeypatch, tmp_path, "build_shuffle", corrupt, "lemma-2.4")
+        witness = entry["witness"]
+        assert witness["factorization"] == witness["factor_product"] == witness["specs"] == 36
+        assert witness["orbit_factor"] == witness["pair_product"] == 0
+        assert not entry["pass"]
+
+    def test_wrong_factor_counts_orbit_factor_failures(self, monkeypatch, tmp_path):
+        def corrupt(comps):
+            first, *rest = comps
+            return (replace(first, factor=swapped_images(first.factor, 1, 6)), *rest)
+
+        [entry] = corrupted_report(monkeypatch, tmp_path, "components", corrupt, "lemma-2.4")
+        witness = entry["witness"]
+        assert witness["orbit_factor"] == witness["factor_product"] == witness["specs"] == 36
+        assert witness["factorization"] == witness["pair_product"] == 0
+        examples = witness["examples"]
+        assert len(examples) == 3 and all(e.startswith("orbit_factor {") for e in examples)
+        assert not entry["pass"]
+
+
+class TestCor213:
+    def test_missing_root_is_a_membership_failure(self, monkeypatch):
+        """With every root bucket emptied, each instance fails the membership
+        lookup, and its example names the k and l drawn for it.  The pool is
+        cut to the 3-cycles, on which k matters modulo 3."""
+        s = Session(RunConfig(d=3, n=3, claims=("cor-2.13",)))
+        pool = [case for case in s.pool(3) if case.tau.order() == 3]
+        monkeypatch.setattr(s, "pool", lambda d: pool)
+        monkeypatch.setattr(Session, "roots", lambda self, d, tau: EnumerationResult({}, (), 0))
+        [entry] = claims._check_cor_2_13(s)
+        assert entry.witness["failures"] == entry.parameters["instances"] and not entry.passed
+        draws = random.Random(s.config.seed)
+        drawn = [(draws.randrange(0, 9), draws.randrange(0, 9)) for _ in range(3)]
+        named = [
+            tuple(map(int, re.fullmatch(r"membership d=3 sigma=.+ k=(\d+) l=(\d+)", e).groups()))
+            for e in entry.witness["examples"]
+        ]
+        assert named == drawn
 
 
 class TestThm212:

@@ -7,6 +7,8 @@ from hypothesis import given, strategies as st
 from braidperm.groups import schreier_sims, symmetric_group
 from braidperm.perm import Permutation, _padded, block_swap, centralizer_order
 from braidperm.shuffle import (
+    CommutingPair,
+    Component,
     ShuffleSpec,
     SpecError,
     _is_braid_like,
@@ -51,6 +53,97 @@ def coset(d):
     """Every element of swap * S_d * shift(S_d, d), by Permutation products."""
     swap = block_swap(1, d, 2)
     return [swap * w1 * w2.shift(d) for w1 in all_of_sd(d) for w2 in all_of_sd(d)]
+
+
+def walk(tau, start, m):
+    seq = [start]
+    for _ in range(m - 1):
+        seq.append(tau(seq[-1]))
+    return seq
+
+
+def shuffle_by_walking(spec):
+    """build_shuffle by walking tau from each start, through validated from_mapping."""
+    mapping = {}
+    for alpha, i1, j1 in spec.choices:
+        m = len(alpha)
+        i_seq = walk(spec.tau, i1, m)
+        j_seq = [x + spec.d for x in walk(spec.tau, j1, m)]
+        for t in range(m):
+            mapping[i_seq[t]] = j_seq[t]
+            mapping[j_seq[t]] = i_seq[(t + 1) % m]
+    return Permutation.from_mapping(mapping, 2 * spec.d)
+
+
+def pair_by_walking(spec):
+    """build_pair by walking tau from each start, through validated from_mapping."""
+    p_map, q_map = {}, {}
+    for alpha, i1, j1 in spec.choices:
+        m = len(alpha)
+        i_seq = walk(spec.tau, i1, m)
+        j_seq = walk(spec.tau, j1, m)
+        for t in range(m):
+            p_map[i_seq[t]] = j_seq[t]
+            q_map[j_seq[t]] = i_seq[(t + 1) % m]
+    return CommutingPair(
+        Permutation.from_mapping(p_map, spec.d), Permutation.from_mapping(q_map, spec.d)
+    )
+
+
+def components_by_walking(spec):
+    """components by walking tau from each start, through validated from_mapping
+    and from_cycles."""
+    chosen = {alpha: (i1, j1) for alpha, i1, j1 in spec.choices}
+    out = []
+    for orbit in spec.orbits():
+        factor_map, p_map, q_map = {}, {}, {}
+        points = set()
+        for alpha in orbit:
+            points.update(alpha)
+            i1, j1 = chosen[alpha]
+            m = len(alpha)
+            i_seq = walk(spec.tau, i1, m)
+            j_seq = walk(spec.tau, j1, m)
+            for t in range(m):
+                factor_map[i_seq[t]] = j_seq[t] + spec.d
+                factor_map[j_seq[t] + spec.d] = i_seq[(t + 1) % m]
+                p_map[i_seq[t]] = j_seq[t]
+                q_map[j_seq[t]] = i_seq[(t + 1) % m]
+        swap = Permutation.from_mapping(
+            {**{x: x + spec.d for x in points}, **{x + spec.d: x for x in points}},
+            2 * spec.d,
+        )
+        out.append(
+            Component(
+                cycles=orbit,
+                points=frozenset(points),
+                factor=Permutation.from_mapping(factor_map, 2 * spec.d),
+                first=Permutation.from_mapping(p_map, spec.d),
+                second=Permutation.from_mapping(q_map, spec.d),
+                product=Permutation.from_cycles(orbit, spec.d),
+                swap=swap,
+            )
+        )
+    return tuple(out)
+
+
+class TestBuildersMatchWalkingReferences:
+    """The builders rotate the spec's stored cycles and skip validation; the
+    references walk tau and validate every map."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_every_spec(self, d):
+        for tau in all_of_sd(d):
+            for spec in iter_specs(tau, d):
+                sigma, pair, comps = build_shuffle(spec), build_pair(spec), components(spec)
+                assert sigma == shuffle_by_walking(spec)
+                assert pair == pair_by_walking(spec)
+                assert comps == components_by_walking(spec)
+                assert len(sigma.images) == 2 * d
+                assert len(pair.first.images) == len(pair.second.images) == d
+                for comp in comps:
+                    assert len(comp.factor.images) == len(comp.swap.images) == 2 * d
+                    assert {len(p.images) for p in (comp.first, comp.second, comp.product)} == {d}
 
 
 class TestBuildShuffle:
