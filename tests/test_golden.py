@@ -41,6 +41,11 @@ GOLDEN = {
     "d5_n4_kernel.json": (
         ["verify", "--d", "5", "--n", "4", "--claim", "thm-3.4", "--claim", "prop-3.11",
          "--format", "json", "--seed", "0"], 0),
+    # prop-3.30 and cor-3.31 at n = 4 for q = 4, 5 and 6; exit 1 from the two
+    # refuted orbit claims
+    "d5_n4_orbits.json": (
+        ["verify", "--d", "5", "--n", "4", "--claim", "prop-3.30", "--claim", "cor-3.31",
+         "--format", "json", "--seed", "0"], 1),
     # construct pins the spec document, its "u" included: swapped fixed
     # points; given starts on a 2-orbit of u; a 2-orbit beside fixed points;
     # a 3-orbit of u, whose component lists its cycles in orbit order
