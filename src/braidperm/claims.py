@@ -223,7 +223,7 @@ class Session:
     def transitivity(self, case: GridCase, n: int):
         return self._cached(
             ("transitivity", case.d, n, _key(case.sigma)),
-            lambda: transitivity_report(self.image(case, n), case.spec, self.b_bsgs(case, n)),
+            lambda: transitivity_report(self.image(case, n), case.spec),
         )
 
 

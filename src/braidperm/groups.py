@@ -439,33 +439,32 @@ class TransitivityClass:
     subdirect: bool
 
 
-def transitivity_report(
-    image: BraidImage, spec: ShuffleSpec, b_bsgs: BSGS
-) -> TransitivityClass:
+def transitivity_report(image: BraidImage, spec: ShuffleSpec) -> TransitivityClass:
     """Compare the orbit partition with the towers over the u-orbits.
 
     Also checks that on each tower the generators equal the shifts of the
-    component factor.  Those shifts map the tower into itself and restriction
-    is a homomorphism, so the restricted group is the component group, and the
-    whole group, whose chain is b_bsgs, is a subdirect product of them.
+    component factor.  When the towers partition the points and each shift
+    moves only points of its tower, every generator is the product of its
+    shifts, which have disjoint supports, so the group embeds in the product
+    of the component groups and maps onto each: a subdirect product.
     """
     orbits = orbits_partition(image.group())
     comps = components(spec)
     towers = [tower(c.points, image.d, image.n) for c in comps]
-    restrictions_match = True
-    product_order = 1
+    restrictions_match = on_towers = True
     for comp, y in zip(comps, towers):
         local = tuple(comp.factor.shift((s - 1) * image.d) for s in range(1, image.n))
-        product_order *= schreier_sims(GeneratedGroup(image.n * image.d, local)).order()
+        on_towers = on_towers and all(y.issuperset(h.support()) for h in local)
         restrictions_match = restrictions_match and all(
             g(x) == h(x) for g, h in zip(image.generators, local) for x in y
         )
+    partition = sorted(x for y in towers for x in y) == list(range(1, image.n * image.d + 1))
     return TransitivityClass(
         transitive=len(orbits) == 1,
         u_long_cycle=len(spec.orbits()) == 1,
         orbits_match=set(orbits) == set(towers),
         restrictions_match=restrictions_match,
-        subdirect=restrictions_match and product_order % b_bsgs.order() == 0,
+        subdirect=restrictions_match and partition and on_towers,
     )
 
 

@@ -283,13 +283,16 @@ def shuffle_from_pair(first: Permutation, second: Permutation, d: int) -> Permut
 def pair_from_shuffle(sigma: Permutation, d: int) -> CommutingPair:
     """Read the commuting pair back off a shuffle-built permutation.
 
-    For sigma mapping [1, d] onto [d+1, 2d] the components are
-    first(i) = sigma(i) - d and second(i) = sigma(d + i).
+    For sigma on [1, 2d] mapping [1, d] onto [d+1, 2d] the components are
+    first(i) = sigma(i) - d and second(i) = sigma(d + i), both bijections of
+    [1, d], so their images are not checked again.
     """
+    if max(sigma.support(), default=0) > 2 * d:
+        raise SpecError(f"permutation must live on [1, {2 * d}]")
     if any(not d < sigma(i) <= 2 * d for i in range(1, d + 1)):
         raise SpecError("permutation does not map the first block onto the second")
-    first = Permutation(tuple(sigma(i) - d for i in range(1, d + 1)))
-    second = Permutation(tuple(sigma(d + i) for i in range(1, d + 1)))
+    first = _trusted(tuple(sigma(i) - d for i in range(1, d + 1)))
+    second = _trusted(tuple(sigma(d + i) for i in range(1, d + 1)))
     return CommutingPair(first, second)
 
 
@@ -305,17 +308,18 @@ def is_braid_like(a: Permutation, b: Permutation) -> bool:
     return _is_braid_like(_padded(a, degree), _padded(b, degree))
 
 
-def decompose_pair(first: Permutation, second: Permutation, d: int | None = None) -> ShuffleSpec:
+def decompose_pair(first: Permutation, second: Permutation, d: int) -> ShuffleSpec:
     """Invert the pair construction: a spec with build_pair(spec) == (first, second).
 
     The starting points are read off as (least point of alpha, first(least
     point)), so the cycle map sends each cycle of tau = first * second to its
     relabeling through first (the two commute, so that is again a cycle of tau).
     """
+    if max((*first.support(), *second.support()), default=0) > d:
+        raise ValueError(f"pair must live on [1, {d}]")
     tau = first * second
     if tau != second * first:
         raise ValueError("permutations do not commute")
-    d = max(first.degree, second.degree, d or 1)
     spec = ShuffleSpec(
         d, tau, tuple((alpha, alpha[0], first(alpha[0])) for alpha in tau_cycles(tau, d))
     )

@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from braidperm import REGISTRY, RunConfig, claims, lattice, run_verification
+from braidperm import REGISTRY, RunConfig, claims, groups, lattice, run_verification
 from braidperm.claims import Session
 from braidperm.cli import main
 from braidperm.groups import BSGS, GeneratedGroup, schreier_sims
@@ -193,24 +193,40 @@ class TestPairFaults:
         assert all(e["pass"] for e in entries if e is not entry)
 
 
+def validated_constructions(monkeypatch):
+    """A list that grows by one entry per validated Permutation construction."""
+    calls = []
+    init = Permutation.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Permutation, "__init__", counting_init)
+    return calls
+
+
+class TestPool:
+    def test_pool_makes_no_validated_permutations(self, monkeypatch):
+        """With S_4 listed, the pool reads every case's pair off its sigma
+        without one validated Permutation construction."""
+        s = Session(RunConfig(d=4))
+        s.taus(4)
+        calls = validated_constructions(monkeypatch)
+        assert len(s.pool(4)) == 120
+        assert len(calls) == 0
+
+
 class TestLemma24:
     def test_construction_makes_no_validated_permutations(self, monkeypatch):
         """lemma-2.4 at d = 4 builds every sigma, pair and component from the
         spec's stored cycles without one validated Permutation construction."""
         s = Session(RunConfig(d=4))
         s.taus(4)
-        calls = 0
-        init = Permutation.__init__
-
-        def counting_init(self, *args, **kwargs):
-            nonlocal calls
-            calls += 1
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(Permutation, "__init__", counting_init)
+        calls = validated_constructions(monkeypatch)
         [entry] = claims._check_lemma_2_4(s)
         assert entry.passed
-        assert calls == 0
+        assert len(calls) == 0
 
     def test_wrong_sigma_counts_factorization_failures(self, monkeypatch, tmp_path):
         def corrupt(sigma):
@@ -556,6 +572,59 @@ class TestProp311:
             monkeypatch.setattr(claims, name, counting(name))
         run_verification(config)
         assert calls == {"monodromy_kernel": walks, "_matrix_relations_hold": relations}
+
+
+def subdirect_entry(monkeypatch, fault):
+    """prop-3.30's relations-and-subdirect entry at d = 3, n = 3 with the
+    components transitivity_report reads replaced by fault(components, d)."""
+    real = groups.components
+    monkeypatch.setattr(groups, "components", lambda spec: fault(real(spec), spec.d))
+    report = run_verification(RunConfig(d=3, n=3, claims=("prop-3.30",)))
+    [entry] = [e for e in report.entries if e.parameters["check"] == "relations-and-subdirect"]
+    return entry
+
+
+class TestProp330:
+    def test_a_factor_moving_another_tower_fails_subdirect(self, monkeypatch):
+        """With more than one u-orbit, the last factor also swaps x and x + d,
+        x the least point of the first tower: every generator still agrees
+        with its shifted factors on their own towers, but the group is no
+        longer the product of shifts supported on disjoint towers."""
+
+        def swap_fault(comps, d):
+            if len(comps) == 1:
+                return comps
+            *rest, last = comps
+            x = min(comps[0].points)
+            swap = Permutation.from_cycles([(x, x + d)])
+            return (*rest, replace(last, factor=last.factor * swap))
+
+        entry = subdirect_entry(monkeypatch, swap_fault)
+        assert entry.witness["restriction_mismatches"] == 0
+        assert entry.witness["subdirect_failures"] == 10  # the multi-orbit cases
+        assert not entry.passed
+
+    def test_overlapping_towers_fail_subdirect(self, monkeypatch):
+        """A duplicated first component: its tower is listed twice, so the
+        towers no longer partition the points."""
+        entry = subdirect_entry(monkeypatch, lambda comps, d: (comps[0], *comps))
+        assert entry.witness["restriction_mismatches"] == 0
+        assert entry.witness["subdirect_failures"] == entry.witness["cases"] == 18
+        assert not entry.passed
+
+    def test_orbit_claims_build_only_the_member_list_chain(self, monkeypatch):
+        """prop-3.30 and cor-3.31 build no stabilizer chain of their own: the
+        one build is S_3's, which lists the taus."""
+        degrees = []
+
+        def counting(group):
+            degrees.append(group.degree)
+            return schreier_sims(group)
+
+        monkeypatch.setattr(groups, "schreier_sims", counting)
+        monkeypatch.setattr(claims, "schreier_sims", counting)
+        run_verification(RunConfig(d=3, n=4, claims=("prop-3.30", "cor-3.31")))
+        assert degrees == [3]
 
 
 class TestChecksMatchReferences:

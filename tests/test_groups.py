@@ -466,16 +466,44 @@ def pool_cases(slices):
     ]
 
 
+def mismatched_specs():
+    """(sigma, spec) pairs at d = 2 where the spec builds another sigma; the
+    last pair agrees on the first block and differs only on the second."""
+    other = next(
+        sp for sp in iter_specs(perm("(1 2)"), 2) if build_shuffle(sp) == perm("(1 4 2 3)")
+    )
+    _, swapped = image_for(None, 2, 3, u_map={1: 2, 2: 1})
+    _, long_cycle = image_for("(1 2)", 2, 3)
+    return [("(1 3 2 4)", other), ("(1 3)(2 4)", swapped), ("(1 3)(2 4)", long_cycle)]
+
+
+def subdirect_by_orders(image, spec, b_bsgs):
+    """The order test transitivity_report used before its certificate: the
+    generators equal the shifted component factors on every tower, and the
+    order of the group, whose chain is b_bsgs, divides the product of the
+    orders of the component groups, one chain per tower."""
+    restrictions_match = True
+    product_order = 1
+    for comp in components(spec):
+        y = tower(comp.points, image.d, image.n)
+        local = tuple(comp.factor.shift((s - 1) * image.d) for s in range(1, image.n))
+        product_order *= schreier_sims(GeneratedGroup(image.n * image.d, local)).order()
+        restrictions_match = restrictions_match and all(
+            g(x) == h(x) for g, h in zip(image.generators, local) for x in y
+        )
+    return restrictions_match and product_order % b_bsgs.order() == 0
+
+
 class TestTransitivity:
     def test_long_cycle_transitive(self):
         image, spec = image_for("(1 2)", 2, 3)
-        trep = transitivity_report(image, spec, chains(image)[1])
+        trep = transitivity_report(image, spec)
         assert trep.transitive and trep.u_long_cycle and trep.orbits_match
         assert trep.restrictions_match and trep.subdirect
 
     def test_two_fixed_points_identity_map(self):
         image, spec = image_for(None, 2, 3)
-        trep = transitivity_report(image, spec, chains(image)[1])
+        trep = transitivity_report(image, spec)
         assert not trep.transitive
         assert trep.orbits_match
         towers = {tower(c.points, 2, 3) for c in components(spec)}
@@ -483,7 +511,7 @@ class TestTransitivity:
 
     def test_transposition_with_fixed_point(self):
         image, spec = image_for("(1 2)", 3, 3)
-        trep = transitivity_report(image, spec, chains(image)[1])
+        trep = transitivity_report(image, spec)
         assert set(orbits_partition(image.group())) == {
             frozenset({1, 2, 4, 5, 7, 8}),
             frozenset({3, 6, 9}),
@@ -494,7 +522,7 @@ class TestTransitivity:
         # single u-orbit of length two: the towers predict one orbit of size
         # six, the group of order six actually has two orbits of size three
         image, spec = image_for(None, 2, 3, u_map={1: 2, 2: 1})
-        trep = transitivity_report(image, spec, chains(image)[1])
+        trep = transitivity_report(image, spec)
         assert trep.u_long_cycle
         assert not trep.transitive
         assert not trep.orbits_match
@@ -528,32 +556,32 @@ class TestTransitivity:
                 assert bs_restricted.order() == bs_local.order()
                 assert all(g in bs_local for g in restricted)
                 assert all(g in bs_restricted for g in local)
-            trep = transitivity_report(image, spec, schreier_sims(image.group()))
+            trep = transitivity_report(image, spec)
             assert trep.restrictions_match
         assert (len(cases), towers_seen) == (164, 286)
 
     def test_mismatched_spec_fails_restrictions(self):
-        # each image reported against a spec that builds another sigma; the
-        # last pair agrees on the first block and differs only on the second
-        other = next(
-            sp for sp in iter_specs(perm("(1 2)"), 2) if build_shuffle(sp) == perm("(1 4 2 3)")
-        )
-        _, swapped = image_for(None, 2, 3, u_map={1: 2, 2: 1})
-        _, long_cycle = image_for("(1 2)", 2, 3)
-        for sigma, spec in (
-            ("(1 3 2 4)", other),
-            ("(1 3)(2 4)", swapped),
-            ("(1 3)(2 4)", long_cycle),
-        ):
+        for sigma, spec in mismatched_specs():
             image = braid_image(perm(sigma), 2, 3)
             assert build_shuffle(spec) != image.sigma
-            trep = transitivity_report(image, spec, chains(image)[1])
+            trep = transitivity_report(image, spec)
             assert not trep.restrictions_match
             assert not trep.subdirect
 
-    def test_one_chain_per_tower(self, monkeypatch):
+    def test_subdirect_matches_order_reference(self):
+        # the pool cases, and images reported against another case's spec
+        cases = pool_cases(((2, (3, 4)), (3, (3, 4)), (4, (3,))))
+        for sigma, spec in mismatched_specs():
+            cases.append((braid_image(perm(sigma), 2, 3), spec))
+        verdicts = []
+        for image, spec in cases:
+            subdirect = transitivity_report(image, spec).subdirect
+            assert subdirect == subdirect_by_orders(image, spec, schreier_sims(image.group()))
+            verdicts.append(subdirect)
+        assert (verdicts.count(True), verdicts.count(False)) == (164, 3)
+
+    def test_no_chain_per_tower(self, monkeypatch):
         cases = pool_cases(((2, (3, 4)), (3, (3, 4))))
-        b_chains = [schreier_sims(image.group()) for image, _ in cases]
         builds = []
 
         def counting(group):
@@ -561,9 +589,9 @@ class TestTransitivity:
             return schreier_sims(group)
 
         monkeypatch.setattr(groups, "schreier_sims", counting)
-        for (image, spec), b in zip(cases, b_chains):
-            transitivity_report(image, spec, b)
-        assert len(builds) == sum(len(components(spec)) for _, spec in cases)
+        for image, spec in cases:
+            transitivity_report(image, spec)
+        assert builds == []
 
     def test_tower(self):
         assert tower({1, 2}, 2, 3) == frozenset({1, 2, 3, 4, 5, 6})

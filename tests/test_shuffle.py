@@ -215,6 +215,11 @@ class TestPairShuffleBridge:
         with pytest.raises(SpecError):
             pair_from_shuffle(perm("(1 2)"), 2)
 
+    @pytest.mark.parametrize("sigma", ["(1 3)(2 4)(5 6)", "(1 3 5)(2 4)"])
+    def test_pair_from_shuffle_refuses_points_above_2d(self, sigma):
+        with pytest.raises(SpecError, match=r"permutation must live on \[1, 4\]"):
+            pair_from_shuffle(perm(sigma), 2)
+
 
 class TestBraidLike:
     def test_examples(self):
@@ -258,6 +263,13 @@ class TestDecompose:
     def test_non_commuting_rejected(self):
         with pytest.raises(ValueError):
             decompose_pair(perm("(1 2)"), perm("(2 3)"), 3)
+
+    def test_points_above_d_rejected(self):
+        p = perm("(1 5)")
+        with pytest.raises(ValueError, match=r"pair must live on \[1, 2\]"):
+            decompose_pair(p, p, 2)
+        with pytest.raises(ValueError, match=r"pair must live on \[1, 2\]"):
+            shuffle_from_pair(p, p, 2)
 
     def test_roundtrip_exhaustive_d3(self):
         members = all_of_sd(3)
