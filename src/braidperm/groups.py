@@ -443,10 +443,10 @@ def transitivity_report(image: BraidImage, spec: ShuffleSpec) -> TransitivityCla
     """Compare the orbit partition with the towers over the u-orbits.
 
     Also checks that on each tower the generators equal the shifts of the
-    component factor.  When the towers partition the points and each shift
-    moves only points of its tower, every generator is the product of its
-    shifts, which have disjoint supports, so the group embeds in the product
-    of the component groups and maps onto each: a subdirect product.
+    component factor.  When also the towers partition the points and each
+    shift moves only points of its tower, every generator is the product of
+    its shifts, which have disjoint supports, so the group embeds in the
+    product of the component groups and maps onto each: a subdirect product.
     """
     orbits = orbits_partition(image.group())
     comps = components(spec)
