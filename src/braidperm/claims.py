@@ -16,7 +16,6 @@ from operator import mul
 from typing import Callable
 
 from .groups import (
-    BSGS,
     SEARCH_CAP,
     BraidImage,
     SplitVerificationError,
@@ -26,7 +25,7 @@ from .groups import (
     braid_relations_hold,
     complement_search,
     cyclic_group,
-    extension_holds,
+    extension_certificate,
     schreier_sims,
     split_complement,
     symmetric_group,
@@ -34,10 +33,8 @@ from .groups import (
 )
 from .lattice import (
     _block_powers,
-    _kernel_exponents,
     _moduli,
     _read_coords,
-    _realize,
     compose_matrices,
     expected_kernel_structure,
     expected_monodromy_matrix,
@@ -181,21 +178,15 @@ class Session:
             ("image", case.d, n, _key(case.sigma)), lambda: braid_image(case.sigma, case.d, n)
         )
 
-    def b_bsgs(self, case: GridCase, n: int) -> BSGS:
-        return self._cached(
-            ("b_bsgs", case.d, n, _key(case.sigma)),
-            lambda: schreier_sims(self.image(case, n).group()),
-        )
-
     def a_group(self, case: GridCase, n: int):
         return self._cached(
             ("a_group", case.d, n, _key(case.sigma)), lambda: abelian_kernel(self.image(case, n))
         )
 
-    def a_bsgs(self, case: GridCase, n: int) -> BSGS:
-        kernel = self.a_group(case, n)  # cases with equal kernel generators share one chain
+    def extension(self, case: GridCase, n: int):
         return self._cached(
-            ("a_bsgs", kernel.degree, *map(_key, kernel.generators)), lambda: schreier_sims(kernel)
+            ("extension", case.d, n, _key(case.sigma)),
+            lambda: extension_certificate(self.image(case, n), self.a_group(case, n)),
         )
 
     def structure_holds(self, n: int, q: int) -> bool:
@@ -611,13 +602,11 @@ def _check_lemma_3_3(s: Session) -> list[ClaimCheck]:
 
 def _check_thm_3_4(s: Session) -> list[ClaimCheck]:
     """Orders, kernel structure, parametrization, two-way intersection, and
-    splitting for odd q (with a neutral exhaustive search for even q).
-
-    The parametrization is a homomorphism from the coordinates C into the block
-    product D, so it maps C onto A when the units realize into A and A's
-    generators have coordinates, and one to one when |A| = |C|.  Then, with
-    A <= B, B & D is a union of cosets of A, and [D : A] is 1 for odd q and 2
-    for even q, where one element outside A decides it."""
+    splitting for odd q (with a neutral exhaustive search for even q), read
+    from extension_certificate with no stabilizer chain.  Given it, B & D = A,
+    and [D : A] is 1 for odd q and 2 for even q, where (1, 0, ..., 0) lies
+    outside A's span; without it the intersection is unverified, and the
+    split and the search are not attempted."""
     entries = []
     for d in s.config.ds():
         for n in s.config.ns():
@@ -629,56 +618,45 @@ def _check_thm_3_4(s: Session) -> list[ClaimCheck]:
             split_odd = 0
             split_verified = 0
             split_even = 0
-            searches: list[dict] = []
+            searches: list[int | None] = []
             errors: list[str] = []
             for case in s.pool(d):
                 cases += 1
                 image = s.image(case, n)
                 try:
-                    kernel, a_bsgs = s.a_group(case, n), s.a_bsgs(case, n)
-                    orders_hold = extension_holds(image, kernel, s.b_bsgs(case, n), a_bsgs)
-                    if not orders_hold:
-                        order_failures += 1
-                        errors.append(f"orders {case.sigma}")
-                except (ValueError, RuntimeError) as exc:
+                    span, orders_hold, parametrized = s.extension(case, n)
+                except RuntimeError as exc:
                     order_failures += 1
                     errors.append(f"orders {case.sigma}: {exc}")
                     continue
+                if not orders_hold:
+                    order_failures += 1
+                    errors.append(f"orders {case.sigma}")
                 q = image.q
                 if not s.structure_holds(n, q):
                     structure_failures += 1
                     errors.append(f"structure {case.sigma}")
-                # image tuples of degree n*d, realized from tau's powers built once per case
-                shifted, lookups = _block_powers(case.tau, d, n)
-                parametrized = a_bsgs.order() == q ** (n - 1) * image.q2 and all(
-                    a_bsgs._contains_images(_realize(shifted, _kernel_exponents(unit)))
-                    for unit in ([int(i == j) for i in range(n)] for j in range(n))
-                )
-                try:
-                    for k in kernel.generators:
-                        _read_coords(_padded(k, n * d), lookups, d, q)
-                except ValueError:
-                    parametrized = False
                 if not parametrized:
                     bijection_failures += 1
                     errors.append(f"parametrization {case.sigma}")
                 outside = (1,) + (0,) * (n - 1)
-                if not (parametrized and orders_hold):
+                certified = parametrized and orders_hold
+                if not certified:
                     intersection_failures += 1
                     errors.append(f"intersection {case.sigma} unverified")
-                elif q % 2 == 0 and s.b_bsgs(case, n)._contains_images(_realize(shifted, outside)):
+                elif q % 2 == 0 and outside in span:
                     intersection_failures += 1
                     errors.append(f"intersection {case.sigma} {outside}")
                 if q % 2:
                     split_odd += 1
                     try:
-                        if split_complement(image, a_bsgs) is not None:
+                        if certified and split_complement(image) is not None:
                             split_verified += 1
                     except SplitVerificationError as exc:
                         errors.append(f"split {case.sigma}: {exc}")
                 else:
                     split_even += 1
-                    searches.append(complement_search(image, a_bsgs))
+                    searches.append(complement_search(image, span) if certified else None)
             searched = [count for count in searches if count is not None]
             entries.append(
                 ClaimCheck(
@@ -711,6 +689,16 @@ def _check_thm_3_4(s: Session) -> list[ClaimCheck]:
     return entries
 
 
+def _orders(s: Session, case: GridCase, n: int) -> tuple[int, int]:
+    """|B| = n! * |A| and |A| from the case's certificate; from stabilizer
+    chains when the certificate fails, so no order rests on a failed one."""
+    span, orders_hold, parametrized = s.extension(case, n)
+    if orders_hold and parametrized:
+        return math.factorial(n) * span.order(), span.order()
+    kernel_chain = schreier_sims(s.a_group(case, n))
+    return schreier_sims(s.image(case, n).group()).order(), kernel_chain.order()
+
+
 def _check_cor_3_10(s: Session) -> list[ClaimCheck]:
     """For odd q the computable invariants agree across all shuffle choices:
     group order, kernel invariant factors, and monodromy matrices.
@@ -727,8 +715,7 @@ def _check_cor_3_10(s: Session) -> list[ClaimCheck]:
                     by_qn.setdefault((q, n), []).append((case, n))
     entries = []
     for (q, n), cases in sorted(by_qn.items()):
-        orders = {s.b_bsgs(case, n).order() for case, n in cases}
-        kernel_orders = {s.a_bsgs(case, n).order() for case, n in cases}
+        orders, kernel_orders = map(set, zip(*(_orders(s, case, n) for case, n in cases)))
         mats = {_matrix_key(s.monodromy(case, n)) for case, n in cases}
         consistent = len(orders) == 1 and len(kernel_orders) == 1 and len(mats) == 1
         entries.append(

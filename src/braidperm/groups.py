@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import product as iter_product
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .lattice import _block_powers, _read_exponents, q2_of
+from .lattice import _block_powers, _kernel_exponents, _read_exponents, _realize, _Span, q2_of
 from .perm import Permutation, _compose, _invert, _padded, _trusted
 from .shuffle import ShuffleSpec, components, is_braid_like
 
@@ -29,7 +29,7 @@ __all__ = [
     "braid_relations_hold",
     "complement_search",
     "cyclic_group",
-    "extension_holds",
+    "extension_certificate",
     "gap_generators",
     "orbit",
     "orbits_partition",
@@ -151,11 +151,8 @@ class BSGS:
 
     def contains(self, g: Permutation) -> bool:
         images = _padded(g, self.degree)
-        return len(images) == self.degree and self._contains_images(images)
-
-    def _contains_images(self, images: tuple[int, ...]) -> bool:
-        """Membership of the permutation with these images, exactly degree many."""
-        return _sift(self._levels, images, 0, self._ident)[0] == self._ident
+        ident = self._ident
+        return len(images) == self.degree and _sift(self._levels, images, 0, ident)[0] == ident
 
     __contains__ = contains
 
@@ -345,24 +342,50 @@ def abelian_kernel(image: BraidImage) -> GeneratedGroup:
     return GeneratedGroup(image.n * image.d, tuple(gens))
 
 
-def extension_holds(image: BraidImage, kernel: GeneratedGroup, b: BSGS, a: BSGS) -> bool:
-    """Order and normality checks for the abelian kernel, with chain a, inside
-    the full group, with chain b: the kernel order is q^(n-1) * q2, the group
-    order n! times that, and the kernel lies in the group, stable under
-    conjugation by every generator.  Both chains have degree n*d."""
-    expected_a = image.q ** (image.n - 1) * image.q2
-    degree = image.n * image.d
-    pairs = [(g, _invert(g)) for g in (_padded(g, degree) for g in image.generators)]
-    return (
-        a.order() == expected_a
-        and b.order() == math.factorial(image.n) * expected_a
-        and all(k in b for k in kernel.generators)
-        and all(
-            a._contains_images(_compose(g, _compose(_padded(k, degree), inv)))
-            for g, inv in pairs
-            for k in kernel.generators
+def _coxeter_lifts(gens: Sequence[tuple[int, ...]], d: int) -> bool:
+    """Whether the image tuples gens satisfy the braid relations and
+    gens[s - 1] maps the d-blocks as the transposition (s s+1)."""
+    for s, g in enumerate(gens):
+        swap = {s: s + 1, s + 1: s}
+        if any((y - 1) // d != swap.get(x // d, x // d) for x, y in enumerate(g)):
+            return False
+    return braid_relations_hold(gens, _compose)
+
+
+def extension_certificate(
+    image: BraidImage, kernel: GeneratedGroup
+) -> tuple[_Span | None, bool, bool]:
+    """(span, orders_hold, parametrized) for 1 -> A -> B -> S_n -> 1, where A
+    is kernel and B -> S_n the action on the n blocks.  span: A's exponent
+    span mod q, None when A leaves the block product D.  orders_hold: the
+    generators pass _coxeter_lifts, the span has q^(n-1) * q2 elements, and
+    every g_s * k * g_s^-1 reads into D and the span.  parametrized: the
+    order holds and the span is the unit coordinates' span.  Then by the
+    Coxeter presentation of S_n the block action's kernel is the normal
+    closure of g_1^2 (Artin's pure braid group), which lies in the normal
+    A <= D; so A is that kernel, |B| = n! * |A| and B & D = A."""
+    n, d, q = image.n, image.d, image.q
+    lookups = _block_powers(image.tau, d, n)[1]
+    kernel_gens = [_padded(k, n * d) for k in kernel.generators]
+    try:
+        vectors = [_read_exponents(k, lookups, d) for k in kernel_gens]
+    except ValueError:
+        return None, False, False
+    span = _Span(vectors, q, n)
+    right_order = span.order() == q ** (n - 1) * image.q2
+    gens = [_padded(g, n * d) for g in image.generators]
+    try:
+        normal = all(
+            _read_exponents(tuple([g[k[x - 1] - 1] for x in inv]), lookups, d) in span
+            for g, inv in zip(gens, map(_invert, gens))
+            for k in kernel_gens
         )
-    )
+    except ValueError:
+        normal = False
+    units = [_kernel_exponents([int(i == j) for i in range(n)]) for j in range(n)]
+    coords = _Span(units, q, n)  # the vectors with coordinates
+    parametrized = all(u in span for u in units) and all(v in coords for v in vectors)
+    return span, right_order and normal and _coxeter_lifts(gens, d), right_order and parametrized
 
 
 class SplitVerificationError(RuntimeError):
@@ -370,34 +393,18 @@ class SplitVerificationError(RuntimeError):
     structure claim; treat as a bug or a falsifying witness."""
 
 
-def _complement_elements(
-    gens: Sequence[tuple[int, ...]], a_bsgs: BSGS
-) -> list[tuple[int, ...]] | None:
-    """Elements of the group generated by the image tuples gens, of degree
-    a_bsgs.degree, when it is a complement to the kernel chain a_bsgs: every
-    generator is an involution, the braid relations hold, the order is
-    (len(gens) + 1)!, and only the identity lies in a_bsgs.  Else None."""
-    ident = a_bsgs._ident
-    if any(_compose(g, g) != ident for g in gens) or not braid_relations_hold(gens, _compose):
-        return None
-    bs = schreier_sims(GeneratedGroup(a_bsgs.degree, tuple(map(_trusted, gens))))
-    if bs.order() != math.factorial(len(gens) + 1):
-        return None
-    elements = [h.images for h in bs.elements()]
-    if any(h != ident and a_bsgs._contains_images(h) for h in elements):
-        return None
-    return elements
-
-
-def split_complement(image: BraidImage, a_bsgs: BSGS) -> GeneratedGroup | None:
-    """For odd q, the complement generated by the block shifts of
-    sigma * shift(tau**(q-1), d), verified against the kernel chain a_bsgs by
-    _complement_elements (SplitVerificationError on failure); None for even q."""
+def split_complement(image: BraidImage) -> GeneratedGroup | None:
+    """For odd q, the complement generated by the block shifts eta_s of
+    sigma * shift(tau**(q-1), d), in g_s * D = g_s * A; None for even q.  As
+    involutions passing _coxeter_lifts (else SplitVerificationError) they
+    generate a copy of S_n meeting the block action's kernel A trivially."""
     if image.q % 2 == 0:
         return None
     eta = image.sigma * (image.tau ** (image.q - 1)).shift(image.d)
     gens = tuple(eta.shift((s - 1) * image.d) for s in range(1, image.n))
-    if _complement_elements([_padded(g, a_bsgs.degree) for g in gens], a_bsgs) is None:
+    padded = [_padded(g, image.n * image.d) for g in gens]
+    ident = tuple(range(1, image.n * image.d + 1))
+    if any(_compose(g, g) != ident for g in padded) or not _coxeter_lifts(padded, image.d):
         raise SplitVerificationError("the twisted generators fail the complement checks")
     return GeneratedGroup(image.n * image.d, gens)
 
@@ -405,22 +412,21 @@ def split_complement(image: BraidImage, a_bsgs: BSGS) -> GeneratedGroup | None:
 SEARCH_CAP = 4096  # most generator-lift combinations complement_search tries
 
 
-def complement_search(image: BraidImage, a_bsgs: BSGS) -> int | None:
-    """Number of distinct complements to the kernel chain a_bsgs among the
-    generator lifts, or None, with a_bsgs not listed, when the |A|^(n-1) lift
-    combinations exceed SEARCH_CAP.  Any complement maps onto the block
-    permutations, so one lift in each coset generator * A generates it, and
-    checking every combination of involution lifts is exhaustive."""
-    if a_bsgs.order() ** (image.n - 1) > SEARCH_CAP:
+def complement_search(image: BraidImage, span: _Span) -> int | None:
+    """Number of complements to A, of exponent span span, or None, with A not
+    listed, when the |A|^(n-1) lift combinations exceed SEARCH_CAP.  A
+    complement meets each g_s * A in one involution, and involution lifts
+    generate one exactly when they satisfy the braid relations (Coxeter)."""
+    if span.order() ** (image.n - 1) > SEARCH_CAP:
         return None
-    kernel_elements = [x.images for x in a_bsgs.elements()]
-    ident = a_bsgs._ident
+    shifted = _block_powers(image.tau, image.d, image.n)[0]
+    kernel_elements = [_realize(shifted, v) for v in span.elements()]
+    ident = tuple(range(1, image.n * image.d + 1))
     candidates = []
-    for g in (_padded(g, a_bsgs.degree) for g in image.generators):
+    for g in (_padded(g, image.n * image.d) for g in image.generators):
         lifts = [_compose(g, x) for x in kernel_elements]
         candidates.append([h for h in lifts if _compose(h, h) == ident])
-    found = (_complement_elements(lift, a_bsgs) for lift in iter_product(*candidates))
-    return len({frozenset(elements) for elements in found if elements is not None})
+    return sum(braid_relations_hold(lift, _compose) for lift in iter_product(*candidates))
 
 
 def tower(points: Iterable[int], d: int, n: int) -> frozenset[int]:

@@ -185,6 +185,44 @@ class AbelianStructure:
         return math.prod(self.invariant_factors)
 
 
+class _Span:
+    """The subgroup of (Z/q)^n spanned by integer vectors, as the echelon form
+    of the lattice they span with q*e_1, ..., q*e_n: row j is zero before
+    column j, and its pivot p_j there divides q.  The tuples c with
+    0 <= c_j < q / p_j give each element once as the sum of the c_j * row j,
+    and reducing by the rows in turn leaves zero exactly on members."""
+
+    def __init__(self, vectors: Iterable[Sequence[int]], q: int, n: int):
+        self.q = q
+        self.rows = [[q * (i == j) for i in range(n)] for j in range(n)]
+        for vector in vectors:
+            v = [x % q for x in vector]
+            for j, b in enumerate(self.rows):
+                while v[j]:  # Euclid on column j: b ends with the gcd pivot, v with 0
+                    k = b[j] // v[j]
+                    b[:], v[:] = v, [(x - k * y) % q for x, y in zip(b, v)]
+
+    def order(self) -> int:
+        return math.prod(self.q // b[j] for j, b in enumerate(self.rows))
+
+    def __contains__(self, vector: Sequence[int]) -> bool:
+        v = [x % self.q for x in vector]
+        for j, b in enumerate(self.rows):
+            c, r = divmod(v[j], b[j])
+            if r:
+                return False
+            if c:
+                v = [(x - c * y) % self.q for x, y in zip(v, b)]
+        return True
+
+    def elements(self) -> list[tuple[int, ...]]:
+        out = [(0,) * len(self.rows)]
+        for j, b in enumerate(self.rows):
+            steps = range(self.q // b[j])
+            out = [tuple((x + c * y) % self.q for x, y in zip(e, b)) for e in out for c in steps]
+        return out
+
+
 def normalize_factors(factors) -> tuple[int, ...]:
     return tuple(sorted(f for f in factors if f > 1))
 

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import re
 from dataclasses import replace
@@ -9,10 +10,11 @@ import pytest
 from braidperm import REGISTRY, RunConfig, claims, groups, lattice, run_verification
 from braidperm.claims import Session
 from braidperm.cli import main
-from braidperm.groups import BSGS, GeneratedGroup, schreier_sims
+from braidperm.groups import GeneratedGroup, complement_search, schreier_sims
 from braidperm.oracles import EnumerationResult
-from braidperm.perm import Permutation
+from braidperm.perm import Permutation, _padded
 from braidperm.shuffle import SpecError
+from test_groups import chain_complement_search, chain_split_complement, extension_holds
 from test_lattice import (
     box_matches_conjugation,
     box_parametrizes,
@@ -319,41 +321,74 @@ class TestThm212:
 class TestSharedKernelChain:
     @pytest.mark.parametrize("d,cases,chains", [(2, 4, 2), (3, 18, 6), (4, 120, 24)])
     def test_one_chain_per_distinct_kernel(self, d, cases, chains):
+        """Each case's certificate span decides membership in the block
+        product as the chain of its kernel does, with one chain built here per
+        distinct kernel."""
         s = Session(RunConfig(d=d))
         for n in (3, 4):
             pool = s.pool(d)
-            kernels = {tuple(g.canonical() for g in s.a_group(c, n).generators) for c in pool}
-            shared = {id(s.a_bsgs(c, n)) for c in pool}
-            assert (len(pool), len(kernels), len(shared)) == (cases, chains, chains)
+            by_kernel = {}
             for case in pool:
-                chain = s.a_bsgs(case, n)
-                fresh = schreier_sims(s.a_group(case, n))
-                assert chain.order() == fresh.order()
+                kernel = s.a_group(case, n)
+                key = tuple(g.canonical() for g in kernel.generators)
+                if key not in by_kernel:
+                    by_kernel[key] = schreier_sims(kernel)
+                chain, span = by_kernel[key], s.extension(case, n)[0]
+                assert span.order() == chain.order()
                 for exps in product(range(case.tau.order()), repeat=n):
                     g = realize_by_products(exps, case.tau, d)
-                    assert (g in chain) == (g in fresh)
+                    assert (exps in span) == (g in chain)
+            assert (len(pool), len(by_kernel)) == (cases, chains)
 
 
 def thm_3_4_session():
-    """A Session over d in {2, 3}, n in {3, 4} with every case's chains built."""
+    """A Session over d in {2, 3}, n in {3, 4} with every case's kernel
+    generators built; no certificate is built yet, so the accessors a test
+    patches reach all of them."""
     session = Session(RunConfig(d_max=3, n_max=4))
     cases = [(case, n) for d in (2, 3) for case in session.pool(d) for n in (3, 4)]
     for case, n in cases:
-        session.b_bsgs(case, n)
-        session.a_bsgs(case, n)
+        session.a_group(case, n)
     return session, cases
 
 
+def even_cases(session, entry):
+    return sum(c.tau.order() % 2 == 0 for c in session.pool(entry.parameters["d"]))
+
+
+def substitute_kernel(substitute):
+    """Patch for Session.a_group: the kernel's generators replaced by
+    substitute(case, n, kernel), or kept when it returns None."""
+    a_group = Session.a_group
+
+    def patched(self, case, n):
+        kernel = a_group(self, case, n)
+        gens = substitute(case, n, kernel)
+        return kernel if gens is None else GeneratedGroup(kernel.degree, tuple(gens))
+
+    return patched
+
+
+def index_2_subgroup(case, n, kernel):
+    """For even q, the block-product elements whose first exponent is even:
+    of order |A| like A, but without the realization of e_1, which is tau on
+    blocks 1 and 2; the generators do not normalize it."""
+    if case.tau.order() % 2:
+        return None
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    exps = [(2,) + (0,) * (n - 1), *units[1:]]
+    gens = [realize_by_products(e, case.tau, case.d) for e in exps]
+    assert schreier_sims(GeneratedGroup(kernel.degree, tuple(gens))).order() == (
+        schreier_sims(kernel).order()
+    )
+    return gens
+
+
 class TestThm34:
-    def test_powers_once_per_case_and_fewer_sifts_than_elements(self, monkeypatch):
+    def test_powers_once_per_case_and_once_per_search(self, monkeypatch):
         session, cases = thm_3_4_session()
-        # the box and the block product of every case; the block product
-        # element count is q^n
-        elements = sum(session.a_bsgs(c, n).order() + c.tau.order() ** n for c, n in cases)
-        calls = {"_powers": 0, "contains": 0, "kernel_structure": 0, "sifts": 0}
-        powers, contains, structure = lattice._powers, BSGS.contains, claims.kernel_structure
-        sift = BSGS._contains_images
-        inside = 0  # nesting depth in the order and splitting checks
+        calls = {"_powers": 0, "kernel_structure": 0}
+        powers, structure = lattice._powers, claims.kernel_structure
 
         def counting_powers(*args):
             calls["_powers"] += 1
@@ -363,59 +398,46 @@ class TestThm34:
             calls["kernel_structure"] += 1
             return structure(*args)
 
-        def counting_contains(self, g):
-            calls["contains"] += 1
-            return contains(self, g)
-
-        def counting_sifts(self, images):
-            calls["sifts"] += not inside
-            return sift(self, images)
-
-        def apart(check):
-            def wrapper(*args):
-                nonlocal inside
-                inside += 1
-                try:
-                    return check(*args)
-                finally:
-                    inside -= 1
-
-            return wrapper
-
         monkeypatch.setattr(lattice, "_powers", counting_powers)
         monkeypatch.setattr(claims, "kernel_structure", counting_structure)
-        monkeypatch.setattr(BSGS, "contains", counting_contains)
-        monkeypatch.setattr(BSGS, "__contains__", counting_contains)
-        monkeypatch.setattr(BSGS, "_contains_images", counting_sifts)
-        for name in ("extension_holds", "split_complement", "complement_search"):
-            monkeypatch.setattr(claims, name, apart(getattr(claims, name)))
         entries = claims._check_thm_3_4(session)
         assert len(entries) == 4 and all(e.passed for e in entries)
         assert len(cases) == 44
-        assert calls["_powers"] == len(cases)
+        # the certificate's readout per case, and the kernel listing per search
+        searched = sum(e.witness["even_q_searched"] for e in entries)
+        assert searched == sum(e.witness["even_q_cases"] for e in entries) == 16
+        assert calls["_powers"] == len(cases) + searched
         # once per (n, q): q in {1, 2, 3}, n in {3, 4}
         assert calls["kernel_structure"] == len({(n, c.tau.order()) for c, n in cases}) == 6
-        assert 0 < calls["contains"] < elements
-        # parametrization and intersection: one sift per unit coordinate, and
-        # one more for even q
-        assert calls["sifts"] == sum(n + 1 - c.tau.order() % 2 for c, n in cases)
 
-    # in place of A: the group of the first kernel generator, of order at
-    # most q < |A| when q > 1; and A conjugated by the transposition (d d+1),
-    # of order |A|, which only the sifts tell apart from A (the generators do
-    # not normalize it)
+    def test_no_chain_of_degree_nd_on_the_grid(self, monkeypatch):
+        """thm-3.4 and cor-3.10 on d <= 4, n <= 4 build only the chains of
+        S_2, S_3 and S_4, which list the taus."""
+        degrees = []
+
+        def counting(group):
+            degrees.append(group.degree)
+            return schreier_sims(group)
+
+        monkeypatch.setattr(groups, "schreier_sims", counting)
+        monkeypatch.setattr(claims, "schreier_sims", counting)
+        report = run_verification(RunConfig(d_max=4, n_max=4, claims=("thm-3.4", "cor-3.10")))
+        assert report.all_pass and len(report.entries) == 10
+        assert degrees == [2, 3, 4]
+
+    # in place of A's generators: the first one alone, of order at most
+    # q < |A| when q > 1; and all of them conjugated by the transposition
+    # (d d+1), which moves them off the blocks
     @pytest.mark.parametrize("substitute", ["first-generator", "conjugate"])
     def test_failures_counted_against_another_kernel_chain(self, monkeypatch, substitute):
-        def substitute_chain(self, case, n):
-            kernel = self.a_group(case, n)
-            gens = kernel.generators[:1]
-            if substitute == "conjugate":
-                x = Permutation.from_cycles([(case.d, case.d + 1)], kernel.degree)
-                gens = tuple(x * k * x for k in kernel.generators)
-            return schreier_sims(GeneratedGroup(kernel.degree, gens))
+        def gens(case, n, kernel):
+            if substitute == "first-generator":
+                return kernel.generators[:1]
+            x = Permutation.from_cycles([(case.d, case.d + 1)], kernel.degree)
+            return [x * k * x for k in kernel.generators]
 
         session, _ = thm_3_4_session()
-        monkeypatch.setattr(Session, "a_bsgs", substitute_chain)
+        monkeypatch.setattr(Session, "a_group", substitute_kernel(gens))
         entries = claims._check_thm_3_4(session)
         assert len(entries) == 4
         for entry in entries:
@@ -423,101 +445,162 @@ class TestThm34:
             assert entry.witness["parametrization_failures"] > 0
             assert entry.witness["intersection_failures"] > 0
             assert not entry.passed
+            # only the q = 1 cases, where A is trivial either way, keep their
+            # certificate, so only they verify a split, and no search runs
+            trivial = sum(c.tau.order() == 1 for c in session.pool(entry.parameters["d"]))
+            assert entry.witness["split_verified"] == trivial
+            assert entry.witness["even_q_searched"] == 0
 
-    # for even q, the block-product elements whose first exponent is even: of
-    # order |A| like A, but without the realization of e_1, which is tau on
-    # blocks 1 and 2
     def test_failures_counted_against_another_index_2_subgroup(self, monkeypatch):
-        def substitute_chain(self, case, n):
-            kernel = self.a_group(case, n)
-            if case.tau.order() % 2:
-                return schreier_sims(kernel)
-            units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
-            exps = [(2,) + (0,) * (n - 1), *units[1:]]
-            gens = tuple(realize_by_products(e, case.tau, case.d) for e in exps)
-            chain = schreier_sims(GeneratedGroup(kernel.degree, gens))
-            assert chain.order() == schreier_sims(kernel).order()
-            return chain
-
+        """The index-2 subgroup has the right order, but conjugation by g_1
+        swaps the first two exponents: of the order checks only normality
+        fails, and the unit coordinate f_1 lies outside it."""
         session, _ = thm_3_4_session()
-        monkeypatch.setattr(Session, "a_bsgs", substitute_chain)
+        monkeypatch.setattr(Session, "a_group", substitute_kernel(index_2_subgroup))
         entries = claims._check_thm_3_4(session)
         assert len(entries) == 4
         for entry in entries:
-            even = sum(c.tau.order() % 2 == 0 for c in session.pool(entry.parameters["d"]))
-            assert entry.witness["parametrization_failures"] == even > 0
+            assert entry.witness["order_failures"] == even_cases(session, entry) > 0
+            assert entry.witness["parametrization_failures"] == even_cases(session, entry)
             assert not entry.passed
 
-    # B's chain with the realization of (1, 0, ..., 0) added, which for even q
-    # lies in the block product outside A
+    def test_a_kernel_without_a_skip_sum_fails_the_orders(self, monkeypatch):
+        """Without its skip sum, A at n = 3 spans only f_1 and f_2, of order
+        q^2, less than q^2 * q2 when q > 2; at q = 2 the skip sum is f_1 + f_2
+        mod 2."""
+        session = Session(RunConfig(d_max=4, n=3))
+        monkeypatch.setattr(Session, "a_group", substitute_kernel(lambda c, n, k: k.generators[:2]))
+        for entry in claims._check_thm_3_4(session):
+            small = sum(c.tau.order() > 2 for c in session.pool(entry.parameters["d"]))
+            assert entry.witness["order_failures"] == small
+            assert entry.witness["parametrization_failures"] == small
+            assert (small > 0) == (not entry.passed) == (entry.parameters["d"] > 2)
+
+    def test_a_normal_kernel_of_too_small_an_order_fails_the_orders(self, monkeypatch):
+        """The squares of A's generators span 2 * A, normal like A; for even q
+        it is smaller than A, and only the order check tells."""
+        session, _ = thm_3_4_session()
+        squares = substitute_kernel(lambda case, n, kernel: [k * k for k in kernel.generators])
+        monkeypatch.setattr(Session, "a_group", squares)
+        for entry in claims._check_thm_3_4(session):
+            assert entry.witness["order_failures"] == even_cases(session, entry) > 0
+            assert not entry.passed
+
+    def test_a_conjugate_leaving_the_block_product_fails_the_orders(self, monkeypatch):
+        """The generators conjugated by (1 2), which keeps the blocks: they
+        still satisfy the braid relations and act on the blocks as before, and
+        A's generators are the case's own, but at d = 3 some g_s * k * g_s^-1
+        are no longer block products of powers of tau."""
+        image = Session.image
+
+        def conjugated(self, case, n):
+            real = image(self, case, n)
+            x = Permutation.from_cycles([(1, 2)], n * case.d)
+            return replace(real, generators=tuple(x * g * x for g in real.generators))
+
+        session = Session(RunConfig(d=3, n=3))
+        for case in session.pool(3):
+            session.a_group(case, 3)
+        monkeypatch.setattr(Session, "image", conjugated)
+        for case in session.pool(3):
+            gens = [_padded(g, 9) for g in session.image(case, 3).generators]
+            assert groups._coxeter_lifts(gens, 3)
+        [entry] = claims._check_thm_3_4(session)
+        assert entry.witness["order_failures"] > 0 == entry.witness["parametrization_failures"]
+        assert not entry.passed
+
+    # for even q, the first generator times the realization of (1, 0, ..., 0),
+    # tau on block 1: the group these generators generate contains that
+    # element, which lies in the block product outside A
     def test_failures_counted_against_an_enlarged_braid_chain(self, monkeypatch):
-        def enlarged_chain(self, case, n):
-            group = self.image(case, n).group()
+        image = Session.image
+
+        def enlarged(self, case, n):
+            real = image(self, case, n)
+            if case.tau.order() % 2:
+                return real
             extra = realize_by_products((1,) + (0,) * (n - 1), case.tau, case.d)
-            return schreier_sims(GeneratedGroup(group.degree, (*group.generators, extra)))
+            first, *rest = real.generators
+            faulty = replace(real, generators=(first * extra, *rest))
+            assert extra in schreier_sims(faulty.group())
+            return faulty
 
         session, _ = thm_3_4_session()
-        monkeypatch.setattr(Session, "b_bsgs", enlarged_chain)
+        monkeypatch.setattr(Session, "image", enlarged)
         entries = claims._check_thm_3_4(session)
         assert len(entries) == 4
         for entry in entries:
-            even = sum(c.tau.order() % 2 == 0 for c in session.pool(entry.parameters["d"]))
+            even = even_cases(session, entry)
+            assert entry.witness["order_failures"] == even
             assert entry.witness["intersection_failures"] == even > 0
             assert not entry.passed
 
-    # for even q, the block product extended by the even permutations of the
-    # blocks: of order n! * |A| and containing A like B, so every premise
-    # holds, but it meets the block product in all of it
-    def test_failures_counted_against_a_braid_chain_of_the_right_order(self, monkeypatch):
-        def substitute_chain(self, case, n):
-            group = self.image(case, n).group()
-            if case.tau.order() % 2:
-                return schreier_sims(group)
-            d = case.d
-            units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
-            gens = [realize_by_products(e, case.tau, d) for e in units]
-            for b in range(3, n + 1):  # the block 3-cycles (1 2 b) generate A_n
-                cycles = [(x, d + x, (b - 1) * d + x) for x in range(1, d + 1)]
-                gens.append(Permutation.from_cycles(cycles, group.degree))
-            return schreier_sims(GeneratedGroup(group.degree, tuple(gens)))
+    # for even q, A's span read as holding (1, 0, ..., 0) besides its own
+    # elements: every premise holds, but B & D would then exceed A
+    def test_failures_counted_against_a_span_holding_the_outside_element(self, monkeypatch):
+        contains = lattice._Span.__contains__
+
+        def holding(self, vector):
+            return list(vector) == [1] + [0] * (len(vector) - 1) or contains(self, vector)
 
         session, _ = thm_3_4_session()
-        monkeypatch.setattr(Session, "b_bsgs", substitute_chain)
+        monkeypatch.setattr(lattice._Span, "__contains__", holding)
         entries = claims._check_thm_3_4(session)
         assert len(entries) == 4
         for entry in entries:
-            even = sum(c.tau.order() % 2 == 0 for c in session.pool(entry.parameters["d"]))
             assert entry.witness["order_failures"] == 0
             assert entry.witness["parametrization_failures"] == 0
-            assert entry.witness["intersection_failures"] == even > 0
+            assert entry.witness["intersection_failures"] == even_cases(session, entry) > 0
             assert not entry.passed
 
     # for even q, A's generators with the realization of (1, 0, ..., 0)
-    # added, which has no coordinates, beside the chain of A itself
+    # added, which has no coordinates
     def test_failures_counted_against_a_kernel_generator_without_coordinates(
         self, monkeypatch
     ):
-        a_group = Session.a_group
-
-        def chain(self, case, n):
-            return schreier_sims(a_group(self, case, n))
-
-        def listed(self, case, n):
-            kernel = a_group(self, case, n)
+        def listed(case, n, kernel):
             if case.tau.order() % 2:
-                return kernel
+                return None
             extra = realize_by_products((1,) + (0,) * (n - 1), case.tau, case.d)
-            return GeneratedGroup(kernel.degree, (*kernel.generators, extra))
+            return (*kernel.generators, extra)
 
         session, _ = thm_3_4_session()
-        monkeypatch.setattr(Session, "a_bsgs", chain)
-        monkeypatch.setattr(Session, "a_group", listed)
+        monkeypatch.setattr(Session, "a_group", substitute_kernel(listed))
         entries = claims._check_thm_3_4(session)
         assert len(entries) == 4
         for entry in entries:
-            even = sum(c.tau.order() % 2 == 0 for c in session.pool(entry.parameters["d"]))
-            assert entry.witness["parametrization_failures"] == even > 0
+            assert entry.witness["parametrization_failures"] == even_cases(session, entry) > 0
             assert not entry.passed
+
+
+class TestCor310:
+    def test_orders_come_from_the_certificates(self, monkeypatch):
+        """On d = 3, n = 3 the orders are n! * |A| and |A| with no chain of
+        degree 9; with one odd-q certificate failing, that case alone is
+        measured by chains, and its orders do not change."""
+        degrees = []
+
+        def counting(group):
+            degrees.append(group.degree)
+            return schreier_sims(group)
+
+        monkeypatch.setattr(claims, "schreier_sims", counting)
+        clean = claims._check_cor_3_10(Session(RunConfig(d=3, n=3)))
+        assert [e.witness["orders"] for e in clean] == [[6], [162]]
+        assert [e.witness["kernel_orders"] for e in clean] == [[1], [27]]
+        assert degrees == [3]
+        session = Session(RunConfig(d=3, n=3))
+        target = next(c for c in session.pool(3) if c.tau.order() == 3)
+        extension = Session.extension
+
+        def failing(self, case, n):
+            span, orders_hold, parametrized = extension(self, case, n)
+            return span, orders_hold and case != target, parametrized
+
+        degrees.clear()
+        monkeypatch.setattr(Session, "extension", failing)
+        assert claims._check_cor_3_10(session) == clean
+        assert degrees == [9, 9]
 
 
 class TestProp311:
@@ -628,18 +711,32 @@ class TestProp330:
 
 
 class TestChecksMatchReferences:
-    # the acceptance grid, and n = 6 at d = 3 as in the prop-3.11 golden
-    @pytest.mark.parametrize("d,n", [(d, n) for d in (2, 3, 4) for n in (3, 4)] + [(3, 6)])
+    # the acceptance grid; n = 6 at d = 3 as in the prop-3.11 golden; and
+    # d = 5, n = 3, whose golden holds the only q = 6 cases
+    @pytest.mark.parametrize(
+        "d,n", [(d, n) for d in (2, 3, 4) for n in (3, 4)] + [(3, 6), (5, 3)]
+    )
     def test_per_case_verdicts(self, monkeypatch, d, n):
         session = Session(RunConfig(d=d, n=n))
         for case in session.pool(d):
             image, mats = session.image(case, n), session.monodromy(case, n)
-            b_bsgs, a_bsgs = session.b_bsgs(case, n), session.a_bsgs(case, n)
+            kernel, (span, orders_hold, _) = session.a_group(case, n), session.extension(case, n)
+            b_bsgs, a_bsgs = schreier_sims(image.group()), schreier_sims(kernel)
             monkeypatch.setattr(session, "pool", lambda _: [case])
             [entry] = claims._check_thm_3_4(session)
             witness = entry.witness
+            assert span.order() == a_bsgs.order()
+            assert span.order() * math.factorial(n) == b_bsgs.order()
+            assert orders_hold == extension_holds(image, kernel, b_bsgs, a_bsgs)
             assert witness["parametrization_failures"] == (not box_parametrizes(image, a_bsgs))
             assert witness["intersection_failures"] == (not sweep_intersects(image, b_bsgs, a_bsgs))
+            if image.q % 2:
+                verified = chain_split_complement(image, a_bsgs) is not None
+                assert witness["split_verified"] == verified
+            else:
+                count = chain_complement_search(image, a_bsgs)
+                assert complement_search(image, span) == count
+                assert witness["even_q_searched"] == (count is not None)
             kernel_gens = session.a_group(case, n).generators
             matches = claims._matrices_match_conjugation(image, kernel_gens, mats)
             assert matches == box_matches_conjugation(image, mats)

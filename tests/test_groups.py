@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import operator
@@ -6,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from braidperm import groups
+from braidperm import groups, lattice
 from braidperm.claims import RunConfig, Session
 from braidperm.groups import (
     GeneratedGroup,
@@ -17,7 +18,7 @@ from braidperm.groups import (
     braid_relations_hold,
     complement_search,
     cyclic_group,
-    extension_holds,
+    extension_certificate,
     gap_generators,
     orbit,
     orbits_partition,
@@ -29,7 +30,7 @@ from braidperm.groups import (
 )
 from braidperm.lattice import compose_matrices, expected_monodromy_matrix
 from braidperm.oracles import enumerate_shuffles
-from braidperm.perm import Permutation, _compose, _invert, _padded, block_swap
+from braidperm.perm import Permutation, _compose, _invert, _padded, _trusted, block_swap
 from braidperm.shuffle import ShuffleSpec, build_shuffle, components, iter_specs
 from test_shuffle import coset
 
@@ -343,6 +344,82 @@ class TestAbelianKernel:
         assert schreier_sims(abelian_kernel(image)).order() == 27
 
 
+# thm-3.4's chain-based checks from before extension_certificate, kept as the
+# references the certificate is compared with case by case
+
+
+def extension_holds(image, kernel, b, a):
+    """Order and normality checks for the abelian kernel, with chain a, inside
+    the full group, with chain b: the kernel order is q^(n-1) * q2, the group
+    order n! times that, and the kernel lies in the group, stable under
+    conjugation by every generator."""
+    expected_a = image.q ** (image.n - 1) * image.q2
+    degree = image.n * image.d
+    pairs = [(g, _invert(g)) for g in (_padded(g, degree) for g in image.generators)]
+    return (
+        a.order() == expected_a
+        and b.order() == math.factorial(image.n) * expected_a
+        and all(k in b for k in kernel.generators)
+        and all(
+            _trusted(_compose(g, _compose(_padded(k, degree), inv))) in a
+            for g, inv in pairs
+            for k in kernel.generators
+        )
+    )
+
+
+def complement_elements(gens, a_bsgs):
+    """Elements of the group generated by the image tuples gens when it is a
+    complement to the kernel chain a_bsgs: every generator is an involution,
+    the braid relations hold, the order is (len(gens) + 1)!, and only the
+    identity lies in a_bsgs.  Else None."""
+    ident = a_bsgs._ident
+    if any(_compose(g, g) != ident for g in gens) or not braid_relations_hold(gens, _compose):
+        return None
+    bs = schreier_sims(GeneratedGroup(a_bsgs.degree, tuple(map(Permutation, gens))))
+    if bs.order() != math.factorial(len(gens) + 1):
+        return None
+    elements = [h.images for h in bs.elements()]
+    if any(h != ident and _trusted(h) in a_bsgs for h in elements):
+        return None
+    return elements
+
+
+def chain_split_complement(image, a_bsgs):
+    """split_complement's twisted generators, checked by complement_elements
+    against the kernel chain a_bsgs; None for even q."""
+    if image.q % 2 == 0:
+        return None
+    comp = split_complement(image)
+    padded = [_padded(g, a_bsgs.degree) for g in comp.generators]
+    if complement_elements(padded, a_bsgs) is None:
+        raise groups.SplitVerificationError("the twisted generators fail the complement checks")
+    return comp
+
+
+def chain_complement_search(image, a_bsgs, cap=groups.SEARCH_CAP):
+    """Number of distinct complements to the kernel chain a_bsgs among the
+    generator lifts, each checked by complement_elements; None over cap."""
+    if a_bsgs.order() ** (image.n - 1) > cap:
+        return None
+    kernel_elements = [x.images for x in a_bsgs.elements()]
+    ident = a_bsgs._ident
+    candidates = []
+    for g in (_padded(g, a_bsgs.degree) for g in image.generators):
+        lifts = [_compose(g, x) for x in kernel_elements]
+        candidates.append([h for h in lifts if _compose(h, h) == ident])
+    found = (complement_elements(lift, a_bsgs) for lift in itertools.product(*candidates))
+    return len({frozenset(elements) for elements in found if elements is not None})
+
+
+def certificate(image):
+    return extension_certificate(image, abelian_kernel(image))
+
+
+def kernel_span(image):
+    return certificate(image)[0]
+
+
 class TestExtension:
     def test_24_is_6_times_4(self):
         image, _ = image_for("(1 2)", 2, 3)
@@ -350,23 +427,31 @@ class TestExtension:
         assert extension_holds(image, kernel, b, a)
         assert b.order() == 24
         assert a.order() == 4
+        span, orders_hold, parametrized = certificate(image)
+        assert orders_hold and parametrized and span.order() == 4
 
     def test_192_is_24_times_8(self):
         image, _ = image_for("(1 2)", 2, 4)
         kernel, b, a = chains(image)
         assert extension_holds(image, kernel, b, a)
         assert (b.order(), a.order()) == (192, 8)
+        span, orders_hold, parametrized = certificate(image)
+        assert orders_hold and parametrized and span.order() == 8
 
     def test_double_transposition(self):
         image, _ = image_for("(1 2)(3 4)", 4, 3)
         kernel, b, a = chains(image)
         assert extension_holds(image, kernel, b, a)
         assert (b.order(), a.order()) == (24, 4)
+        span, orders_hold, parametrized = certificate(image)
+        assert orders_hold and parametrized and span.order() == 4
 
     def test_whole_group_chain_as_kernel_chain_fails(self):
         image, _ = image_for("(1 2)", 2, 3)
         kernel, b, _ = chains(image)
         assert not extension_holds(image, kernel, b, b)
+        # the whole group's generators in place of A's leave the block product
+        assert extension_certificate(image, image.group()) == (None, False, False)
 
     def test_trivial_kernel_fails(self):
         image, _ = image_for("(1 2)", 2, 3)
@@ -374,59 +459,88 @@ class TestExtension:
         trivial, _, trivial_a = chains(image_for(None, 2, 3)[0])
         assert trivial_a.order() == 1
         assert not extension_holds(image, trivial, b, trivial_a)
+        span, orders_hold, parametrized = extension_certificate(image, trivial)
+        assert span.order() == 1
+        assert not orders_hold and not parametrized
+
+    def test_generators_off_the_blocks_fail(self):
+        """The generators in reverse order satisfy the braid relations and
+        normalize A, but the first one acts on the blocks as (n-1 n), not as
+        (1 2); conjugated by (1 3), which swaps the first two blocks at d = 2,
+        the first acts as (2 3)."""
+        image, _ = image_for("(1 2)", 2, 4)
+        kernel = abelian_kernel(image)
+        x = perm("(1 3)")
+        faulty = [image.generators[::-1], tuple(x * g * x for g in image.generators)]
+        for gens in faulty:
+            assert braid_relations_hold(gens, operator.mul)
+            assert not groups._coxeter_lifts([_padded(g, 8) for g in gens], 2)
+        reversed_image = dataclasses.replace(image, generators=faulty[0])
+        assert extension_certificate(reversed_image, kernel)[0].order() == 8
+        assert not extension_certificate(reversed_image, kernel)[1]
+        assert extension_certificate(image, kernel)[1]
 
 
 class TestSplitComplement:
     def test_odd_q(self):
         image, _ = image_for("(1 2 3)", 3, 3)
         _, _, kernel_bs = chains(image)
-        comp = split_complement(image, kernel_bs)
+        comp = split_complement(image)
         assert comp is not None
+        assert chain_split_complement(image, kernel_bs) == comp
         bs = schreier_sims(comp)
         assert bs.order() == 6
         assert all(h == Permutation.identity() or h not in kernel_bs for h in bs.elements())
 
     def test_q_one_complement_is_whole_group(self):
         image, _ = image_for(None, 2, 3)
-        comp = split_complement(image, chains(image)[2])
+        comp = split_complement(image)
         assert schreier_sims(comp).order() == 6 == schreier_sims(image.group()).order()
 
     def test_even_q_not_attempted(self):
         image, _ = image_for("(1 2)", 2, 3)
-        assert split_complement(image, chains(image)[2]) is None
+        assert split_complement(image) is None
+        assert chain_split_complement(image, chains(image)[2]) is None
 
     def test_identity_lifts_have_order_one(self):
         image, _ = image_for("(1 2 3)", 3, 3)
         a = chains(image)[2]
-        assert groups._complement_elements([a._ident, a._ident], a) is None
+        assert complement_elements([a._ident, a._ident], a) is None
+        # the identity does not act on the blocks as (1 2)
+        assert not groups._coxeter_lifts([a._ident, a._ident], 3)
 
     def test_generators_that_are_not_involutions(self):
         image, _ = image_for("(1 2 3)", 3, 3)
         a = chains(image)[2]
         gens = [tuple(map(g, range(1, a.degree + 1))) for g in image.generators]
-        assert groups._complement_elements(gens, a) is None
+        assert complement_elements(gens, a) is None
         # a 6-cycle twice passes every other check: order 3!, braid relations,
         # and no power preserves the blocks
         six = Permutation.from_cycles([(1, 2, 3, 4, 5, 6)], a.degree).images
-        assert groups._complement_elements([six, six], a) is None
+        assert complement_elements([six, six], a) is None
+        # the untwisted generators pass the Coxeter checks, but are not involutions
+        assert groups._coxeter_lifts(gens, 3)
+        untwisted = dataclasses.replace(image, tau=Permutation.identity())
+        with pytest.raises(groups.SplitVerificationError):
+            split_complement(untwisted)
 
     def test_generators_that_fail_the_braid_relation(self):
         image, _ = image_for("(1 2 3)", 3, 3)
         a = chains(image)[2]
         gens = [Permutation.from_cycles([c], a.degree).images for c in [(1, 2), (4, 5)]]
-        assert groups._complement_elements(gens, a) is None
+        assert complement_elements(gens, a) is None
         # (1 4), (1 7), (1 10) pass every other check at n = 4: they generate
         # the symmetric group on one point per block, but the distant pair
         # does not commute
         image, _ = image_for("(1 2 3)", 3, 4)
         a = chains(image)[2]
         gens = [Permutation.from_cycles([(1, x)], a.degree).images for x in (4, 7, 10)]
-        assert groups._complement_elements(gens, a) is None
+        assert complement_elements(gens, a) is None
 
     def test_complement_meeting_the_kernel_raises(self):
         image, _ = image_for("(1 2 3)", 3, 3)
         with pytest.raises(groups.SplitVerificationError):
-            split_complement(image, chains(image)[1])
+            chain_split_complement(image, chains(image)[1])
 
     @pytest.mark.parametrize(
         "tau,d,n,count",
@@ -435,24 +549,55 @@ class TestSplitComplement:
     def test_search_agrees_with_split_for_odd_q(self, tau, d, n, count):
         image, _ = image_for(tau, d, n)
         a = chains(image)[2]
-        assert split_complement(image, a) is not None
-        assert complement_search(image, a) == count
+        assert split_complement(image) is not None
+        assert chain_complement_search(image, a) == count
+        assert complement_search(image, kernel_span(image)) == count
 
     def test_search_finds_complements_for_even_q_n3(self):
         image, _ = image_for("(1 2)", 2, 3)
-        assert complement_search(image, chains(image)[2]) == 4
+        assert chain_complement_search(image, chains(image)[2]) == 4
+        assert complement_search(image, kernel_span(image)) == 4
 
     def test_search_finds_none_for_even_q_n4(self):
         image, _ = image_for("(1 2)", 2, 4)
-        assert complement_search(image, chains(image)[2]) == 0
+        assert chain_complement_search(image, chains(image)[2]) == 0
+        assert complement_search(image, kernel_span(image)) == 0
+
+    def test_search_counts_the_q6_complements_like_the_reference(self, monkeypatch):
+        """At q = 6, n = 3 (d = 5, the only even q with odd q2 on the golden
+        grids) |A|^2 = 108^2 is over the cap; with the cap raised both
+        searches count 36 complements."""
+        image, _ = image_for("(1 2)(3 4 5)", 5, 3)
+        a, span = chains(image)[2], kernel_span(image)
+        assert a.order() == span.order() == 108
+        assert complement_search(image, span) is None
+        monkeypatch.setattr(groups, "SEARCH_CAP", 108**2)
+        assert complement_search(image, span) == 36 == chain_complement_search(image, a, 108**2)
+
+    def test_involution_lifts_that_break_a_braid_relation_are_not_counted(self):
+        """At q = 2, n = 4 every generator has four involution lifts, 64 tuples of
+        them in all, and each breaks a braid relation."""
+        image, _ = image_for("(1 2)", 2, 4)
+        span = kernel_span(image)
+        shifted = lattice._block_powers(image.tau, 2, 4)[0]
+        kernel = [lattice._realize(shifted, v) for v in span.elements()]
+        ident = tuple(range(1, 9))
+        lifts = [
+            [h for h in (_compose(_padded(g, 8), x) for x in kernel) if _compose(h, h) == ident]
+            for g in image.generators
+        ]
+        tuples = list(itertools.product(*lifts))
+        assert len(tuples) == 64
+        assert not any(braid_relations_hold(t, _compose) for t in tuples)
+        assert complement_search(image, span) == 0
 
     def test_search_over_the_cap_lists_no_kernel_element(self, monkeypatch):
         image, _ = image_for("(1 2 3 4)", 4, 4)
-        a = chains(image)[2]
-        monkeypatch.setattr(groups.BSGS, "elements", None)
-        assert a.order() == 4**3 * 2
-        assert a.order() ** 3 > groups.SEARCH_CAP
-        assert complement_search(image, a) is None
+        span = kernel_span(image)
+        monkeypatch.setattr(lattice._Span, "elements", None)
+        assert span.order() == 4**3 * 2
+        assert span.order() ** 3 > groups.SEARCH_CAP
+        assert complement_search(image, span) is None
 
 
 def pool_cases(slices):
