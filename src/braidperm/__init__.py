@@ -3,7 +3,7 @@ and exhaustive verification of their structure at small parameters.
 
 The package top level re-exports the names of the README quick tour and of
 the verification entry point; everything else is imported from its module,
-for example ``from braidperm.lattice import smith_normal_form``.
+for example ``from braidperm.lattice import expected_kernel_structure``.
 """
 
 from .claims import REGISTRY, RunConfig, run_verification

@@ -19,7 +19,6 @@ from .groups import (
     SEARCH_CAP,
     BraidImage,
     SplitVerificationError,
-    _block_split,
     abelian_kernel,
     braid_image,
     braid_relations_hold,
@@ -219,12 +218,14 @@ class Session:
 
 
 def _check_thm_2_12(s: Session) -> list[ClaimCheck]:
-    """Equivalence of braid-likeness, block-split squares, and shuffle
-    membership over the whole coset, plus the counting and set identities."""
+    """Equivalence of braid-likeness, block-split squares (membership in the
+    root sweep's buckets), and shuffle membership over the whole coset, plus
+    the counting and set identities."""
     entries = []
     for d in s.config.ds():
         members = [_padded(w, d) for w in s.taus(d)]
         shuffle_all = {p.canonical() for tau in s.taus(d) for p in s.shuffles(d, tau).elements}
+        roots_all = {p.canonical() for tau in s.taus(d) for p in s.roots(d, tau).elements}
         swap = block_swap(1, d, 2).images
         upper = tuple(range(d + 1, 2 * d + 1))
         top = tuple(range(2 * d + 1, 3 * d + 1))
@@ -237,7 +238,7 @@ def _check_thm_2_12(s: Session) -> list[ClaimCheck]:
                 # sigma(2d) = w2(d) <= d, so this degree-2d tuple is canonical
                 sigma = _compose(left, w2)
                 braid = _is_braid_like(sigma + top, _shifted(sigma, d))
-                split = _block_split(_compose(sigma, sigma), d) is not None
+                split = sigma in roots_all
                 member = sigma in shuffle_all
                 braid_count += braid
                 if not (braid == split == member):
@@ -554,8 +555,8 @@ def _check_lemma_3_3(s: Session) -> list[ClaimCheck]:
     shift-down g_s * shift(tau^2, s*d) * g_s^-1 = shift(tau^2, (s-1)*d), and
     the mixed g_(r+1) * g_r^2 * g_(r+1)^-1 = g_r * g_(r+1)^2 * g_r^-1, which is
     tau on blocks r and r+2.  The squares and conjugates are abelian_kernel's
-    generators; it raises when one leaves the block product or two do not
-    commute, and that fault counts as a failure of the case.
+    generators; it raises when one leaves the block product, and that fault
+    counts as a failure of the case.
 
     The shift exponent in the mixed identity is (r-1)*d, forced by the block
     structure; all cases are checked at that reading.

@@ -5,11 +5,13 @@ cyclic group <t> is encoded by its exponent tuple (r_1, ..., r_n) mod
 q = order(t).  The kernel subgroups produced by squared group generators
 correspond to the sublattice of Z^n spanned by the adjacent sums
 f_i = e_i + e_(i+1) and the skip sums g_r = e_r + e_(r+2); together with
-h_n = 2 e_n the f_i form a basis of that sublattice.  Its structure mod q is
-computed here by Smith normal form (the tests recompute it by brute-force
-subgroup closure), and conjugation by the group generators is expressed as
-matrices over Z/q in the basis (f_1, ..., f_(n-1), h_n), where the last
-coordinate is only defined mod q2 = q / gcd(q, 2).
+h_n = 2 e_n the f_i form a basis of that sublattice.  Spans mod q are held
+in one echelon form over Z^n (a Hermite normal form), which gives their order
+and decides membership; on it the sublattice mod q is certified to be
+(Z/q)^(n-1) x Z/q2 (the tests recompute it by brute-force subgroup closure).
+Conjugation by the group generators is expressed as matrices over Z/q in the
+basis (f_1, ..., f_(n-1), h_n), where the last coordinate is only defined
+mod q2 = q / gcd(q, 2).
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ __all__ = [
     "monodromy_matrices",
     "normalize_factors",
     "q2_of",
-    "smith_normal_form",
 ]
 
 Matrix = list[list[int]]
@@ -98,72 +99,6 @@ def g_vector(n: int, r: int) -> tuple[int, ...]:
     if not 1 <= r <= n - 2:
         raise ValueError(f"g index {r} out of range [1, {n - 2}]")
     return tuple(1 if j in (r, r + 2) else 0 for j in range(1, n + 1))
-
-
-def smith_normal_form(rows: Sequence[Sequence[int]]) -> list[int]:
-    """Diagonal of the Smith normal form of an integer matrix.
-
-    Entries are nonnegative and each divides the next; trailing zeros appear
-    when the rank is below min(#rows, #cols).
-    """
-    a = [list(map(int, row)) for row in rows]
-    if not a or not a[0]:
-        return []
-    nr, nc = len(a), len(a[0])
-    if any(len(row) != nc for row in a):
-        raise ValueError("ragged matrix")
-    size = min(nr, nc)
-    for t in range(size):
-        while True:
-            pivot = None
-            best = 0
-            for i in range(t, nr):
-                for j in range(t, nc):
-                    v = abs(a[i][j])
-                    if v and (pivot is None or v < best):
-                        pivot, best = (i, j), v
-            if pivot is None:
-                break
-            pi, pj = pivot
-            if pi != t:
-                a[t], a[pi] = a[pi], a[t]
-            if pj != t:
-                for row in a:
-                    row[t], row[pj] = row[pj], row[t]
-            if a[t][t] < 0:
-                a[t] = [-v for v in a[t]]
-            p = a[t][t]
-            clean = True
-            for i in range(t + 1, nr):
-                if a[i][t]:
-                    k = a[i][t] // p
-                    if k:
-                        a[i] = [x - k * y for x, y in zip(a[i], a[t])]
-                    if a[i][t]:
-                        clean = False
-            for j in range(t + 1, nc):
-                if a[t][j]:
-                    k = a[t][j] // p
-                    if k:
-                        for row in a:
-                            row[j] -= k * row[t]
-                    if a[t][j]:
-                        clean = False
-            if not clean:
-                continue
-            offender = None
-            for i in range(t + 1, nr):
-                if any(a[i][j] % p for j in range(t + 1, nc)):
-                    offender = i
-                    break
-            if offender is None:
-                break
-            a[t] = [x + y for x, y in zip(a[t], a[offender])]
-    diag = [a[i][i] for i in range(size)]
-    for x, y in zip(diag, diag[1:]):
-        if (x == 0 and y != 0) or (x != 0 and y % x != 0):
-            raise AssertionError(f"diagonal {diag} is not a divisibility chain")
-    return diag
 
 
 @dataclass(frozen=True)
@@ -227,24 +162,33 @@ def normalize_factors(factors) -> tuple[int, ...]:
     return tuple(sorted(f for f in factors if f > 1))
 
 
-def kernel_structure(n: int, q: int) -> AbelianStructure:
-    """Structure of the subgroup of (Z/q)^n spanned by the adjacent and skip sums.
+def _spans_coordinates(span: _Span, vectors: Iterable[Sequence[int]]) -> bool:
+    """Whether span, the span mod q of vectors, has q^(n-1) * q2 elements and
+    equals the span of the unit coordinates' exponent vectors f_1, ...,
+    f_(n-1), h_n.  Then c -> c_1 f_1 + ... + c_(n-1) f_(n-1) + c_n h_n is a
+    well-defined homomorphism from (Z/q)^(n-1) x Z/q2 onto span, and of the
+    same order, so an isomorphism."""
+    q, n = span.q, len(span.rows)
+    units = [_kernel_exponents([int(i == j) for i in range(n)]) for j in range(n)]
+    coords = _Span(units, q, n)
+    return (
+        span.order() == q ** (n - 1) * q2_of(q)
+        and all(u in span for u in units)
+        and all(v in coords for v in vectors)
+    )
 
-    Stacks the generating vectors with q times the identity and takes the
-    Smith normal form; the diagonal (d_1 | ... | d_n, every d_i dividing q)
-    turns into the invariant factors q/d_i of the subgroup itself.
-    """
+
+def kernel_structure(n: int, q: int) -> AbelianStructure | None:
+    """Structure of the subgroup of (Z/q)^n spanned by the adjacent and skip
+    sums: (Z/q)^(n-1) x Z/q2 when they pass _spans_coordinates, else None."""
     if n < 3:
         raise ValueError("need n >= 3")
     if q < 1:
         raise ValueError("q must be positive")
-    rows = [f_vector(n, i) for i in range(1, n)]
-    rows += [g_vector(n, r) for r in range(1, n - 1)]
-    rows += [tuple(q if j == i else 0 for j in range(n)) for i in range(n)]
-    diag = smith_normal_form(rows)
-    if len(diag) != n or any(d == 0 or q % d for d in diag):
-        raise AssertionError("stacked lattice must have full rank with divisors of q")
-    return AbelianStructure(normalize_factors(q // d for d in diag))
+    vectors = [f_vector(n, i) for i in range(1, n)]
+    vectors += [g_vector(n, r) for r in range(1, n - 1)]
+    certified = _spans_coordinates(_Span(vectors, q, n), vectors)
+    return expected_kernel_structure(n, q) if certified else None
 
 
 def expected_kernel_structure(n: int, q: int) -> AbelianStructure:

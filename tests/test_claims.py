@@ -125,7 +125,7 @@ class TestDeterminism:
 class TestLemma33:
     def test_kernel_fault_is_counted_not_raised(self, monkeypatch, tmp_path):
         def faulty_kernel(image):
-            raise RuntimeError("kernel generators do not commute")
+            raise RuntimeError("kernel generator escapes the block product")
 
         monkeypatch.setattr(claims, "abelian_kernel", faulty_kernel)
         report = run_verification(RunConfig(d=2, n=3, claims=("lemma-3.3",)))
@@ -274,27 +274,38 @@ class TestCor213:
         assert named == drawn
 
 
+def assert_one_disagreement(monkeypatch, accessor):
+    """thm-2.12 at d = 3 with the first element of the (1 2 3) bucket of
+    Session.<accessor> dropped: exactly that sigma disagrees in the
+    equivalence, and the bucket mismatches in the counts."""
+    s = Session(RunConfig(d=3, n=3, claims=("thm-2.12",)))
+    tau = Permutation.parse("(1 2 3)")
+    dropped = getattr(s, accessor)(3, tau).elements[0]
+    full = getattr(Session, accessor)
+
+    def one_fewer(self, d, t):
+        result = full(self, d, t)
+        if t != tau:
+            return result
+        return EnumerationResult(result.parameters, result.elements[1:], result.count - 1)
+
+    monkeypatch.setattr(Session, accessor, one_fewer)
+    equivalence, counts = claims._check_thm_2_12(s)
+    assert equivalence.parameters == {"d": 3, "check": "equivalence"}
+    assert equivalence.witness["disagreement_count"] == 1
+    assert equivalence.witness["examples"] == [str(dropped)]
+    assert equivalence.witness["braid_like"] == 18 and not equivalence.passed
+    assert counts.witness["set_mismatches"] == [str(tau)] and not counts.passed
+
+
 class TestThm212:
     def test_missing_shuffle_is_a_disagreement(self, monkeypatch):
-        s = Session(RunConfig(d=3, n=3, claims=("thm-2.12",)))
-        tau = Permutation.parse("(1 2 3)")
-        full = s.shuffles(3, tau)
-        dropped = full.elements[0]
-        shuffles = Session.shuffles
+        assert_one_disagreement(monkeypatch, "shuffles")
 
-        def one_fewer(self, d, t):
-            result = shuffles(self, d, t)
-            if t != tau:
-                return result
-            return EnumerationResult(result.parameters, result.elements[1:], result.count - 1)
-
-        monkeypatch.setattr(Session, "shuffles", one_fewer)
-        equivalence, counts = claims._check_thm_2_12(s)
-        assert equivalence.parameters == {"d": 3, "check": "equivalence"}
-        assert equivalence.witness["disagreement_count"] == 1
-        assert equivalence.witness["examples"] == [str(dropped)]
-        assert equivalence.witness["braid_like"] == 18 and not equivalence.passed
-        assert counts.witness["set_mismatches"] == [str(tau)] and not counts.passed
+    def test_missing_root_is_a_disagreement(self, monkeypatch):
+        """The equivalence reads a block-split square as membership in the
+        root buckets, so a root dropped from its bucket disagrees there."""
+        assert_one_disagreement(monkeypatch, "roots")
 
     def test_sweeps_make_no_quadratic_products(self, monkeypatch):
         """thm-2.12 sweeps the 576-element coset at d = 4, and lemma-2.5 the
@@ -409,6 +420,18 @@ class TestThm34:
         assert calls["_powers"] == len(cases) + searched
         # once per (n, q): q in {1, 2, 3}, n in {3, 4}
         assert calls["kernel_structure"] == len({(n, c.tau.order()) for c, n in cases}) == 6
+
+    def test_a_failed_structure_certificate_is_counted_not_raised(self, monkeypatch):
+        """Without the skip sums the adjacent sums span too little mod 3, so
+        each q = 3 case counts a structure failure; no exception is raised."""
+        monkeypatch.setattr(lattice, "g_vector", lambda n, r: (0,) * n)
+        session = Session(RunConfig(d=3, n=3, claims=("thm-3.4",)))
+        [entry] = claims._check_thm_3_4(session)
+        threes = sum(case.tau.order() == 3 for case in session.pool(3))
+        assert entry.witness["structure_failures"] == threes > 0
+        assert entry.witness["order_failures"] == entry.witness["parametrization_failures"] == 0
+        assert entry.witness["examples"][0].startswith("structure ")
+        assert not entry.passed
 
     def test_no_chain_of_degree_nd_on_the_grid(self, monkeypatch):
         """thm-3.4 and cor-3.10 on d <= 4, n <= 4 build only the chains of

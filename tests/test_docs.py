@@ -1,10 +1,11 @@
-"""The documentation runs: every module's doctests pass, and the README quick
+"""The documentation runs: every module's doctests pass, the README quick
 tour executes against the package's top-level names with the values its
-comments state."""
+comments state, and every import example in the README resolves."""
 
 import doctest
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -56,3 +57,14 @@ def test_readme_quick_tour_shows_the_stated_values():
         target, sep, _ = statement.partition(" = ")
         value = namespace[target] if sep else eval(statement, namespace)
         assert str(value) == stated
+
+
+def test_readme_import_examples_resolve():
+    examples = re.findall(
+        r"from (braidperm[\w.]*) import (\w+(?:, \w+)*)", README.read_text(encoding="utf-8")
+    )
+    assert examples
+    for module, names in examples:
+        imported = importlib.import_module(module)
+        for name in names.split(", "):
+            assert hasattr(imported, name), f"from {module} import {name}"

@@ -343,6 +343,23 @@ class TestAbelianKernel:
         image, _ = image_for("(1 2 3)", 3, 3)
         assert schreier_sims(abelian_kernel(image)).order() == 27
 
+    def test_no_pairwise_commutation_products(self, monkeypatch):
+        """The 2n - 3 generators are read into the abelian block product, so
+        no pairwise commutation test of (2n - 3)^2 products is made."""
+        image, _ = image_for("(1 2 3)", 3, 6)
+        calls = 0
+        mul = Permutation.__mul__
+
+        def counting_mul(self, other):
+            nonlocal calls
+            calls += 1
+            return mul(self, other)
+
+        monkeypatch.setattr(Permutation, "__mul__", counting_mul)
+        kernel = abelian_kernel(image)
+        assert len(kernel.generators) == 2 * 6 - 3
+        assert calls < (2 * 6 - 3) ** 2
+
 
 # thm-3.4's chain-based checks from before extension_certificate, kept as the
 # references the certificate is compared with case by case

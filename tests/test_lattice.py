@@ -24,7 +24,6 @@ from braidperm.lattice import (
     monodromy_matrices,
     normalize_factors,
     q2_of,
-    smith_normal_form,
 )
 from braidperm.perm import Permutation, _padded, _trusted
 from braidperm.shuffle import ShuffleSpec, build_shuffle
@@ -236,28 +235,8 @@ class TestLatticeIdentities:
         for n in (3, 4, 5, 6):
             h_n = tuple(2 * (j == n) for j in range(1, n + 1))
             rows = [f_vector(n, i) for i in range(1, n)] + [h_n]
-            assert math.prod(smith_normal_form(rows)) == 2
-
-
-class TestSmithNormalForm:
-    def test_known_cases(self):
-        assert smith_normal_form([[2, 0], [0, 3]]) == [1, 6]
-        assert smith_normal_form([[1, 0], [0, 2]]) == [1, 2]
-        assert smith_normal_form([[2, 4, 4]]) == [2]
-        assert smith_normal_form([[0, 0], [0, 0]]) == [0, 0]
-        assert smith_normal_form([[1, 1, 0], [0, 1, 1], [1, 0, 1]]) == [1, 1, 2]
-
-    def test_divisibility_chain_random(self):
-        import random
-
-        rng = random.Random(3)
-        for _ in range(50):
-            rows = [[rng.randint(-4, 4) for _ in range(3)] for _ in range(4)]
-            diag = smith_normal_form(rows)
-            for x, y in zip(diag, diag[1:]):
-                assert (x == 0) <= (y == 0)
-                if x:
-                    assert y % x == 0
+            for q in (2, 4, 6):
+                assert lattice._Span(rows, q, n).order() == q**n // 2
 
 
 def closure(vectors, n, q):
@@ -314,9 +293,33 @@ class TestSpan:
                 assert not any(row[:j]) and 0 < row[j] and q % row[j] == 0
 
 
+class TestSpansCoordinates:
+    def test_verdict_against_closure(self):
+        """True exactly when the closure of the vectors is the image of
+        c -> c_1 f_1 + ... + c_(n-1) f_(n-1) + c_n h_n, c_n mod q2, and has
+        q^(n-1) * q2 elements."""
+        verdicts = []
+        for vectors, n, q in span_cases():
+            if n < 2:
+                continue
+            q2 = q2_of(q)
+            h_n = tuple(2 * (j == n) for j in range(1, n + 1))
+            basis = [f_vector(n, i) for i in range(1, n)] + [h_n]
+            image = {
+                tuple(sum(map(mul, c, col)) % q for col in zip(*basis))
+                for c in product(*[range(q)] * (n - 1), range(q2))
+            }
+            elems = closure([[x % q for x in v] for v in vectors], n, q)
+            verdict = lattice._spans_coordinates(lattice._Span(vectors, q, n), vectors)
+            assert verdict == (elems == image and len(elems) == q ** (n - 1) * q2)
+            verdicts.append(verdict)
+        assert True in verdicts and False in verdicts
+
+
 def brute_structure(vectors, n, q):
     """Invariant factors of the subgroup of (Z/q)^n generated by vectors,
-    found by closure and order-counting, independently of Smith normal form."""
+    found by closure and order-counting, independently of the echelon-form
+    certificate."""
     elems = closure(vectors, n, q)
     size = len(elems)
     divisors = [e for e in range(1, q + 1) if q % e == 0]
@@ -359,6 +362,12 @@ class TestKernelStructure:
 
     def test_order(self):
         assert kernel_structure(4, 4).order == 4**3 * 2
+
+    def test_none_without_the_skip_sums(self, monkeypatch):
+        # mod 2 the adjacent sums alone span the lattice; mod 3 they do not
+        monkeypatch.setattr(lattice, "g_vector", lambda n, r: (0,) * n)
+        assert kernel_structure(4, 2) == expected_kernel_structure(4, 2)
+        assert kernel_structure(4, 3) is None
 
     def test_structure_validation(self):
         with pytest.raises(ValueError):
