@@ -32,6 +32,11 @@ GOLDEN = {
     "d4_n6_prop311.json": (
         ["verify", "--d", "4", "--n", "6", "--claim", "prop-3.11", "--format", "json",
          "--seed", "0"], 0),
+    # prop-3.11 at n = 8 for q = 2 and 3: matrices of size 8, where the
+    # kernel of the action on S_8 (40,320 block permutations) is decided
+    "d3_n8_prop311.json": (
+        ["verify", "--d", "3", "--n", "8", "--claim", "prop-3.11", "--format", "json",
+         "--seed", "0"], 0),
     # lemma-3.3, prop-3.30 and thm-3.4 at n = 5; exit 1 from prop-3.30's
     # refuted orbit partition
     "d3_n5_kernel.json": (
