@@ -11,14 +11,15 @@ and decides membership; on it the sublattice mod q is certified to be
 (Z/q)^(n-1) x Z/q2 (the tests recompute it by brute-force subgroup closure).
 Conjugation by the group generators is expressed as matrices over Z/q in the
 basis (f_1, ..., f_(n-1), h_n), where the last coordinate is only defined
-mod q2 = q / gcd(q, 2).
+mod q2 = q / gcd(q, 2).  The kernel of S_n's action through them is one of
+its normal subgroups, told apart by at most two matrix products.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import add, mul
+from operator import add
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .perm import Permutation, _compose, _invert, _padded
@@ -320,43 +321,43 @@ def monodromy_matrices(image: "BraidImage") -> list[Matrix]:
     return out
 
 
-def _changed_columns(m: Matrix) -> list[tuple[int, list[int], list[int]]]:
-    """(j, rows, entries) for each column j of m other than e_j: the rows it
-    reads (its nonzero entries and row j, so never none) and their entries."""
-    units = [tuple(int(k == j) for k in range(len(m))) for j in range(len(m))]
-    changed = [(j, col) for j, col in enumerate(zip(*m)) if col != units[j]]
-    rows = [[k for k, v in enumerate(col) if v or k == j] for j, col in changed]
-    return [(j, r, [col[k] for k in r]) for (j, col), r in zip(changed, rows)]
+def _coxeter_relations_hold(mats: list[Matrix], q: int, q2: int) -> bool:
+    """(M_r M_s)^m = I for r <= s, with m = 1 for r = s, 3 for adjacent r, s
+    and 2 otherwise: the Coxeter presentation of S_n."""
+    ident = identity_matrix(len(mats[0]), q, q2)
+    for r, a in enumerate(mats):
+        for s in range(r, len(mats)):
+            prod = power = compose_matrices(a, mats[s], q, q2)
+            for _ in range(0 if s == r else 2 if s == r + 1 else 1):
+                power = compose_matrices(power, prod, q, q2)
+            if power != ident:
+                return False
+    return True
 
 
-def monodromy_kernel(matrices: list[Matrix], q: int, q2: int) -> int:
+def monodromy_kernel(matrices: list[Matrix], q: int, q2: int) -> int | None:
     """Number of block permutations acting trivially on the kernel coordinates,
-    given the n-1 matrices of size n and the coordinate moduli q and q2.
+    given the n-1 matrices of size n and the moduli q and q2; None when the
+    matrices break the moduli or the Coxeter relations of S_n.
 
-    Walks S_n breadth-first from the identity along the adjacent
-    transpositions: a permutation p first reached as p' * (s s+1) gets the
-    matrix of p' times matrix s.  Counts the identity matrices among the n!
-    results; size one means the action separates the block permutations.  The
-    count does not depend on the walk when the matrices satisfy the Coxeter
-    relations, which prop-3.11 checks separately.
-
-    Matrices are held column-major: column j of A @ M_s is column j of A when
-    column j of M_s is e_j, and only the other columns of M_s are multiplied out.
+    Matrices that respect the moduli are maps of the coordinate group, and
+    when the relations hold, (s s+1) -> M_s is a homomorphism rho of S_n.
+    ker rho is normal: 1, A_n, S_n, or V_4 when n = 4 (Dixon and Mortimer,
+    Permutation Groups, 1996).  It is S_n when every M_s is the identity;
+    else A_n, the normal closure of the 3-cycle (1 2)(2 3), when M_1 M_2 is;
+    else V_4, that of (1 2)(3 4), when n = 4 and M_1 M_3 is; else 1.
     """
-    n = len(matrices[0])
-    moduli, ident = _moduli(n, q, q2), tuple(zip(*identity_matrix(n, q, q2)))
-    changes = [_changed_columns(m) for m in matrices]
-    reached = {tuple(range(1, n + 1)): ident}
-    queue = list(reached)
-    for line in queue:
-        mat = reached[line]
-        for s in range(1, n):
-            nxt = line[: s - 1] + (line[s], line[s - 1]) + line[s + 1:]
-            if nxt not in reached:
-                cols = list(mat)
-                for j, rows, coefs in changes[s - 1]:
-                    used = zip(*[mat[k] for k in rows])
-                    cols[j] = tuple(sum(map(mul, coefs, r)) % mod for r, mod in zip(used, moduli))
-                reached[nxt] = tuple(cols)
-                queue.append(nxt)
-    return sum(mat == ident for mat in reached.values())
+    mats = [_canonical_matrix(m, q, q2) for m in matrices]
+    n = len(mats[0])
+    if any(row[-1] % (q // q2) for m in mats for row in m[:-1]):
+        return None
+    if not _coxeter_relations_hold(mats, q, q2):
+        return None
+    ident = identity_matrix(n, q, q2)
+    if all(m == ident for m in mats):
+        return math.factorial(n)
+    if compose_matrices(mats[0], mats[1], q, q2) == ident:
+        return math.factorial(n) // 2
+    if n == 4 and compose_matrices(mats[0], mats[2], q, q2) == ident:
+        return 4
+    return 1

@@ -107,6 +107,13 @@ class ShuffleSpec:
         object.__setattr__(self, "u", u)
 
     @classmethod
+    def _valid(cls, d: int, tau: Permutation, choices, u) -> "ShuffleSpec":
+        """A spec from choices and u that __post_init__ would keep as they are."""
+        spec = object.__new__(cls)
+        spec.__dict__.update(d=d, tau=tau, choices=choices, u=u)
+        return spec
+
+    @classmethod
     def make(
         cls,
         tau: Permutation,
@@ -369,7 +376,8 @@ def components(spec: ShuffleSpec) -> tuple[Component, ...]:
 
 def iter_specs(tau: Permutation, d: int) -> Iterator[ShuffleSpec]:
     """Every spec over tau: all length-preserving bijections u of its cycles,
-    and for each all starting-point choices, with j1 on u(alpha)."""
+    and for each all starting-point choices, with j1 on u(alpha); valid by
+    construction, they skip the constructor's checks."""
     cycles = tau_cycles(tau, d)
     classes: dict[int, list[tuple[int, ...]]] = {}
     for c in cycles:
@@ -381,6 +389,7 @@ def iter_specs(tau: Permutation, d: int) -> Iterator[ShuffleSpec]:
             for m, row in zip(lengths, images)
             for alpha, image in zip(classes[m], row)
         }
+        pairs = tuple((alpha, u[alpha]) for alpha in cycles)
         pools = [[(alpha, i1, j1) for i1 in alpha for j1 in u[alpha]] for alpha in cycles]
         for combo in iter_product(*pools):
-            yield ShuffleSpec(d, tau, combo)
+            yield ShuffleSpec._valid(d, tau, combo, pairs)

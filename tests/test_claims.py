@@ -651,33 +651,52 @@ class TestProp311:
         examples = witness["examples"]
         assert f"formula {target.sigma}" in examples and f"kernel {target.sigma}" in examples
 
+    def test_relation_breaking_matrices_are_counted_not_raised(self, monkeypatch):
+        """The first case with q = 3 at d = 3, n = 4 gets the stated matrices
+        with the first two swapped: M_2 then stands next to M_3 as a distant
+        generator, and the two do not commute.  The kernel certificate
+        returns None for them, which counts one relation failure (and a
+        kernel failure, None not being 1) and fails the entry."""
+        session = Session(RunConfig(d=3, n=4))
+        target = next(case for case in session.pool(3) if case.tau.order() == 3)
+        monodromy = Session.monodromy
+
+        def patched(self, case, n):
+            mats = monodromy(self, case, n)
+            return [mats[1], mats[0], *mats[2:]] if case == target else mats
+
+        monkeypatch.setattr(Session, "monodromy", patched)
+        [entry] = claims._check_prop_3_11(session)
+        witness = entry.witness
+        assert witness["relation_failures"] == witness["kernel_failures"] == 1
+        assert f"relations {target.sigma}" in witness["examples"] and not entry.passed
+
     @pytest.mark.parametrize(
-        "config,walks,relations",
+        "config,sets",
         [
-            (RunConfig(d=3, n=6, claims=("prop-3.11",)), 3, 2),
-            (RunConfig(d_max=4, n_max=4), 8, 6),
+            (RunConfig(d=3, n=6, claims=("prop-3.11",)), 3),
+            (RunConfig(d_max=4, n_max=4), 8),
         ],
     )
-    def test_matrix_checks_once_per_distinct_matrix_set(
-        self, monkeypatch, config, walks, relations
-    ):
-        """The walk runs once per distinct (q, n) and the relations once per
-        distinct (q, n) with q >= 2, however many cases share the matrices."""
-        calls = {"monodromy_kernel": 0, "_matrix_relations_hold": 0}
+    def test_matrix_checks_once_per_distinct_matrix_set(self, monkeypatch, config, sets):
+        """The kernel certificate, and the relation check within it, run once
+        per distinct (q, n), q = 1 included, however many cases share the
+        matrices."""
+        calls = {"monodromy_kernel": 0, "_coxeter_relations_hold": 0}
 
-        def counting(name):
-            original = getattr(claims, name)
+        def counting(module, name):
+            original = getattr(module, name)
 
             def wrapper(*args):
                 calls[name] += 1
                 return original(*args)
 
-            return wrapper
+            monkeypatch.setattr(module, name, wrapper)
 
-        for name in calls:
-            monkeypatch.setattr(claims, name, counting(name))
+        counting(claims, "monodromy_kernel")
+        counting(lattice, "_coxeter_relations_hold")
         run_verification(config)
-        assert calls == {"monodromy_kernel": walks, "_matrix_relations_hold": relations}
+        assert calls == {"monodromy_kernel": sets, "_coxeter_relations_hold": sets}
 
 
 def subdirect_entry(monkeypatch, fault):

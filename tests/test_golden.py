@@ -22,18 +22,18 @@ GOLDEN = {
     "d4_n3.json": (["verify", "--d", "4", "--n", "3", "--format", "json", "--seed", "0"], 1),
     # the only golden with q = 6, where q is even and q2 = 3 is odd
     "d5_n3.json": (["verify", "--d", "5", "--n", "3", "--format", "json", "--seed", "0"], 1),
-    # the only golden at n = 6: the monodromy walk over S_6, and matrices of
-    # size 6 with modulus up to 3 checked against conjugation
+    # prop-3.11 at n = 6 for q = 2 and 3: the monodromy kernel in S_6, and
+    # matrices of size 6 with modulus up to 3 checked against conjugation
     "d3_n6_prop311.json": (
         ["verify", "--d", "3", "--n", "6", "--claim", "prop-3.11", "--format", "json",
          "--seed", "0"], 0),
-    # prop-3.11 at n = 6 for q = 2, 3 and 4: the walk over S_6 on the most
-    # cases of any golden
+    # prop-3.11 at n = 6 for q = 2, 3 and 4: the monodromy kernel in S_6 on
+    # the most cases of any golden
     "d4_n6_prop311.json": (
         ["verify", "--d", "4", "--n", "6", "--claim", "prop-3.11", "--format", "json",
          "--seed", "0"], 0),
-    # prop-3.11 at n = 8 for q = 2 and 3: matrices of size 8, where the
-    # kernel of the action on S_8 (40,320 block permutations) is decided
+    # prop-3.11 at n = 8 for q = 2 and 3: the monodromy kernel in S_8, whose
+    # 40,320 elements no walk visits, from matrices of size 8
     "d3_n8_prop311.json": (
         ["verify", "--d", "3", "--n", "8", "--claim", "prop-3.11", "--format", "json",
          "--seed", "0"], 0),

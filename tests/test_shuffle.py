@@ -324,6 +324,19 @@ class TestRotationRedundancy:
 
 
 class TestSpecValidation:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_enumerated_specs_match_the_checked_constructor(self, d):
+        """iter_specs skips the constructor's checks; each spec it yields is
+        the one the public constructor builds and checks from its choices,
+        given in reverse order, field for field."""
+        for tau in all_of_sd(d):
+            specs = list(iter_specs(tau, d))
+            assert specs
+            for spec in specs:
+                checked = ShuffleSpec(d, tau, spec.choices[::-1])
+                assert spec == checked and hash(spec) == hash(checked)
+                assert (spec.choices, spec.u) == (checked.choices, checked.u)
+
     def test_bad_choice_points(self):
         tau = perm("(1 2)")
         with pytest.raises(SpecError):
