@@ -653,8 +653,8 @@ class TestProp311:
 
     def test_relation_breaking_matrices_are_counted_not_raised(self, monkeypatch):
         """The first case with q = 3 at d = 3, n = 4 gets the stated matrices
-        with the first two swapped: M_2 then stands next to M_3 as a distant
-        generator, and the two do not commute.  The kernel certificate
+        with the first two swapped: M_2 then stands two places from M_3, so
+        the two must commute, and they do not.  The kernel certificate
         returns None for them, which counts one relation failure (and a
         kernel failure, None not being 1) and fails the entry."""
         session = Session(RunConfig(d=3, n=4))
