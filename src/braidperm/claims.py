@@ -33,6 +33,7 @@ from .groups import (
 from .lattice import (
     _block_powers,
     _moduli,
+    _realize,
     _read_coords,
     expected_kernel_structure,
     expected_monodromy_matrix,
@@ -68,7 +69,7 @@ from .shuffle import (
 
 __all__ = ["REGISTRY", "RunConfig", "Session", "run_verification"]
 
-RANDOM_INSTANCES = 1000  # cor-2.13 samples, spread over the case pool
+RANDOM_INSTANCES = 1000  # cor-2.13 samples, spread over the shuffle cases
 
 
 @dataclass
@@ -280,7 +281,9 @@ def _check_thm_2_12(s: Session) -> list[ClaimCheck]:
 
 def _check_lemma_2_4(s: Session) -> list[ClaimCheck]:
     """Per-spec identities: factorization through the pair, per-orbit factor
-    formula, per-orbit commutation, product recovery, rotation redundancy."""
+    formula, per-orbit commutation, product recovery, rotation redundancy.
+    Each shuffle is built once, keyed on its spec's choices; a spec's rotation,
+    (i1, j1) advanced along tau, is looked up there, and a missing one fails."""
     entries = []
     for d in s.config.ds():
         spec_count = 0
@@ -296,9 +299,10 @@ def _check_lemma_2_4(s: Session) -> list[ClaimCheck]:
         ident = tuple(range(1, 2 * d + 1))
         upper = ident[d:]
         for tau in s.taus(d):
-            for spec in iter_specs(tau, d):
+            shuffles = {spec.choices: (spec, build_shuffle(spec)) for spec in iter_specs(tau, d)}
+            step = (0, *_padded(tau, d))
+            for spec, sigma in shuffles.values():
                 spec_count += 1
-                sigma = build_shuffle(spec)
                 try:
                     pair = build_pair(spec)
                 except SpecError as exc:  # the glued maps do not commute or multiply to tau
@@ -325,10 +329,8 @@ def _check_lemma_2_4(s: Session) -> list[ClaimCheck]:
                         failures["orbit_commute"] += 1
                 if prod != sigma.images:
                     failures["factor_product"] += 1
-                rotated = ShuffleSpec(
-                    d, tau, tuple((a, tau(i1), tau(j1)) for a, i1, j1 in spec.choices)
-                )
-                if build_shuffle(rotated) != sigma:
+                rotated = tuple((a, step[i1], step[j1]) for a, i1, j1 in spec.choices)
+                if rotated not in shuffles or shuffles[rotated][1] != sigma:
                     failures["rotation"] += 1
         entries.append(
             ClaimCheck(
@@ -394,28 +396,35 @@ def _check_lemma_2_5(s: Session) -> list[ClaimCheck]:
 def _check_cor_2_13(s: Session) -> list[ClaimCheck]:
     """Twisting by powers from the two blocks: for a = tau^k * shift(tau^l, d)
     with random k, l the square of sigma * a is the (k+l+1)-power block pair,
-    and sigma * a appears in the enumeration for that power."""
-    pool = [case for d in s.config.ds() for case in s.pool(d)]
-    reps = max(1, -(-RANDOM_INSTANCES // max(1, len(pool))))
+    and sigma * a appears in the enumeration for that power.  The cases are
+    the shuffle enumerations' (d, tau, sigma) in Session.pool's order, without
+    building the pool; one table of block powers per tau gives the twist, the
+    target and the roots key as image tuples."""
+    ds = s.config.ds()
+    cases = sum(len(s.shuffles(d, tau).elements) for d in ds for tau in s.taus(d))
+    reps = max(1, -(-RANDOM_INSTANCES // max(1, cases)))
     instances = 0
     failures: list[str] = []
-    for case in pool:
-        q = case.tau.order()
-        for _ in range(reps):
-            k = s.rng.randrange(0, 3 * q)
-            l = s.rng.randrange(0, 3 * q)
-            twist = (case.tau**k) * (case.tau**l).shift(case.d)
-            twisted = case.sigma * twist
-            power = case.tau ** (k + l + 1)
-            target = power * power.shift(case.d)
-            instances += 1
-            if twisted * twisted != target:
-                failures.append(f"d={case.d} sigma={case.sigma} k={k} l={l}")
-                continue
-            roots = s.roots(case.d, power).elements  # sorted by canonical()
-            at = bisect_left(roots, twisted.canonical(), key=Permutation.canonical)
-            if roots[at : at + 1] != (twisted,):
-                failures.append(f"membership d={case.d} sigma={case.sigma} k={k} l={l}")
+    for d in ds:
+        for tau in s.taus(d):
+            shifted, _ = _block_powers(tau, d, 2)
+            q = len(shifted[0])
+            for sigma in s.shuffles(d, tau).elements:
+                images = _padded(sigma, 2 * d)
+                for _ in range(reps):
+                    k = s.rng.randrange(0, 3 * q)
+                    l = s.rng.randrange(0, 3 * q)
+                    twisted = _compose(images, _realize(shifted, (k, l)))
+                    instances += 1
+                    if _compose(twisted, twisted) != _realize(shifted, (k + l + 1,) * 2):
+                        failures.append(f"d={d} sigma={sigma} k={k} l={l}")
+                        continue
+                    power = _trusted(shifted[0][(k + l + 1) % q])
+                    roots = s.roots(d, power).elements  # sorted by canonical()
+                    member = _trusted(twisted)
+                    at = bisect_left(roots, member.canonical(), key=Permutation.canonical)
+                    if roots[at : at + 1] != (member,):
+                        failures.append(f"membership d={d} sigma={sigma} k={k} l={l}")
     return [
         ClaimCheck(
             claim="cor-2.13",

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 __all__ = [
@@ -239,7 +240,11 @@ def _shifted(images: Sequence[int], k: int) -> tuple[int, ...]:
 
 
 def _compose(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    """Image tuple of a∘b on [1, len(b)]; a must cover every image of b."""
+    """Image tuple of a∘b on [1, len(b)]; a must cover every image of b.  The
+    gather runs in itemgetter, which returns a scalar for one index and raises
+    for none, so degrees below 2 take the comprehension."""
+    if len(b) >= 2:
+        return itemgetter(*b)((0, *a))
     return tuple([a[x - 1] for x in b])
 
 

@@ -221,15 +221,14 @@ def _json_int(value, name: str) -> int:
     return value
 
 
-def _steps(spec: ShuffleSpec, cycles=None) -> Iterator[tuple[int, int, int]]:
-    """(i_t, j_t, i_(t+1)) for every t and every chosen cycle alpha, or every
-    alpha in cycles.  A spec stores alpha and u(alpha) from their least points
-    along tau, so rotating them to start at i1 and j1 is walking tau there."""
+def _steps(spec: ShuffleSpec) -> Iterator[tuple[int, int, int]]:
+    """(i_t, j_t, i_(t+1)) for every t and every chosen cycle alpha.  A spec
+    stores alpha and u(alpha) from their least points along tau, so rotating
+    them to start at i1 and j1 is walking tau there."""
     for (alpha, i1, j1), (_, image) in zip(spec.choices, spec.u):
-        if cycles is None or alpha in cycles:
-            k, l = alpha.index(i1), image.index(j1)
-            i_seq, j_seq = alpha[k:] + alpha[:k], image[l:] + image[:l]
-            yield from zip(i_seq, j_seq, i_seq[1:] + i_seq[:1])
+        k, l = alpha.index(i1), image.index(j1)
+        i_seq, j_seq = alpha[k:] + alpha[:k], image[l:] + image[:l]
+        yield from zip(i_seq, j_seq, i_seq[1:] + i_seq[:1])
 
 
 def build_shuffle(spec: ShuffleSpec) -> Permutation:
@@ -356,18 +355,25 @@ class Component:
 def components(spec: ShuffleSpec) -> tuple[Component, ...]:
     """The per-u-orbit factor data of a spec, ordered by least point.  The
     factors have pairwise disjoint supports and multiply to build_shuffle(spec).
-    Like build_shuffle's, their images are not checked again."""
+    One pass over the steps routes each by i_t's orbit, which is the step's.
+    Like build_shuffle's, the images are not checked again."""
     d = spec.d
+    tau = _padded(spec.tau, d)
+    orbits = spec.orbits()
+    where = {x: k for k, orbit in enumerate(orbits) for alpha in orbit for x in alpha}
+    maps = [
+        (list(range(1, 2 * d + 1)), list(range(1, d + 1)), list(range(1, d + 1))) for _ in orbits
+    ]
+    for i, j, i_next in _steps(spec):
+        factor, first, second = maps[where[i]]
+        factor[i - 1], factor[j + d - 1] = j + d, i_next
+        first[i - 1], second[j - 1] = j, i_next
     out = []
-    for orbit in spec.orbits():
+    for orbit, (factor, first, second) in zip(orbits, maps):
         points = frozenset(x for alpha in orbit for x in alpha)
-        factor, swap = list(range(1, 2 * d + 1)), list(range(1, 2 * d + 1))
-        first, second, product = (list(range(1, d + 1)) for _ in range(3))
-        for i, j, i_next in _steps(spec, orbit):
-            factor[i - 1], factor[j + d - 1] = j + d, i_next
-            first[i - 1], second[j - 1] = j, i_next
+        product, swap = list(range(1, d + 1)), list(range(1, 2 * d + 1))
         for x in points:
-            product[x - 1] = spec.tau(x)
+            product[x - 1] = tau[x - 1]
             swap[x - 1], swap[x + d - 1] = x + d, x
         perms = (_trusted(tuple(images)) for images in (factor, first, second, product, swap))
         out.append(Component(orbit, points, *perms))

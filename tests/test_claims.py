@@ -2,6 +2,7 @@ import json
 import math
 import random
 import re
+from bisect import bisect_left
 from dataclasses import replace
 from itertools import product
 
@@ -13,7 +14,7 @@ from braidperm.cli import main
 from braidperm.groups import GeneratedGroup, complement_search, schreier_sims
 from braidperm.oracles import EnumerationResult
 from braidperm.perm import Permutation, _padded
-from braidperm.shuffle import SpecError
+from braidperm.shuffle import ShuffleSpec, SpecError
 from test_groups import chain_complement_search, chain_split_complement, extension_holds
 from test_lattice import (
     box_matches_conjugation,
@@ -230,6 +231,44 @@ class TestLemma24:
         assert entry.passed
         assert len(calls) == 0
 
+    def test_builds_no_checked_specs(self, monkeypatch):
+        """lemma-2.4 at d = 4 looks each spec's rotation up among the specs it
+        enumerated, so it makes no checked ShuffleSpec."""
+        s = Session(RunConfig(d=4))
+        s.taus(4)
+        calls = []
+        post_init = ShuffleSpec.__post_init__
+
+        def counting(self):
+            calls.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(ShuffleSpec, "__post_init__", counting)
+        [entry] = claims._check_lemma_2_4(s)
+        assert entry.passed and entry.witness["specs"] > 0
+        assert calls == []
+
+    def test_missing_rotation_is_a_rotation_failure(self, monkeypatch):
+        """With the first spec over (1 2 3) left out of the enumeration, the one
+        spec rotating onto it finds no shuffle to compare with: exactly one
+        rotation failure, and nothing else fails or raises."""
+        tau = Permutation.parse("(1 2 3)")
+        real = claims.iter_specs
+
+        def one_fewer(t, d):
+            specs = real(t, d)
+            if t == tau:
+                next(specs)
+            return specs
+
+        monkeypatch.setattr(claims, "iter_specs", one_fewer)
+        [entry] = claims._check_lemma_2_4(Session(RunConfig(d=3)))
+        witness = entry.witness
+        assert witness["specs"] == 35 and witness["rotation"] == 1
+        others = [v for k, v in witness.items() if k not in ("specs", "rotation", "examples")]
+        assert len(others) == 5 and not any(others)
+        assert witness["examples"] == [] and not entry.passed
+
     def test_wrong_sigma_counts_factorization_failures(self, monkeypatch, tmp_path):
         def corrupt(sigma):
             return swapped_images(sigma, 1, 2)
@@ -254,16 +293,44 @@ class TestLemma24:
         assert not entry["pass"]
 
 
+def permutation_cor_2_13(s: Session):
+    """cor-2.13 as Permutation products and powers over Session.pool: the
+    reference for the checker's image-tuple twist."""
+    pool = [case for d in s.config.ds() for case in s.pool(d)]
+    reps = max(1, -(-claims.RANDOM_INSTANCES // max(1, len(pool))))
+    instances = 0
+    failures = []
+    for case in pool:
+        q = case.tau.order()
+        for _ in range(reps):
+            k = s.rng.randrange(0, 3 * q)
+            l = s.rng.randrange(0, 3 * q)
+            twist = (case.tau**k) * (case.tau**l).shift(case.d)
+            twisted = case.sigma * twist
+            power = case.tau ** (k + l + 1)
+            target = power * power.shift(case.d)
+            instances += 1
+            if twisted * twisted != target:
+                failures.append(f"d={case.d} sigma={case.sigma} k={k} l={l}")
+                continue
+            roots = s.roots(case.d, power).elements
+            at = bisect_left(roots, twisted.canonical(), key=Permutation.canonical)
+            if roots[at : at + 1] != (twisted,):
+                failures.append(f"membership d={case.d} sigma={case.sigma} k={k} l={l}")
+    return instances, failures
+
+
 class TestCor213:
     def test_missing_root_is_a_membership_failure(self, monkeypatch):
         """With every root bucket emptied, each instance fails the membership
-        lookup, and its example names the k and l drawn for it.  The pool is
+        lookup, and its example names the k and l drawn for it.  The taus are
         cut to the 3-cycles, on which k matters modulo 3."""
         s = Session(RunConfig(d=3, n=3, claims=("cor-2.13",)))
-        pool = [case for case in s.pool(3) if case.tau.order() == 3]
-        monkeypatch.setattr(s, "pool", lambda d: pool)
+        taus = [tau for tau in s.taus(3) if tau.order() == 3]
+        monkeypatch.setattr(s, "taus", lambda d: taus)
         monkeypatch.setattr(Session, "roots", lambda self, d, tau: EnumerationResult({}, (), 0))
         [entry] = claims._check_cor_2_13(s)
+        assert entry.parameters["instances"] == 6 * 167
         assert entry.witness["failures"] == entry.parameters["instances"] and not entry.passed
         draws = random.Random(s.config.seed)
         drawn = [(draws.randrange(0, 9), draws.randrange(0, 9)) for _ in range(3)]
@@ -272,6 +339,45 @@ class TestCor213:
             for e in entry.witness["examples"]
         ]
         assert named == drawn
+
+    @pytest.mark.parametrize("dropped", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_matches_permutation_products(self, monkeypatch, d, seed, dropped):
+        """The image-tuple twist draws and decides as the Permutation products
+        over the pool do; with one root dropped from the identity's bucket
+        both name the same membership failures."""
+        if dropped:
+            identity = Permutation.identity(d)
+            full = Session.roots
+
+            def one_fewer(self, d, tau):
+                result = full(self, d, tau)
+                if tau != identity:
+                    return result
+                return EnumerationResult(result.parameters, result.elements[1:], result.count - 1)
+
+            monkeypatch.setattr(Session, "roots", one_fewer)
+        config = RunConfig(d=d, n=3, seed=seed, claims=("cor-2.13",))
+        [entry] = claims._check_cor_2_13(Session(config))
+        instances, failures = permutation_cor_2_13(Session(config))
+        assert entry.parameters["instances"] == instances
+        assert entry.witness["failures"] == len(failures)
+        assert entry.witness["examples"] == failures[:3]
+        assert entry.passed is (not dropped)
+
+    def test_builds_no_pool(self, monkeypatch):
+        """cor-2.13 reads its cases from the shuffle enumerations: no pool is
+        cached and no pair is decomposed into a spec."""
+        calls = []
+        decompose = claims.decompose_pair
+        monkeypatch.setattr(claims, "decompose_pair", lambda *a: calls.append(a) or decompose(*a))
+        s = Session(RunConfig(d_max=4, n_max=3, claims=("cor-2.13",)))
+        [entry] = claims._check_cor_2_13(s)
+        # 4 + 18 + 120 cases, each drawn ceil(1000 / 142) = 8 times
+        assert entry.passed and entry.parameters["instances"] == 142 * 8
+        assert not [key for key in s._cache if key[0] == "pool"]
+        assert calls == []
 
 
 def assert_one_disagreement(monkeypatch, accessor):

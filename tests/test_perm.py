@@ -1,4 +1,5 @@
 import math
+import random
 import re
 from itertools import permutations
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from braidperm.perm import (
     Permutation,
+    _compose,
     block_swap,
     canonical_cycle,
     centralizer_order,
@@ -91,6 +93,47 @@ class TestBasics:
         assert p**5 == p
         assert p.order() == 4
         assert Permutation.identity(3).order() == 1
+
+
+def shuffled(rng, degree):
+    images = list(range(1, degree + 1))
+    rng.shuffle(images)
+    return images
+
+
+class TestComposeKernel:
+    """_compose gathers with itemgetter from two points up; itemgetter returns
+    a scalar for one index and raises for none, so those take the list path.
+    Each case checks the image tuple of a∘b against a[x - 1] for x in b."""
+
+    @staticmethod
+    def assert_composes(a, b):
+        for left, right in ((a, b), (list(a), list(b)), (tuple(a), tuple(b))):
+            result = _compose(left, right)
+            assert type(result) is tuple
+            assert result == tuple([left[x - 1] for x in right])
+
+    @pytest.mark.parametrize("degree", [0, 1, 2])
+    def test_small_degrees(self, degree):
+        for a in permutations(range(1, degree + 1)):
+            for b in permutations(range(1, degree + 1)):
+                self.assert_composes(a, b)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_bijections(self, seed):
+        rng = random.Random(seed)
+        for degree in range(13):
+            self.assert_composes(shuffled(rng, degree), shuffled(rng, degree))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_longer_left_operand(self, seed):
+        # the shape Permutation.__mul__ passes: a covers b's images and more
+        rng = random.Random(seed)
+        for degree in range(13):
+            for extra in (1, 3):
+                a, b = shuffled(rng, degree + extra), shuffled(rng, degree)
+                self.assert_composes(a, b)
+                assert len(_compose(a, b)) == degree
 
 
 class TestConjugation:
