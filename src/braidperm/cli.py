@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .claims import REGISTRY, RunConfig, run_verification
@@ -31,16 +30,6 @@ EXIT_OK = 0
 EXIT_CLAIM_FAILURE = 1
 EXIT_BAD_INPUT = 2
 EXIT_IO = 3
-
-
-def _default_cap() -> int:
-    raw = os.environ.get("BRAIDPERM_CAP")
-    if raw is None:
-        return DEFAULT_CAP
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise SpecError(f"BRAIDPERM_CAP must be an integer, got {raw!r}") from exc
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -205,8 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--cap",
         type=int,
-        default=None,
-        help="enumeration size cap (default BRAIDPERM_CAP or 10^7)",
+        default=DEFAULT_CAP,
+        help="enumeration size cap (default 10^7)",
     )
     verify.set_defaults(func=_cmd_verify)
 
@@ -240,8 +229,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "cap", "absent") is None:
-            args.cap = _default_cap()
         return args.func(args)
     except (SpecError, ValueError, CapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,14 +10,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .groups import GeneratedGroup, schreier_sims
-from .perm import Permutation, _compose, _padded, _shifted, _trusted, block_swap
+from .perm import Permutation, _compose, _padded, _trusted
 from .shuffle import build_shuffle, iter_specs
 
 __all__ = [
     "CapExceeded",
     "EnumerationResult",
+    "commuting_pairs",
     "conjugacy_class_count",
-    "count_commuting_pairs",
     "enumerate_roots",
     "enumerate_shuffles",
     "roots_by_tau",
@@ -52,10 +52,12 @@ def roots_by_tau(
     sigma = swap * w1 * shift(w2, d) over pairs from W whose square is
     tau * shift(tau, d).
 
-    One pass over the coset tests each pair once, on image tuples of degree
-    2d: sigma * sigma is looked up among the targets tau * shift(tau, d).  A
-    target's first block is tau, so the targets are distinct and sigma lands
-    in the one bucket whose defining equation it satisfies, or in none.
+    The swap exchanges the two d-blocks, so on image tuples of degree 2d
+    sigma is (w1 + d) followed by w2, and tau * shift(tau, d) is tau followed
+    by (tau + d).  One pass over the coset tests each pair once: sigma * sigma
+    is looked up among the targets.  A target's first block is tau, so the
+    targets are distinct and sigma lands in the one bucket whose defining
+    equation it satisfies, or in none.
     """
     bs = schreier_sims(w)
     if bs.order() ** 2 > cap:
@@ -63,15 +65,12 @@ def roots_by_tau(
     d = w.degree
     members = _sorted(bs.elements())
     images = [_padded(x, d) for x in members]
-    swap = _padded(block_swap(1, d, 2), 2 * d)
-    upper = tuple(range(d + 1, 2 * d + 1))
-    shifted = [_shifted(x, d) for x in images]
-    targets = {_compose(x + upper, s): tau for tau, x, s in zip(members, images, shifted)}
+    lifted = [tuple([y + d for y in x]) for x in images]
+    targets = {x + up: tau for tau, x, up in zip(members, images, lifted)}
     found: dict[Permutation, set[tuple[int, ...]]] = {tau: set() for tau in members}
-    for w1 in images:
-        left = _compose(swap, w1 + upper)
-        for w2 in shifted:
-            sigma = _compose(left, w2)
+    for up in lifted:
+        for w2 in images:
+            sigma = up + w2
             tau = targets.get(_compose(sigma, sigma))
             if tau is not None:
                 found[tau].add(sigma)
@@ -108,14 +107,21 @@ def enumerate_shuffles(d: int, tau: Permutation) -> EnumerationResult:
     )
 
 
-def count_commuting_pairs(w: GeneratedGroup, cap: int = DEFAULT_CAP) -> int:
-    """Number of ordered commuting pairs of members, by double loop over
-    their image tuples, all of the group's degree."""
+def commuting_pairs(
+    w: GeneratedGroup, cap: int = DEFAULT_CAP
+) -> list[tuple[Permutation, Permutation]]:
+    """The ordered commuting pairs of members, by double loop over their
+    image tuples, all of the group's degree."""
     bs = schreier_sims(w)
     if bs.order() ** 2 > cap:
         raise CapExceeded(f"|W|^2 = {bs.order() ** 2} exceeds the cap {cap}")
-    members = [g.images for g in bs.elements()]
-    return sum(1 for a in members for b in members if _compose(a, b) == _compose(b, a))
+    members = list(bs.elements())
+    return [
+        (a, b)
+        for a in members
+        for b in members
+        if _compose(a.images, b.images) == _compose(b.images, a.images)
+    ]
 
 
 def conjugacy_class_count(w: GeneratedGroup, cap: int = DEFAULT_CAP) -> int:

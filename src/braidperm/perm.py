@@ -23,7 +23,6 @@ from typing import Iterable, Mapping, Sequence
 __all__ = [
     "CycleType",
     "Permutation",
-    "block_swap",
     "canonical_cycle",
     "centralizer_order",
     "parse_cycles",
@@ -254,25 +253,6 @@ def _invert(a: Sequence[int]) -> tuple[int, ...]:
     for x, y in enumerate(a, start=1):
         inv[y - 1] = x
     return tuple(inv)
-
-
-def block_swap(s: int, d: int, n: int) -> Permutation:
-    """The involution of [1, n*d] exchanging the s-th and (s+1)-th d-blocks pointwise.
-
-    >>> str(block_swap(1, 2, 2))
-    '(1 3)(2 4)'
-    >>> str(block_swap(2, 2, 3))
-    '(3 5)(4 6)'
-    """
-    if d < 1 or n < 2:
-        raise ValueError(f"need d >= 1 and n >= 2, got d={d}, n={n}")
-    if not 1 <= s <= n - 1:
-        raise ValueError(f"block index s={s} out of range [1, {n - 1}]")
-    images = list(range(1, n * d + 1))
-    for x in range((s - 1) * d + 1, s * d + 1):
-        images[x - 1] = x + d
-        images[x + d - 1] = x
-    return Permutation(tuple(images))
 
 
 def canonical_cycle(points: Sequence[int]) -> tuple[int, ...]:

@@ -8,7 +8,7 @@ from itertools import product
 
 import pytest
 
-from braidperm import REGISTRY, RunConfig, claims, groups, lattice, run_verification
+from braidperm import REGISTRY, RunConfig, claims, groups, lattice, oracles, run_verification
 from braidperm.claims import Session
 from braidperm.cli import main
 from braidperm.groups import GeneratedGroup, complement_search, schreier_sims
@@ -22,6 +22,7 @@ from test_lattice import (
     realize_by_products,
     sweep_intersects,
 )
+from test_oracles import counted
 
 EXPECTED_TAGS = [
     "thm-2.12",
@@ -433,6 +434,38 @@ class TestThm212:
         assert calls == 0
         assert all(e.passed for e in claims._check_lemma_2_5(s))
         assert 0 < calls < 24**2
+
+    def test_coset_is_concatenated_not_composed(self, monkeypatch):
+        """With roots and shuffles warm, thm-2.12 forms each of the 576 coset
+        elements at d = 4 and its shift by concatenating lifted members of
+        S_4, so it takes no image-tuple product of its own."""
+        s = Session(RunConfig(d=4))
+        for tau in s.taus(4):
+            s.roots(4, tau)
+            s.shuffles(4, tau)
+        calls = counted(monkeypatch, claims, "_compose")
+        equivalence, counts = claims._check_thm_2_12(s)
+        assert equivalence.witness["coset_size"] == 24**2
+        assert equivalence.passed and counts.passed
+        assert calls == []
+
+
+class TestLemma25:
+    def test_one_sweep_per_group(self, monkeypatch):
+        """lemma-2.5 at d = 4 reads its counts and its round trips from one
+        commuting_pairs sweep per group, and composes nothing itself: the
+        oracle's 2 * (24**2 + 2**2 + 3**2 + 4**2 + 2**2) products are all."""
+        s = Session(RunConfig(d=4))
+        own = counted(monkeypatch, claims, "_compose")
+        sweeps = counted(monkeypatch, claims, "commuting_pairs")
+        oracle = counted(monkeypatch, oracles, "_compose")
+        entries = claims._check_lemma_2_5(s)
+        assert all(e.passed for e in entries)
+        assert own == []
+        assert len(sweeps) == 5
+        assert len(oracle) == 1218
+        [roundtrip] = [e for e in entries if e.parameters.get("check") == "roundtrip"]
+        assert roundtrip.witness == {"commuting_pairs": 120, "roundtrip_failures": 0}
 
 
 class TestSharedKernelChain:

@@ -225,16 +225,6 @@ class TestVerify:
         assert out == ""
         assert "exceeds the cap" in err
 
-    @pytest.mark.parametrize(
-        "value,message", [("abc", "must be an integer"), ("100", "exceeds the cap")]
-    )
-    def test_cap_from_environment(self, capsys, monkeypatch, value, message):
-        monkeypatch.setenv("BRAIDPERM_CAP", value)
-        code, out, err = run(capsys, "verify", "--d", "4", "--claim", "thm-2.12")
-        assert code == 2
-        assert out == ""
-        assert message in err
-
     def test_json_report_roundtrips(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"
         code, _, _ = run(

@@ -70,8 +70,7 @@ GOLDEN = {
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_report_is_byte_identical_to_golden(name, tmp_path, monkeypatch):
-    monkeypatch.delenv("BRAIDPERM_CAP", raising=False)
+def test_report_is_byte_identical_to_golden(name, tmp_path):
     args, expected_code = GOLDEN[name]
     out = tmp_path / name
     assert main([*args, "--out", str(out)]) == expected_code

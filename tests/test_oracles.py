@@ -2,22 +2,36 @@ import math
 
 import pytest
 
-from braidperm import RunConfig, run_verification
+from braidperm import RunConfig, oracles, run_verification
 from braidperm.groups import cyclic_group, schreier_sims, symmetric_group
 from braidperm.oracles import (
     CapExceeded,
+    commuting_pairs,
     conjugacy_class_count,
-    count_commuting_pairs,
     enumerate_roots,
     enumerate_shuffles,
     roots_by_tau,
 )
-from braidperm.perm import Permutation, block_swap, partition_count
+from braidperm.perm import Permutation, partition_count
 from braidperm.shuffle import is_braid_like
+from test_perm import block_swap
 
 
 def perm(text):
     return Permutation.parse(text)
+
+
+def counted(monkeypatch, module, name):
+    """A list that grows by one entry per call of module.<name>."""
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
 
 
 class TestEnumerateRoots:
@@ -96,12 +110,20 @@ class TestRootsByTau:
         def no_sweep(*args):
             raise AssertionError("the sweep started before the cap check")
 
-        # Every sweep starts by building the block swap of its coset.
-        monkeypatch.setattr("braidperm.oracles.block_swap", no_sweep)
+        # Every sweep starts by sorting the members of its group.
+        monkeypatch.setattr("braidperm.oracles._sorted", no_sweep)
         with pytest.raises(CapExceeded):
             roots_by_tau(symmetric_group(4), cap=24**2 - 1)
         with pytest.raises(CapExceeded):
             enumerate_roots(symmetric_group(4), Permutation.identity(4), cap=24**2 - 1)
+
+    def test_one_product_per_coset_element(self, monkeypatch):
+        # sigma is concatenated from its pair; only the square sigma * sigma
+        # is a product, so S_4's coset of 576 elements takes 576 of them.
+        calls = counted(monkeypatch, oracles, "_compose")
+        buckets = roots_by_tau(symmetric_group(4))
+        assert len(calls) == 24**2
+        assert sum(r.count for r in buckets.values()) == partition_count(4) * math.factorial(4)
 
 
 class TestEnumerateShuffles:
@@ -125,16 +147,25 @@ class TestEnumerateShuffles:
 
 class TestCommutingPairs:
     def test_counts(self):
-        assert count_commuting_pairs(symmetric_group(3)) == 18
-        assert count_commuting_pairs(symmetric_group(4)) == 120
-        assert count_commuting_pairs(cyclic_group(Permutation.identity(1))) == 1
+        assert len(commuting_pairs(symmetric_group(3))) == 18
+        assert len(commuting_pairs(symmetric_group(4))) == 120
+        assert len(commuting_pairs(cyclic_group(Permutation.identity(1)))) == 1
 
     def test_cyclic_groups(self):
         for text in ["(1 2)", "(1 2 3)", "(1 2 3 4)"]:
             group = cyclic_group(perm(text))
             q = perm(text).order()
-            assert count_commuting_pairs(group) == q * q
+            assert len(commuting_pairs(group)) == q * q
             assert conjugacy_class_count(group) == q
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_pairs_commute_and_are_distinct(self, d):
+        pairs = commuting_pairs(symmetric_group(d))
+        assert all(a * b == b * a for a, b in pairs)
+        assert len(set(pairs)) == len(pairs)
+        members = list(schreier_sims(symmetric_group(d)).elements())
+        expected = {(a, b) for a in members for b in members if a * b == b * a}
+        assert set(pairs) == expected
 
     def test_class_counts(self):
         assert conjugacy_class_count(symmetric_group(3)) == 3

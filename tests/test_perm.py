@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from braidperm.perm import (
     Permutation,
     _compose,
-    block_swap,
     canonical_cycle,
     centralizer_order,
     partition_count,
@@ -23,6 +22,20 @@ UP_TO_S8 = st.integers(min_value=0, max_value=8).flatmap(
 
 def perm(text):
     return Permutation.parse(text)
+
+
+def block_swap(s, d, n):
+    """The involution of [1, n*d] exchanging the s-th and (s+1)-th d-blocks
+    pointwise: the reference definition of the block swap theta."""
+    if d < 1 or n < 2:
+        raise ValueError(f"need d >= 1 and n >= 2, got d={d}, n={n}")
+    if not 1 <= s <= n - 1:
+        raise ValueError(f"block index s={s} out of range [1, {n - 1}]")
+    images = list(range(1, n * d + 1))
+    for x in range((s - 1) * d + 1, s * d + 1):
+        images[x - 1] = x + d
+        images[x + d - 1] = x
+    return Permutation(tuple(images))
 
 
 def cycle_types(d):

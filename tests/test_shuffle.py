@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from braidperm.groups import schreier_sims, symmetric_group
-from braidperm.perm import Permutation, _padded, block_swap, centralizer_order
+from braidperm.perm import Permutation, _padded, centralizer_order
 from braidperm.shuffle import (
     CommutingPair,
     Component,
@@ -21,6 +21,7 @@ from braidperm.shuffle import (
     pair_from_shuffle,
     shuffle_from_pair,
 )
+from test_perm import block_swap
 
 
 def perm(text):
