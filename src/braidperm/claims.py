@@ -18,29 +18,28 @@ from typing import Callable
 from .groups import (
     SEARCH_CAP,
     BraidImage,
-    SplitVerificationError,
+    CaseCertificate,
     abelian_kernel,
     braid_image,
     braid_relations_hold,
+    case_certificate,
     complement_search,
     cyclic_group,
-    extension_certificate,
     schreier_sims,
-    split_complement,
     symmetric_group,
     transitivity_report,
 )
 from .lattice import (
+    KernelLattice,
     _block_powers,
-    _moduli,
+    _kernel_vectors,
     _realize,
-    _read_coords,
     expected_kernel_structure,
     expected_monodromy_matrix,
-    kernel_actions,
+    kernel_lattice,
     kernel_structure,
     monodromy_kernel,
-    monodromy_matrices,
+    q2_of,
 )
 from .oracles import D_CAP, DEFAULT_CAP, commuting_pairs, conjugacy_class_count, enumerate_shuffles, roots_by_tau
 from .perm import (
@@ -117,10 +116,6 @@ def _key(p: Permutation) -> tuple[int, ...]:
     return p.canonical()
 
 
-def _matrix_key(mats) -> tuple:
-    return tuple(tuple(map(tuple, m)) for m in mats)
-
-
 class Session:
     """Values shared across checkers within one run, each built on first use.
 
@@ -175,16 +170,16 @@ class Session:
             ("image", case.d, n, _key(case.sigma)), lambda: braid_image(case.sigma, case.d, n)
         )
 
-    def a_group(self, case: GridCase, n: int):
+    def certificate(self, case: GridCase) -> CaseCertificate:
+        """The case's kernel facts for every n; keyed on tau too, which it reads."""
         return self._cached(
-            ("a_group", case.d, n, _key(case.sigma)), lambda: abelian_kernel(self.image(case, n))
+            ("certificate", case.d, _key(case.sigma), _key(case.tau)),
+            lambda: case_certificate(case.sigma, case.tau, case.d),
         )
 
-    def extension(self, case: GridCase, n: int):
-        return self._cached(
-            ("extension", case.d, n, _key(case.sigma)),
-            lambda: extension_certificate(self.image(case, n), self.a_group(case, n)),
-        )
+    def lattice(self, n: int, q: int) -> KernelLattice:
+        """The kernel's span and the swap action, shared by every case of (n, q)."""
+        return self._cached(("lattice", n, q), lambda: kernel_lattice(_kernel_vectors(n), q, n))
 
     def structure_holds(self, n: int, q: int) -> bool:
         """Whether the kernel lattice mod q has the stated invariant factors."""
@@ -192,17 +187,10 @@ class Session:
             ("structure", n, q), lambda: kernel_structure(n, q) == expected_kernel_structure(n, q)
         )
 
-    def monodromy(self, case: GridCase, n: int):
-        return self._cached(
-            ("monodromy", case.d, n, _key(case.sigma)),
-            lambda: monodromy_matrices(self.image(case, n)),
-        )
-
-    def kernel_size(self, mats, q: int, q2: int) -> int | None:
-        """monodromy_kernel(mats, q, q2), None when the matrices break the
-        relations, memoized exactly: it is pure in q, q2 and the entries."""
-        key = ("kernel_size", q, q2, _matrix_key(mats))
-        return self._cached(key, lambda: monodromy_kernel(mats, q, q2))
+    def kernel_size(self, n: int, q: int) -> int | None:
+        """monodromy_kernel of the (n, q) matrices, None when they break the relations."""
+        mats = self.lattice(n, q).matrices
+        return self._cached(("kernel_size", n, q), lambda: monodromy_kernel(mats, q, q2_of(q)))
 
     def transitivity(self, case: GridCase, n: int):
         return self._cached(
@@ -553,12 +541,12 @@ def _check_cor_3_31(s: Session) -> list[ClaimCheck]:
 
 
 def _check_lemma_3_3(s: Session) -> list[ClaimCheck]:
-    """Conjugation identities on the kernel, exhaustively over s and r: the
-    shift-down g_s * shift(tau^2, s*d) * g_s^-1 = shift(tau^2, (s-1)*d), and
-    the mixed g_(r+1) * g_r^2 * g_(r+1)^-1 = g_r * g_(r+1)^2 * g_r^-1, which is
-    tau on blocks r and r+2.  The squares and conjugates are abelian_kernel's
-    generators; it raises when one leaves the block product, and that fault
-    counts as a failure of the case.
+    """Conjugation identities on the kernel, for every s and r: the shift-down
+    g_s * shift(tau^2, s*d) * g_s^-1 = shift(tau^2, (s-1)*d), and the mixed
+    g_(r+1) * g_r^2 * g_(r+1)^-1 = g_r * g_(r+1)^2 * g_r^-1, which is tau on
+    blocks r and r+2.  Per case: both follow at every n from the case's
+    certificate, under which g_s swaps the exponents of blocks s and s+1; a
+    case without it counts as a failure at each n.
 
     The shift exponent in the mixed identity is (r-1)*d, forced by the block
     structure; all cases are checked at that reading.
@@ -570,23 +558,8 @@ def _check_lemma_3_3(s: Session) -> list[ClaimCheck]:
             failures: list[str] = []
             for case in s.pool(d):
                 cases += 1
-                image = s.image(case, n)
-                try:
-                    kernel_gens = s.a_group(case, n).generators
-                except RuntimeError as exc:
-                    failures.append(f"kernel {case.sigma}: {exc}")
-                    continue
-                tau2 = case.tau * case.tau
-                for idx, gen in enumerate(image.generators, start=1):
-                    if gen * tau2.shift(idx * d) * gen.inverse() != tau2.shift((idx - 1) * d):
-                        failures.append(f"shift-down s={idx} {case.sigma}")
-                # kernel_gens: the n-1 squares g_r^2, then the g_r * g_(r+1)^2 * g_r^-1
-                for r, right in enumerate(kernel_gens[n - 1:], start=1):
-                    g_r1 = image.generators[r]
-                    left = g_r1 * kernel_gens[r - 1] * g_r1.inverse()
-                    expected = case.tau.shift((r - 1) * d) * case.tau.shift((r + 1) * d)
-                    if left != right or right != expected:
-                        failures.append(f"mixed r={r} {case.sigma}")
+                if not s.certificate(case).holds:
+                    failures.append(f"certificate {case.sigma}")
             entries.append(
                 ClaimCheck(
                     claim="lemma-3.3",
@@ -605,10 +578,12 @@ def _check_lemma_3_3(s: Session) -> list[ClaimCheck]:
 
 def _check_thm_3_4(s: Session) -> list[ClaimCheck]:
     """Orders, kernel structure, parametrization, two-way intersection, and
-    splitting for odd q (with a neutral exhaustive search for even q), read
-    from extension_certificate with no stabilizer chain.  Given it, B & D = A,
-    and [D : A] is 1 for odd q and 2 for even q, where (1, 0, ..., 0) lies
-    outside A's span; without it the intersection is unverified, and the
+    splitting for odd q (with a neutral exhaustive search for even q), with
+    no stabilizer chain.  Per case: the certificate and its twist.  Per
+    (n, q): the kernel lattice and the structure certificate.  Given the
+    certificate and the lattice's orders and parametrization, B & D = A, and
+    [D : A] is 1 for odd q and 2 for even q, where (1, 0, ..., 0) lies
+    outside A's span; without them the intersection is unverified, and the
     split and the search are not attempted."""
     entries = []
     for d in s.config.ds():
@@ -625,41 +600,36 @@ def _check_thm_3_4(s: Session) -> list[ClaimCheck]:
             errors: list[str] = []
             for case in s.pool(d):
                 cases += 1
-                image = s.image(case, n)
-                try:
-                    span, orders_hold, parametrized = s.extension(case, n)
-                except RuntimeError as exc:
-                    order_failures += 1
-                    errors.append(f"orders {case.sigma}: {exc}")
-                    continue
+                q = case.tau.order()
+                certificate, lattice = s.certificate(case), s.lattice(n, q)
+                orders_hold = certificate.holds and lattice.orders_hold
                 if not orders_hold:
                     order_failures += 1
                     errors.append(f"orders {case.sigma}")
-                q = image.q
                 if not s.structure_holds(n, q):
                     structure_failures += 1
                     errors.append(f"structure {case.sigma}")
-                if not parametrized:
+                if not lattice.parametrized:
                     bijection_failures += 1
                     errors.append(f"parametrization {case.sigma}")
-                outside = (1,) + (0,) * (n - 1)
-                certified = parametrized and orders_hold
+                certified = orders_hold and lattice.parametrized
                 if not certified:
                     intersection_failures += 1
                     errors.append(f"intersection {case.sigma} unverified")
-                elif q % 2 == 0 and outside in span:
+                elif q % 2 == 0 and not lattice.outside:
                     intersection_failures += 1
-                    errors.append(f"intersection {case.sigma} {outside}")
+                    errors.append(f"intersection {case.sigma} {(1,) + (0,) * (n - 1)}")
                 if q % 2:
                     split_odd += 1
-                    try:
-                        if certified and split_complement(image) is not None:
-                            split_verified += 1
-                    except SplitVerificationError as exc:
-                        errors.append(f"split {case.sigma}: {exc}")
+                    if certified and certificate.splits:
+                        split_verified += 1
+                    elif certified:
+                        errors.append(f"split {case.sigma}: the twist fails its checks")
                 else:
                     split_even += 1
-                    searches.append(complement_search(image, span) if certified else None)
+                    searches.append(
+                        complement_search(s.image(case, n), lattice.span) if certified else None
+                    )
             searched = [count for count in searches if count is not None]
             entries.append(
                 ClaimCheck(
@@ -693,18 +663,21 @@ def _check_thm_3_4(s: Session) -> list[ClaimCheck]:
 
 
 def _orders(s: Session, case: GridCase, n: int) -> tuple[int, int]:
-    """|B| = n! * |A| and |A| from the case's certificate; from stabilizer
-    chains when the certificate fails, so no order rests on a failed one."""
-    span, orders_hold, parametrized = s.extension(case, n)
-    if orders_hold and parametrized:
-        return math.factorial(n) * span.order(), span.order()
-    kernel_chain = schreier_sims(s.a_group(case, n))
-    return schreier_sims(s.image(case, n).group()).order(), kernel_chain.order()
+    """|B| = n! * |A| and |A| from the case's certificate and the (n, q)
+    lattice; from stabilizer chains when either fails, so no order rests on
+    a failed one."""
+    lattice = s.lattice(n, case.tau.order())
+    if s.certificate(case).holds and lattice.orders_hold and lattice.parametrized:
+        return math.factorial(n) * lattice.span.order(), lattice.span.order()
+    image = s.image(case, n)
+    return schreier_sims(image.group()).order(), schreier_sims(abelian_kernel(image)).order()
 
 
 def _check_cor_3_10(s: Session) -> list[ClaimCheck]:
     """For odd q the computable invariants agree across all shuffle choices:
-    group order, kernel invariant factors, and monodromy matrices.
+    group order, kernel invariant factors, and monodromy matrices.  Every
+    certified case acts on the kernel by the (n, q) swap matrices, so there
+    is one matrix set when some case of (q, n) is certified, else none.
 
     This is consistency evidence for independence from the particular
     permutation, not a proof of abstract isomorphism.
@@ -719,8 +692,8 @@ def _check_cor_3_10(s: Session) -> list[ClaimCheck]:
     entries = []
     for (q, n), cases in sorted(by_qn.items()):
         orders, kernel_orders = map(set, zip(*(_orders(s, case, n) for case, n in cases)))
-        mats = {_matrix_key(s.monodromy(case, n)) for case, n in cases}
-        consistent = len(orders) == 1 and len(kernel_orders) == 1 and len(mats) == 1
+        matrix_sets = int(any(s.certificate(case).holds for case, _ in cases))
+        consistent = len(orders) == 1 and len(kernel_orders) == 1 and matrix_sets == 1
         entries.append(
             ClaimCheck(
                 claim="cor-3.10",
@@ -729,7 +702,7 @@ def _check_cor_3_10(s: Session) -> list[ClaimCheck]:
                     "sigmas": len(cases),
                     "orders": sorted(orders),
                     "kernel_orders": sorted(kernel_orders),
-                    "distinct_monodromy": len(mats),
+                    "distinct_monodromy": matrix_sets,
                     "verdict": "consistent-with" if consistent else "inconsistent",
                 },
                 passed=consistent,
@@ -741,8 +714,11 @@ def _check_cor_3_10(s: Session) -> list[ClaimCheck]:
 def _check_prop_3_11(s: Session) -> list[ClaimCheck]:
     """Monodromy matrices match the stated formulas and act faithfully.
 
-    For q = 1 the coordinate module is trivial and the whole block-permutation
-    group acts trivially; those cases are reported but sit outside the claim.
+    Per (n, q): the swap matrices, their formulas, relations, kernel and
+    action on the kernel generators.  Per case: the certificate, under
+    which conjugation by g_s is that swap.  For q = 1 the coordinate module
+    is trivial and the whole block-permutation group acts trivially; those
+    cases are reported but sit outside the claim.
     """
     entries = []
     for d in s.config.ds():
@@ -755,38 +731,33 @@ def _check_prop_3_11(s: Session) -> list[ClaimCheck]:
             action_mismatches = 0
             examples: list[str] = []
             matrices_by_q: dict[str, dict] = {}
+            stated: dict[int, bool] = {}
             for case in s.pool(d):
-                image = s.image(case, n)
-                q, q2 = image.q, image.q2
-                try:
-                    mats = s.monodromy(case, n)
-                except (ValueError, AssertionError) as exc:
-                    matrix_mismatches += 1
-                    examples.append(f"matrices {case.sigma}: {exc}")
-                    continue
+                q = case.tau.order()
+                lattice = s.lattice(n, q)
+                kernel = s.kernel_size(n, q)
                 if q == 1:
                     trivial_cases += 1
-                    if s.kernel_size(mats, q, q2) != math.factorial(n):
+                    if kernel != math.factorial(n):
                         kernel_failures += 1
                         examples.append(f"trivial-kernel {case.sigma}")
                     continue
                 cases += 1
-                matrices_by_q.setdefault(
-                    str(q),
-                    {
+                mats = lattice.matrices
+                if str(q) not in matrices_by_q:
+                    matrices_by_q[str(q)] = {
                         "modulus": q,
-                        "last_row_modulus": q2,
+                        "last_row_modulus": q2_of(q),
                         "generators": [[v for row in m for v in row] for m in mats],
-                    },
-                )
-                if mats != [expected_monodromy_matrix(idx, n, q) for idx in range(1, n)]:
+                    }
+                    stated[q] = mats == [expected_monodromy_matrix(i, n, q) for i in range(1, n)]
+                if not stated[q]:
                     matrix_mismatches += 1
                     examples.append(f"formula {case.sigma}")
-                kernel = s.kernel_size(mats, q, q2)
                 if kernel is None:
                     relation_failures += 1
                     examples.append(f"relations {case.sigma}")
-                if not _matrices_match_conjugation(image, s.a_group(case, n).generators, mats):
+                if not (s.certificate(case).holds and lattice.actions_match):
                     action_mismatches += 1
                     examples.append(f"action {case.sigma}")
                 if kernel != 1:
@@ -815,24 +786,6 @@ def _check_prop_3_11(s: Session) -> list[ClaimCheck]:
                 )
             )
     return entries
-
-
-def _matrices_match_conjugation(image: BraidImage, kernel_gens, mats) -> bool:
-    """Cross-check the matrices against conjugation of realized kernel elements.
-
-    Both c -> M_s c and c -> coordinates of g_s * realized(c) * g_s^-1 are
-    homomorphisms of the coordinate group, and homomorphisms that agree on
-    generators are equal: so they are compared on the coordinates of
-    kernel_gens, abelian_kernel's generators, among which the skip sums bring in h_n."""
-    n, d, q = image.n, image.d, image.q
-    moduli = _moduli(n, q, image.q2)
-    lookups = _block_powers(image.tau, d, n)[1]
-    gens = [_read_coords(_padded(k, n * d), lookups, d, q) for k in kernel_gens]
-    for coords, actions in zip(gens, kernel_actions(image, gens)):
-        for m, acted in zip(mats, actions):
-            if tuple(sum(map(mul, row, coords)) % k for row, k in zip(m, moduli)) != acted:
-                return False
-    return True
 
 
 REGISTRY: dict[str, Callable[[Session], list[ClaimCheck]]] = {

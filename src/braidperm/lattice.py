@@ -9,26 +9,25 @@ h_n = 2 e_n the f_i form a basis of that sublattice.  Spans mod q are held
 in one echelon form over Z^n (a Hermite normal form), which gives their order
 and decides membership; on it the sublattice mod q is certified to be
 (Z/q)^(n-1) x Z/q2 (the tests recompute it by brute-force subgroup closure).
-Conjugation by the group generators is expressed as matrices over Z/q in the
-basis (f_1, ..., f_(n-1), h_n), where the last coordinate is only defined
-mod q2 = q / gcd(q, 2).  The kernel of S_n's action through them is one of
-its normal subgroups, told apart by at most two matrix products.
+Conjugation by generator s swaps the exponents s and s+1, and is expressed
+as matrices over Z/q in the basis (f_1, ..., f_(n-1), h_n), where the last
+coordinate is only defined mod q2 = q / gcd(q, 2).  The kernel of S_n's
+action through them is one of its normal subgroups, told apart by at most
+two matrix products.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import add
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from operator import add, mul
+from typing import Iterable, Sequence
 
-from .perm import Permutation, _compose, _invert, _padded
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .groups import BraidImage
+from .perm import Permutation, _compose, _padded
 
 __all__ = [
     "AbelianStructure",
+    "KernelLattice",
     "compose_matrices",
     "coords_from_exponents",
     "expected_kernel_structure",
@@ -36,10 +35,9 @@ __all__ = [
     "f_vector",
     "g_vector",
     "identity_matrix",
-    "kernel_actions",
+    "kernel_lattice",
     "kernel_structure",
     "monodromy_kernel",
-    "monodromy_matrices",
     "normalize_factors",
     "q2_of",
 ]
@@ -100,6 +98,12 @@ def g_vector(n: int, r: int) -> tuple[int, ...]:
     if not 1 <= r <= n - 2:
         raise ValueError(f"g index {r} out of range [1, {n - 2}]")
     return tuple(1 if j in (r, r + 2) else 0 for j in range(1, n + 1))
+
+
+def _kernel_vectors(n: int) -> list[tuple[int, ...]]:
+    """The exponent vectors of the kernel's 2n - 3 generators (see
+    groups.case_certificate): f_1, ..., f_(n-1), then g_1, ..., g_(n-2)."""
+    return [f_vector(n, i) for i in range(1, n)] + [g_vector(n, r) for r in range(1, n - 1)]
 
 
 @dataclass(frozen=True)
@@ -186,8 +190,7 @@ def kernel_structure(n: int, q: int) -> AbelianStructure | None:
         raise ValueError("need n >= 3")
     if q < 1:
         raise ValueError("q must be positive")
-    vectors = [f_vector(n, i) for i in range(1, n)]
-    vectors += [g_vector(n, r) for r in range(1, n - 1)]
+    vectors = _kernel_vectors(n)
     certified = _spans_coordinates(_Span(vectors, q, n), vectors)
     return expected_kernel_structure(n, q) if certified else None
 
@@ -229,11 +232,6 @@ def coords_from_exponents(entries: Sequence[int], q: int) -> tuple[int, ...]:
     if t % 2:
         raise ValueError("exponent vector is not in the adjacent-sum sublattice")
     return (*coords, t // 2 % q2_of(q))
-
-
-def _read_coords(images: tuple[int, ...], lookups, d: int, q: int) -> tuple[int, ...]:
-    """Kernel coordinates of an image tuple of degree n*d; ValueError outside the kernel."""
-    return coords_from_exponents(_read_exponents(images, lookups, d), q)
 
 
 # matrices over Z/q in the basis (f_1, ..., f_(n-1), h_n)
@@ -288,37 +286,73 @@ def expected_monodromy_matrix(s: int, n: int, q: int) -> Matrix:
     return _canonical_matrix([[cols[j][i] for j in range(n)] for i in range(n)], q, q2)
 
 
-def kernel_actions(image: "BraidImage", coords_iter: Iterable[Sequence[int]]) -> Iterator:
-    """Per kernel coordinate tuple c, the kernel coordinates of g_s * elem * g_s^-1
-    for each generator g_s, s = 1, ..., n-1, with elem the block product with
-    exponents _kernel_exponents(c); computed on image tuples of degree n*d.
-    ValueError when one leaves the kernel."""
-    d, n, q = image.d, image.n, image.q
-    shifted, lookups = _block_powers(image.tau, d, n)
-    pairs = [(g, _invert(g)) for g in (_padded(g, n * d) for g in image.generators)]
-    for coords in coords_iter:
-        elem = _realize(shifted, _kernel_exponents(coords))
-        conjugates = (tuple([g[elem[x - 1] - 1] for x in inv]) for g, inv in pairs)
-        yield tuple(_read_coords(c, lookups, d, q) for c in conjugates)
+def _swapped(v: Sequence[int], s: int) -> list[int]:
+    """v with coordinates s and s+1 exchanged: conjugation by generator s."""
+    v = list(v)
+    v[s - 1], v[s] = v[s], v[s - 1]
+    return v
 
 
-def monodromy_matrices(image: "BraidImage") -> list[Matrix]:
-    """Conjugation by each generator as a matrix on kernel coordinates.
+def _swap_matrix(s: int, n: int, q: int) -> Matrix:
+    """The swap of coordinates s and s+1 as a matrix on kernel coordinates:
+    column j holds the coordinates of the swapped exponents of unit j."""
+    units = [[int(i == j) for i in range(n)] for j in range(n)]
+    cols = [coords_from_exponents(_swapped(_kernel_exponents(u), s), q) for u in units]
+    return _canonical_matrix([list(row) for row in zip(*cols)], q, q2_of(q))
 
-    Column j is the kernel action on the realization of the unit coordinate
-    e_j, which is f_j for j < n and h_n for j = n; raises when a conjugate
-    leaves the block product or the matrix violates the coordinate moduli
-    (both would signal an upstream bug).
-    """
-    n, q, q2 = image.n, image.q, image.q2
-    by_unit = list(kernel_actions(image, [tuple(int(i == j) for i in range(n)) for j in range(n)]))
-    out = []
-    for s in range(n - 1):
-        mat = _canonical_matrix([[by_unit[j][s][i] for j in range(n)] for i in range(n)], q, q2)
-        if any(row[n - 1] % (q // q2) for row in mat[:-1]):
-            raise AssertionError("matrix does not respect the coordinate moduli")
-        out.append(mat)
-    return out
+
+def _swap_actions_match(vectors: Sequence[Sequence[int]], matrices: list[Matrix], q: int) -> bool:
+    """Whether each matrix acts on the coordinates of every vector as its
+    swap acts on the vector; False when a vector has no coordinates.  Both
+    are maps of the coordinate group, so agreeing on generators they agree
+    everywhere; the skip sums bring in h_n."""
+    moduli = _moduli(len(matrices[0]), q, q2_of(q))
+    try:
+        for v in vectors:
+            coords = coords_from_exponents(v, q)
+            for s, m in enumerate(matrices, start=1):
+                acted = tuple(sum(map(mul, row, coords)) % k for row, k in zip(m, moduli))
+                if acted != coords_from_exponents(_swapped(v, s), q):
+                    return False
+    except ValueError:
+        return False
+    return True
+
+
+@dataclass(frozen=True)
+class KernelLattice:
+    """The span mod q of the kernel's generator vectors at n strands, with
+    conjugation by g_s the swap of coordinates s and s+1 (groups.case_certificate).
+
+    orders_hold: the span has q^(n-1) * q2 elements and is closed under the
+    adjacent swaps, so A is normal; by the Coxeter presentation of S_n the
+    block action's kernel is the normal closure of g_1^2 (Artin's pure braid
+    group), which lies in A, so A is that kernel, |B| = n! * |A| and
+    B & D = A.  parametrized: _spans_coordinates.  outside: (1, 0, ..., 0)
+    lies outside the span.  matrices: the swaps in the basis (f_1, ...,
+    f_(n-1), h_n).  actions_match: _swap_actions_match on the vectors."""
+
+    span: _Span
+    orders_hold: bool
+    parametrized: bool
+    outside: bool
+    matrices: list[Matrix]
+    actions_match: bool
+
+
+def kernel_lattice(vectors: Sequence[Sequence[int]], q: int, n: int) -> KernelLattice:
+    """KernelLattice of the span of vectors mod q in Z^n."""
+    span = _Span(vectors, q, n)
+    matrices = [_swap_matrix(s, n, q) for s in range(1, n)]
+    normal = all(_swapped(v, s) in span for v in vectors for s in range(1, n))
+    return KernelLattice(
+        span,
+        span.order() == q ** (n - 1) * q2_of(q) and normal,
+        _spans_coordinates(span, vectors),
+        (1,) + (0,) * (n - 1) not in span,
+        matrices,
+        _swap_actions_match(vectors, matrices, q),
+    )
 
 
 def _coxeter_relations_hold(mats: list[Matrix], q: int, q2: int) -> bool:

@@ -11,14 +11,22 @@ import pytest
 from braidperm import REGISTRY, RunConfig, claims, groups, lattice, oracles, run_verification
 from braidperm.claims import Session
 from braidperm.cli import main
-from braidperm.groups import GeneratedGroup, complement_search, schreier_sims
+from braidperm.groups import CaseCertificate, abelian_kernel, complement_search, schreier_sims
 from braidperm.oracles import EnumerationResult
-from braidperm.perm import Permutation, _padded
+from braidperm.perm import Permutation
 from braidperm.shuffle import ShuffleSpec, SpecError
-from test_groups import chain_complement_search, chain_split_complement, extension_holds
+from test_groups import (
+    chain_complement_search,
+    chain_split_complement,
+    extension_certificate,
+    extension_holds,
+    twist_passes_coxeter_lifts,
+)
 from test_lattice import (
     box_matches_conjugation,
     box_parametrizes,
+    matrices_match_conjugation,
+    monodromy_matrices,
     realize_by_products,
     sweep_intersects,
 )
@@ -126,20 +134,33 @@ class TestDeterminism:
 
 class TestLemma33:
     def test_kernel_fault_is_counted_not_raised(self, monkeypatch, tmp_path):
-        def faulty_kernel(image):
-            raise RuntimeError("kernel generator escapes the block product")
-
-        monkeypatch.setattr(claims, "abelian_kernel", faulty_kernel)
+        """Every case's sigma with the images of 1 and d + 1 exchanged maps 1
+        into the first block, so no certificate holds and the kernel
+        identities are unverified: each of the 4 cases at d = 2 counts one
+        failure, in the report and through the CLI."""
+        corrupt_sigmas(monkeypatch, lambda case: swapped_images(case.sigma, 1, case.d + 1))
         report = run_verification(RunConfig(d=2, n=3, claims=("lemma-3.3",)))
         [entry] = report.entries
         assert not entry.passed and entry.witness["failures"] == 4
         examples = entry.witness["examples"]
-        assert examples and all(e.startswith("kernel ") for e in examples)
+        assert examples and all(e.startswith("certificate ") for e in examples)
         out = tmp_path / "report.json"
         args = ["verify", "--d", "2", "--n", "3", "--claim", "lemma-3.3", "--format", "json"]
         assert main([*args, "--out", str(out)]) == 1
         [written] = json.loads(out.read_text())["claims"]
         assert written["witness"]["failures"] == 4 and not written["pass"]
+
+
+def corrupt_sigmas(monkeypatch, corrupt):
+    """Patch Session.pool: each case's sigma replaced by corrupt(case), or
+    kept when it returns None."""
+    pool = Session.pool
+
+    def patched(self, d):
+        cases = pool(self, d)
+        return [c if (sigma := corrupt(c)) is None else replace(c, sigma=sigma) for c in cases]
+
+    monkeypatch.setattr(Session, "pool", patched)
 
 
 def faulty_report(monkeypatch, tmp_path, name, fault, tag):
@@ -471,19 +492,19 @@ class TestLemma25:
 class TestSharedKernelChain:
     @pytest.mark.parametrize("d,cases,chains", [(2, 4, 2), (3, 18, 6), (4, 120, 24)])
     def test_one_chain_per_distinct_kernel(self, d, cases, chains):
-        """Each case's certificate span decides membership in the block
-        product as the chain of its kernel does, with one chain built here per
-        distinct kernel."""
+        """The (n, q) lattice's span decides membership in the block product
+        as the chain of each case's kernel does, with one chain built here
+        per distinct kernel."""
         s = Session(RunConfig(d=d))
         for n in (3, 4):
             pool = s.pool(d)
             by_kernel = {}
             for case in pool:
-                kernel = s.a_group(case, n)
+                kernel = abelian_kernel(s.image(case, n))
                 key = tuple(g.canonical() for g in kernel.generators)
                 if key not in by_kernel:
                     by_kernel[key] = schreier_sims(kernel)
-                chain, span = by_kernel[key], s.extension(case, n)[0]
+                chain, span = by_kernel[key], s.lattice(n, case.tau.order()).span
                 assert span.order() == chain.order()
                 for exps in product(range(case.tau.order()), repeat=n):
                     g = realize_by_products(exps, case.tau, d)
@@ -492,13 +513,11 @@ class TestSharedKernelChain:
 
 
 def thm_3_4_session():
-    """A Session over d in {2, 3}, n in {3, 4} with every case's kernel
-    generators built; no certificate is built yet, so the accessors a test
-    patches reach all of them."""
+    """A Session over d in {2, 3}, n in {3, 4} with the case pool built; no
+    certificate or lattice is built yet, so the accessors a test patches
+    reach all of them."""
     session = Session(RunConfig(d_max=3, n_max=4))
     cases = [(case, n) for d in (2, 3) for case in session.pool(d) for n in (3, 4)]
-    for case, n in cases:
-        session.a_group(case, n)
     return session, cases
 
 
@@ -506,36 +525,32 @@ def even_cases(session, entry):
     return sum(c.tau.order() % 2 == 0 for c in session.pool(entry.parameters["d"]))
 
 
-def substitute_kernel(substitute):
-    """Patch for Session.a_group: the kernel's generators replaced by
-    substitute(case, n, kernel), or kept when it returns None."""
-    a_group = Session.a_group
+def substitute_vectors(substitute):
+    """Patch for Session.lattice: the kernel's generator vectors replaced by
+    substitute(n, q, vectors), or kept when it returns None."""
+    built = Session.lattice
 
-    def patched(self, case, n):
-        kernel = a_group(self, case, n)
-        gens = substitute(case, n, kernel)
-        return kernel if gens is None else GeneratedGroup(kernel.degree, tuple(gens))
+    def patched(self, n, q):
+        vectors = substitute(n, q, lattice._kernel_vectors(n))
+        return built(self, n, q) if vectors is None else lattice.kernel_lattice(vectors, q, n)
 
     return patched
 
 
-def index_2_subgroup(case, n, kernel):
-    """For even q, the block-product elements whose first exponent is even:
-    of order |A| like A, but without the realization of e_1, which is tau on
-    blocks 1 and 2; the generators do not normalize it."""
-    if case.tau.order() % 2:
+def index_2_subgroup(n, q, vectors):
+    """For even q, the block-product vectors whose first exponent is even:
+    of order |A| like A, but without f_1, the vector of g_1^2; the swaps do
+    not preserve it."""
+    if q % 2:
         return None
     units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
-    exps = [(2,) + (0,) * (n - 1), *units[1:]]
-    gens = [realize_by_products(e, case.tau, case.d) for e in exps]
-    assert schreier_sims(GeneratedGroup(kernel.degree, tuple(gens))).order() == (
-        schreier_sims(kernel).order()
-    )
-    return gens
+    substitute = [(2,) + (0,) * (n - 1), *units[1:]]
+    assert lattice._Span(substitute, q, n).order() == lattice._Span(vectors, q, n).order()
+    return substitute
 
 
 class TestThm34:
-    def test_powers_once_per_case_and_once_per_search(self, monkeypatch):
+    def test_powers_only_for_the_searches(self, monkeypatch):
         session, cases = thm_3_4_session()
         calls = {"_powers": 0, "kernel_structure": 0}
         powers, structure = lattice._powers, claims.kernel_structure
@@ -553,23 +568,31 @@ class TestThm34:
         entries = claims._check_thm_3_4(session)
         assert len(entries) == 4 and all(e.passed for e in entries)
         assert len(cases) == 44
-        # the certificate's readout per case, and the kernel listing per search
+        # no table of powers per case: only the kernel listing per search
         searched = sum(e.witness["even_q_searched"] for e in entries)
         assert searched == sum(e.witness["even_q_cases"] for e in entries) == 16
-        assert calls["_powers"] == len(cases) + searched
+        assert calls["_powers"] == searched
         # once per (n, q): q in {1, 2, 3}, n in {3, 4}
         assert calls["kernel_structure"] == len({(n, c.tau.order()) for c, n in cases}) == 6
 
     def test_a_failed_structure_certificate_is_counted_not_raised(self, monkeypatch):
         """Without the skip sums the adjacent sums span too little mod 3, so
-        each q = 3 case counts a structure failure; no exception is raised."""
+        each q = 3 case counts a structure failure; no exception is raised.
+        The kernel lattice reads A's span from the same vectors, so its
+        orders and parametrization fail there too."""
         monkeypatch.setattr(lattice, "g_vector", lambda n, r: (0,) * n)
         session = Session(RunConfig(d=3, n=3, claims=("thm-3.4",)))
         [entry] = claims._check_thm_3_4(session)
-        threes = sum(case.tau.order() == 3 for case in session.pool(3))
-        assert entry.witness["structure_failures"] == threes > 0
-        assert entry.witness["order_failures"] == entry.witness["parametrization_failures"] == 0
-        assert entry.witness["examples"][0].startswith("structure ")
+        threes = [case.sigma for case in session.pool(3) if case.tau.order() == 3]
+        witness = entry.witness
+        assert witness["structure_failures"] == len(threes) > 0
+        assert witness["order_failures"] == witness["parametrization_failures"] == len(threes)
+        first = threes[0]
+        assert witness["examples"] == [
+            f"orders {first}",
+            f"structure {first}",
+            f"parametrization {first}",
+        ]
         assert not entry.passed
 
     def test_no_chain_of_degree_nd_on_the_grid(self, monkeypatch):
@@ -587,38 +610,46 @@ class TestThm34:
         assert report.all_pass and len(report.entries) == 10
         assert degrees == [2, 3, 4]
 
-    # in place of A's generators: the first one alone, of order at most
-    # q < |A| when q > 1; and all of them conjugated by the transposition
-    # (d d+1), which moves them off the blocks
+    # in place of A's vectors: f_1 alone, which spans at most q < |A| elements
+    # when q > 1; or, in place of every sigma, its conjugate by the
+    # transposition (d d+1), which moves it off the blocks
     @pytest.mark.parametrize("substitute", ["first-generator", "conjugate"])
     def test_failures_counted_against_another_kernel_chain(self, monkeypatch, substitute):
-        def gens(case, n, kernel):
-            if substitute == "first-generator":
-                return kernel.generators[:1]
-            x = Permutation.from_cycles([(case.d, case.d + 1)], kernel.degree)
-            return [x * k * x for k in kernel.generators]
-
         session, _ = thm_3_4_session()
-        monkeypatch.setattr(Session, "a_group", substitute_kernel(gens))
+        if substitute == "first-generator":
+            monkeypatch.setattr(Session, "lattice", substitute_vectors(lambda n, q, v: v[:1]))
+        else:
+
+            def conjugate(case):
+                x = Permutation.from_cycles([(case.d, case.d + 1)], 2 * case.d)
+                return x * case.sigma * x
+
+            corrupt_sigmas(monkeypatch, conjugate)
         entries = claims._check_thm_3_4(session)
         assert len(entries) == 4
         for entry in entries:
-            assert entry.witness["order_failures"] > 0
-            assert entry.witness["parametrization_failures"] > 0
-            assert entry.witness["intersection_failures"] > 0
+            witness = entry.witness
+            assert witness["order_failures"] == witness["intersection_failures"] > 0
+            assert witness["even_q_searched"] == 0
             assert not entry.passed
-            # only the q = 1 cases, where A is trivial either way, keep their
-            # certificate, so only they verify a split, and no search runs
-            trivial = sum(c.tau.order() == 1 for c in session.pool(entry.parameters["d"]))
-            assert entry.witness["split_verified"] == trivial
-            assert entry.witness["even_q_searched"] == 0
+            if substitute == "first-generator":
+                # only the q = 1 cases, where A is trivial either way, keep
+                # their orders, so only they verify a split
+                trivial = sum(c.tau.order() == 1 for c in session.pool(entry.parameters["d"]))
+                assert witness["split_verified"] == trivial
+                assert witness["parametrization_failures"] > 0
+            else:
+                # the (n, q) facts stand; the odd-q cases moved off the blocks
+                # lose their split
+                assert witness["split_verified"] < witness["split_odd_cases"]
+                assert witness["parametrization_failures"] == 0
 
     def test_failures_counted_against_another_index_2_subgroup(self, monkeypatch):
-        """The index-2 subgroup has the right order, but conjugation by g_1
-        swaps the first two exponents: of the order checks only normality
-        fails, and the unit coordinate f_1 lies outside it."""
+        """The index-2 subgroup has the right order, but the swap of the first
+        two coordinates takes e_2 out of it: of the order checks only
+        normality fails, and the unit coordinate f_1 lies outside it."""
         session, _ = thm_3_4_session()
-        monkeypatch.setattr(Session, "a_group", substitute_kernel(index_2_subgroup))
+        monkeypatch.setattr(Session, "lattice", substitute_vectors(index_2_subgroup))
         entries = claims._check_thm_3_4(session)
         assert len(entries) == 4
         for entry in entries:
@@ -631,7 +662,7 @@ class TestThm34:
         q^2, less than q^2 * q2 when q > 2; at q = 2 the skip sum is f_1 + f_2
         mod 2."""
         session = Session(RunConfig(d_max=4, n=3))
-        monkeypatch.setattr(Session, "a_group", substitute_kernel(lambda c, n, k: k.generators[:2]))
+        monkeypatch.setattr(Session, "lattice", substitute_vectors(lambda n, q, v: v[:2]))
         for entry in claims._check_thm_3_4(session):
             small = sum(c.tau.order() > 2 for c in session.pool(entry.parameters["d"]))
             assert entry.witness["order_failures"] == small
@@ -639,56 +670,35 @@ class TestThm34:
             assert (small > 0) == (not entry.passed) == (entry.parameters["d"] > 2)
 
     def test_a_normal_kernel_of_too_small_an_order_fails_the_orders(self, monkeypatch):
-        """The squares of A's generators span 2 * A, normal like A; for even q
-        it is smaller than A, and only the order check tells."""
+        """Twice A's vectors span 2 * A, normal like A; for even q it is
+        smaller than A, and only the order check tells."""
         session, _ = thm_3_4_session()
-        squares = substitute_kernel(lambda case, n, kernel: [k * k for k in kernel.generators])
-        monkeypatch.setattr(Session, "a_group", squares)
+        doubled = substitute_vectors(lambda n, q, v: [[2 * x for x in u] for u in v])
+        monkeypatch.setattr(Session, "lattice", doubled)
         for entry in claims._check_thm_3_4(session):
             assert entry.witness["order_failures"] == even_cases(session, entry) > 0
             assert not entry.passed
 
     def test_a_conjugate_leaving_the_block_product_fails_the_orders(self, monkeypatch):
-        """The generators conjugated by (1 2), which keeps the blocks: they
-        still satisfy the braid relations and act on the blocks as before, and
-        A's generators are the case's own, but at d = 3 some g_s * k * g_s^-1
-        are no longer block products of powers of tau."""
-        image = Session.image
-
-        def conjugated(self, case, n):
-            real = image(self, case, n)
-            x = Permutation.from_cycles([(1, 2)], n * case.d)
-            return replace(real, generators=tuple(x * g * x for g in real.generators))
-
+        """Every sigma at d = 3 conjugated by (1 2), which keeps the blocks:
+        sigma still maps the first block onto the second, but for tau not
+        commuting with (1 2) its square is no longer tau on both blocks, so
+        the conjugates of A's generators leave the block product."""
         session = Session(RunConfig(d=3, n=3))
-        for case in session.pool(3):
-            session.a_group(case, 3)
-        monkeypatch.setattr(Session, "image", conjugated)
-        for case in session.pool(3):
-            gens = [_padded(g, 9) for g in session.image(case, 3).generators]
-            assert groups._coxeter_lifts(gens, 3)
+        x = Permutation.from_cycles([(1, 2)], 6)
+        corrupt_sigmas(monkeypatch, lambda case: x * case.sigma * x)
+        moved = sum(x * c.tau * x != c.tau for c in session.pool(3))
         [entry] = claims._check_thm_3_4(session)
-        assert entry.witness["order_failures"] > 0 == entry.witness["parametrization_failures"]
+        witness = entry.witness
+        assert witness["order_failures"] == moved > 0 == witness["parametrization_failures"]
         assert not entry.passed
 
-    # for even q, the first generator times the realization of (1, 0, ..., 0),
-    # tau on block 1: the group these generators generate contains that
-    # element, which lies in the block product outside A
+    # for even q, sigma times tau on block 1, which squares to tau^2 on both
+    # blocks: the group these generators generate contains elements of the
+    # block product outside A
     def test_failures_counted_against_an_enlarged_braid_chain(self, monkeypatch):
-        image = Session.image
-
-        def enlarged(self, case, n):
-            real = image(self, case, n)
-            if case.tau.order() % 2:
-                return real
-            extra = realize_by_products((1,) + (0,) * (n - 1), case.tau, case.d)
-            first, *rest = real.generators
-            faulty = replace(real, generators=(first * extra, *rest))
-            assert extra in schreier_sims(faulty.group())
-            return faulty
-
         session, _ = thm_3_4_session()
-        monkeypatch.setattr(Session, "image", enlarged)
+        corrupt_sigmas(monkeypatch, lambda c: c.sigma * c.tau if c.tau.order() % 2 == 0 else None)
         entries = claims._check_thm_3_4(session)
         assert len(entries) == 4
         for entry in entries:
@@ -715,24 +725,31 @@ class TestThm34:
             assert entry.witness["intersection_failures"] == even_cases(session, entry) > 0
             assert not entry.passed
 
-    # for even q, A's generators with the realization of (1, 0, ..., 0)
-    # added, which has no coordinates
+    # for even q, A's vectors with (1, 0, ..., 0) added, which has no
+    # coordinates
     def test_failures_counted_against_a_kernel_generator_without_coordinates(
         self, monkeypatch
     ):
-        def listed(case, n, kernel):
-            if case.tau.order() % 2:
-                return None
-            extra = realize_by_products((1,) + (0,) * (n - 1), case.tau, case.d)
-            return (*kernel.generators, extra)
+        def listed(n, q, vectors):
+            return None if q % 2 else [*vectors, (1,) + (0,) * (n - 1)]
 
         session, _ = thm_3_4_session()
-        monkeypatch.setattr(Session, "a_group", substitute_kernel(listed))
+        monkeypatch.setattr(Session, "lattice", substitute_vectors(listed))
         entries = claims._check_thm_3_4(session)
         assert len(entries) == 4
         for entry in entries:
             assert entry.witness["parametrization_failures"] == even_cases(session, entry) > 0
             assert not entry.passed
+
+
+def failing_certificate(monkeypatch, target):
+    """Patch Session.certificate: the target case's certificate fails."""
+    certificate = Session.certificate
+
+    def patched(self, case):
+        return CaseCertificate(False, False) if case == target else certificate(self, case)
+
+    monkeypatch.setattr(Session, "certificate", patched)
 
 
 class TestCor310:
@@ -753,62 +770,63 @@ class TestCor310:
         assert degrees == [3]
         session = Session(RunConfig(d=3, n=3))
         target = next(c for c in session.pool(3) if c.tau.order() == 3)
-        extension = Session.extension
-
-        def failing(self, case, n):
-            span, orders_hold, parametrized = extension(self, case, n)
-            return span, orders_hold and case != target, parametrized
-
         degrees.clear()
-        monkeypatch.setattr(Session, "extension", failing)
+        failing_certificate(monkeypatch, target)
         assert claims._check_cor_3_10(session) == clean
         assert degrees == [9, 9]
+
+    def test_no_certified_case_lists_no_monodromy(self, monkeypatch):
+        """With every certificate failing, each case's orders still come from
+        chains, but no case carries the (n, q) matrices: the entries list
+        none and are inconsistent."""
+        failing = CaseCertificate(False, False)
+        monkeypatch.setattr(Session, "certificate", lambda self, case: failing)
+        entries = claims._check_cor_3_10(Session(RunConfig(d=2, n=3)))
+        assert [e.witness["orders"] for e in entries] == [[6]]
+        assert all(e.witness["distinct_monodromy"] == 0 and not e.passed for e in entries)
 
 
 class TestProp311:
     @pytest.mark.parametrize("position", [0, -1])
-    def test_each_case_is_decided_on_its_own_matrices(self, monkeypatch, position):
-        """The first or the last case with q = 3 at d = 3, n = 4 gets identity
-        matrices, which satisfy the relations but fix all n! block
-        permutations.  That case alone counts a formula mismatch and a kernel
-        failure: a verdict reused across cases of equal (q, n) but other
-        matrices would add or hide one."""
+    def test_each_case_is_decided_on_its_own_certificate(self, monkeypatch, position):
+        """The first or the last case with q = 3 at d = 3, n = 4 gets a sigma
+        that maps 1 into the first block.  The (3, 4) matrices stand, so that
+        case alone counts an action mismatch: a verdict reused across cases
+        of equal (q, n) would add or hide one."""
         session = Session(RunConfig(d=3, n=4))
         target = [case for case in session.pool(3) if case.tau.order() == 3][position]
-        monodromy = Session.monodromy
-
-        def patched(self, case, n):
-            if case == target:
-                return [lattice.identity_matrix(n, 3, 3) for _ in range(n - 1)]
-            return monodromy(self, case, n)
-
-        monkeypatch.setattr(Session, "monodromy", patched)
+        corrupted = swapped_images(target.sigma, 1, 4)
+        corrupt_sigmas(monkeypatch, lambda case: corrupted if case == target else None)
         [entry] = claims._check_prop_3_11(session)
         witness = entry.witness
-        assert witness["matrix_mismatches"] == witness["kernel_failures"] == 1
-        assert witness["relation_failures"] == 0 and not entry.passed
-        examples = witness["examples"]
-        assert f"formula {target.sigma}" in examples and f"kernel {target.sigma}" in examples
+        assert witness["action_mismatches"] == 1
+        assert witness["matrix_mismatches"] == witness["relation_failures"] == 0
+        assert witness["kernel_failures"] == 0 and not entry.passed
+        assert witness["examples"] == [f"action {corrupted}"]
 
     def test_relation_breaking_matrices_are_counted_not_raised(self, monkeypatch):
-        """The first case with q = 3 at d = 3, n = 4 gets the stated matrices
-        with the first two swapped: M_2 then stands two places from M_3, so
-        the two must commute, and they do not.  The kernel certificate
-        returns None for them, which counts one relation failure (and a
-        kernel failure, None not being 1) and fails the entry."""
+        """The (3, 4) lattice gets the stated matrices with the first two
+        swapped: M_2 then stands two places from M_3, so the two must commute,
+        and they do not.  The kernel certificate returns None for them, which
+        counts a relation failure (and a kernel failure, None not being 1,
+        and a formula mismatch) for each of the six q = 3 cases, and fails
+        the entry."""
         session = Session(RunConfig(d=3, n=4))
-        target = next(case for case in session.pool(3) if case.tau.order() == 3)
-        monodromy = Session.monodromy
+        built = Session.lattice
 
-        def patched(self, case, n):
-            mats = monodromy(self, case, n)
-            return [mats[1], mats[0], *mats[2:]] if case == target else mats
+        def patched(self, n, q):
+            kl = built(self, n, q)
+            mats = kl.matrices
+            return replace(kl, matrices=[mats[1], mats[0], *mats[2:]]) if q == 3 else kl
 
-        monkeypatch.setattr(Session, "monodromy", patched)
+        monkeypatch.setattr(Session, "lattice", patched)
         [entry] = claims._check_prop_3_11(session)
         witness = entry.witness
-        assert witness["relation_failures"] == witness["kernel_failures"] == 1
-        assert f"relations {target.sigma}" in witness["examples"] and not entry.passed
+        threes = [case.sigma for case in session.pool(3) if case.tau.order() == 3]
+        assert len(threes) == 6
+        assert witness["relation_failures"] == witness["kernel_failures"] == 6
+        assert witness["matrix_mismatches"] == 6 and witness["action_mismatches"] == 0
+        assert f"relations {threes[0]}" in witness["examples"] and not entry.passed
 
     @pytest.mark.parametrize(
         "config,sets",
@@ -891,6 +909,23 @@ class TestProp330:
         assert degrees == [3]
 
 
+def lemma_3_3_identities_hold(image, kernel_gens):
+    """lemma-3.3's identities by Permutation products at degree n * d, as the
+    claim checked them before the certificate: the shift-down for every s,
+    and the mixed identity for every r against abelian_kernel's generators."""
+    d, n, tau = image.d, image.n, image.tau
+    tau2 = tau * tau
+    for s, gen in enumerate(image.generators, start=1):
+        if gen * tau2.shift(s * d) * gen.inverse() != tau2.shift((s - 1) * d):
+            return False
+    for r, right in enumerate(kernel_gens[n - 1:], start=1):
+        g_r1 = image.generators[r]
+        left = g_r1 * kernel_gens[r - 1] * g_r1.inverse()
+        if left != right or right != tau.shift((r - 1) * d) * tau.shift((r + 1) * d):
+            return False
+    return True
+
+
 class TestChecksMatchReferences:
     # the acceptance grid; n = 6 at d = 3 as in the prop-3.11 golden; and
     # d = 5, n = 3, whose golden holds the only q = 6 cases
@@ -900,8 +935,9 @@ class TestChecksMatchReferences:
     def test_per_case_verdicts(self, monkeypatch, d, n):
         session = Session(RunConfig(d=d, n=n))
         for case in session.pool(d):
-            image, mats = session.image(case, n), session.monodromy(case, n)
-            kernel, (span, orders_hold, _) = session.a_group(case, n), session.extension(case, n)
+            image = session.image(case, n)
+            kernel = abelian_kernel(image)
+            span, orders_hold, _ = extension_certificate(image, kernel)
             b_bsgs, a_bsgs = schreier_sims(image.group()), schreier_sims(kernel)
             monkeypatch.setattr(session, "pool", lambda _: [case])
             [entry] = claims._check_thm_3_4(session)
@@ -909,6 +945,7 @@ class TestChecksMatchReferences:
             assert span.order() == a_bsgs.order()
             assert span.order() * math.factorial(n) == b_bsgs.order()
             assert orders_hold == extension_holds(image, kernel, b_bsgs, a_bsgs)
+            assert witness["order_failures"] == (not orders_hold)
             assert witness["parametrization_failures"] == (not box_parametrizes(image, a_bsgs))
             assert witness["intersection_failures"] == (not sweep_intersects(image, b_bsgs, a_bsgs))
             if image.q % 2:
@@ -918,6 +955,117 @@ class TestChecksMatchReferences:
                 count = chain_complement_search(image, a_bsgs)
                 assert complement_search(image, span) == count
                 assert witness["even_q_searched"] == (count is not None)
-            kernel_gens = session.a_group(case, n).generators
-            matches = claims._matrices_match_conjugation(image, kernel_gens, mats)
+            mats = monodromy_matrices(image)
+            matches = matrices_match_conjugation(image, kernel.generators, mats)
             assert matches == box_matches_conjugation(image, mats)
+
+    # the acceptance grid; n = 6 at d = 3; and d = 5, n = 4, which reaches
+    # q = 4, 5 and 6 at n = 4
+    @pytest.mark.parametrize(
+        "d,n", [(d, n) for d in (2, 3, 4) for n in (3, 4)] + [(3, 6), (5, 4)]
+    )
+    def test_new_path_matches_the_degree_nd_path(self, d, n):
+        """Case by case, the certificate and the (n, q) lattice decide as the
+        checks at degree n * d did: the kernel's span, the orders, the
+        parametrization, (1, 0, ..., 0), the matrices and their cross-check,
+        the odd-q twist and lemma-3.3's identities."""
+        session = Session(RunConfig(d=d, n=n))
+        for case in session.pool(d):
+            image = session.image(case, n)
+            kernel = abelian_kernel(image)
+            span, orders_hold, parametrized = extension_certificate(image, kernel)
+            mats = monodromy_matrices(image)
+            certificate, kl = session.certificate(case), session.lattice(n, image.q)
+            assert kl.span.order() == span.order()
+            assert all(row in kl.span for row in span.rows)
+            assert orders_hold == (certificate.holds and kl.orders_hold)
+            assert parametrized == kl.parametrized
+            assert ((1,) + (0,) * (n - 1) not in span) == kl.outside
+            assert mats == kl.matrices
+            matches = matrices_match_conjugation(image, kernel.generators, mats)
+            assert matches == (certificate.holds and kl.actions_match)
+            if image.q % 2:
+                assert twist_passes_coxeter_lifts(image) == certificate.splits
+            assert lemma_3_3_identities_hold(image, kernel.generators) == certificate.holds
+
+
+class TestCertificateFaults:
+    """One case whose certificate fails, through its sigma: the first q = 3
+    case at d = 3, n = 4, with the images of 1 and 4 exchanged.  Each counter
+    the certificate's docstring maps it to moves by one, and no other."""
+
+    @pytest.fixture
+    def faulty(self, monkeypatch):
+        session = Session(RunConfig(d=3, n=4))
+        target = next(case for case in session.pool(3) if case.tau.order() == 3)
+        corrupted = swapped_images(target.sigma, 1, 4)
+        corrupt_sigmas(monkeypatch, lambda case: corrupted if case == target else None)
+        return session, corrupted
+
+    def test_lemma_3_3_counts_a_failure(self, faulty):
+        session, corrupted = faulty
+        [entry] = claims._check_lemma_3_3(session)
+        assert entry.witness["failures"] == 1 and not entry.passed
+        assert entry.witness["examples"] == [f"certificate {corrupted}"]
+
+    def test_thm_3_4_counts_an_order_failure_and_an_unverified_intersection(self, faulty):
+        session, corrupted = faulty
+        [entry] = claims._check_thm_3_4(session)
+        witness = entry.witness
+        assert witness["order_failures"] == witness["intersection_failures"] == 1
+        assert witness["structure_failures"] == witness["parametrization_failures"] == 0
+        assert witness["split_verified"] == witness["split_odd_cases"] - 1
+        assert witness["examples"] == [
+            f"orders {corrupted}",
+            f"intersection {corrupted} unverified",
+        ]
+        assert not entry.passed
+
+    def test_prop_3_11_counts_an_action_mismatch(self, faulty):
+        session, corrupted = faulty
+        [entry] = claims._check_prop_3_11(session)
+        witness = entry.witness
+        assert witness["action_mismatches"] == 1
+        assert witness["matrix_mismatches"] == witness["relation_failures"] == 0
+        assert witness["kernel_failures"] == 0
+        assert witness["examples"] == [f"action {corrupted}"] and not entry.passed
+
+    def test_cor_3_10_reads_the_orders_from_chains(self, monkeypatch):
+        """The corrupted sigma above has no image to build chains from, so
+        the certificate itself fails here, for a case whose image builds."""
+        session = Session(RunConfig(d=3, n=4))
+        target = next(case for case in session.pool(3) if case.tau.order() == 3)
+        built = []
+        image = Session.image
+
+        def recording(self, case, n):
+            built.append(case)
+            return image(self, case, n)
+
+        monkeypatch.setattr(Session, "image", recording)
+        failing_certificate(monkeypatch, target)
+        entries = claims._check_cor_3_10(session)
+        assert built == [target] and all(e.passed for e in entries)
+        assert [e.witness["orders"] for e in entries] == [[24], [24 * 81]]
+
+
+class TestKernelClaimsBudget:
+    def test_no_degree_nd_tables_and_no_per_case_readouts(self, monkeypatch):
+        """The four kernel claims at d = 3, n = 6, where no even-q case falls
+        within the search cap, build no table of block powers of degree 18
+        and read no image tuple's exponents: one certificate per case and one
+        lattice per (n, q), whatever the number of cases."""
+        tables = [counted(monkeypatch, m, "_block_powers") for m in (claims, groups)]
+        reads = [counted(monkeypatch, m, "_read_exponents") for m in (groups, lattice)]
+        certificates = counted(monkeypatch, claims, "case_certificate")
+        lattices = counted(monkeypatch, claims, "kernel_lattice")
+        tags = ("lemma-3.3", "thm-3.4", "cor-3.10", "prop-3.11")
+        session = Session(RunConfig(d=3, n=6, claims=tags))
+        entries = [e for tag in tags for e in claims.REGISTRY[tag](session)]
+        assert all(e.passed for e in entries)
+        [thm] = [e for e in entries if e.claim == "thm-3.4"]
+        assert thm.witness["even_q_cases"] == 6 and thm.witness["even_q_searched"] == 0
+        pairs = {(6, case.tau.order()) for case in session.pool(3)}
+        assert [a for calls in tables for a in calls if a[1] * a[2] == 18] == []
+        assert sum(map(len, reads)) <= len(pairs) == len(lattices) == 3
+        assert len(certificates) == len(session.pool(3)) == 18

@@ -16,9 +16,9 @@ from braidperm.groups import (
     block_split,
     braid_image,
     braid_relations_hold,
+    case_certificate,
     complement_search,
     cyclic_group,
-    extension_certificate,
     gap_generators,
     orbit,
     orbits_partition,
@@ -362,8 +362,58 @@ class TestAbelianKernel:
         assert calls < (2 * 6 - 3) ** 2
 
 
-# thm-3.4's chain-based checks from before extension_certificate, kept as the
-# references the certificate is compared with case by case
+# thm-3.4's checks at degree n*d, from before case_certificate and
+# kernel_lattice decided them per case at degree 2d and per (n, q): kept as
+# references the new verdicts are compared with case by case
+
+
+def coxeter_lifts(gens, d):
+    """Whether the image tuples gens satisfy the braid relations and
+    gens[s - 1] maps the d-blocks as the transposition (s s+1)."""
+    for s, g in enumerate(gens):
+        swap = {s: s + 1, s + 1: s}
+        if any((y - 1) // d != swap.get(x // d, x // d) for x, y in enumerate(g)):
+            return False
+    return braid_relations_hold(gens, _compose)
+
+
+def extension_certificate(image, kernel):
+    """(span, orders_hold, parametrized) for 1 -> A -> B -> S_n -> 1, where A
+    is kernel and B -> S_n the action on the n blocks, read at degree n*d.
+    span: A's exponent span mod q, None when A leaves the block product D.
+    orders_hold: the generators pass coxeter_lifts, the span has
+    q^(n-1) * q2 elements, and every g_s * k * g_s^-1 reads into D and the
+    span.  parametrized: the span passes _spans_coordinates."""
+    n, d, q = image.n, image.d, image.q
+    lookups = lattice._block_powers(image.tau, d, n)[1]
+    kernel_gens = [_padded(k, n * d) for k in kernel.generators]
+    try:
+        vectors = [lattice._read_exponents(k, lookups, d) for k in kernel_gens]
+    except ValueError:
+        return None, False, False
+    span = lattice._Span(vectors, q, n)
+    right_order = span.order() == q ** (n - 1) * image.q2
+    gens = [_padded(g, n * d) for g in image.generators]
+    try:
+        normal = all(
+            lattice._read_exponents(tuple([g[k[x - 1] - 1] for x in inv]), lookups, d) in span
+            for g, inv in zip(gens, map(_invert, gens))
+            for k in kernel_gens
+        )
+    except ValueError:
+        normal = False
+    orders_hold = right_order and normal and coxeter_lifts(gens, d)
+    return span, orders_hold, lattice._spans_coordinates(span, vectors)
+
+
+def twist_passes_coxeter_lifts(image):
+    """split_complement's check at degree n*d, for odd q: the block shifts
+    of sigma * shift(tau**(q-1), d) are involutions that pass coxeter_lifts."""
+    d, degree = image.d, image.n * image.d
+    eta = image.sigma * (image.tau ** (image.q - 1)).shift(d)
+    padded = [_padded(eta.shift((s - 1) * d), degree) for s in range(1, image.n)]
+    ident = tuple(range(1, degree + 1))
+    return all(_compose(g, g) == ident for g in padded) and coxeter_lifts(padded, d)
 
 
 def extension_holds(image, kernel, b, a):
@@ -492,7 +542,7 @@ class TestExtension:
         faulty = [image.generators[::-1], tuple(x * g * x for g in image.generators)]
         for gens in faulty:
             assert braid_relations_hold(gens, operator.mul)
-            assert not groups._coxeter_lifts([_padded(g, 8) for g in gens], 2)
+            assert not coxeter_lifts([_padded(g, 8) for g in gens], 2)
         reversed_image = dataclasses.replace(image, generators=faulty[0])
         assert extension_certificate(reversed_image, kernel)[0].order() == 8
         assert not extension_certificate(reversed_image, kernel)[1]
@@ -525,7 +575,7 @@ class TestSplitComplement:
         a = chains(image)[2]
         assert complement_elements([a._ident, a._ident], a) is None
         # the identity does not act on the blocks as (1 2)
-        assert not groups._coxeter_lifts([a._ident, a._ident], 3)
+        assert not coxeter_lifts([a._ident, a._ident], 3)
 
     def test_generators_that_are_not_involutions(self):
         image, _ = image_for("(1 2 3)", 3, 3)
@@ -537,7 +587,7 @@ class TestSplitComplement:
         six = Permutation.from_cycles([(1, 2, 3, 4, 5, 6)], a.degree).images
         assert complement_elements([six, six], a) is None
         # the untwisted generators pass the Coxeter checks, but are not involutions
-        assert groups._coxeter_lifts(gens, 3)
+        assert coxeter_lifts(gens, 3)
         untwisted = dataclasses.replace(image, tau=Permutation.identity())
         with pytest.raises(groups.SplitVerificationError):
             split_complement(untwisted)
@@ -616,6 +666,58 @@ class TestSplitComplement:
         assert span.order() == 4**3 * 2
         assert span.order() ** 3 > groups.SEARCH_CAP
         assert complement_search(image, span) is None
+
+
+class TestCaseCertificate:
+    @pytest.mark.parametrize("d,cases", [(2, 4), (3, 18), (4, 120), (5, 840)])
+    def test_the_identity_holds_on_every_shuffle(self, d, cases):
+        """sigma * t_1 * sigma^-1 = t_2 by Permutation products, t_i being tau
+        on block i, on all 982 shuffles with d <= 5; each certificate holds,
+        and splits exactly for odd q."""
+        pool = Session(RunConfig(d=d)).pool(d)
+        for case in pool:
+            sigma, tau = case.sigma, case.tau
+            assert sigma * tau * sigma.inverse() == tau.shift(d)
+            assert case_certificate(sigma, tau, d) == (True, tau.order() % 2 == 1)
+        assert len(pool) == cases
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_kernel_generators_read_into_the_adjacent_and_skip_sums(self, d):
+        """abelian_kernel's 2n - 3 generators, read at degree n * d, have
+        exactly the vectors f_1, ..., f_(n-1), g_1, ..., g_(n-2) mod q."""
+        for case in Session(RunConfig(d=d)).pool(d):
+            q = case.tau.order()
+            for n in range(3, 7):
+                kernel = abelian_kernel(braid_image(case.sigma, d, n))
+                lookups = lattice._block_powers(case.tau, d, n)[1]
+                read = [
+                    lattice._read_exponents(_padded(k, n * d), lookups, d)
+                    for k in kernel.generators
+                ]
+                assert read == [tuple(x % q for x in v) for v in lattice._kernel_vectors(n)]
+
+    def test_another_block_factor_fails(self):
+        """A shuffle over (1 2 3) checked against (1 3 2), the identity or
+        (1 2 3) on more than d points fails, however well it braids."""
+        image, _ = image_for("(1 2 3)", 3, 3)
+        assert case_certificate(image.sigma, image.tau, 3) == (True, True)
+        for other in ("(1 3 2)", "()", "(1 2 3)(4 5)"):
+            assert case_certificate(image.sigma, perm(other), 3) == (False, False)
+
+    def test_a_sigma_off_the_blocks_fails(self):
+        """sigma with the images of 1 and 4 exchanged maps 1 into the first block."""
+        image, _ = image_for("(1 2 3)", 3, 3)
+        images = list(image.sigma.images)
+        images[0], images[3] = images[3], images[0]
+        assert case_certificate(Permutation(tuple(images)), image.tau, 3) == (False, False)
+
+    def test_the_twist_check(self):
+        """For q = 3 the twist sigma * shift(tau^2, 3) passes, and sigma itself,
+        the twist with tau read as the identity, is not an involution."""
+        image, _ = image_for("(1 2 3)", 3, 3)
+        sigma, tau = _padded(image.sigma, 6), _padded(image.tau, 3)
+        assert groups._twist_holds(sigma, tau, 3)
+        assert not groups._twist_holds(sigma, (1, 2, 3), 3)
 
 
 def pool_cases(slices):

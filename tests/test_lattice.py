@@ -6,7 +6,7 @@ from operator import mul
 
 import pytest
 
-from braidperm import claims, lattice
+from braidperm import lattice
 from braidperm.claims import RunConfig, Session
 from braidperm.groups import abelian_kernel, braid_image, braid_relations_hold
 from braidperm.lattice import (
@@ -18,14 +18,13 @@ from braidperm.lattice import (
     f_vector,
     g_vector,
     identity_matrix,
-    kernel_actions,
+    kernel_lattice,
     kernel_structure,
     monodromy_kernel,
-    monodromy_matrices,
     normalize_factors,
     q2_of,
 )
-from braidperm.perm import Permutation, _padded, _trusted
+from braidperm.perm import Permutation, _invert, _padded, _trusted
 from braidperm.shuffle import ShuffleSpec, build_shuffle
 
 
@@ -92,6 +91,60 @@ def parametrize(coords, tau, d):
 def kernel_box(n, q):
     """All canonical coordinate tuples: n-1 entries mod q, the last mod q2."""
     return product(*map(range, lattice._moduli(n, q, q2_of(q))))
+
+
+# prop-3.11's matrices and their cross-check at degree n*d, from before
+# kernel_lattice read them per (n, q) as coordinate swaps: kept as references
+
+
+def kernel_actions(image, coords_iter):
+    """Per kernel coordinate tuple c, the kernel coordinates of g_s * elem * g_s^-1
+    for each generator g_s, s = 1, ..., n-1, with elem the block product with
+    exponents _kernel_exponents(c); computed on image tuples of degree n*d.
+    ValueError when one leaves the kernel."""
+    d, n, q = image.d, image.n, image.q
+    shifted, lookups = lattice._block_powers(image.tau, d, n)
+    pairs = [(g, _invert(g)) for g in (_padded(g, n * d) for g in image.generators)]
+    for coords in coords_iter:
+        elem = lattice._realize(shifted, lattice._kernel_exponents(coords))
+        conjugates = (tuple([g[elem[x - 1] - 1] for x in inv]) for g, inv in pairs)
+        yield tuple(
+            coords_from_exponents(lattice._read_exponents(c, lookups, d), q) for c in conjugates
+        )
+
+
+def monodromy_matrices(image):
+    """Conjugation by each generator as a matrix on kernel coordinates:
+    column j is the kernel action on the realization of the unit coordinate
+    e_j, which is f_j for j < n and h_n for j = n; raises when a conjugate
+    leaves the block product or the matrix violates the coordinate moduli."""
+    n, q, q2 = image.n, image.q, image.q2
+    by_unit = list(kernel_actions(image, [tuple(int(i == j) for i in range(n)) for j in range(n)]))
+    out = []
+    for s in range(n - 1):
+        cols = [[by_unit[j][s][i] for j in range(n)] for i in range(n)]
+        mat = lattice._canonical_matrix(cols, q, q2)
+        if any(row[n - 1] % (q // q2) for row in mat[:-1]):
+            raise AssertionError("matrix does not respect the coordinate moduli")
+        out.append(mat)
+    return out
+
+
+def matrices_match_conjugation(image, kernel_gens, mats):
+    """Each matrix acts as conjugation of realized kernel elements does, on
+    the coordinates of kernel_gens, abelian_kernel's generators."""
+    n, d, q = image.n, image.d, image.q
+    moduli = lattice._moduli(n, q, image.q2)
+    lookups = lattice._block_powers(image.tau, d, n)[1]
+    gens = [
+        coords_from_exponents(lattice._read_exponents(_padded(k, n * d), lookups, d), q)
+        for k in kernel_gens
+    ]
+    for coords, actions in zip(gens, kernel_actions(image, gens)):
+        for m, acted in zip(mats, actions):
+            if tuple(sum(map(mul, row, coords)) % k for row, k in zip(m, moduli)) != acted:
+                return False
+    return True
 
 
 # thm-3.4's and prop-3.11's checks element by element, as references for the
@@ -470,14 +523,14 @@ class TestMonodromy:
         # whenever that coordinate and the entry's row have modulus above 1
         image = image_for(perm(tau), d, n)
         mats, kernel_gens = monodromy_matrices(image), abelian_kernel(image).generators
-        assert claims._matrices_match_conjugation(image, kernel_gens, mats)
+        assert matrices_match_conjugation(image, kernel_gens, mats)
         moduli = [image.q] * (n - 1) + [image.q2]
         changed = 0
         for s, i, j in product(range(n - 1), range(n), range(n)):
             if moduli[i] > 1 and moduli[j] > 1:
                 bad = [[row[:] for row in m] for m in mats]
                 bad[s][i][j] = (bad[s][i][j] + 1) % moduli[i]
-                assert not claims._matrices_match_conjugation(image, kernel_gens, bad)
+                assert not matrices_match_conjugation(image, kernel_gens, bad)
                 changed += 1
         assert changed > 0
 
@@ -489,7 +542,7 @@ class TestMonodromy:
         image = image_for(perm(tau), d, n)
         mats, kernel_gens = monodromy_matrices(image), abelian_kernel(image).generators
         skip = coords_from_exponents(g_vector(n, 1), image.q)
-        actions = claims.kernel_actions
+        actions = kernel_actions
 
         def perturbed(image, coords_iter):
             coords = list(coords_iter)
@@ -499,9 +552,9 @@ class TestMonodromy:
                     acted = ((first[0] + 1) % image.q, *first[1:]), *acted[1:]
                 yield acted
 
-        assert claims._matrices_match_conjugation(image, kernel_gens, mats)
-        monkeypatch.setattr(claims, "kernel_actions", perturbed)
-        assert not claims._matrices_match_conjugation(image, kernel_gens, mats)
+        assert matrices_match_conjugation(image, kernel_gens, mats)
+        monkeypatch.setitem(globals(), "kernel_actions", perturbed)
+        assert not matrices_match_conjugation(image, kernel_gens, mats)
 
     def test_actions_reject_conjugates_outside_the_block_product(self):
         # (1 3) conjugates the realization (1 2) of e_1 to (2 3), which
@@ -697,14 +750,58 @@ class TestMonodromyWalk:
         assert monodromy_kernel([swap, swap], q, q2) is None
 
 
+class TestKernelLattice:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("q", [1, 2, 3, 4, 5, 6])
+    def test_on_the_adjacent_and_skip_sums(self, n, q):
+        """Every fact holds, the matrices are the stated ones, and
+        (1, 0, ..., 0) lies outside the span exactly for even q."""
+        kl = kernel_lattice(lattice._kernel_vectors(n), q, n)
+        assert kl.span.order() == q ** (n - 1) * q2_of(q)
+        assert kl.orders_hold and kl.parametrized and kl.actions_match
+        assert kl.outside == (q % 2 == 0)
+        assert kl.matrices == [expected_monodromy_matrix(s, n, q) for s in range(1, n)]
+
+    @pytest.mark.parametrize("q", [2, 4, 6])
+    def test_a_span_not_closed_under_the_swaps_fails_the_orders(self, q):
+        """(2, 0, 0, 0), e_2, e_3 and e_4 span q^4 / 2 elements, as A does, but
+        the first swap takes e_2 to e_1, outside the span."""
+        units = [tuple(int(i == j) for i in range(4)) for j in range(4)]
+        kl = kernel_lattice([(2, 0, 0, 0), *units[1:]], q, 4)
+        assert kl.span.order() == q**4 // 2
+        assert not kl.orders_hold and not kl.parametrized
+
+    def test_a_vector_without_coordinates_fails_the_actions(self):
+        vectors = [*lattice._kernel_vectors(4), (1, 0, 0, 0)]
+        kl = kernel_lattice(vectors, 2, 4)
+        assert not kl.actions_match and not kl.orders_hold
+
+    @pytest.mark.parametrize("n,q", [(3, 2), (3, 4), (4, 3), (3, 6)])
+    def test_the_action_check_sees_every_entry(self, n, q):
+        """Changing one entry by 1 changes the action on some generator's
+        coordinates whenever the entry's row and column have modulus above 1."""
+        vectors = lattice._kernel_vectors(n)
+        mats = kernel_lattice(vectors, q, n).matrices
+        assert lattice._swap_actions_match(vectors, mats, q)
+        moduli = lattice._moduli(n, q, q2_of(q))
+        changed = 0
+        for s, i, j in product(range(n - 1), range(n), range(n)):
+            if moduli[i] > 1 and moduli[j] > 1:
+                bad = [[row[:] for row in m] for m in mats]
+                bad[s][i][j] = (bad[s][i][j] + 1) % moduli[i]
+                assert not lattice._swap_actions_match(vectors, bad, q)
+                changed += 1
+        assert changed > 0
+
+
 class TestMonodromyBudget:
     def test_no_dense_products_or_permutation_round_trips(self, monkeypatch):
+        """The lattices of every (n, q) on d <= 3, n <= 4 read their matrices
+        as coordinate swaps without one matrix product, and they are the
+        matrices conjugation gives at degree n * d on every case."""
         session = Session(RunConfig())
-        cases = [
-            (session.image(case, n), session.a_group(case, n), session.monodromy(case, n))
-            for d in (2, 3)
-            for case in session.pool(d)
-            for n in (3, 4)
+        images = [
+            session.image(case, n) for d in (2, 3) for case in session.pool(d) for n in (3, 4)
         ]
         calls = []
         compose = lattice.compose_matrices
@@ -714,15 +811,22 @@ class TestMonodromyBudget:
             return compose(*args)
 
         monkeypatch.setattr(lattice, "compose_matrices", counting)
-        for image, kernel, mats in cases:
-            assert claims._matrices_match_conjugation(image, kernel.generators, mats)
-            assert monodromy_matrices(image) == mats
-        assert len(cases) > 40
+        lattices = {
+            (n, q): kernel_lattice(lattice._kernel_vectors(n), q, n)
+            for n in (3, 4)
+            for q in (1, 2, 3)
+        }
         assert calls == []
+        for image in images:
+            mats = lattices[image.n, image.q].matrices
+            assert monodromy_matrices(image) == mats
+            assert matrices_match_conjugation(image, abelian_kernel(image).generators, mats)
+        assert len(images) > 40
         # at most n^2 - n + 1 = 57 products at n = 8, where a walk over S_8 makes 40,319
         for tau in ("(1 2)", "(1 2 3)"):
             image = image_for(perm(tau), 3, 8)
-            mats = monodromy_matrices(image)
+            mats = kernel_lattice(lattice._kernel_vectors(8), image.q, 8).matrices
+            assert monodromy_matrices(image) == mats
             assert calls == []
             assert monodromy_kernel(mats, image.q, image.q2) == 1
             assert 0 < len(calls) < 200
