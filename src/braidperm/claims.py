@@ -12,21 +12,21 @@ import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
-from operator import mul
 from typing import Callable
 
 from .groups import (
     SEARCH_CAP,
     BraidImage,
     CaseCertificate,
+    _searchable,
     abelian_kernel,
     braid_image,
-    braid_relations_hold,
     case_certificate,
     complement_search,
     cyclic_group,
     schreier_sims,
     symmetric_group,
+    tower_certificate,
     transitivity_report,
 )
 from .lattice import (
@@ -192,10 +192,16 @@ class Session:
         mats = self.lattice(n, q).matrices
         return self._cached(("kernel_size", n, q), lambda: monodromy_kernel(mats, q, q2_of(q)))
 
+    def towers(self, case: GridCase):
+        """The case's tower facts for every n."""
+        return self._cached(
+            ("towers", case.d, _key(case.sigma)), lambda: tower_certificate(case.sigma, case.spec)
+        )
+
     def transitivity(self, case: GridCase, n: int):
         return self._cached(
             ("transitivity", case.d, n, _key(case.sigma)),
-            lambda: transitivity_report(self.image(case, n), case.spec),
+            lambda: transitivity_report(case.sigma, case.d, n, self.towers(case).points),
         )
 
 
@@ -431,52 +437,48 @@ def _check_prop_3_30(s: Session) -> list[ClaimCheck]:
     """Braid relations, per-tower restrictions and subdirect product, and the
     stated orbit partition into towers.
 
+    g_s = shift(sigma, (s-1)*d) and the shifted factors fix every point
+    outside blocks s and s+1, where they are sigma and the factors moved up
+    by (s-1)*d; adjacent g_s are shifts of (sigma, shift(sigma, d)), and
+    distant ones have disjoint supports.  So the relations, restrictions and
+    subdirect product hold at every n when they hold at degree 2d, and are
+    decided once per case: the relations by the certificate (sigma passes
+    _block_root), the rest by tower_certificate.  Per (case, n): the orbits,
+    from sigma's image tuple.  A sigma failing _block_root counts one
+    relation failure at each n; its other counters read its images as usual.
+
     The orbit-partition part of the claim is refuted by computation: the
     orbits equal the towers exactly when the cycle map is the identity.  The
     refuting cases are listed in the witness.
     """
     entries = []
     for d in s.config.ds():
+        pool = s.pool(d)
+        failures = {"relation_failures": 0, "restriction_mismatches": 0, "subdirect_failures": 0}
+        examples: list[str] = []
+        for case in pool:
+            towers = s.towers(case)
+            for key, holds, label in (
+                ("relation_failures", s.certificate(case).relations, "relations"),
+                ("restriction_mismatches", towers.restrictions_match, "restriction"),
+                ("subdirect_failures", towers.subdirect, "subdirect"),
+            ):
+                if not holds:
+                    failures[key] += 1
+                    examples.append(f"{label} {case.sigma}")
         for n in s.config.ns():
-            cases = 0
-            relation_failures = 0
-            restriction_mismatches = 0
-            subdirect_failures = 0
-            orbit_mismatches: list[str] = []
-            refinement_holds = True
-            examples: list[str] = []
-            for case in s.pool(d):
-                cases += 1
-                image = s.image(case, n)
-                if not braid_relations_hold(image.generators, mul):
-                    relation_failures += 1
-                    examples.append(f"relations {case.sigma}")
-                trep = s.transitivity(case, n)
-                if not trep.restrictions_match:
-                    restriction_mismatches += 1
-                    examples.append(f"restriction {case.sigma}")
-                if not trep.subdirect:
-                    subdirect_failures += 1
-                    examples.append(f"subdirect {case.sigma}")
-                if not trep.orbits_match:
-                    orbit_mismatches.append(str(case.sigma))
-                u_is_identity = all(len(o) == 1 for o in case.spec.orbits())
-                if trep.orbits_match != u_is_identity:
-                    refinement_holds = False
+            matches = [s.transitivity(case, n).orbits_match for case in pool]
+            orbit_mismatches = [str(case.sigma) for case, match in zip(pool, matches) if not match]
+            refinement_holds = all(
+                match == all(len(o) == 1 for o in case.spec.orbits())
+                for case, match in zip(pool, matches)
+            )
             entries.append(
                 ClaimCheck(
                     claim="prop-3.30",
                     parameters={"d": d, "n": n, "check": "relations-and-subdirect"},
-                    witness={
-                        "cases": cases,
-                        "relation_failures": relation_failures,
-                        "restriction_mismatches": restriction_mismatches,
-                        "subdirect_failures": subdirect_failures,
-                        "examples": examples[:3],
-                    },
-                    passed=not (
-                        relation_failures or restriction_mismatches or subdirect_failures
-                    ),
+                    witness={"cases": len(pool), **failures, "examples": examples[:3]},
+                    passed=not any(failures.values()),
                 )
             )
             entries.append(
@@ -484,7 +486,7 @@ def _check_prop_3_30(s: Session) -> list[ClaimCheck]:
                     claim="prop-3.30",
                     parameters={"d": d, "n": n, "check": "orbit-partition"},
                     witness={
-                        "cases": cases,
+                        "cases": len(pool),
                         "orbit_mismatches": len(orbit_mismatches),
                         "examples": orbit_mismatches[:3],
                         "finding": "orbits equal the towers exactly when the cycle "
@@ -500,6 +502,10 @@ def _check_prop_3_30(s: Session) -> list[ClaimCheck]:
 def _check_cor_3_31(s: Session) -> list[ClaimCheck]:
     """Stated criterion: transitive exactly when the cycle map is a single orbit.
 
+    Per case: the cycle map, from the spec.  Per (case, n): transitivity.
+    g_s maps x + (s-1)*d to sigma(x) + (s-1)*d for x in [1, 2d] and fixes
+    every other point, so the orbits are read off sigma's image tuple.
+
     Computation refutes the 'if' direction whenever that single orbit has
     length at least two; the direction 'transitive implies single orbit' and
     the refined criterion 'transitive exactly when tau is one single cycle'
@@ -507,27 +513,26 @@ def _check_cor_3_31(s: Session) -> list[ClaimCheck]:
     """
     entries = []
     for d in s.config.ds():
+        pool = s.pool(d)
         for n in s.config.ns():
             mismatches: list[str] = []
-            cases = 0
-            only_if_holds = True
-            refined_holds = True
-            for case in s.pool(d):
-                cases += 1
-                trep = s.transitivity(case, n)
-                if trep.transitive != trep.u_long_cycle:
+            only_if_holds = refined_holds = True
+            for case in pool:
+                transitive = s.transitivity(case, n).transitive
+                u_long_cycle = len(case.spec.orbits()) == 1
+                if transitive != u_long_cycle:
                     mismatches.append(str(case.sigma))
-                if trep.transitive and not trep.u_long_cycle:
+                if transitive and not u_long_cycle:
                     only_if_holds = False
                 tau_single_cycle = len(case.spec.u) == 1
-                if trep.transitive != tau_single_cycle:
+                if transitive != tau_single_cycle:
                     refined_holds = False
             entries.append(
                 ClaimCheck(
                     claim="cor-3.31",
                     parameters={"d": d, "n": n},
                     witness={
-                        "cases": cases,
+                        "cases": len(pool),
                         "mismatches": len(mismatches),
                         "examples": mismatches[:3],
                         "transitive_implies_long_cycle": only_if_holds,
@@ -584,7 +589,8 @@ def _check_thm_3_4(s: Session) -> list[ClaimCheck]:
     certificate and the lattice's orders and parametrization, B & D = A, and
     [D : A] is 1 for odd q and 2 for even q, where (1, 0, ..., 0) lies
     outside A's span; without them the intersection is unverified, and the
-    split and the search are not attempted."""
+    split and the search are not attempted, nor is the search when the
+    (n, q) span is not _searchable."""
     entries = []
     for d in s.config.ds():
         for n in s.config.ns():
@@ -627,8 +633,9 @@ def _check_thm_3_4(s: Session) -> list[ClaimCheck]:
                         errors.append(f"split {case.sigma}: the twist fails its checks")
                 else:
                     split_even += 1
+                    searchable = certified and _searchable(lattice.span, n)
                     searches.append(
-                        complement_search(s.image(case, n), lattice.span) if certified else None
+                        complement_search(s.image(case, n), lattice.span) if searchable else None
                     )
             searched = [count for count in searches if count is not None]
             entries.append(

@@ -21,21 +21,18 @@ __all__ = [
     "BraidImage",
     "GeneratedGroup",
     "SplitVerificationError",
-    "TransitivityClass",
     "abelian_kernel",
-    "block_split",
     "braid_image",
     "braid_relations_hold",
     "case_certificate",
     "complement_search",
     "cyclic_group",
     "gap_generators",
-    "orbit",
-    "orbits_partition",
     "schreier_sims",
     "split_complement",
     "symmetric_group",
     "tower",
+    "tower_certificate",
     "transitivity_report",
 ]
 
@@ -68,31 +65,6 @@ def symmetric_group(d: int) -> GeneratedGroup:
 
 def cyclic_group(p: Permutation) -> GeneratedGroup:
     return GeneratedGroup(max(p.degree, 1), (p,))
-
-
-def orbit(points: Iterable[int], group: GeneratedGroup) -> frozenset[int]:
-    """Closure of a point set under all generators."""
-    seen = set(points)
-    frontier = list(seen)
-    while frontier:
-        x = frontier.pop()
-        for g in group.generators:
-            y = g(x)
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return frozenset(seen)
-
-
-def orbits_partition(group: GeneratedGroup) -> list[frozenset[int]]:
-    """Orbits on [1, degree], sorted by least point."""
-    out = []
-    remaining = set(range(1, group.degree + 1))
-    while remaining:
-        o = orbit([min(remaining)], group)
-        out.append(o)
-        remaining -= o
-    return out
 
 
 class _Level:
@@ -279,27 +251,22 @@ def _block_split(square: tuple[int, ...], d: int) -> tuple[int, ...] | None:
     return tau if square[d:] == tuple([x + d for x in tau]) else None
 
 
-def block_split(square: Permutation, d: int) -> Permutation | None:
-    """The common block factor tau when square == tau * shift(tau, d), else None."""
-    tau = _block_split(_padded(square, 2 * d), d)
-    return None if tau is None else _trusted(tau)
-
-
 def _block_root(sigma: Permutation, d: int) -> Permutation:
     """The block factor tau when sigma passes braid_image's checks at degree
     2d: sigma lives on [1, 2d] and maps [1, d] onto [d+1, 2d], (sigma,
     shift(sigma, d)) is braid-like, and sigma squared is tau * shift(tau, d).
     ValueError names the first check that fails."""
-    if max(sigma.support(), default=0) > 2 * d:
+    images = _padded(sigma, 2 * d)
+    if len(images) > 2 * d:
         raise ValueError(f"sigma must live on [1, {2 * d}]")
-    if any(not d < sigma(i) <= 2 * d for i in range(1, d + 1)):
+    if any(not d < y <= 2 * d for y in images[:d]):
         raise ValueError("sigma does not map the first block onto the second")
     if not is_braid_like(sigma, sigma.shift(d)):
         raise ValueError("(sigma, shift(sigma, d)) is not braid-like")
-    tau = block_split(sigma * sigma, d)
+    tau = _block_split(_compose(images, images), d)
     if tau is None:
         raise ValueError("sigma squared does not split into equal block factors")
-    return tau
+    return _trusted(tau)
 
 
 def braid_image(sigma: Permutation, d: int, n: int) -> BraidImage:
@@ -354,6 +321,7 @@ def _twist_holds(sigma: tuple[int, ...], tau: tuple[int, ...], d: int) -> bool:
 class CaseCertificate(NamedTuple):
     holds: bool
     splits: bool
+    relations: bool
 
 
 def case_certificate(sigma: Permutation, tau: Permutation, d: int) -> CaseCertificate:
@@ -385,15 +353,19 @@ def case_certificate(sigma: Permutation, tau: Permutation, d: int) -> CaseCertif
     The counters that rest on (n, q) alone, thm-3.4's structure and
     parametrization and prop-3.11's formulas, relations and kernel, do not
     move.
+
+    relations: sigma passes _block_root's checks, whatever tau is, and so
+    its block shifts satisfy the braid relations at every n.
     """
     try:
         root = _block_root(sigma, d)
     except ValueError:
-        return CaseCertificate(False, False)
+        return CaseCertificate(False, False, False)
     images, t = _padded(sigma, 2 * d), _padded(tau, d)
     first = t + tuple(range(d + 1, 2 * d + 1))
     holds = root == tau and _compose(images, first) == _compose(_shifted(t, d), images)
-    return CaseCertificate(holds, holds and tau.order() % 2 == 1 and _twist_holds(images, t, d))
+    splits = holds and tau.order() % 2 == 1 and _twist_holds(images, t, d)
+    return CaseCertificate(holds, splits, True)
 
 
 class SplitVerificationError(RuntimeError):
@@ -418,12 +390,17 @@ def split_complement(image: BraidImage) -> GeneratedGroup | None:
 SEARCH_CAP = 4096  # most generator-lift combinations complement_search tries
 
 
+def _searchable(span: _Span, n: int) -> bool:
+    """Whether the |A|^(n-1) lift combinations of A's span fit SEARCH_CAP."""
+    return span.order() ** (n - 1) <= SEARCH_CAP
+
+
 def complement_search(image: BraidImage, span: _Span) -> int | None:
     """Number of complements to A, of exponent span span, or None, with A not
-    listed, when the |A|^(n-1) lift combinations exceed SEARCH_CAP.  A
-    complement meets each g_s * A in one involution, and involution lifts
-    generate one exactly when they satisfy the braid relations (Coxeter)."""
-    if span.order() ** (image.n - 1) > SEARCH_CAP:
+    listed, when the span is not _searchable.  A complement meets each
+    g_s * A in one involution, and involution lifts generate one exactly
+    when they satisfy the braid relations (Coxeter)."""
+    if not _searchable(span, image.n):
         return None
     shifted = _block_powers(image.tau, image.d, image.n)[0]
     kernel_elements = [_realize(shifted, v) for v in span.elements()]
@@ -440,44 +417,56 @@ def tower(points: Iterable[int], d: int, n: int) -> frozenset[int]:
     return frozenset(x + s * d for x in points for s in range(n))
 
 
-@dataclass(frozen=True)
-class TransitivityClass:
-    """Orbit analysis of a braid image against its u-orbit block towers."""
-
-    transitive: bool
-    u_long_cycle: bool
-    orbits_match: bool
+class TowerCertificate(NamedTuple):
+    points: tuple[frozenset[int], ...]
     restrictions_match: bool
     subdirect: bool
 
 
-def transitivity_report(image: BraidImage, spec: ShuffleSpec) -> TransitivityClass:
-    """Compare the orbit partition with the towers over the u-orbits.
-
-    Also checks that on each tower the generators equal the shifts of the
-    component factor.  When also the towers partition the points and each
-    shift moves only points of its tower, every generator is the product of
-    its shifts, which have disjoint supports, so the group embeds in the
-    product of the component groups and maps onto each: a subdirect product.
-    """
-    orbits = orbits_partition(image.group())
+def tower_certificate(sigma: Permutation, spec: ShuffleSpec) -> TowerCertificate:
+    """prop-3.30's tower facts, at degree 2d for every n: the components'
+    point sets; whether sigma agrees with each factor on tower(points, d,
+    2); and for the subdirect product also whether each factor moves only
+    points of that tower, and the point sets partition [1, d]."""
+    d = spec.d
     comps = components(spec)
-    towers = [tower(c.points, image.d, image.n) for c in comps]
     restrictions_match = on_towers = True
-    for comp, y in zip(comps, towers):
-        local = tuple(comp.factor.shift((s - 1) * image.d) for s in range(1, image.n))
-        on_towers = on_towers and all(y.issuperset(h.support()) for h in local)
-        restrictions_match = restrictions_match and all(
-            g(x) == h(x) for g, h in zip(image.generators, local) for x in y
-        )
-    partition = sorted(x for y in towers for x in y) == list(range(1, image.n * image.d + 1))
-    return TransitivityClass(
-        transitive=len(orbits) == 1,
-        u_long_cycle=len(spec.orbits()) == 1,
-        orbits_match=set(orbits) == set(towers),
-        restrictions_match=restrictions_match,
-        subdirect=restrictions_match and partition and on_towers,
-    )
+    for comp in comps:
+        y = tower(comp.points, d, 2)
+        on_towers = on_towers and y.issuperset(comp.factor.support())
+        restrictions_match = restrictions_match and all(sigma(x) == comp.factor(x) for x in y)
+    partition = sorted(x for c in comps for x in c.points) == list(range(1, d + 1))
+    subdirect = restrictions_match and partition and on_towers
+    return TowerCertificate(tuple(c.points for c in comps), restrictions_match, subdirect)
+
+
+class Transitivity(NamedTuple):
+    transitive: bool
+    orbits_match: bool
+
+
+def transitivity_report(sigma: Permutation, d: int, n: int, points: Iterable) -> Transitivity:
+    """Whether the block shifts g_1, ..., g_(n-1) of sigma are transitive,
+    and whether their orbits are the towers over points.  The orbits are
+    the classes of the shifted edges x + k -> sigma(x) + k, k = (s-1)*d,
+    joined on sigma's image tuple."""
+    images = _padded(sigma, 2 * d)
+    parent = list(range((n - 2) * d + len(images) + 1))
+
+    def root(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for k in range(0, (n - 1) * d, d):
+        for x, y in enumerate(images, start=k + 1):
+            parent[root(x)] = root(y + k)
+    orbits: dict[int, set[int]] = {}
+    for x in range(1, len(parent)):
+        orbits.setdefault(root(x), set()).add(x)
+    parts = {frozenset(o) for o in orbits.values()}
+    return Transitivity(len(parts) == 1, parts == {tower(p, d, n) for p in points})
 
 
 def gap_generators(perms: Iterable[Permutation]) -> str:

@@ -747,7 +747,7 @@ def failing_certificate(monkeypatch, target):
     certificate = Session.certificate
 
     def patched(self, case):
-        return CaseCertificate(False, False) if case == target else certificate(self, case)
+        return CaseCertificate(False, False, False) if case == target else certificate(self, case)
 
     monkeypatch.setattr(Session, "certificate", patched)
 
@@ -779,7 +779,7 @@ class TestCor310:
         """With every certificate failing, each case's orders still come from
         chains, but no case carries the (n, q) matrices: the entries list
         none and are inconsistent."""
-        failing = CaseCertificate(False, False)
+        failing = CaseCertificate(False, False, False)
         monkeypatch.setattr(Session, "certificate", lambda self, case: failing)
         entries = claims._check_cor_3_10(Session(RunConfig(d=2, n=3)))
         assert [e.witness["orders"] for e in entries] == [[6]]
@@ -858,7 +858,7 @@ class TestProp311:
 
 def subdirect_entry(monkeypatch, fault):
     """prop-3.30's relations-and-subdirect entry at d = 3, n = 3 with the
-    components transitivity_report reads replaced by fault(components, d)."""
+    components tower_certificate reads replaced by fault(components, d)."""
     real = groups.components
     monkeypatch.setattr(groups, "components", lambda spec: fault(real(spec), spec.d))
     report = run_verification(RunConfig(d=3, n=3, claims=("prop-3.30",)))
@@ -893,6 +893,74 @@ class TestProp330:
         assert entry.witness["restriction_mismatches"] == 0
         assert entry.witness["subdirect_failures"] == entry.witness["cases"] == 18
         assert not entry.passed
+
+    def test_a_sigma_off_the_blocks_counts_a_relation_failure(self, monkeypatch):
+        """The first (1 2 3) case at d = 3, sigma = (1 4 2 5 3 6), with the
+        images of 1 and 4 exchanged: (1 2 5 3 6) maps 1 into the first block,
+        so it fails _block_root and has no braid image.  At each n it counts
+        one relation failure and raises nothing.  The other counters read
+        its images: sigma(1) is no longer its factor's, so it counts a
+        restriction mismatch and a subdirect failure; its shifts leave 7
+        alone, so it is not transitive and its orbits are not its one tower.
+        That adds one orbit mismatch and one cor-3.31 mismatch, and breaks
+        both findings: u is the identity and tau is one cycle."""
+        config = RunConfig(d=3, n_max=4)
+        clean = Session(config)
+        clean_prop = claims._check_prop_3_30(clean)
+        clean_orbits = [e for e in clean_prop if e.parameters["check"] == "orbit-partition"]
+        clean_transitivity = claims._check_cor_3_31(clean)
+        target = next(case for case in clean.pool(3) if str(case.tau) == "(1 2 3)")
+        corrupted = swapped_images(target.sigma, 1, 4)
+        assert (str(target.sigma), str(corrupted)) == ("(1 4 2 5 3 6)", "(1 2 5 3 6)")
+        corrupt_sigmas(monkeypatch, lambda case: corrupted if case == target else None)
+        session = Session(config)
+        prop = claims._check_prop_3_30(session)
+        relations = [e for e in prop if e.parameters["check"] == "relations-and-subdirect"]
+        orbits = [e for e in prop if e.parameters["check"] == "orbit-partition"]
+        transitivity = claims._check_cor_3_31(session)
+        assert [e.parameters["n"] for e in relations] == [3, 4]
+        for entry in relations:
+            witness = entry.witness
+            assert witness["relation_failures"] == 1
+            assert witness["restriction_mismatches"] == witness["subdirect_failures"] == 1
+            assert witness["examples"] == [
+                f"relations {corrupted}",
+                f"restriction {corrupted}",
+                f"subdirect {corrupted}",
+            ]
+            assert not entry.passed
+        for entry, before in zip(orbits, clean_orbits):
+            assert entry.witness["orbit_mismatches"] == before.witness["orbit_mismatches"] + 1
+            assert before.witness["finding_holds"] and not entry.witness["finding_holds"]
+        for entry, before in zip(transitivity, clean_transitivity):
+            assert entry.witness["mismatches"] == before.witness["mismatches"] + 1
+            assert entry.witness["transitive_implies_long_cycle"]
+            assert before.witness["finding_holds"] and not entry.witness["finding_holds"]
+
+    def test_orbit_claims_build_no_image_and_take_no_product(self, monkeypatch):
+        """prop-3.30 and cor-3.31 at d = 3, n = 3 to 6, once the pool is
+        built: no braid image and no Permutation product.  Each of the 18
+        cases gets one certificate and one tower certificate for all four n,
+        and one orbit partition per n."""
+        session = Session(RunConfig(d=3, n_max=6))
+        pool = session.pool(3)
+        images = counted(monkeypatch, claims, "braid_image")
+        certificates = counted(monkeypatch, claims, "case_certificate")
+        towers = counted(monkeypatch, claims, "tower_certificate")
+        orbits = counted(monkeypatch, claims, "transitivity_report")
+        products = []
+        mul = Permutation.__mul__
+
+        def counting(a, b):
+            products.append((a, b))
+            return mul(a, b)
+
+        monkeypatch.setattr(Permutation, "__mul__", counting)
+        entries = claims._check_prop_3_30(session) + claims._check_cor_3_31(session)
+        assert len(entries) == 3 * 4
+        assert images == products == []
+        assert len(certificates) == len(towers) == len(pool) == 18
+        assert len(orbits) == 18 * 4
 
     def test_orbit_claims_build_only_the_member_list_chain(self, monkeypatch):
         """prop-3.30 and cor-3.31 build no stabilizer chain of their own: the
@@ -1052,13 +1120,15 @@ class TestCertificateFaults:
 class TestKernelClaimsBudget:
     def test_no_degree_nd_tables_and_no_per_case_readouts(self, monkeypatch):
         """The four kernel claims at d = 3, n = 6, where no even-q case falls
-        within the search cap, build no table of block powers of degree 18
-        and read no image tuple's exponents: one certificate per case and one
-        lattice per (n, q), whatever the number of cases."""
+        within the search cap, build no table of block powers of degree 18,
+        read no image tuple's exponents and build no braid image: one
+        certificate per case and one lattice per (n, q), whatever the number
+        of cases."""
         tables = [counted(monkeypatch, m, "_block_powers") for m in (claims, groups)]
         reads = [counted(monkeypatch, m, "_read_exponents") for m in (groups, lattice)]
         certificates = counted(monkeypatch, claims, "case_certificate")
         lattices = counted(monkeypatch, claims, "kernel_lattice")
+        images = counted(monkeypatch, claims, "braid_image")
         tags = ("lemma-3.3", "thm-3.4", "cor-3.10", "prop-3.11")
         session = Session(RunConfig(d=3, n=6, claims=tags))
         entries = [e for tag in tags for e in claims.REGISTRY[tag](session)]
@@ -1069,3 +1139,4 @@ class TestKernelClaimsBudget:
         assert [a for calls in tables for a in calls if a[1] * a[2] == 18] == []
         assert sum(map(len, reads)) <= len(pairs) == len(lattices) == 3
         assert len(certificates) == len(session.pool(3)) == 18
+        assert images == []  # the even-q searches are refused before any image

@@ -10,22 +10,21 @@ from hypothesis import given, strategies as st
 from braidperm import groups, lattice
 from braidperm.claims import RunConfig, Session
 from braidperm.groups import (
+    BraidImage,
     GeneratedGroup,
     _block_split,
     abelian_kernel,
-    block_split,
     braid_image,
     braid_relations_hold,
     case_certificate,
     complement_search,
     cyclic_group,
     gap_generators,
-    orbit,
-    orbits_partition,
     schreier_sims,
     split_complement,
     symmetric_group,
     tower,
+    tower_certificate,
     transitivity_report,
 )
 from braidperm.lattice import compose_matrices, expected_monodromy_matrix
@@ -91,6 +90,86 @@ def golden_grid_groups():
     """Every braid image and abelian kernel of the golden reports' grids:
     d <= 3 with n <= 4, and d = 4 with n = 3."""
     return grid_groups(((2, (3, 4)), (3, (3, 4)), (4, (3,))))
+
+
+# prop-3.30's and cor-3.31's orbit analysis at degree n*d, from before
+# tower_certificate and transitivity_report decided it per case at degree 2d
+# and per (case, n) on sigma's image tuple: kept as references the new
+# verdicts are compared with case by case
+
+
+def orbit(points, group):
+    """Closure of a point set under all generators."""
+    seen = set(points)
+    frontier = list(seen)
+    while frontier:
+        x = frontier.pop()
+        for g in group.generators:
+            y = g(x)
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return frozenset(seen)
+
+
+def orbits_partition(group):
+    """Orbits on [1, degree], sorted by least point."""
+    out = []
+    remaining = set(range(1, group.degree + 1))
+    while remaining:
+        o = orbit([min(remaining)], group)
+        out.append(o)
+        remaining -= o
+    return out
+
+
+@dataclasses.dataclass(frozen=True)
+class TransitivityClass:
+    """Orbit analysis of a braid image against its u-orbit block towers."""
+
+    transitive: bool
+    u_long_cycle: bool
+    orbits_match: bool
+    restrictions_match: bool
+    subdirect: bool
+
+
+def transitivity_reference(image, spec):
+    """The orbit partition against the towers over the u-orbits, and the
+    generators against the shifted component factors, at degree n * d."""
+    orbits = orbits_partition(image.group())
+    comps = components(spec)
+    towers = [tower(c.points, image.d, image.n) for c in comps]
+    restrictions_match = on_towers = True
+    for comp, y in zip(comps, towers):
+        local = tuple(comp.factor.shift((s - 1) * image.d) for s in range(1, image.n))
+        on_towers = on_towers and all(y.issuperset(h.support()) for h in local)
+        restrictions_match = restrictions_match and all(
+            g(x) == h(x) for g, h in zip(image.generators, local) for x in y
+        )
+    partition = sorted(x for y in towers for x in y) == list(range(1, image.n * image.d + 1))
+    return TransitivityClass(
+        transitive=len(orbits) == 1,
+        u_long_cycle=len(spec.orbits()) == 1,
+        orbits_match=set(orbits) == set(towers),
+        restrictions_match=restrictions_match,
+        subdirect=restrictions_match and partition and on_towers,
+    )
+
+
+def transitivity(sigma, spec, n):
+    """The new verdicts in the reference's form: the tower facts per case,
+    the orbits per (case, n), and the cycle map's orbit count, as the claims
+    read them."""
+    towers = tower_certificate(sigma, spec)
+    trep = transitivity_report(sigma, spec.d, n, towers.points)
+    return TransitivityClass(
+        transitive=trep.transitive,
+        u_long_cycle=len(spec.orbits()) == 1,
+        orbits_match=trep.orbits_match,
+        restrictions_match=towers.restrictions_match,
+        subdirect=towers.subdirect,
+    )
 
 
 class TestOrbits:
@@ -218,6 +297,13 @@ def split_by_products(square, d):
         if square == tau * tau.shift(d):
             return tau
     return None
+
+
+def block_split(square, d):
+    """The common block factor tau when square == tau * shift(tau, d), else
+    None: _block_split on Permutations, as groups.block_split gave it."""
+    tau = _block_split(_padded(square, 2 * d), d)
+    return None if tau is None else _trusted(tau)
 
 
 def assert_tuple_split(square, d, expected):
@@ -673,12 +759,12 @@ class TestCaseCertificate:
     def test_the_identity_holds_on_every_shuffle(self, d, cases):
         """sigma * t_1 * sigma^-1 = t_2 by Permutation products, t_i being tau
         on block i, on all 982 shuffles with d <= 5; each certificate holds,
-        and splits exactly for odd q."""
+        passes the relations, and splits exactly for odd q."""
         pool = Session(RunConfig(d=d)).pool(d)
         for case in pool:
             sigma, tau = case.sigma, case.tau
             assert sigma * tau * sigma.inverse() == tau.shift(d)
-            assert case_certificate(sigma, tau, d) == (True, tau.order() % 2 == 1)
+            assert case_certificate(sigma, tau, d) == (True, tau.order() % 2 == 1, True)
         assert len(pool) == cases
 
     @pytest.mark.parametrize("d", [2, 3, 4])
@@ -698,18 +784,19 @@ class TestCaseCertificate:
 
     def test_another_block_factor_fails(self):
         """A shuffle over (1 2 3) checked against (1 3 2), the identity or
-        (1 2 3) on more than d points fails, however well it braids."""
+        (1 2 3) on more than d points fails, however well it braids: its
+        relations, which do not read tau, still hold."""
         image, _ = image_for("(1 2 3)", 3, 3)
-        assert case_certificate(image.sigma, image.tau, 3) == (True, True)
+        assert case_certificate(image.sigma, image.tau, 3) == (True, True, True)
         for other in ("(1 3 2)", "()", "(1 2 3)(4 5)"):
-            assert case_certificate(image.sigma, perm(other), 3) == (False, False)
+            assert case_certificate(image.sigma, perm(other), 3) == (False, False, True)
 
     def test_a_sigma_off_the_blocks_fails(self):
         """sigma with the images of 1 and 4 exchanged maps 1 into the first block."""
         image, _ = image_for("(1 2 3)", 3, 3)
         images = list(image.sigma.images)
         images[0], images[3] = images[3], images[0]
-        assert case_certificate(Permutation(tuple(images)), image.tau, 3) == (False, False)
+        assert case_certificate(Permutation(tuple(images)), image.tau, 3) == (False, False, False)
 
     def test_the_twist_check(self):
         """For q = 3 the twist sigma * shift(tau^2, 3) passes, and sigma itself,
@@ -743,7 +830,7 @@ def mismatched_specs():
 
 
 def subdirect_by_orders(image, spec, b_bsgs):
-    """The order test transitivity_report used before its certificate: the
+    """The order test prop-3.30 used before deciding on generators: the
     generators equal the shifted component factors on every tower, and the
     order of the group, whose chain is b_bsgs, divides the product of the
     orders of the component groups, one chain per tower."""
@@ -762,13 +849,13 @@ def subdirect_by_orders(image, spec, b_bsgs):
 class TestTransitivity:
     def test_long_cycle_transitive(self):
         image, spec = image_for("(1 2)", 2, 3)
-        trep = transitivity_report(image, spec)
+        trep = transitivity(image.sigma, spec, 3)
         assert trep.transitive and trep.u_long_cycle and trep.orbits_match
         assert trep.restrictions_match and trep.subdirect
 
     def test_two_fixed_points_identity_map(self):
         image, spec = image_for(None, 2, 3)
-        trep = transitivity_report(image, spec)
+        trep = transitivity(image.sigma, spec, 3)
         assert not trep.transitive
         assert trep.orbits_match
         towers = {tower(c.points, 2, 3) for c in components(spec)}
@@ -776,7 +863,7 @@ class TestTransitivity:
 
     def test_transposition_with_fixed_point(self):
         image, spec = image_for("(1 2)", 3, 3)
-        trep = transitivity_report(image, spec)
+        trep = transitivity(image.sigma, spec, 3)
         assert set(orbits_partition(image.group())) == {
             frozenset({1, 2, 4, 5, 7, 8}),
             frozenset({3, 6, 9}),
@@ -787,7 +874,7 @@ class TestTransitivity:
         # single u-orbit of length two: the towers predict one orbit of size
         # six, the group of order six actually has two orbits of size three
         image, spec = image_for(None, 2, 3, u_map={1: 2, 2: 1})
-        trep = transitivity_report(image, spec)
+        trep = transitivity(image.sigma, spec, 3)
         assert trep.u_long_cycle
         assert not trep.transitive
         assert not trep.orbits_match
@@ -821,15 +908,14 @@ class TestTransitivity:
                 assert bs_restricted.order() == bs_local.order()
                 assert all(g in bs_local for g in restricted)
                 assert all(g in bs_restricted for g in local)
-            trep = transitivity_report(image, spec)
-            assert trep.restrictions_match
+            assert tower_certificate(image.sigma, spec).restrictions_match
         assert (len(cases), towers_seen) == (164, 286)
 
     def test_mismatched_spec_fails_restrictions(self):
         for sigma, spec in mismatched_specs():
             image = braid_image(perm(sigma), 2, 3)
             assert build_shuffle(spec) != image.sigma
-            trep = transitivity_report(image, spec)
+            trep = transitivity(image.sigma, spec, 3)
             assert not trep.restrictions_match
             assert not trep.subdirect
 
@@ -840,10 +926,47 @@ class TestTransitivity:
             cases.append((braid_image(perm(sigma), 2, 3), spec))
         verdicts = []
         for image, spec in cases:
-            subdirect = transitivity_report(image, spec).subdirect
+            subdirect = tower_certificate(image.sigma, spec).subdirect
             assert subdirect == subdirect_by_orders(image, spec, schreier_sims(image.group()))
             verdicts.append(subdirect)
         assert (verdicts.count(True), verdicts.count(False)) == (164, 3)
+
+    # the acceptance grid; n = 6 at d = 3; and d = 5, n = 4, 840 cases at
+    # degree 20
+    @pytest.mark.parametrize(
+        "d,n", [(d, n) for d in (2, 3, 4) for n in (3, 4)] + [(3, 6), (5, 4)]
+    )
+    def test_new_verdicts_match_the_degree_nd_reference(self, d, n):
+        """Case by case, the tower facts decided at degree 2d and the orbits
+        read off sigma's image tuple give what the orbit partition and the
+        generators of degree n * d gave."""
+        session = Session(RunConfig(d=d, n=n))
+        verdicts = []
+        for case in session.pool(d):
+            verdicts.append(transitivity_reference(session.image(case, n), case.spec))
+            assert transitivity(case.sigma, case.spec, n) == verdicts[-1]
+        assert all(v.restrictions_match and v.subdirect for v in verdicts)
+        assert {v.orbits_match for v in verdicts} == {True, False}
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_mismatched_specs_match_the_reference(self, n):
+        for sigma, spec in mismatched_specs():
+            image = braid_image(perm(sigma), 2, n)
+            assert transitivity(image.sigma, spec, n) == transitivity_reference(image, spec)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_sigmas_off_the_blocks_match_the_reference(self, n):
+        """Every d = 3 shuffle with the images of 1 and 4 exchanged fails
+        braid_image's checks; the new verdicts still equal the reference's on
+        the generator family of its block shifts."""
+        for case in Session(RunConfig(d=3)).pool(3):
+            images = list(case.sigma.images)
+            images[0], images[3] = images[3], images[0]
+            sigma = Permutation(tuple(images))
+            q = case.tau.order()
+            gens = tuple(sigma.shift(k * 3) for k in range(n - 1))
+            image = BraidImage(sigma, 3, n, case.tau, q, lattice.q2_of(q), gens)
+            assert transitivity(sigma, case.spec, n) == transitivity_reference(image, case.spec)
 
     def test_no_chain_per_tower(self, monkeypatch):
         cases = pool_cases(((2, (3, 4)), (3, (3, 4))))
@@ -855,7 +978,7 @@ class TestTransitivity:
 
         monkeypatch.setattr(groups, "schreier_sims", counting)
         for image, spec in cases:
-            transitivity_report(image, spec)
+            transitivity(image.sigma, spec, image.n)
         assert builds == []
 
     def test_tower(self):
