@@ -55,19 +55,19 @@ from .report import ClaimCheck, VerificationReport
 from .shuffle import (
     ShuffleSpec,
     SpecError,
+    _component_images,
     _is_braid_like,
-    build_pair,
+    _pair_images,
     build_shuffle,
-    components,
     decompose_pair,
     iter_specs,
     pair_from_shuffle,
-    shuffle_from_pair,
 )
 
 __all__ = ["REGISTRY", "RunConfig", "Session", "run_verification"]
 
 RANDOM_INSTANCES = 1000  # cor-2.13 samples, spread over the shuffle cases
+_POOL_FREE = frozenset({"thm-2.12", "lemma-2.4", "lemma-2.5", "cor-2.13"})  # read no Session.pool
 
 
 @dataclass
@@ -122,13 +122,15 @@ class Session:
     Every accessor is one call to ``_cached`` with its own key prefix.  The
     builder is called from a lambda inside the accessor, so a miss is a
     builder call made directly from the accessor; perfbench/tracer.py counts
-    cache misses by exactly that.
+    cache misses by exactly that.  ``decomposition`` alone keeps nothing in a
+    run that builds no case pool, and the pool takes what it kept.
     """
 
     def __init__(self, config: RunConfig):
         self.config = config
         self.rng = random.Random(config.seed)
         self._cache: dict[tuple, object] = {}
+        self._builds_pool = not _POOL_FREE.issuperset(config.claims or REGISTRY)
 
     def _cached(self, key: tuple, build: Callable[[], object]):
         if key not in self._cache:
@@ -159,11 +161,25 @@ class Session:
             for tau in self.taus(d):
                 for sigma in self.shuffles(d, tau).elements:
                     pair = pair_from_shuffle(sigma, d)
-                    spec = decompose_pair(pair.first, pair.second, d)
+                    key = ("decomposition", d, pair.first.images, pair.second.images)
+                    spec = self._cache.pop(key, None) or decompose_pair(pair.first, pair.second, d)
                     cases.append(GridCase(d, tau, sigma, spec))
             return cases
 
         return self._cached(("pool", d), build)
+
+    def decomposition(self, d: int, first: tuple[int, ...], second: tuple[int, ...]) -> ShuffleSpec:
+        """decompose_pair of the commuting pair with these degree-d image
+        tuples, for lemma-2.5's round trip.  The case pool decomposes the same
+        pairs, so a run with a claim that reads the pool keeps each spec until
+        the pool takes it, and each pair is decomposed once; a run without
+        one keeps none, which would only hold memory."""
+        if not self._builds_pool:
+            return decompose_pair(_trusted(first), _trusted(second), d)
+        return self._cached(
+            ("decomposition", d, first, second),
+            lambda: decompose_pair(_trusted(first), _trusted(second), d),
+        )
 
     def image(self, case: GridCase, n: int) -> BraidImage:
         return self._cached(
@@ -279,7 +295,13 @@ def _check_lemma_2_4(s: Session) -> list[ClaimCheck]:
     """Per-spec identities: factorization through the pair, per-orbit factor
     formula, per-orbit commutation, product recovery, rotation redundancy.
     Each shuffle is built once, keyed on its spec's choices; a spec's rotation,
-    (i1, j1) advanced along tau, is looked up there, and a missing one fails."""
+    (i1, j1) advanced along tau, is looked up there, and a missing one fails.
+    Every comparison is between image tuples.  first and shift(second, d)
+    act on disjoint blocks, so their product is first followed by (second +
+    d); the block swap exchanges the two d-blocks, so swap * first *
+    shift(second, d) is (first + d) followed by second.  A pair that does
+    not commute or multiply to tau is refused by its builder and counts
+    against pair_product."""
     entries = []
     for d in s.config.ds():
         spec_count = 0
@@ -293,40 +315,35 @@ def _check_lemma_2_4(s: Session) -> list[ClaimCheck]:
         }
         examples: list[str] = []
         ident = tuple(range(1, 2 * d + 1))
-        upper = ident[d:]
         for tau in s.taus(d):
-            shuffles = {spec.choices: (spec, build_shuffle(spec)) for spec in iter_specs(tau, d)}
+            shuffles = {
+                spec.choices: (spec, build_shuffle(spec).images) for spec in iter_specs(tau, d)
+            }
             step = (0, *_padded(tau, d))
             for spec, sigma in shuffles.values():
                 spec_count += 1
                 try:
-                    pair = build_pair(spec)
-                except SpecError as exc:  # the glued maps do not commute or multiply to tau
+                    first, second = _pair_images(spec)
+                except SpecError as exc:
                     failures["pair_product"] += 1
                     examples.append(f"pair_product {spec.to_json_dict()}: {exc}")
                 else:
-                    if shuffle_from_pair(pair.first, pair.second, d) != sigma:
+                    if tuple([x + d for x in first]) + second != sigma:
                         failures["factorization"] += 1
                         examples.append(f"factorization {spec.to_json_dict()}")
-                    if pair.product != tau:
-                        failures["pair_product"] += 1
-                        examples.append(f"pair_product {spec.to_json_dict()}")
-                # the component identities, on the built image tuples of degree 2d and d
                 prod = ident
-                for comp in components(spec):
-                    factor, product = comp.factor.images, comp.product.images
-                    first, second = comp.first.images, comp.second.images
+                for factor, first, second, product, swap in _component_images(spec):
                     prod = _compose(prod, factor)
-                    swapped = _compose(comp.swap.images, first + upper)
-                    if _compose(swapped, _shifted(second, d)) != factor:
+                    if _compose(swap, first + tuple([y + d for y in second])) != factor:
                         failures["orbit_factor"] += 1
                         examples.append(f"orbit_factor {spec.to_json_dict()}")
                     if _compose(first, second) != product or _compose(second, first) != product:
                         failures["orbit_commute"] += 1
-                if prod != sigma.images:
+                if prod != sigma:
                     failures["factor_product"] += 1
-                rotated = tuple((a, step[i1], step[j1]) for a, i1, j1 in spec.choices)
-                if rotated not in shuffles or shuffles[rotated][1] != sigma:
+                rotated = tuple([(a, step[i1], step[j1]) for a, i1, j1 in spec.choices])
+                found = shuffles.get(rotated)
+                if found is None or found[1] != sigma:
                     failures["rotation"] += 1
         entries.append(
             ClaimCheck(
@@ -342,7 +359,9 @@ def _check_lemma_2_4(s: Session) -> list[ClaimCheck]:
 def _check_lemma_2_5(s: Session) -> list[ClaimCheck]:
     """Commuting-pair counts against order times class count, and the exact
     decompose/rebuild round trip on every commuting pair of S_d: the pairs
-    come from the one sweep that the counts use."""
+    come from the one sweep that the counts use, the decompositions from
+    Session.decomposition, which the case pool shares, and the rebuilt pair
+    is compared with the given one as image tuples."""
     entries = []
     groups = []
     for d in s.config.ds():
@@ -367,12 +386,13 @@ def _check_lemma_2_5(s: Session) -> list[ClaimCheck]:
         pairs = pairs_of[f"sym-{d}"]
         bad = 0
         for a, b in pairs:
+            pair = _padded(a, d), _padded(b, d)
             try:
-                rebuilt = build_pair(decompose_pair(a, b, d))
+                rebuilt = _pair_images(s.decomposition(d, *pair))
             except (SpecError, RuntimeError):  # a failed round trip or rebuild
                 bad += 1
                 continue
-            if rebuilt.first != a or rebuilt.second != b:
+            if rebuilt != pair:
                 bad += 1
         entries.append(
             ClaimCheck(

@@ -39,7 +39,6 @@ __all__ = [
     "is_braid_like",
     "iter_specs",
     "pair_from_shuffle",
-    "shuffle_from_pair",
     "tau_cycles",
     "tau_from_cycles",
 ]
@@ -224,11 +223,15 @@ def _json_int(value, name: str) -> int:
 def _steps(spec: ShuffleSpec) -> Iterator[tuple[int, int, int]]:
     """(i_t, j_t, i_(t+1)) for every t and every chosen cycle alpha.  A spec
     stores alpha and u(alpha) from their least points along tau, so rotating
-    them to start at i1 and j1 is walking tau there."""
+    them to start at i1 and j1 is walking tau there; a fixed point is its
+    own one step."""
     for (alpha, i1, j1), (_, image) in zip(spec.choices, spec.u):
+        if len(alpha) == 1:
+            yield i1, j1, i1
+            continue
         k, l = alpha.index(i1), image.index(j1)
         i_seq, j_seq = alpha[k:] + alpha[:k], image[l:] + image[:l]
-        yield from zip(i_seq, j_seq, i_seq[1:] + i_seq[:1])
+        yield from zip(i_seq, j_seq, alpha[k + 1 :] + alpha[: k + 1])
 
 
 def build_shuffle(spec: ShuffleSpec) -> Permutation:
@@ -264,26 +267,26 @@ class CommutingPair:
         object.__setattr__(self, "product", _trusted(product))
 
 
-def build_pair(spec: ShuffleSpec) -> CommutingPair:
-    """The commuting pair glued from the per-cycle point maps; multiplies to tau."""
-    first, second = [0] * spec.d, [0] * spec.d
+def _pair_images(spec: ShuffleSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Image tuples of the pair glued from the per-cycle point maps i_t -> j_t
+    and j_t -> i_(t+1), from one walk of the steps.  Raises SpecError unless
+    the two commute and multiply to tau."""
+    d = spec.d
+    first, second = [0] * d, [0] * d
     for i, j, i_next in _steps(spec):
         first[i - 1] = j
         second[j - 1] = i_next
-    pair = CommutingPair(_trusted(tuple(first)), _trusted(tuple(second)))
-    if pair.product != spec.tau:
+    first, second = tuple(first), tuple(second)
+    product = _compose(first, second)
+    if product != _compose(second, first) or product != _padded(spec.tau, d):
         raise SpecError("pair construction did not multiply back to tau; this is a bug")
-    return pair
+    return first, second
 
 
-def shuffle_from_pair(first: Permutation, second: Permutation, d: int) -> Permutation:
-    """swap * first * shift(second, d) for the 2-block swap of [1, 2d]: it maps
-    i to first(i) + d and d + i to second(i) for i in [1, d]."""
-    if max(first.degree, second.degree) > d and max(
-        (*first.support(), *second.support()), default=0
-    ) > d:
-        raise ValueError(f"pair must live on [1, {d}]")
-    return _trusted(tuple([x + d for x in _padded(first, d)]) + _padded(second, d))
+def build_pair(spec: ShuffleSpec) -> CommutingPair:
+    """The commuting pair glued from the per-cycle point maps; multiplies to tau."""
+    first, second = _pair_images(spec)
+    return CommutingPair(_trusted(first), _trusted(second))
 
 
 def pair_from_shuffle(sigma: Permutation, d: int) -> CommutingPair:
@@ -303,9 +306,20 @@ def pair_from_shuffle(sigma: Permutation, d: int) -> CommutingPair:
 
 
 def _is_braid_like(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    """is_braid_like on image tuples of equal length."""
-    ab, ba = _compose(a, b), _compose(b, a)
-    return ab != ba and _compose(ab, a) == _compose(ba, b)
+    """is_braid_like on image tuples of equal length.
+
+    a*b*a == b*a*b holds with a*b == b*a exactly when a == b: if a and b
+    commute, then a*b*a = a*a*b and b*a*b = a*b*b, so their equality cancels
+    to a == b; and equal a and b commute.  So "a*b != b*a and aba == bab"
+    is "a != b and aba == bab", with no product for the first half.  The two
+    triple products are compared point by point, stopping at the first point
+    where they differ."""
+    if a == b:
+        return False
+    for x in range(len(a)):
+        if a[b[a[x] - 1] - 1] != b[a[b[x] - 1] - 1]:
+            return False
+    return True
 
 
 def is_braid_like(a: Permutation, b: Permutation) -> bool:
@@ -319,18 +333,25 @@ def decompose_pair(first: Permutation, second: Permutation, d: int) -> ShuffleSp
 
     The starting points are read off as (least point of alpha, first(least
     point)), so the cycle map sends each cycle of tau = first * second to its
-    relabeling through first (the two commute, so that is again a cycle of tau).
+    relabeling through first.  tau is computed on image tuples, and the spec
+    is built without the constructor's checks, which it passes: first and
+    second commute, so first commutes with tau and maps each cycle of tau
+    onto a cycle of tau of the same length, bijectively.  The rebuilt pair
+    is compared with the given one.
     """
-    if max((*first.support(), *second.support()), default=0) > d:
+    a, b = _padded(first, d), _padded(second, d)
+    if len(a) > d or len(b) > d:  # a point above d is moved
         raise ValueError(f"pair must live on [1, {d}]")
-    tau = first * second
-    if tau != second * first:
+    tau = _compose(a, b)
+    if tau != _compose(b, a):
         raise ValueError("permutations do not commute")
-    spec = ShuffleSpec(
-        d, tau, tuple((alpha, alpha[0], first(alpha[0])) for alpha in tau_cycles(tau, d))
-    )
-    rebuilt = build_pair(spec)
-    if rebuilt.first != first or rebuilt.second != second:
+    tau_perm = _trusted(tau)
+    cycles = tau_cycles(tau_perm, d)
+    through = {x: c for c in cycles for x in c}
+    choices = tuple((alpha, alpha[0], a[alpha[0] - 1]) for alpha in cycles)
+    u = tuple((alpha, through[j1]) for alpha, _, j1 in choices)
+    spec = ShuffleSpec._valid(d, tau_perm, choices, u)
+    if _pair_images(spec) != (a, b):
         raise RuntimeError("decomposition failed to round-trip; this is a bug")
     return spec
 
@@ -352,32 +373,42 @@ class Component:
     swap: Permutation
 
 
-def components(spec: ShuffleSpec) -> tuple[Component, ...]:
-    """The per-u-orbit factor data of a spec, ordered by least point.  The
-    factors have pairwise disjoint supports and multiply to build_shuffle(spec).
-    One pass over the steps routes each by i_t's orbit, which is the step's.
-    Like build_shuffle's, the images are not checked again."""
+def _component_images(spec: ShuffleSpec) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """(factor, first, second, product, swap) image tuples per u-orbit,
+    ordered by least point, from one walk of the steps: each step is routed
+    by i_t's orbit, which is the step's, and i_t runs once over [1, d].
+    factor and swap have degree 2d, the rest degree d; like build_shuffle's,
+    the images are not checked again."""
     d = spec.d
     tau = _padded(spec.tau, d)
-    orbits = spec.orbits()
-    where = {x: k for k, orbit in enumerate(orbits) for alpha in orbit for x in alpha}
-    maps = [
-        (list(range(1, 2 * d + 1)), list(range(1, d + 1)), list(range(1, d + 1))) for _ in orbits
-    ]
+    short, long = list(range(1, d + 1)), list(range(1, 2 * d + 1))
+    maps = []
+    where = [None] * (d + 1)  # point -> its orbit's images
+    for orbit in spec.orbits():
+        images = (long[:], short[:], short[:], short[:], long[:])
+        maps.append(images)
+        for alpha in orbit:
+            for x in alpha:
+                where[x] = images
     for i, j, i_next in _steps(spec):
-        factor, first, second = maps[where[i]]
-        factor[i - 1], factor[j + d - 1] = j + d, i_next
-        first[i - 1], second[j - 1] = j, i_next
-    out = []
-    for orbit, (factor, first, second) in zip(orbits, maps):
-        points = frozenset(x for alpha in orbit for x in alpha)
-        product, swap = list(range(1, d + 1)), list(range(1, 2 * d + 1))
-        for x in points:
-            product[x - 1] = tau[x - 1]
-            swap[x - 1], swap[x + d - 1] = x + d, x
-        perms = (_trusted(tuple(images)) for images in (factor, first, second, product, swap))
-        out.append(Component(orbit, points, *perms))
-    return tuple(out)
+        factor, first, second, product, swap = where[i]
+        factor[i - 1] = j + d
+        factor[j + d - 1] = i_next
+        first[i - 1] = j
+        second[j - 1] = i_next
+        product[i - 1] = tau[i - 1]
+        swap[i - 1] = i + d
+        swap[i + d - 1] = i
+    return tuple([tuple(map(tuple, images)) for images in maps])
+
+
+def components(spec: ShuffleSpec) -> tuple[Component, ...]:
+    """The per-u-orbit factor data of a spec, ordered by least point.  The
+    factors have pairwise disjoint supports and multiply to build_shuffle(spec)."""
+    return tuple(
+        Component(orbit, frozenset(x for alpha in orbit for x in alpha), *map(_trusted, images))
+        for orbit, images in zip(spec.orbits(), _component_images(spec))
+    )
 
 
 def iter_specs(tau: Permutation, d: int) -> Iterator[ShuffleSpec]:

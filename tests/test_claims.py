@@ -13,7 +13,7 @@ from braidperm.claims import Session
 from braidperm.cli import main
 from braidperm.groups import CaseCertificate, abelian_kernel, complement_search, schreier_sims
 from braidperm.oracles import EnumerationResult
-from braidperm.perm import Permutation
+from braidperm.perm import Permutation, _trusted
 from braidperm.shuffle import ShuffleSpec, SpecError
 from test_groups import (
     chain_complement_search,
@@ -199,7 +199,7 @@ def replaced_report(monkeypatch, tmp_path, name, replacement, tag):
 class TestPairFaults:
     def test_build_pair_fault_counts_against_pair_product(self, monkeypatch, tmp_path):
         fault = SpecError("pair construction did not multiply back to tau; this is a bug")
-        [entry] = faulty_report(monkeypatch, tmp_path, "build_pair", fault, "lemma-2.4")
+        [entry] = faulty_report(monkeypatch, tmp_path, "_pair_images", fault, "lemma-2.4")
         witness = entry["witness"]
         # the 36 = 6 + 3 * 4 + 2 * 9 specs over the identity, the
         # transpositions and the 3-cycles
@@ -216,6 +216,25 @@ class TestPairFaults:
         assert entry["witness"] == {"commuting_pairs": 18, "roundtrip_failures": 18}
         assert not entry["pass"]
         assert all(e["pass"] for e in entries if e is not entry)
+
+    def test_each_pair_is_decomposed_once(self, monkeypatch):
+        """The case pool's pairs are lemma-2.5's commuting pairs of S_d, so on
+        the d <= 4 grid the 4 + 18 + 120 pairs are decomposed once each,
+        against 284 calls when the two decomposed separately."""
+        calls = counted(monkeypatch, claims, "decompose_pair")
+        report = run_verification(RunConfig(d_max=4, n_max=4))
+        assert len(calls) == len({(a, b, d) for a, b, d in calls}) == 142
+        assert any(e.claim == "lemma-2.5" for e in report.entries)
+
+    @pytest.mark.parametrize("tags", [("lemma-2.5",), ("lemma-2.5", "prop-3.30")])
+    def test_no_decomposition_is_left_behind(self, tags):
+        """A run without a claim that reads the case pool keeps none of
+        lemma-2.5's decompositions, and in a run with one the pool takes
+        them all."""
+        s = Session(RunConfig(d=3, n=3, claims=tags))
+        for tag in tags:
+            assert all(entry.passed or tag == "prop-3.30" for entry in REGISTRY[tag](s))
+        assert not [key for key in s._cache if key[0] == "decomposition"]
 
 
 def validated_constructions(monkeypatch):
@@ -303,10 +322,10 @@ class TestLemma24:
 
     def test_wrong_factor_counts_orbit_factor_failures(self, monkeypatch, tmp_path):
         def corrupt(comps):
-            first, *rest = comps
-            return (replace(first, factor=swapped_images(first.factor, 1, 6)), *rest)
+            (factor, *images), *rest = comps
+            return ((swapped_images(_trusted(factor), 1, 6).images, *images), *rest)
 
-        [entry] = corrupted_report(monkeypatch, tmp_path, "components", corrupt, "lemma-2.4")
+        [entry] = corrupted_report(monkeypatch, tmp_path, "_component_images", corrupt, "lemma-2.4")
         witness = entry["witness"]
         assert witness["orbit_factor"] == witness["factor_product"] == witness["specs"] == 36
         assert witness["factorization"] == witness["pair_product"] == 0

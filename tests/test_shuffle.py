@@ -19,7 +19,6 @@ from braidperm.shuffle import (
     is_braid_like,
     iter_specs,
     pair_from_shuffle,
-    shuffle_from_pair,
 )
 from test_perm import block_swap
 
@@ -48,6 +47,13 @@ def cycle_through(tau, x):
 
 def braid_like_by_products(a, b):
     return a * b != b * a and a * b * a == b * a * b
+
+
+def shuffle_from_pair(first, second, d):
+    """swap * first * shift(second, d) by Permutation products: the reference
+    for lemma-2.4's factorization, which the checker reads as (first + d)
+    followed by second."""
+    return block_swap(1, d, 2) * first * second.shift(d)
 
 
 def coset(d):
@@ -269,8 +275,9 @@ class TestDecompose:
         p = perm("(1 5)")
         with pytest.raises(ValueError, match=r"pair must live on \[1, 2\]"):
             decompose_pair(p, p, 2)
+        # only the second factor moves a point above d
         with pytest.raises(ValueError, match=r"pair must live on \[1, 2\]"):
-            shuffle_from_pair(p, p, 2)
+            decompose_pair(Permutation.identity(2), p, 2)
 
     def test_roundtrip_exhaustive_d3(self):
         members = all_of_sd(3)
