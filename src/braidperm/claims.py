@@ -18,11 +18,10 @@ from .groups import (
     SEARCH_CAP,
     BraidImage,
     CaseCertificate,
-    _searchable,
     abelian_kernel,
     braid_image,
     case_certificate,
-    complement_search,
+    complement_count,
     cyclic_group,
     schreier_sims,
     symmetric_group,
@@ -182,6 +181,8 @@ class Session:
         )
 
     def image(self, case: GridCase, n: int) -> BraidImage:
+        """The case's generators at degree n*d, read only by cor-3.10's
+        stabilizer-chain fallback for a case whose certificate fails."""
         return self._cached(
             ("image", case.d, n, _key(case.sigma)), lambda: braid_image(case.sigma, case.d, n)
         )
@@ -201,6 +202,13 @@ class Session:
         """Whether the kernel lattice mod q has the stated invariant factors."""
         return self._cached(
             ("structure", n, q), lambda: kernel_structure(n, q) == expected_kernel_structure(n, q)
+        )
+
+    def complements(self, n: int, q: int) -> int | None:
+        """complement_count of the (n, q) span, shared by every certified case
+        of (n, q); None when the span is not searchable."""
+        return self._cached(
+            ("complements", n, q), lambda: complement_count(self.lattice(n, q).span, n)
         )
 
     def kernel_size(self, n: int, q: int) -> int | None:
@@ -603,14 +611,16 @@ def _check_lemma_3_3(s: Session) -> list[ClaimCheck]:
 
 def _check_thm_3_4(s: Session) -> list[ClaimCheck]:
     """Orders, kernel structure, parametrization, two-way intersection, and
-    splitting for odd q (with a neutral exhaustive search for even q), with
-    no stabilizer chain.  Per case: the certificate and its twist.  Per
-    (n, q): the kernel lattice and the structure certificate.  Given the
-    certificate and the lattice's orders and parametrization, B & D = A, and
-    [D : A] is 1 for odd q and 2 for even q, where (1, 0, ..., 0) lies
-    outside A's span; without them the intersection is unverified, and the
-    split and the search are not attempted, nor is the search when the
-    (n, q) span is not _searchable."""
+    splitting for odd q (with a neutral complement count for even q), with
+    no stabilizer chain and no generator of degree n*d.  Per case: the
+    certificate and its twist.  Per (n, q): the kernel lattice, the
+    structure certificate and the even-q complement count, on exponent
+    vectors.  Given the certificate and the lattice's orders and
+    parametrization, B & D = A, and [D : A] is 1 for odd q and 2 for even
+    q, where (1, 0, ..., 0) lies outside A's span; without them the
+    intersection is unverified, and neither the split nor the count is
+    credited to the case, nor is the count when the (n, q) span is not
+    searchable."""
     entries = []
     for d in s.config.ds():
         for n in s.config.ns():
@@ -653,10 +663,7 @@ def _check_thm_3_4(s: Session) -> list[ClaimCheck]:
                         errors.append(f"split {case.sigma}: the twist fails its checks")
                 else:
                     split_even += 1
-                    searchable = certified and _searchable(lattice.span, n)
-                    searches.append(
-                        complement_search(s.image(case, n), lattice.span) if searchable else None
-                    )
+                    searches.append(s.complements(n, q) if certified else None)
             searched = [count for count in searches if count is not None]
             entries.append(
                 ClaimCheck(

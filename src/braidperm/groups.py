@@ -10,9 +10,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product as iter_product
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
-from .lattice import _block_powers, _read_exponents, _realize, _Span, q2_of
+from .lattice import _block_powers, _read_exponents, _Span, _swapped, f_vector, q2_of
 from .perm import Permutation, _compose, _invert, _padded, _shifted, _trusted
 from .shuffle import ShuffleSpec, _is_braid_like, components, is_braid_like
 
@@ -23,9 +23,8 @@ __all__ = [
     "SplitVerificationError",
     "abelian_kernel",
     "braid_image",
-    "braid_relations_hold",
     "case_certificate",
-    "complement_search",
+    "complement_count",
     "cyclic_group",
     "gap_generators",
     "schreier_sims",
@@ -208,20 +207,6 @@ def schreier_sims(group: GeneratedGroup) -> BSGS:
     return BSGS(group.degree, levels)
 
 
-def braid_relations_hold(gens: Sequence, mul: Callable) -> bool:
-    """Under the product mul, adjacent triple products agree and distant
-    generators commute."""
-    for r, a in enumerate(gens):
-        for s in range(r + 1, len(gens)):
-            b = gens[s]
-            if s - r == 1:
-                if mul(a, mul(b, a)) != mul(b, mul(a, b)):
-                    return False
-            elif mul(a, b) != mul(b, a):
-                return False
-    return True
-
-
 @dataclass(frozen=True)
 class BraidImage:
     """A shuffle permutation with its block shifts as group generators.
@@ -387,7 +372,7 @@ def split_complement(image: BraidImage) -> GeneratedGroup | None:
     return GeneratedGroup(image.n * d, tuple(eta.shift((s - 1) * d) for s in range(1, image.n)))
 
 
-SEARCH_CAP = 4096  # most generator-lift combinations complement_search tries
+SEARCH_CAP = 4096  # most generator-lift combinations complement_count counts over
 
 
 def _searchable(span: _Span, n: int) -> bool:
@@ -395,21 +380,53 @@ def _searchable(span: _Span, n: int) -> bool:
     return span.order() ** (n - 1) <= SEARCH_CAP
 
 
-def complement_search(image: BraidImage, span: _Span) -> int | None:
-    """Number of complements to A, of exponent span span, or None, with A not
-    listed, when the span is not _searchable.  A complement meets each
-    g_s * A in one involution, and involution lifts generate one exactly
-    when they satisfy the braid relations (Coxeter)."""
-    if not _searchable(span, image.n):
+def complement_count(span: _Span, n: int) -> int | None:
+    """Number of complements to A, of exponent span span at n strands, or
+    None, with A not listed, when the span is not _searchable.
+
+    A complement meets each g_s * A in one involution h_s = g_s * t^(a_s),
+    a_s in the span, and involution lifts generate one exactly when they
+    satisfy the braid relations (Coxeter).  Under a case's certificate
+    (case_certificate), conjugation by g_s is the swap sw_s of coordinates
+    s and s+1, and g_s^2 = t_s * t_(s+1) has the vector f_s.  Moving every
+    t past the g's: h_s^2 = g_s^2 * t^(sw_s(a_s) + a_s), so h_s is an
+    involution iff f_s + a_s + sw_s(a_s) = 0 mod q; with a = a_r, b =
+    a_(r+1), h_r h_(r+1) h_r = g_r g_(r+1) g_r * t^(sw_r(sw_(r+1)(a) + b) +
+    a), and h_r h_s = g_r g_s * t^(sw_s(a_r) + a_s).  The g_s satisfy the
+    braid relations, so the h_s do iff these exponents agree with those of
+    the other side.  The count depends on (n, q) alone, and holds for every
+    case whose certificate holds."""
+    if not _searchable(span, n):
         return None
-    shifted = _block_powers(image.tau, image.d, image.n)[0]
-    kernel_elements = [_realize(shifted, v) for v in span.elements()]
-    ident = tuple(range(1, image.n * image.d + 1))
-    candidates = []
-    for g in (_padded(g, image.n * image.d) for g in image.generators):
-        lifts = [_compose(g, x) for x in kernel_elements]
-        candidates.append([h for h in lifts if _compose(h, h) == ident])
-    return sum(braid_relations_hold(lift, _compose) for lift in iter_product(*candidates))
+    q, elements = span.q, span.elements()
+
+    def add(*vectors) -> tuple[int, ...]:
+        return tuple([sum(xs) % q for xs in zip(*vectors)])
+
+    def braid(r: int, a, b) -> bool:
+        left = add(_swapped(add(_swapped(a, r + 1), b), r), a)
+        return left == add(_swapped(add(_swapped(b, r), a), r + 1), b)
+
+    def commute(r: int, s: int, a, b) -> bool:
+        return add(_swapped(a, s), b) == add(_swapped(b, r), a)
+
+    involutions = [
+        [a for a in elements if not any(add(f_vector(n, s), a, _swapped(a, s)))]
+        for s in range(1, n)
+    ]
+
+    def extend(lifts: list) -> int:
+        s = len(lifts) + 1
+        if s == n:
+            return 1
+        return sum(
+            extend(lifts + [b])
+            for b in involutions[s - 1]
+            if (s == 1 or braid(s - 1, lifts[-1], b))
+            and all(commute(r, s, lifts[r - 1], b) for r in range(1, s - 1))
+        )
+
+    return extend([])
 
 
 def tower(points: Iterable[int], d: int, n: int) -> frozenset[int]:

@@ -107,6 +107,15 @@ def enumerate_shuffles(d: int, tau: Permutation) -> EnumerationResult:
     )
 
 
+def _commute(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    """Whether a*b = b*a, for image tuples of one degree: a(b(i)) against
+    b(a(i)) point by point, up to the first difference."""
+    for x, y in zip(a, b):
+        if a[y - 1] != b[x - 1]:
+            return False
+    return True
+
+
 def commuting_pairs(
     w: GeneratedGroup, cap: int = DEFAULT_CAP
 ) -> list[tuple[Permutation, Permutation]]:
@@ -116,12 +125,7 @@ def commuting_pairs(
     if bs.order() ** 2 > cap:
         raise CapExceeded(f"|W|^2 = {bs.order() ** 2} exceeds the cap {cap}")
     members = list(bs.elements())
-    return [
-        (a, b)
-        for a in members
-        for b in members
-        if _compose(a.images, b.images) == _compose(b.images, a.images)
-    ]
+    return [(a, b) for a in members for b in members if _commute(a.images, b.images)]
 
 
 def conjugacy_class_count(w: GeneratedGroup, cap: int = DEFAULT_CAP) -> int:

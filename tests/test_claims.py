@@ -11,13 +11,14 @@ import pytest
 from braidperm import REGISTRY, RunConfig, claims, groups, lattice, oracles, run_verification
 from braidperm.claims import Session
 from braidperm.cli import main
-from braidperm.groups import CaseCertificate, abelian_kernel, complement_search, schreier_sims
+from braidperm.groups import CaseCertificate, abelian_kernel, schreier_sims
 from braidperm.oracles import EnumerationResult
 from braidperm.perm import Permutation, _trusted
 from braidperm.shuffle import ShuffleSpec, SpecError
 from test_groups import (
     chain_complement_search,
     chain_split_complement,
+    complement_search,
     extension_certificate,
     extension_holds,
     twist_passes_coxeter_lifts,
@@ -494,16 +495,18 @@ class TestLemma25:
     def test_one_sweep_per_group(self, monkeypatch):
         """lemma-2.5 at d = 4 reads its counts and its round trips from one
         commuting_pairs sweep per group, and composes nothing itself: the
-        oracle's 2 * (24**2 + 2**2 + 3**2 + 4**2 + 2**2) products are all."""
+        oracle's 24**2 + 2**2 + 3**2 + 4**2 + 2**2 commutation tests, one per
+        ordered pair, are all, and it forms no product."""
         s = Session(RunConfig(d=4))
         own = counted(monkeypatch, claims, "_compose")
         sweeps = counted(monkeypatch, claims, "commuting_pairs")
         oracle = counted(monkeypatch, oracles, "_compose")
+        tests = counted(monkeypatch, oracles, "_commute")
         entries = claims._check_lemma_2_5(s)
         assert all(e.passed for e in entries)
-        assert own == []
+        assert own == oracle == []
         assert len(sweeps) == 5
-        assert len(oracle) == 1218
+        assert len(tests) == 609
         [roundtrip] = [e for e in entries if e.parameters.get("check") == "roundtrip"]
         assert roundtrip.witness == {"commuting_pairs": 120, "roundtrip_failures": 0}
 
@@ -569,7 +572,7 @@ def index_2_subgroup(n, q, vectors):
 
 
 class TestThm34:
-    def test_powers_only_for_the_searches(self, monkeypatch):
+    def test_no_powers_and_one_count_per_n_q(self, monkeypatch):
         session, cases = thm_3_4_session()
         calls = {"_powers": 0, "kernel_structure": 0}
         powers, structure = lattice._powers, claims.kernel_structure
@@ -584,15 +587,35 @@ class TestThm34:
 
         monkeypatch.setattr(lattice, "_powers", counting_powers)
         monkeypatch.setattr(claims, "kernel_structure", counting_structure)
+        counts = counted(monkeypatch, claims, "complement_count")
         entries = claims._check_thm_3_4(session)
         assert len(entries) == 4 and all(e.passed for e in entries)
         assert len(cases) == 44
-        # no table of powers per case: only the kernel listing per search
+        # no table of powers at all: the 16 even-q cases share two counts,
+        # of (n, q) = (3, 2) and (4, 2)
         searched = sum(e.witness["even_q_searched"] for e in entries)
         assert searched == sum(e.witness["even_q_cases"] for e in entries) == 16
-        assert calls["_powers"] == searched
+        assert calls["_powers"] == 0
+        assert sorted(len(span.rows) for span, _ in counts) == [3, 4]
+        assert [e.witness["even_q_with_complement"] for e in entries] == [2, 0, 6, 0]
         # once per (n, q): q in {1, 2, 3}, n in {3, 4}
         assert calls["kernel_structure"] == len({(n, c.tau.order()) for c, n in cases}) == 6
+
+    def test_a_failed_certificate_is_not_counted(self, monkeypatch):
+        """An even-q case whose certificate fails is neither searched nor
+        credited with the (n, q) count, which the other cases still share."""
+        session = Session(RunConfig(d=3, n=3, claims=("thm-3.4",)))
+        target = next(case for case in session.pool(3) if case.tau.order() == 2)
+        failing_certificate(monkeypatch, target)
+        [entry] = claims._check_thm_3_4(session)
+        witness = entry.witness
+        assert witness["even_q_cases"] == 6
+        assert witness["even_q_searched"] == witness["even_q_with_complement"] == 5
+        assert witness["examples"] == [
+            f"orders {target.sigma}",
+            f"intersection {target.sigma} unverified",
+        ]
+        assert not entry.passed
 
     def test_a_failed_structure_certificate_is_counted_not_raised(self, monkeypatch):
         """Without the skip sums the adjacent sums span too little mod 3, so
@@ -1042,6 +1065,7 @@ class TestChecksMatchReferences:
                 count = chain_complement_search(image, a_bsgs)
                 assert complement_search(image, span) == count
                 assert witness["even_q_searched"] == (count is not None)
+                assert witness["even_q_with_complement"] == bool(count)
             mats = monodromy_matrices(image)
             matches = matrices_match_conjugation(image, kernel.generators, mats)
             assert matches == box_matches_conjugation(image, mats)

@@ -15,9 +15,8 @@ from braidperm.groups import (
     _block_split,
     abelian_kernel,
     braid_image,
-    braid_relations_hold,
     case_certificate,
-    complement_search,
+    complement_count,
     cyclic_group,
     gap_generators,
     schreier_sims,
@@ -371,6 +370,24 @@ class TestBraidImage:
             assert g * g == pairblock.shift((s - 1) * 3)
 
 
+# the braid relations under any product, which the run path no longer
+# tests: braid_image's checks at degree 2d imply them at every n
+
+
+def braid_relations_hold(gens, mul):
+    """Under the product mul, adjacent triple products agree and distant
+    generators commute."""
+    for r, a in enumerate(gens):
+        for s in range(r + 1, len(gens)):
+            b = gens[s]
+            if s - r == 1:
+                if mul(a, mul(b, a)) != mul(b, mul(a, b)):
+                    return False
+            elif mul(a, b) != mul(b, a):
+                return False
+    return True
+
+
 def transposition_sets():
     """(1 2), (2 3), (3 4), (1 3) have degrees 2, 3, 4 and 3."""
     t12, t23, t34, t13 = map(perm, ["(1 2)", "(2 3)", "(3 4)", "(1 3)"])
@@ -566,6 +583,23 @@ def chain_complement_search(image, a_bsgs, cap=groups.SEARCH_CAP):
     return len({frozenset(elements) for elements in found if elements is not None})
 
 
+def complement_search(image, span):
+    """Number of complements to A, of exponent span span, or None when the
+    span is not searchable, at degree n*d: every element of A realized,
+    the involution lifts of each generator listed, and every tuple of them
+    tested for the braid relations.  complement_count's reference."""
+    if not groups._searchable(span, image.n):
+        return None
+    shifted = lattice._block_powers(image.tau, image.d, image.n)[0]
+    kernel_elements = [lattice._realize(shifted, v) for v in span.elements()]
+    ident = tuple(range(1, image.n * image.d + 1))
+    candidates = []
+    for g in (_padded(g, image.n * image.d) for g in image.generators):
+        lifts = [_compose(g, x) for x in kernel_elements]
+        candidates.append([h for h in lifts if _compose(h, h) == ident])
+    return sum(braid_relations_hold(lift, _compose) for lift in itertools.product(*candidates))
+
+
 def certificate(image):
     return extension_certificate(image, abelian_kernel(image))
 
@@ -706,27 +740,31 @@ class TestSplitComplement:
         assert split_complement(image) is not None
         assert chain_complement_search(image, a) == count
         assert complement_search(image, kernel_span(image)) == count
+        assert complement_count(kernel_span(image), n) == count
 
     def test_search_finds_complements_for_even_q_n3(self):
         image, _ = image_for("(1 2)", 2, 3)
         assert chain_complement_search(image, chains(image)[2]) == 4
         assert complement_search(image, kernel_span(image)) == 4
+        assert complement_count(kernel_span(image), 3) == 4
 
     def test_search_finds_none_for_even_q_n4(self):
         image, _ = image_for("(1 2)", 2, 4)
         assert chain_complement_search(image, chains(image)[2]) == 0
         assert complement_search(image, kernel_span(image)) == 0
+        assert complement_count(kernel_span(image), 4) == 0
 
     def test_search_counts_the_q6_complements_like_the_reference(self, monkeypatch):
         """At q = 6, n = 3 (d = 5, the only even q with odd q2 on the golden
         grids) |A|^2 = 108^2 is over the cap; with the cap raised both
-        searches count 36 complements."""
+        searches and the count give 36 complements."""
         image, _ = image_for("(1 2)(3 4 5)", 5, 3)
         a, span = chains(image)[2], kernel_span(image)
         assert a.order() == span.order() == 108
-        assert complement_search(image, span) is None
+        assert complement_search(image, span) is None is complement_count(span, 3)
         monkeypatch.setattr(groups, "SEARCH_CAP", 108**2)
         assert complement_search(image, span) == 36 == chain_complement_search(image, a, 108**2)
+        assert complement_count(span, 3) == 36
 
     def test_involution_lifts_that_break_a_braid_relation_are_not_counted(self):
         """At q = 2, n = 4 every generator has four involution lifts, 64 tuples of
@@ -743,7 +781,7 @@ class TestSplitComplement:
         tuples = list(itertools.product(*lifts))
         assert len(tuples) == 64
         assert not any(braid_relations_hold(t, _compose) for t in tuples)
-        assert complement_search(image, span) == 0
+        assert complement_search(image, span) == 0 == complement_count(span, 4)
 
     def test_search_over_the_cap_lists_no_kernel_element(self, monkeypatch):
         image, _ = image_for("(1 2 3 4)", 4, 4)
@@ -751,7 +789,68 @@ class TestSplitComplement:
         monkeypatch.setattr(lattice._Span, "elements", None)
         assert span.order() == 4**3 * 2
         assert span.order() ** 3 > groups.SEARCH_CAP
-        assert complement_search(image, span) is None
+        assert complement_search(image, span) is None is complement_count(span, 4)
+
+
+def lattice_span(n, q):
+    return lattice._Span(lattice._kernel_vectors(n), q, n)
+
+
+class TestComplementCount:
+    # the carried even-q splitting table, with the cap raised, and beyond it
+    # (each under 0.2 s): complements exactly when q = 2 mod 4 and n is odd,
+    # q^(n-1) of them
+    @pytest.mark.parametrize(
+        "q,n,count",
+        [(2, 3, 4), (2, 4, 0), (2, 5, 16), (4, 3, 0), (6, 3, 36), (4, 4, 0)]
+        + [(2, 6, 0), (2, 7, 64), (4, 5, 0), (6, 4, 0), (8, 3, 0), (10, 3, 100), (12, 3, 0)],
+    )
+    def test_the_even_q_splitting_table(self, monkeypatch, q, n, count):
+        span = lattice_span(n, q)
+        if span.order() ** (n - 1) > groups.SEARCH_CAP:
+            assert complement_count(span, n) is None
+            monkeypatch.setattr(groups, "SEARCH_CAP", span.order() ** (n - 1))
+        assert complement_count(span, n) == count
+
+    # the acceptance grid; d = 5 at n = 3 and 4; and d = 6, n = 3, where
+    # 3,600 even-q cases fit the cap
+    @pytest.mark.parametrize(
+        "d,n", [(d, n) for d in (2, 3, 4) for n in (3, 4)] + [(5, 3), (5, 4), (6, 3)]
+    )
+    def test_the_count_equals_the_degree_nd_search(self, d, n):
+        """Case by case, the (n, q) count equals the search over the lifts at
+        degree n * d, odd q included, and is None exactly when the search is."""
+        session = Session(RunConfig(d=d, n=n))
+        searched = 0
+        for case in session.pool(d):
+            q = case.tau.order()
+            count = session.complements(n, q)
+            assert complement_search(braid_image(case.sigma, d, n), session.lattice(n, q).span) == count
+            searched += count is not None and q % 2 == 0
+        if (d, n) == (6, 3):
+            assert searched == 3600
+
+    # each fault changes the (2, 3) count, or leaves it and changes the table:
+    # without f_s the involution condition a + sw_s(a) = 0 keeps two lifts
+    # per generator at (2, 3), as f_1 + a + sw_1(a) = 0 does, and all four
+    # pairs braid
+    @pytest.mark.parametrize(
+        "fault,table",
+        [
+            ("identity-swap", {(2, 3): 0, (2, 4): 0, (4, 3): 0}),
+            ("wrong-coordinates", {(2, 3): 0, (2, 4): 0, (4, 3): 0}),
+            ("dropped-f", {(2, 3): 4, (2, 4): 16, (4, 3): 32}),
+        ],
+    )
+    def test_mutations_change_the_table(self, monkeypatch, fault, table):
+        swapped = lattice._swapped
+        if fault == "identity-swap":
+            monkeypatch.setattr(groups, "_swapped", lambda v, s: list(v))
+        elif fault == "wrong-coordinates":
+            monkeypatch.setattr(groups, "_swapped", lambda v, s: swapped(v, s % (len(v) - 1) + 1))
+        else:
+            monkeypatch.setattr(groups, "f_vector", lambda n, s: (0,) * n)
+        assert {(q, n): complement_count(lattice_span(n, q), n) for q, n in table} == table
 
 
 class TestCaseCertificate:

@@ -8,7 +8,7 @@ import pytest
 
 from braidperm import lattice
 from braidperm.claims import RunConfig, Session
-from braidperm.groups import abelian_kernel, braid_image, braid_relations_hold
+from braidperm.groups import abelian_kernel, braid_image
 from braidperm.lattice import (
     AbelianStructure,
     compose_matrices,
@@ -26,6 +26,7 @@ from braidperm.lattice import (
 )
 from braidperm.perm import Permutation, _invert, _padded, _trusted
 from braidperm.shuffle import ShuffleSpec, build_shuffle
+from test_groups import braid_relations_hold
 
 
 def perm(text):

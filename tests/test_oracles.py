@@ -158,7 +158,7 @@ class TestCommutingPairs:
             assert len(commuting_pairs(group)) == q * q
             assert conjugacy_class_count(group) == q
 
-    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_pairs_commute_and_are_distinct(self, d):
         pairs = commuting_pairs(symmetric_group(d))
         assert all(a * b == b * a for a, b in pairs)
