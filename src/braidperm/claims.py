@@ -11,15 +11,12 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from .groups import (
     SEARCH_CAP,
-    BraidImage,
     CaseCertificate,
-    abelian_kernel,
-    braid_image,
     case_certificate,
     complement_count,
     cyclic_group,
@@ -33,10 +30,8 @@ from .lattice import (
     _block_powers,
     _kernel_vectors,
     _realize,
-    expected_kernel_structure,
     expected_monodromy_matrix,
     kernel_lattice,
-    kernel_structure,
     monodromy_kernel,
     q2_of,
 )
@@ -101,18 +96,24 @@ class RunConfig:
         }
 
 
+def _key(p: Permutation) -> tuple[int, ...]:
+    return p.canonical()
+
+
 @dataclass(frozen=True)
 class GridCase:
-    """One shuffle permutation of the grid with its recovered spec."""
+    """One shuffle permutation of the grid with its recovered spec.  key,
+    sigma's and tau's image tuples, is computed once, when the case is made,
+    and is the case's key in every Session cache that reads it."""
 
     d: int
     tau: Permutation
     sigma: Permutation
     spec: ShuffleSpec
+    key: tuple = field(init=False, repr=False, compare=False)
 
-
-def _key(p: Permutation) -> tuple[int, ...]:
-    return p.canonical()
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "key", (_key(self.sigma), _key(self.tau)))
 
 
 class Session:
@@ -180,29 +181,16 @@ class Session:
             lambda: decompose_pair(_trusted(first), _trusted(second), d),
         )
 
-    def image(self, case: GridCase, n: int) -> BraidImage:
-        """The case's generators at degree n*d, read only by cor-3.10's
-        stabilizer-chain fallback for a case whose certificate fails."""
-        return self._cached(
-            ("image", case.d, n, _key(case.sigma)), lambda: braid_image(case.sigma, case.d, n)
-        )
-
     def certificate(self, case: GridCase) -> CaseCertificate:
-        """The case's kernel facts for every n; keyed on tau too, which it reads."""
+        """The case's kernel facts for every n."""
         return self._cached(
-            ("certificate", case.d, _key(case.sigma), _key(case.tau)),
+            ("certificate", case.d, case.key),
             lambda: case_certificate(case.sigma, case.tau, case.d),
         )
 
     def lattice(self, n: int, q: int) -> KernelLattice:
         """The kernel's span and the swap action, shared by every case of (n, q)."""
         return self._cached(("lattice", n, q), lambda: kernel_lattice(_kernel_vectors(n), q, n))
-
-    def structure_holds(self, n: int, q: int) -> bool:
-        """Whether the kernel lattice mod q has the stated invariant factors."""
-        return self._cached(
-            ("structure", n, q), lambda: kernel_structure(n, q) == expected_kernel_structure(n, q)
-        )
 
     def complements(self, n: int, q: int) -> int | None:
         """complement_count of the (n, q) span, shared by every certified case
@@ -219,12 +207,12 @@ class Session:
     def towers(self, case: GridCase):
         """The case's tower facts for every n."""
         return self._cached(
-            ("towers", case.d, _key(case.sigma)), lambda: tower_certificate(case.sigma, case.spec)
+            ("towers", case.d, case.key), lambda: tower_certificate(case.sigma, case.spec)
         )
 
     def transitivity(self, case: GridCase, n: int):
         return self._cached(
-            ("transitivity", case.d, n, _key(case.sigma)),
+            ("transitivity", case.d, n, case.key),
             lambda: transitivity_report(case.sigma, case.d, n, self.towers(case).points),
         )
 
@@ -613,12 +601,14 @@ def _check_thm_3_4(s: Session) -> list[ClaimCheck]:
     """Orders, kernel structure, parametrization, two-way intersection, and
     splitting for odd q (with a neutral complement count for even q), with
     no stabilizer chain and no generator of degree n*d.  Per case: the
-    certificate and its twist.  Per (n, q): the kernel lattice, the
-    structure certificate and the even-q complement count, on exponent
-    vectors.  Given the certificate and the lattice's orders and
-    parametrization, B & D = A, and [D : A] is 1 for odd q and 2 for even
-    q, where (1, 0, ..., 0) lies outside A's span; without them the
-    intersection is unverified, and neither the split nor the count is
+    certificate and its twist.  Per (n, q): the kernel lattice and the
+    even-q complement count, on exponent vectors.  The lattice's
+    parametrization certificate also gives the stated invariant factors
+    (lattice.kernel_structure), so the structure and parametrization
+    counters count one fact.  Given the certificate and the lattice's
+    orders and parametrization, B & D = A, and [D : A] is 1 for odd q and
+    2 for even q, where (1, 0, ..., 0) lies outside A's span; without them
+    the intersection is unverified, and neither the split nor the count is
     credited to the case, nor is the count when the (n, q) span is not
     searchable."""
     entries = []
@@ -626,7 +616,6 @@ def _check_thm_3_4(s: Session) -> list[ClaimCheck]:
         for n in s.config.ns():
             cases = 0
             order_failures = 0
-            structure_failures = 0
             bijection_failures = 0
             intersection_failures = 0
             split_odd = 0
@@ -642,11 +631,9 @@ def _check_thm_3_4(s: Session) -> list[ClaimCheck]:
                 if not orders_hold:
                     order_failures += 1
                     errors.append(f"orders {case.sigma}")
-                if not s.structure_holds(n, q):
-                    structure_failures += 1
-                    errors.append(f"structure {case.sigma}")
                 if not lattice.parametrized:
                     bijection_failures += 1
+                    errors.append(f"structure {case.sigma}")
                     errors.append(f"parametrization {case.sigma}")
                 certified = orders_hold and lattice.parametrized
                 if not certified:
@@ -672,7 +659,7 @@ def _check_thm_3_4(s: Session) -> list[ClaimCheck]:
                     witness={
                         "cases": cases,
                         "order_failures": order_failures,
-                        "structure_failures": structure_failures,
+                        "structure_failures": bijection_failures,
                         "parametrization_failures": bijection_failures,
                         "intersection_failures": intersection_failures,
                         "split_odd_cases": split_odd,
@@ -686,7 +673,6 @@ def _check_thm_3_4(s: Session) -> list[ClaimCheck]:
                     },
                     passed=(
                         not order_failures
-                        and not structure_failures
                         and not bijection_failures
                         and not intersection_failures
                         and split_verified == split_odd
@@ -696,46 +682,42 @@ def _check_thm_3_4(s: Session) -> list[ClaimCheck]:
     return entries
 
 
-def _orders(s: Session, case: GridCase, n: int) -> tuple[int, int]:
-    """|B| = n! * |A| and |A| from the case's certificate and the (n, q)
-    lattice; from stabilizer chains when either fails, so no order rests on
-    a failed one."""
-    lattice = s.lattice(n, case.tau.order())
-    if s.certificate(case).holds and lattice.orders_hold and lattice.parametrized:
-        return math.factorial(n) * lattice.span.order(), lattice.span.order()
-    image = s.image(case, n)
-    return schreier_sims(image.group()).order(), schreier_sims(abelian_kernel(image)).order()
-
-
 def _check_cor_3_10(s: Session) -> list[ClaimCheck]:
     """For odd q the computable invariants agree across all shuffle choices:
-    group order, kernel invariant factors, and monodromy matrices.  Every
-    certified case acts on the kernel by the (n, q) swap matrices, so there
-    is one matrix set when some case of (q, n) is certified, else none.
+    group order, kernel invariant factors, and monodromy matrices.  Per
+    (q, n): |A| and |B| = n! * |A|, read from the lattice, listed when its
+    orders and parametrization hold, else none listed.  Every certified case
+    acts on the kernel by the (n, q) swap matrices, so there is one matrix
+    set when some case of (q, n) is certified, else none.  A case whose
+    certificate fails makes the entry inconsistent; no order is measured
+    any other way.
 
     This is consistency evidence for independence from the particular
     permutation, not a proof of abstract isomorphism.
     """
-    by_qn: dict[tuple[int, int], list[tuple[GridCase, int]]] = {}
+    by_qn: dict[tuple[int, int], list[GridCase]] = {}
     for d in s.config.ds():
         for n in s.config.ns():
             for case in s.pool(d):
                 q = case.tau.order()
                 if q % 2:
-                    by_qn.setdefault((q, n), []).append((case, n))
+                    by_qn.setdefault((q, n), []).append(case)
     entries = []
     for (q, n), cases in sorted(by_qn.items()):
-        orders, kernel_orders = map(set, zip(*(_orders(s, case, n) for case, n in cases)))
-        matrix_sets = int(any(s.certificate(case).holds for case, _ in cases))
-        consistent = len(orders) == 1 and len(kernel_orders) == 1 and matrix_sets == 1
+        lattice = s.lattice(n, q)
+        held = lattice.orders_hold and lattice.parametrized
+        kernel_orders = [lattice.span.order()] if held else []
+        certified = [s.certificate(case).holds for case in cases]
+        matrix_sets = int(any(certified))
+        consistent = bool(kernel_orders) and all(certified)
         entries.append(
             ClaimCheck(
                 claim="cor-3.10",
                 parameters={"q": q, "n": n},
                 witness={
                     "sigmas": len(cases),
-                    "orders": sorted(orders),
-                    "kernel_orders": sorted(kernel_orders),
+                    "orders": [math.factorial(n) * k for k in kernel_orders],
+                    "kernel_orders": kernel_orders,
                     "distinct_monodromy": matrix_sets,
                     "verdict": "consistent-with" if consistent else "inconsistent",
                 },

@@ -333,8 +333,8 @@ def case_certificate(sigma: Permutation, tau: Permutation, d: int) -> CaseCertif
     that rests on it: lemma-3.3 counts a failure; thm-3.4 counts an order
     failure and an unverified intersection, and neither verifies a split
     nor searches for complements; prop-3.11 counts an action mismatch when
-    q >= 2 (the q = 1 cases sit outside that claim); cor-3.10 reads its
-    orders from stabilizer chains and lists no monodromy matrices for it.
+    q >= 2 (the q = 1 cases sit outside that claim); cor-3.10 counts the
+    entry inconsistent and lists no monodromy matrices for it.
     The counters that rest on (n, q) alone, thm-3.4's structure and
     parametrization and prop-3.11's formulas, relations and kernel, do not
     move.

@@ -185,14 +185,14 @@ def _spans_coordinates(span: _Span, vectors: Iterable[Sequence[int]]) -> bool:
 
 def kernel_structure(n: int, q: int) -> AbelianStructure | None:
     """Structure of the subgroup of (Z/q)^n spanned by the adjacent and skip
-    sums: (Z/q)^(n-1) x Z/q2 when they pass _spans_coordinates, else None."""
+    sums: (Z/q)^(n-1) x Z/q2 when their kernel_lattice is parametrized
+    (_spans_coordinates), else None."""
     if n < 3:
         raise ValueError("need n >= 3")
     if q < 1:
         raise ValueError("q must be positive")
-    vectors = _kernel_vectors(n)
-    certified = _spans_coordinates(_Span(vectors, q, n), vectors)
-    return expected_kernel_structure(n, q) if certified else None
+    parametrized = kernel_lattice(_kernel_vectors(n), q, n).parametrized
+    return expected_kernel_structure(n, q) if parametrized else None
 
 
 def expected_kernel_structure(n: int, q: int) -> AbelianStructure:

@@ -11,7 +11,7 @@ import pytest
 from braidperm import REGISTRY, RunConfig, claims, groups, lattice, oracles, run_verification
 from braidperm.claims import Session
 from braidperm.cli import main
-from braidperm.groups import CaseCertificate, abelian_kernel, schreier_sims
+from braidperm.groups import CaseCertificate, abelian_kernel, braid_image, schreier_sims
 from braidperm.oracles import EnumerationResult
 from braidperm.perm import Permutation, _trusted
 from braidperm.shuffle import ShuffleSpec, SpecError
@@ -260,6 +260,22 @@ class TestPool:
         calls = validated_constructions(monkeypatch)
         assert len(s.pool(4)) == 120
         assert len(calls) == 0
+
+    def test_one_key_per_case(self, monkeypatch):
+        """prop-3.30 and lemma-3.3 at d = 3 look every case up in the Session
+        caches once per n, but each case's key is computed once, when the
+        pool makes the case: the number of keys does not grow with n."""
+        keys = {}
+        for n_max in (3, 4, 6):
+            calls = counted(monkeypatch, claims, "_key")
+            s = Session(RunConfig(d=3, n_max=n_max))
+            entries = claims._check_prop_3_30(s) + claims._check_lemma_3_3(s)
+            assert len(entries) == 3 * len(s.config.ns())
+            keys[n_max] = len(calls)
+            monkeypatch.undo()
+        # sigma's and tau's for each of the 18 cases, and one per tau of S_3
+        # for sorting the taus and one for its shuffle enumeration
+        assert keys[3] == keys[4] == keys[6] == 2 * 18 + 6 + 6
 
 
 class TestLemma24:
@@ -522,7 +538,7 @@ class TestSharedKernelChain:
             pool = s.pool(d)
             by_kernel = {}
             for case in pool:
-                kernel = abelian_kernel(s.image(case, n))
+                kernel = abelian_kernel(braid_image(case.sigma, d, n))
                 key = tuple(g.canonical() for g in kernel.generators)
                 if key not in by_kernel:
                     by_kernel[key] = schreier_sims(kernel)
@@ -574,19 +590,8 @@ def index_2_subgroup(n, q, vectors):
 class TestThm34:
     def test_no_powers_and_one_count_per_n_q(self, monkeypatch):
         session, cases = thm_3_4_session()
-        calls = {"_powers": 0, "kernel_structure": 0}
-        powers, structure = lattice._powers, claims.kernel_structure
-
-        def counting_powers(*args):
-            calls["_powers"] += 1
-            return powers(*args)
-
-        def counting_structure(*args):
-            calls["kernel_structure"] += 1
-            return structure(*args)
-
-        monkeypatch.setattr(lattice, "_powers", counting_powers)
-        monkeypatch.setattr(claims, "kernel_structure", counting_structure)
+        powers = counted(monkeypatch, lattice, "_powers")
+        lattices = counted(monkeypatch, claims, "kernel_lattice")
         counts = counted(monkeypatch, claims, "complement_count")
         entries = claims._check_thm_3_4(session)
         assert len(entries) == 4 and all(e.passed for e in entries)
@@ -595,11 +600,13 @@ class TestThm34:
         # of (n, q) = (3, 2) and (4, 2)
         searched = sum(e.witness["even_q_searched"] for e in entries)
         assert searched == sum(e.witness["even_q_cases"] for e in entries) == 16
-        assert calls["_powers"] == 0
+        assert powers == []
         assert sorted(len(span.rows) for span, _ in counts) == [3, 4]
         assert [e.witness["even_q_with_complement"] for e in entries] == [2, 0, 6, 0]
-        # once per (n, q): q in {1, 2, 3}, n in {3, 4}
-        assert calls["kernel_structure"] == len({(n, c.tau.order()) for c, n in cases}) == 6
+        # one lattice, which decides the structure too, per (n, q): q in
+        # {1, 2, 3}, n in {3, 4}
+        built = sorted((n, q) for _, q, n in lattices)
+        assert built == sorted({(n, c.tau.order()) for c, n in cases}) and len(built) == 6
 
     def test_a_failed_certificate_is_not_counted(self, monkeypatch):
         """An even-q case whose certificate fails is neither searched nor
@@ -638,8 +645,10 @@ class TestThm34:
         assert not entry.passed
 
     def test_no_chain_of_degree_nd_on_the_grid(self, monkeypatch):
-        """thm-3.4 and cor-3.10 on d <= 4, n <= 4 build only the chains of
-        S_2, S_3 and S_4, which list the taus."""
+        """All ten claims on d <= 4, n <= 4, clean and with one odd-q
+        certificate failing, build stabilizer chains of degree 2, 3 and 4
+        only (the taus and lemma-2.5's small groups), and no braid image or
+        kernel of degree n * d."""
         degrees = []
 
         def counting(group):
@@ -648,9 +657,22 @@ class TestThm34:
 
         monkeypatch.setattr(groups, "schreier_sims", counting)
         monkeypatch.setattr(claims, "schreier_sims", counting)
-        report = run_verification(RunConfig(d_max=4, n_max=4, claims=("thm-3.4", "cor-3.10")))
-        assert report.all_pass and len(report.entries) == 10
-        assert degrees == [2, 3, 4]
+        images = counted(monkeypatch, groups, "braid_image")
+        kernels = counted(monkeypatch, groups, "abelian_kernel")
+        refuted = {"prop-3.30", "cor-3.31"}
+        kernel_claims = {"lemma-3.3", "thm-3.4", "cor-3.10", "prop-3.11"}
+        pool = Session(RunConfig(d=3, n=3)).pool(3)
+        target = next(c for c in pool if c.tau.order() == 3)
+        for fault in (False, True):
+            if fault:
+                failing_certificate(monkeypatch, target)
+            degrees.clear()
+            report = run_verification(RunConfig(d_max=4, n_max=4))
+            failed = {e.claim for e in report.entries if not e.passed}
+            assert failed == (refuted | kernel_claims if fault else refuted)
+            assert set(degrees) == {2, 3, 4}
+            assert images == kernels == []
+        assert not hasattr(claims, "braid_image") and not hasattr(claims, "abelian_kernel")
 
     # in place of A's vectors: f_1 alone, which spans at most q < |A| elements
     # when q > 1; or, in place of every sigma, its conjugate by the
@@ -672,6 +694,7 @@ class TestThm34:
         for entry in entries:
             witness = entry.witness
             assert witness["order_failures"] == witness["intersection_failures"] > 0
+            assert witness["structure_failures"] == witness["parametrization_failures"]
             assert witness["even_q_searched"] == 0
             assert not entry.passed
             if substitute == "first-generator":
@@ -697,6 +720,7 @@ class TestThm34:
         for entry in entries:
             assert entry.witness["order_failures"] == even_cases(session, entry) > 0
             assert entry.witness["parametrization_failures"] == even_cases(session, entry)
+            assert entry.witness["structure_failures"] == even_cases(session, entry)
             assert not entry.passed
 
     def test_a_kernel_without_a_skip_sum_fails_the_orders(self, monkeypatch):
@@ -709,6 +733,7 @@ class TestThm34:
             small = sum(c.tau.order() > 2 for c in session.pool(entry.parameters["d"]))
             assert entry.witness["order_failures"] == small
             assert entry.witness["parametrization_failures"] == small
+            assert entry.witness["structure_failures"] == small
             assert (small > 0) == (not entry.passed) == (entry.parameters["d"] > 2)
 
     def test_a_normal_kernel_of_too_small_an_order_fails_the_orders(self, monkeypatch):
@@ -718,7 +743,9 @@ class TestThm34:
         doubled = substitute_vectors(lambda n, q, v: [[2 * x for x in u] for u in v])
         monkeypatch.setattr(Session, "lattice", doubled)
         for entry in claims._check_thm_3_4(session):
-            assert entry.witness["order_failures"] == even_cases(session, entry) > 0
+            witness = entry.witness
+            assert witness["order_failures"] == even_cases(session, entry) > 0
+            assert witness["structure_failures"] == witness["parametrization_failures"]
             assert not entry.passed
 
     def test_a_conjugate_leaving_the_block_product_fails_the_orders(self, monkeypatch):
@@ -780,7 +807,9 @@ class TestThm34:
         entries = claims._check_thm_3_4(session)
         assert len(entries) == 4
         for entry in entries:
-            assert entry.witness["parametrization_failures"] == even_cases(session, entry) > 0
+            witness = entry.witness
+            assert witness["parametrization_failures"] == even_cases(session, entry) > 0
+            assert witness["structure_failures"] == witness["parametrization_failures"]
             assert not entry.passed
 
 
@@ -796,9 +825,11 @@ def failing_certificate(monkeypatch, target):
 
 class TestCor310:
     def test_orders_come_from_the_certificates(self, monkeypatch):
-        """On d = 3, n = 3 the orders are n! * |A| and |A| with no chain of
-        degree 9; with one odd-q certificate failing, that case alone is
-        measured by chains, and its orders do not change."""
+        """On d = 3, n = 3 the orders are n! * |A| and |A| from the (n, q)
+        lattice, with no chain of degree 9.  With one odd-q certificate
+        failing, its entry lists the same orders and matrix set but is
+        inconsistent, and still no chain is built; the other entry is as
+        before."""
         degrees = []
 
         def counting(group):
@@ -809,17 +840,19 @@ class TestCor310:
         clean = claims._check_cor_3_10(Session(RunConfig(d=3, n=3)))
         assert [e.witness["orders"] for e in clean] == [[6], [162]]
         assert [e.witness["kernel_orders"] for e in clean] == [[1], [27]]
-        assert degrees == [3]
+        assert degrees == [3] and all(e.passed for e in clean)
         session = Session(RunConfig(d=3, n=3))
         target = next(c for c in session.pool(3) if c.tau.order() == 3)
         degrees.clear()
         failing_certificate(monkeypatch, target)
-        assert claims._check_cor_3_10(session) == clean
-        assert degrees == [9, 9]
+        trivial, three = claims._check_cor_3_10(session)
+        assert trivial == clean[0] and not three.passed
+        assert three.witness == {**clean[1].witness, "verdict": "inconsistent"}
+        assert degrees == []
 
     def test_no_certified_case_lists_no_monodromy(self, monkeypatch):
-        """With every certificate failing, each case's orders still come from
-        chains, but no case carries the (n, q) matrices: the entries list
+        """With every certificate failing, the orders still come from the
+        (n, q) lattice, but no case carries its matrices: the entries list
         none and are inconsistent."""
         failing = CaseCertificate(False, False, False)
         monkeypatch.setattr(Session, "certificate", lambda self, case: failing)
@@ -986,7 +1019,7 @@ class TestProp330:
         and one orbit partition per n."""
         session = Session(RunConfig(d=3, n_max=6))
         pool = session.pool(3)
-        images = counted(monkeypatch, claims, "braid_image")
+        images = counted(monkeypatch, groups, "braid_image")
         certificates = counted(monkeypatch, claims, "case_certificate")
         towers = counted(monkeypatch, claims, "tower_certificate")
         orbits = counted(monkeypatch, claims, "transitivity_report")
@@ -1045,7 +1078,7 @@ class TestChecksMatchReferences:
     def test_per_case_verdicts(self, monkeypatch, d, n):
         session = Session(RunConfig(d=d, n=n))
         for case in session.pool(d):
-            image = session.image(case, n)
+            image = braid_image(case.sigma, d, n)
             kernel = abelian_kernel(image)
             span, orders_hold, _ = extension_certificate(image, kernel)
             b_bsgs, a_bsgs = schreier_sims(image.group()), schreier_sims(kernel)
@@ -1082,7 +1115,7 @@ class TestChecksMatchReferences:
         the odd-q twist and lemma-3.3's identities."""
         session = Session(RunConfig(d=d, n=n))
         for case in session.pool(d):
-            image = session.image(case, n)
+            image = braid_image(case.sigma, d, n)
             kernel = abelian_kernel(image)
             span, orders_hold, parametrized = extension_certificate(image, kernel)
             mats = monodromy_matrices(image)
@@ -1141,23 +1174,18 @@ class TestCertificateFaults:
         assert witness["kernel_failures"] == 0
         assert witness["examples"] == [f"action {corrupted}"] and not entry.passed
 
-    def test_cor_3_10_reads_the_orders_from_chains(self, monkeypatch):
-        """The corrupted sigma above has no image to build chains from, so
-        the certificate itself fails here, for a case whose image builds."""
-        session = Session(RunConfig(d=3, n=4))
-        target = next(case for case in session.pool(3) if case.tau.order() == 3)
-        built = []
-        image = Session.image
-
-        def recording(self, case, n):
-            built.append(case)
-            return image(self, case, n)
-
-        monkeypatch.setattr(Session, "image", recording)
-        failing_certificate(monkeypatch, target)
-        entries = claims._check_cor_3_10(session)
-        assert built == [target] and all(e.passed for e in entries)
-        assert [e.witness["orders"] for e in entries] == [[24], [24 * 81]]
+    def test_cor_3_10_counts_the_entry_inconsistent(self, faulty, monkeypatch):
+        """The q = 3 entry fails with its clean orders and matrix set; the
+        q = 1 entry passes; no braid image is built to measure an order."""
+        session, _ = faulty
+        images = counted(monkeypatch, groups, "braid_image")
+        trivial, three = claims._check_cor_3_10(session)
+        assert trivial.passed and not three.passed
+        assert [e.witness["orders"] for e in (trivial, three)] == [[24], [24 * 81]]
+        assert [e.witness["kernel_orders"] for e in (trivial, three)] == [[1], [81]]
+        assert three.witness["distinct_monodromy"] == 1
+        assert three.witness["verdict"] == "inconsistent"
+        assert images == []
 
 
 class TestKernelClaimsBudget:
@@ -1171,7 +1199,7 @@ class TestKernelClaimsBudget:
         reads = [counted(monkeypatch, m, "_read_exponents") for m in (groups, lattice)]
         certificates = counted(monkeypatch, claims, "case_certificate")
         lattices = counted(monkeypatch, claims, "kernel_lattice")
-        images = counted(monkeypatch, claims, "braid_image")
+        images = counted(monkeypatch, groups, "braid_image")
         tags = ("lemma-3.3", "thm-3.4", "cor-3.10", "prop-3.11")
         session = Session(RunConfig(d=3, n=6, claims=tags))
         entries = [e for tag in tags for e in claims.REGISTRY[tag](session)]

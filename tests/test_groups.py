@@ -910,7 +910,7 @@ def pool_cases(slices):
     """(image, spec) for every Session pool case of each (d, ns) in slices."""
     session = Session(RunConfig())
     return [
-        (session.image(case, n), case.spec)
+        (braid_image(case.sigma, d, n), case.spec)
         for d, ns in slices
         for case in session.pool(d)
         for n in ns
@@ -1042,7 +1042,7 @@ class TestTransitivity:
         session = Session(RunConfig(d=d, n=n))
         verdicts = []
         for case in session.pool(d):
-            verdicts.append(transitivity_reference(session.image(case, n), case.spec))
+            verdicts.append(transitivity_reference(braid_image(case.sigma, d, n), case.spec))
             assert transitivity(case.sigma, case.spec, n) == verdicts[-1]
         assert all(v.restrictions_match and v.subdirect for v in verdicts)
         assert {v.orbits_match for v in verdicts} == {True, False}

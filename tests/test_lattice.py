@@ -802,7 +802,10 @@ class TestMonodromyBudget:
         matrices conjugation gives at degree n * d on every case."""
         session = Session(RunConfig())
         images = [
-            session.image(case, n) for d in (2, 3) for case in session.pool(d) for n in (3, 4)
+            braid_image(case.sigma, d, n)
+            for d in (2, 3)
+            for case in session.pool(d)
+            for n in (3, 4)
         ]
         calls = []
         compose = lattice.compose_matrices

@@ -6,7 +6,10 @@ function in ``__all__`` is passed, by keyword or by position, by some call in
 ``src/braidperm``, unless README.md names the function: a setting with one
 value in use is a constant.  And every public method or property of a class
 defined in the package is read, as an attribute or a name, in ``src/braidperm``
-or in the ``perfbench/`` harness, or is named in README.md.
+or in the ``perfbench/`` harness, or is named in README.md.  Every public
+``Session`` method, a cache the claim checkers share, is called in
+``claims.py`` outside its own definition, whatever README.md says: README
+uses words such as "image" and "lattice" in their ordinary sense.
 """
 
 import ast
@@ -127,6 +130,44 @@ def unused_public_methods():
                 ):
                     unused.append(f"{module}.{cls.name}.{node.name}")
     return unused
+
+
+def uncalled_methods(tree, class_name):
+    """class_name.method for each public method of the class in tree that no
+    call in tree makes outside the method's own body."""
+    [cls] = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == class_name]
+    uncalled = []
+    for method in cls.body:
+        if not isinstance(method, ast.FunctionDef) or method.name.startswith("_"):
+            continue
+        stack, called = [tree], False
+        while stack and not called:
+            node = stack.pop()
+            if node is method:
+                continue
+            func = getattr(node, "func", None) if isinstance(node, ast.Call) else None
+            called = isinstance(func, ast.Attribute) and func.attr == method.name
+            stack.extend(ast.iter_child_nodes(node))
+        if not called:
+            uncalled.append(f"{class_name}.{method.name}")
+    return uncalled
+
+
+def test_every_session_method_is_called_by_the_claims():
+    assert uncalled_methods(_trees()["claims"], "Session") == []
+
+
+def test_an_accessor_only_its_own_body_calls_is_uncalled():
+    tree = ast.parse(
+        "class Session:\n"
+        "    def image(self, n):\n"
+        "        return self.image(n - 1) if n else 0\n"
+        "    def lattice(self):\n"
+        "        return 1\n"
+        "def check(s):\n"
+        "    return s.lattice()\n"
+    )
+    assert uncalled_methods(tree, "Session") == ["Session.image"]
 
 
 def test_every_public_name_is_used_or_documented():
