@@ -11,16 +11,19 @@ and decides membership; on it the sublattice mod q is certified to be
 (Z/q)^(n-1) x Z/q2 (the tests recompute it by brute-force subgroup closure).
 Conjugation by generator s swaps the exponents s and s+1, and is expressed
 as matrices over Z/q in the basis (f_1, ..., f_(n-1), h_n), where the last
-coordinate is only defined mod q2 = q / gcd(q, 2).  The kernel of S_n's
-action through them is one of its normal subgroups, told apart by at most
-two matrix products.
+coordinate is only defined mod q2 = q / gcd(q, 2).  Each such matrix is the
+identity except on a few columns, so every per-(n, q) check runs on sparse
+columns: a word of matrices is applied to sparse vectors, and no matrix
+product is formed.  The kernel of S_n's action through them is one of its
+normal subgroups, told apart by at most two words applied to the unit
+coordinates.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import add, mul
+from operator import add
 from typing import Iterable, Sequence
 
 from .perm import Permutation, _compose, _padded
@@ -28,13 +31,11 @@ from .perm import Permutation, _compose, _padded
 __all__ = [
     "AbelianStructure",
     "KernelLattice",
-    "compose_matrices",
     "coords_from_exponents",
     "expected_kernel_structure",
     "expected_monodromy_matrix",
     "f_vector",
     "g_vector",
-    "identity_matrix",
     "kernel_lattice",
     "kernel_structure",
     "monodromy_kernel",
@@ -43,6 +44,7 @@ __all__ = [
 ]
 
 Matrix = list[list[int]]
+Columns = list[list[tuple[int, int]]]  # per column, its nonzero (row, entry) pairs
 
 
 def q2_of(q: int) -> int:
@@ -240,15 +242,36 @@ def _canonical_matrix(m: Matrix, q: int, q2: int) -> Matrix:
     return [[v % mod for v in row] for row, mod in zip(m, _moduli(len(m), q, q2))]
 
 
-def identity_matrix(n: int, q: int, q2: int) -> Matrix:
-    return _canonical_matrix([[1 if i == j else 0 for j in range(n)] for i in range(n)], q, q2)
+def _columns(m: Matrix) -> Columns:
+    """The columns of m as their nonzero (row, entry) pairs."""
+    return [[(i, x) for i, x in enumerate(col) if x] for col in zip(*m)]
 
 
-def compose_matrices(a: Matrix, b: Matrix, q: int, q2: int) -> Matrix:
-    """Canonical product a @ b; the entry moduli follow the coordinate moduli."""
-    n = len(a)
-    prod = [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-    return _canonical_matrix(prod, q, q2)
+def _sparse(coords: Sequence[int]) -> dict[int, int]:
+    """The nonzero coordinates of a vector, keyed by position."""
+    return {i: x for i, x in enumerate(coords) if x}
+
+
+def _apply(cols: Columns, v: dict[int, int], moduli: Sequence[int]) -> dict[int, int]:
+    """The image of the sparse vector v under the matrix with columns cols,
+    each coordinate reduced mod its modulus (q, or q2 for the last)."""
+    out: dict[int, int] = {}
+    for j, c in v.items():
+        for i, x in cols[j]:
+            out[i] = out.get(i, 0) + c * x
+    return {i: r for i, x in out.items() if (r := x % moduli[i])}
+
+
+def _fixes_units(word: Sequence[Columns], moduli: Sequence[int]) -> bool:
+    """Whether the product of the word's matrices, applied last first, fixes
+    every unit coordinate; for q2 = 1 the last unit is the zero vector."""
+    for j, k in enumerate(moduli):
+        unit = v = {j: 1} if k > 1 else {}
+        for cols in reversed(word):
+            v = _apply(cols, v, moduli)
+        if v != unit:
+            return False
+    return True
 
 
 def expected_monodromy_matrix(s: int, n: int, q: int) -> Matrix:
@@ -305,14 +328,16 @@ def _swap_actions_match(vectors: Sequence[Sequence[int]], matrices: list[Matrix]
     """Whether each matrix acts on the coordinates of every vector as its
     swap acts on the vector; False when a vector has no coordinates.  Both
     are maps of the coordinate group, so agreeing on generators they agree
-    everywhere; the skip sums bring in h_n."""
+    everywhere; the skip sums bring in h_n.  Each action is applied on the
+    matrix's sparse columns."""
     moduli = _moduli(len(matrices[0]), q, q2_of(q))
+    columns = [_columns(m) for m in matrices]
     try:
         for v in vectors:
-            coords = coords_from_exponents(v, q)
-            for s, m in enumerate(matrices, start=1):
-                acted = tuple(sum(map(mul, row, coords)) % k for row, k in zip(m, moduli))
-                if acted != coords_from_exponents(_swapped(v, s), q):
+            coords = _sparse(coords_from_exponents(v, q))
+            for s, cols in enumerate(columns, start=1):
+                swapped = _sparse(coords_from_exponents(_swapped(v, s), q))
+                if _apply(cols, coords, moduli) != swapped:
                     return False
     except ValueError:
         return False
@@ -344,7 +369,13 @@ def kernel_lattice(vectors: Sequence[Sequence[int]], q: int, n: int) -> KernelLa
     """KernelLattice of the span of vectors mod q in Z^n."""
     span = _Span(vectors, q, n)
     matrices = [_swap_matrix(s, n, q) for s in range(1, n)]
-    normal = all(_swapped(v, s) in span for v in vectors for s in range(1, n))
+    # a swapped vector equal to a given one is in the span without reduction
+    given = {tuple(v) for v in vectors}
+    normal = all(
+        (w := tuple(_swapped(v, s))) in given or w in span
+        for v in vectors
+        for s in range(1, n)
+    )
     return KernelLattice(
         span,
         span.order() == q ** (n - 1) * q2_of(q) and normal,
@@ -355,16 +386,17 @@ def kernel_lattice(vectors: Sequence[Sequence[int]], q: int, n: int) -> KernelLa
     )
 
 
-def _coxeter_relations_hold(mats: list[Matrix], q: int, q2: int) -> bool:
+def _coxeter_relations_hold(columns: list[Columns], moduli: Sequence[int]) -> bool:
     """(M_r M_s)^m = I for r <= s, with m = 1 for r = s, 3 for adjacent r, s
-    and 2 otherwise: the Coxeter presentation of S_n."""
-    ident = identity_matrix(len(mats[0]), q, q2)
-    for r, a in enumerate(mats):
-        for s in range(r, len(mats)):
-            prod = power = compose_matrices(a, mats[s], q, q2)
-            for _ in range(0 if s == r else 2 if s == r + 1 else 1):
-                power = compose_matrices(power, prod, q, q2)
-            if power != ident:
+    and 2 otherwise: the Coxeter presentation of S_n.  The matrices are given
+    by their columns and must respect the moduli (monodromy_kernel checks
+    them first), so each is a map of the coordinate group: their products
+    associate, and a product is the identity exactly when it fixes every unit
+    coordinate.  So each word is applied to the units, and no product is formed."""
+    for r, a in enumerate(columns):
+        for s in range(r, len(columns)):
+            m = 1 if s == r else 3 if s == r + 1 else 2
+            if not _fixes_units([a, columns[s]] * m, moduli):
                 return False
     return True
 
@@ -385,13 +417,13 @@ def monodromy_kernel(matrices: list[Matrix], q: int, q2: int) -> int | None:
     n = len(mats[0])
     if any(row[-1] % (q // q2) for m in mats for row in m[:-1]):
         return None
-    if not _coxeter_relations_hold(mats, q, q2):
+    moduli, columns = _moduli(n, q, q2), [_columns(m) for m in mats]
+    if not _coxeter_relations_hold(columns, moduli):
         return None
-    ident = identity_matrix(n, q, q2)
-    if all(m == ident for m in mats):
+    if all(_fixes_units([cols], moduli) for cols in columns):
         return math.factorial(n)
-    if compose_matrices(mats[0], mats[1], q, q2) == ident:
+    if _fixes_units([columns[0], columns[1]], moduli):
         return math.factorial(n) // 2
-    if n == 4 and compose_matrices(mats[0], mats[2], q, q2) == ident:
+    if n == 4 and _fixes_units([columns[0], columns[2]], moduli):
         return 4
     return 1

@@ -221,17 +221,15 @@ def _json_int(value, name: str) -> int:
 
 
 def _steps(spec: ShuffleSpec) -> Iterator[tuple[int, int, int]]:
-    """(i_t, j_t, i_(t+1)) for every t and every chosen cycle alpha.  A spec
-    stores alpha and u(alpha) from their least points along tau, so rotating
-    them to start at i1 and j1 is walking tau there; a fixed point is its
-    own one step."""
-    for (alpha, i1, j1), (_, image) in zip(spec.choices, spec.u):
-        if len(alpha) == 1:
-            yield i1, j1, i1
-            continue
-        k, l = alpha.index(i1), image.index(j1)
-        i_seq, j_seq = alpha[k:] + alpha[:k], image[l:] + image[:l]
-        yield from zip(i_seq, j_seq, alpha[k + 1 :] + alpha[: k + 1])
+    """(i_t, j_t, i_(t+1)) for every t and every chosen cycle alpha: walking
+    tau from (i1, j1) once around alpha, i on alpha and j on u(alpha), which
+    has alpha's length; a fixed point is its own one step."""
+    tau = _padded(spec.tau, spec.d)
+    for alpha, i, j in spec.choices:
+        for _ in alpha:
+            i_next = tau[i - 1]
+            yield i, j, i_next
+            i, j = i_next, tau[j - 1]
 
 
 def build_shuffle(spec: ShuffleSpec) -> Permutation:

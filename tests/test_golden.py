@@ -5,10 +5,12 @@ A change to a file under ``tests/golden/`` is a change of behaviour.  To
 regenerate one, run the command in ``GOLDEN`` with ``--out`` pointing at it.
 """
 
+import hashlib
 from pathlib import Path
 
 import pytest
 
+from braidperm.claims import RunConfig, run_verification
 from braidperm.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -82,3 +84,11 @@ def test_every_golden_file_has_a_command_and_is_named_in_readme():
     files = sorted(path.name for path in GOLDEN_DIR.iterdir())
     assert [name for name in files if name not in GOLDEN] == []
     assert [name for name in files if f"`{name}`" not in readme] == []
+
+
+def test_report_at_n_30_is_pinned():
+    """The goldens stop at n = 8; the full suite at d = 4, n = 30 pins the
+    per-(n, q) checks at matrices of size 30 by the report's sha256."""
+    report = run_verification(RunConfig(d=4, n=30)).to_json()
+    digest = "22b804d963f99b5288367c623b44f47afdf1239347af53c27289d6acc3ad8dba"
+    assert hashlib.sha256(report.encode()).hexdigest() == digest

@@ -26,10 +26,11 @@ from braidperm.groups import (
     tower_certificate,
     transitivity_report,
 )
-from braidperm.lattice import compose_matrices, expected_monodromy_matrix
+from braidperm.lattice import expected_monodromy_matrix
 from braidperm.oracles import enumerate_shuffles
 from braidperm.perm import Permutation, _compose, _invert, _padded, _trusted
 from braidperm.shuffle import ShuffleSpec, build_shuffle, components, iter_specs
+from test_lattice import compose_matrices
 from test_perm import block_swap
 from test_shuffle import coset
 

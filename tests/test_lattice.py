@@ -11,13 +11,11 @@ from braidperm.claims import RunConfig, Session
 from braidperm.groups import abelian_kernel, braid_image
 from braidperm.lattice import (
     AbelianStructure,
-    compose_matrices,
     coords_from_exponents,
     expected_kernel_structure,
     expected_monodromy_matrix,
     f_vector,
     g_vector,
-    identity_matrix,
     kernel_lattice,
     kernel_structure,
     monodromy_kernel,
@@ -26,7 +24,6 @@ from braidperm.lattice import (
 )
 from braidperm.perm import Permutation, _invert, _padded, _trusted
 from braidperm.shuffle import ShuffleSpec, build_shuffle
-from test_groups import braid_relations_hold
 
 
 def perm(text):
@@ -87,6 +84,18 @@ def exponent_vector(g, tau, d, n):
 def parametrize(coords, tau, d):
     """Kernel coordinates realized as thm-3.4 realizes the unit coordinates."""
     return realize(lattice._kernel_exponents(coords), tau, d)
+
+
+def identity_matrix(n, q, q2):
+    return lattice._canonical_matrix([[int(i == j) for j in range(n)] for i in range(n)], q, q2)
+
+
+def compose_matrices(a, b, q, q2):
+    """The dense reference product: canonical a @ b, the entry moduli
+    following the coordinate moduli."""
+    n = len(a)
+    prod = [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    return lattice._canonical_matrix(prod, q, q2)
 
 
 def kernel_box(n, q):
@@ -627,11 +636,37 @@ def dense_walk(mats, n, q, q2):
 def relations_hold(mats, n, q, q2):
     """The matrices respect the coordinate moduli, are involutions and satisfy
     the braid relations, in braid_relations_hold's form."""
+    from test_groups import braid_relations_hold  # test_groups imports this module
+
     ident = identity_matrix(n, q, q2)
     return (
         not any(row[-1] % (q // q2) for m in mats for row in m[:-1])
         and all(compose_matrices(a, a, q, q2) == ident for a in mats)
         and braid_relations_hold(mats, lambda a, b: compose_matrices(a, b, q, q2))
+    )
+
+
+def dense_kernel(mats, n, q, q2):
+    """monodromy_kernel's normal-subgroup certificate on dense products,
+    for matrices that pass relations_hold."""
+    mats = [lattice._canonical_matrix(m, q, q2) for m in mats]
+    ident = identity_matrix(n, q, q2)
+    if all(m == ident for m in mats):
+        return math.factorial(n)
+    if compose_matrices(mats[0], mats[1], q, q2) == ident:
+        return math.factorial(n) // 2
+    if n == 4 and compose_matrices(mats[0], mats[2], q, q2) == ident:
+        return 4
+    return 1
+
+
+def sparse_relations_hold(mats, n, q, q2):
+    """The moduli test, then _coxeter_relations_hold on the canonical columns."""
+    mats = [lattice._canonical_matrix(m, q, q2) for m in mats]
+    return not any(row[-1] % (q // q2) for m in mats for row in m[:-1]) and (
+        lattice._coxeter_relations_hold(
+            [lattice._columns(m) for m in mats], lattice._moduli(n, q, q2)
+        )
     )
 
 
@@ -654,7 +689,7 @@ class TestMonodromyWalk:
     """The normal-subgroup certificate of monodromy_kernel against dense_walk."""
 
     @pytest.mark.parametrize("n", [3, 4, 5])
-    @pytest.mark.parametrize("q", [1, 2, 3, 4, 6])
+    @pytest.mark.parametrize("q", range(1, 13))
     def test_matches_dense_walk(self, n, q):
         rng = random.Random(1000 * n + q)
         q2 = q2_of(q)
@@ -685,9 +720,11 @@ class TestMonodromyWalk:
         sets += [[near_identity() for _ in range(n - 1)] for _ in range(2)]
         counts = []
         for mats in sets:
-            if relations_hold(mats, n, q, q2):
+            holds = relations_hold(mats, n, q, q2)
+            assert sparse_relations_hold(mats, n, q, q2) == holds
+            if holds:
                 counts.append(dense_walk(mats, n, q, q2))
-                assert monodromy_kernel(mats, q, q2) == counts[-1]
+                assert monodromy_kernel(mats, q, q2) == dense_kernel(mats, n, q, q2) == counts[-1]
             else:
                 assert monodromy_kernel(mats, q, q2) is None
         assert counts[0] == (math.factorial(n) if q == 1 else 1)
@@ -747,8 +784,40 @@ class TestMonodromyWalk:
             return compose_matrices(a, b, q, q2)
 
         assert mul(mul(swap, swap), flip) != mul(swap, mul(swap, flip))
-        assert lattice._coxeter_relations_hold([swap, swap], q, q2)
+        moduli = lattice._moduli(3, q, q2)
+        assert lattice._coxeter_relations_hold([lattice._columns(swap)] * 2, moduli)
         assert monodromy_kernel([swap, swap], q, q2) is None
+
+
+class TestSparseAgreement:
+    """The sparse relation and kernel checks against the dense products."""
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_stated_matrices(self, n):
+        for q in range(1, 13):
+            q2 = q2_of(q)
+            mats = [expected_monodromy_matrix(s, n, q) for s in range(1, n)]
+            assert relations_hold(mats, n, q, q2) and sparse_relations_hold(mats, n, q, q2)
+            kernel = monodromy_kernel(mats, q, q2)
+            assert kernel == dense_kernel(mats, n, q, q2) == (math.factorial(n) if q == 1 else 1)
+            if n <= 5:
+                assert kernel == dense_walk(mats, n, q, q2)
+
+    def test_every_single_entry_mutant_is_refused(self):
+        """Changing one entry of one stated matrix by 1, in a row and a column
+        of modulus above 1, breaks the moduli or a relation."""
+        mutants = 0
+        for n, q in product(range(3, 8), range(2, 13)):
+            q2 = q2_of(q)
+            moduli = lattice._moduli(n, q, q2)
+            mats = [expected_monodromy_matrix(s, n, q) for s in range(1, n)]
+            for s, i, j in product(range(n - 1), range(n), range(n)):
+                if moduli[i] > 1 and moduli[j] > 1:
+                    bad = [[row[:] for row in m] for m in mats]
+                    bad[s][i][j] = (bad[s][i][j] + 1) % moduli[i]
+                    assert monodromy_kernel(bad, q, q2) is None, (n, q, s, i, j)
+                    mutants += 1
+        assert mutants == 6840
 
 
 class TestKernelLattice:
@@ -796,6 +865,23 @@ class TestKernelLattice:
 
 
 class TestMonodromyBudget:
+    def test_normality_reduces_only_new_swaps(self, monkeypatch):
+        """A swapped generator vector equal to a given one needs no reduction:
+        at n = 30 the lattice makes 142 span memberships, 2n - 6 = 54 of them
+        for the normality test, where reducing every swap made 1,741."""
+        calls = []
+        contains = lattice._Span.__contains__
+
+        def counting(span, vector):
+            calls.append(vector)
+            return contains(span, vector)
+
+        monkeypatch.setattr(lattice._Span, "__contains__", counting)
+        kl = kernel_lattice(lattice._kernel_vectors(30), 4, 30)
+        assert kl.orders_hold and kl.parametrized and kl.actions_match and kl.outside
+        assert len(calls) == 142
+
+
     def test_no_dense_products_or_permutation_round_trips(self, monkeypatch):
         """The lattices of every (n, q) on d <= 3, n <= 4 read their matrices
         as coordinate swaps without one matrix product, and they are the
@@ -807,31 +893,36 @@ class TestMonodromyBudget:
             for case in session.pool(d)
             for n in (3, 4)
         ]
-        calls = []
-        compose = lattice.compose_matrices
+        # the module forms no matrix product: its only matrix operation is
+        # _apply, sparse columns on a sparse vector; work counts its
+        # multiply-adds
+        assert not hasattr(lattice, "compose_matrices")
+        work = []
+        apply = lattice._apply
 
-        def counting(*args):
-            calls.append(args)
-            return compose(*args)
+        def counting(cols, v, moduli):
+            assert isinstance(v, dict)
+            work.append(sum(len(cols[j]) for j in v))
+            return apply(cols, v, moduli)
 
-        monkeypatch.setattr(lattice, "compose_matrices", counting)
+        monkeypatch.setattr(lattice, "_apply", counting)
         lattices = {
             (n, q): kernel_lattice(lattice._kernel_vectors(n), q, n)
             for n in (3, 4)
             for q in (1, 2, 3)
         }
-        assert calls == []
         for image in images:
             mats = lattices[image.n, image.q].matrices
             assert monodromy_matrices(image) == mats
             assert matrices_match_conjugation(image, abelian_kernel(image).generators, mats)
         assert len(images) > 40
-        # at most n^2 - n + 1 = 57 products at n = 8, where a walk over S_8 makes 40,319
+        # at n = 8 the relation and kernel checks make fewer multiply-adds
+        # than n - 1 dense products of 8^3 each, where dense checks form up
+        # to n^2 - n + 1 = 57 products and a walk over S_8 makes 40,319
         for tau in ("(1 2)", "(1 2 3)"):
             image = image_for(perm(tau), 3, 8)
             mats = kernel_lattice(lattice._kernel_vectors(8), image.q, 8).matrices
             assert monodromy_matrices(image) == mats
-            assert calls == []
+            work.clear()
             assert monodromy_kernel(mats, image.q, image.q2) == 1
-            assert 0 < len(calls) < 200
-            calls.clear()
+            assert 0 < sum(work) < 7 * 8**3
