@@ -39,6 +39,7 @@ from .oracles import D_CAP, DEFAULT_CAP, commuting_pairs, conjugacy_class_count,
 from .perm import (
     Permutation,
     _compose,
+    _invert,
     _padded,
     _shifted,
     _trusted,
@@ -49,10 +50,10 @@ from .report import ClaimCheck, VerificationReport
 from .shuffle import (
     ShuffleSpec,
     SpecError,
-    _component_images,
+    _checked_pair,
     _is_braid_like,
     _pair_images,
-    build_shuffle,
+    _walk,
     decompose_pair,
     iter_specs,
     pair_from_shuffle,
@@ -217,44 +218,130 @@ class Session:
         )
 
 
+def _centralizer_generators(cycles: list[tuple[int, ...]], d: int) -> list[tuple[int, ...]]:
+    """Image tuples of degree d generating the centralizer in S_d of the
+    permutation w with these cycles, fixed points included as 1-cycles.
+
+    The centralizer is the product over the lengths m of Z_m wr S_k, where
+    c_1, ..., c_k are w's m-cycles.  Per length this takes a rotation of c_1
+    and, for k >= 2, the swap c_1[t] <-> c_2[t] and the cycling c_1[t] ->
+    c_2[t] -> ... -> c_k[t] -> c_1[t].  Each commutes with w, which maps c[t]
+    to c[t + 1].  The swap and the cycling generate S_k on the m-cycles, and
+    conjugating the rotation by them rotates each c_i."""
+    by_length: dict[int, list[tuple[int, ...]]] = {}
+    for c in cycles:
+        by_length.setdefault(len(c), []).append(c)
+    moves = []
+    for m, same in by_length.items():
+        if m > 1:
+            moves.append(dict(zip(same[0], same[0][1:] + same[0][:1])))
+        if len(same) > 1:
+            moves.append({**dict(zip(same[0], same[1])), **dict(zip(same[1], same[0]))})
+            moves.append({x: y for a, b in zip(same, same[1:] + same[:1]) for x, y in zip(a, b)})
+    return [tuple([move.get(x, x) for x in range(1, d + 1)]) for move in moves]
+
+
+def _diagonal_generators(d: int) -> list[tuple[int, ...]]:
+    """w + w, the image tuple of degree 2d of w on both blocks, for
+    w = (1 2) and (1 2 ... d), which generate S_d."""
+    return [
+        w + tuple([y + d for y in w])
+        for w in ((2, 1, *range(3, d + 1)), (*range(2, d + 1), 1))
+    ]
+
+
+def _conjugation_closure(start, gens: list[tuple[int, ...]]) -> set[tuple[int, ...]]:
+    """The image tuples in start closed under x -> g * x * g^-1 for each of
+    gens, all of one degree."""
+    pairs = [(g, _invert(g)) for g in gens]
+    seen = set(start)
+    frontier = list(seen)
+    while frontier:
+        x = frontier.pop()
+        for g, g_inv in pairs:
+            y = _compose(g, _compose(x, g_inv))
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return seen
+
+
+def _braid_like_coset(s: Session, d: int) -> set[tuple[int, ...]]:
+    """The braid-like elements of the coset swap * S_d * shift(S_d, d), as
+    image tuples of degree 2d, from one braid test per diagonal orbit.
+
+    On image tuples sigma = swap * w1 * shift(w2, d) is (w1 + d) followed by
+    w2, and shift(sigma, d) is (1..d) followed by (w1 + 2d) and (w2 + d), so
+    the pair is tested at degree 3d by concatenation.
+
+    Invariance lemma: for w in S_d, sigma' = (w + w) * sigma * (w + w)^-1 is
+    braid-like exactly when sigma is.  w + w commutes with the swap, so
+    sigma' = swap * (w w1 w^-1) * shift(w w2 w^-1, d) is again in the coset.
+    W = w + w + w at degree 3d conjugates sigma + id to sigma' + id and
+    shift(sigma, d) to shift(sigma', d).  Conjugation by W is an automorphism,
+    so it keeps a != b and a*b*a == b*a*b.
+
+    So the braid-like set is a union of orbits of the diagonal S_d, which
+    acts on the coordinates as (w1, w2) -> (w w1 w^-1, w w2 w^-1).  Each orbit
+    meets the pairs whose w1 is the first member of its class in
+    Session.taus order, and those pairs form one C(w1)-orbit of w2.  One w2
+    per C(w1)-orbit gives one element per diagonal orbit: by Burnside's
+    lemma, sum_lambda z_lambda of them (Holt, Eick and O'Brien, Handbook of
+    Computational Group Theory, 2005, ch. 4).  The braid-like ones, closed
+    under conjugation by w + w for w = (1 2) and (1 2 ... d), are the whole
+    braid-like set."""
+    top = tuple(range(2 * d + 1, 3 * d + 1))
+    firsts: dict = {}
+    for w in s.taus(d):
+        firsts.setdefault(w.cycle_type(d), w)
+    members = [_padded(w, d) for w in s.taus(d)]
+    braid = []
+    for w1 in firsts.values():
+        up = tuple([y + d for y in _padded(w1, d)])
+        shift_head = _shifted(up, d)  # (1..d) followed by (w1 + 2d)
+        gens = _centralizer_generators(w1.cycles(include_fixed=True, degree=d), d)
+        seen: set[tuple[int, ...]] = set()
+        for w2 in members:
+            if w2 in seen:
+                continue
+            seen |= _conjugation_closure((w2,), gens)
+            # sigma(2d) = w2(d) <= d, so this degree-2d tuple is canonical
+            sigma = up + w2
+            if _is_braid_like(sigma + top, shift_head + tuple([y + d for y in w2])):
+                braid.append(sigma)
+    return _conjugation_closure(braid, _diagonal_generators(d))
+
+
 def _check_thm_2_12(s: Session) -> list[ClaimCheck]:
     """Equivalence of braid-likeness, block-split squares (membership in the
     root sweep's buckets), and shuffle membership over the whole coset, plus
     the counting and set identities.
 
-    The swap exchanges the two d-blocks, so on image tuples the coset element
-    sigma = swap * w1 * shift(w2, d) is (w1 + d) followed by w2, and its shift
-    shift(sigma, d) is (1..d) followed by (w1 + 2d) and (w2 + d): each member
-    of S_d is lifted once by d, and the pairs are concatenated."""
+    The root and shuffle sets are compared in full; braid-likeness is read
+    from _braid_like_coset, one test per diagonal orbit.  A coset element
+    disagrees when it is in one of the three sets and not in another, and
+    the examples are the least of them as image tuples: Session.taus is in
+    image-tuple order, so this is the order of a sweep over (w1, w2)."""
     entries = []
     for d in s.config.ds():
-        members = [_padded(w, d) for w in s.taus(d)]
         shuffle_all = {p.canonical() for tau in s.taus(d) for p in s.shuffles(d, tau).elements}
         roots_all = {p.canonical() for tau in s.taus(d) for p in s.roots(d, tau).elements}
-        top = tuple(range(2 * d + 1, 3 * d + 1))
-        lifted = [tuple([y + d for y in w]) for w in members]
-        braid_count = 0
-        disagreements: list[str] = []
-        for up in lifted:
-            shift_head = _shifted(up, d)  # (1..d) followed by (w1 + 2d)
-            for w2, w2_up in zip(members, lifted):
-                # sigma(2d) = w2(d) <= d, so this degree-2d tuple is canonical
-                sigma = up + w2
-                braid = _is_braid_like(sigma + top, shift_head + w2_up)
-                split = sigma in roots_all
-                member = sigma in shuffle_all
-                braid_count += braid
-                if not (braid == split == member):
-                    disagreements.append(str(_trusted(sigma)))
+        braid = _braid_like_coset(s, d)
+        # a coset element's canonical tuple has degree 2d and maps [1, d] above d
+        disagreements = sorted(
+            x
+            for x in (braid ^ roots_all) | (braid ^ shuffle_all)
+            if len(x) == 2 * d and min(x[:d]) > d
+        )
         entries.append(
             ClaimCheck(
                 claim="thm-2.12",
                 parameters={"d": d, "check": "equivalence"},
                 witness={
-                    "coset_size": len(members) ** 2,
-                    "braid_like": braid_count,
+                    "coset_size": len(s.taus(d)) ** 2,
+                    "braid_like": len(braid),
                     "disagreement_count": len(disagreements),
-                    "examples": disagreements[:3],
+                    "examples": [str(_trusted(x)) for x in disagreements[:3]],
                 },
                 passed=not disagreements,
             )
@@ -290,13 +377,14 @@ def _check_thm_2_12(s: Session) -> list[ClaimCheck]:
 def _check_lemma_2_4(s: Session) -> list[ClaimCheck]:
     """Per-spec identities: factorization through the pair, per-orbit factor
     formula, per-orbit commutation, product recovery, rotation redundancy.
-    Each shuffle is built once, keyed on its spec's choices; a spec's rotation,
-    (i1, j1) advanced along tau, is looked up there, and a missing one fails.
-    Every comparison is between image tuples.  first and shift(second, d)
-    act on disjoint blocks, so their product is first followed by (second +
-    d); the block swap exchanges the two d-blocks, so swap * first *
-    shift(second, d) is (first + d) followed by second.  A pair that does
-    not commute or multiply to tau is refused by its builder and counts
+    Each spec is walked once, with tau's image tuple padded once per tau, and
+    the walk gives sigma, the pair and the per-orbit components, keyed on the
+    spec's choices; a spec's rotation, (i1, j1) advanced along tau, is looked
+    up there, and a missing one fails.  Every comparison is between image
+    tuples.  first and shift(second, d) act on disjoint blocks, so their
+    product is first followed by (second + d); the block swap exchanges the
+    two d-blocks, so swap * first * shift(second, d) is (first + d) followed
+    by second.  A pair that does not commute or multiply to tau counts
     against pair_product."""
     entries = []
     for d in s.config.ds():
@@ -312,14 +400,13 @@ def _check_lemma_2_4(s: Session) -> list[ClaimCheck]:
         examples: list[str] = []
         ident = tuple(range(1, 2 * d + 1))
         for tau in s.taus(d):
-            shuffles = {
-                spec.choices: (spec, build_shuffle(spec).images) for spec in iter_specs(tau, d)
-            }
-            step = (0, *_padded(tau, d))
-            for spec, sigma in shuffles.values():
+            images = _padded(tau, d)
+            step = (0, *images)
+            walks = {spec.choices: (spec, *_walk(spec, images)) for spec in iter_specs(tau, d)}
+            for spec, sigma, first, second, parts in walks.values():
                 spec_count += 1
                 try:
-                    first, second = _pair_images(spec)
+                    _checked_pair(first, second, images)
                 except SpecError as exc:
                     failures["pair_product"] += 1
                     examples.append(f"pair_product {spec.to_json_dict()}: {exc}")
@@ -328,7 +415,7 @@ def _check_lemma_2_4(s: Session) -> list[ClaimCheck]:
                         failures["factorization"] += 1
                         examples.append(f"factorization {spec.to_json_dict()}")
                 prod = ident
-                for factor, first, second, product, swap in _component_images(spec):
+                for factor, first, second, product, swap in parts:
                     prod = _compose(prod, factor)
                     if _compose(swap, first + tuple([y + d for y in second])) != factor:
                         failures["orbit_factor"] += 1
@@ -338,7 +425,7 @@ def _check_lemma_2_4(s: Session) -> list[ClaimCheck]:
                 if prod != sigma:
                     failures["factor_product"] += 1
                 rotated = tuple([(a, step[i1], step[j1]) for a, i1, j1 in spec.choices])
-                found = shuffles.get(rotated)
+                found = walks.get(rotated)
                 if found is None or found[1] != sigma:
                     failures["rotation"] += 1
         entries.append(

@@ -264,9 +264,13 @@ def _apply(cols: Columns, v: dict[int, int], moduli: Sequence[int]) -> dict[int,
 
 def _fixes_units(word: Sequence[Columns], moduli: Sequence[int]) -> bool:
     """Whether the product of the word's matrices, applied last first, fixes
-    every unit coordinate; for q2 = 1 the last unit is the zero vector."""
+    every unit coordinate; for q2 = 1 the last unit is the zero vector, which
+    every matrix fixes.  A unit whose column is [(j, 1)] in every matrix of
+    the word is fixed by each of them, so it is not applied."""
     for j, k in enumerate(moduli):
-        unit = v = {j: 1} if k > 1 else {}
+        if k == 1 or all(cols[j] == [(j, 1)] for cols in word):
+            continue
+        unit = v = {j: 1}
         for cols in reversed(word):
             v = _apply(cols, v, moduli)
         if v != unit:

@@ -220,31 +220,61 @@ def _json_int(value, name: str) -> int:
     return value
 
 
-def _steps(spec: ShuffleSpec) -> Iterator[tuple[int, int, int]]:
-    """(i_t, j_t, i_(t+1)) for every t and every chosen cycle alpha: walking
-    tau from (i1, j1) once around alpha, i on alpha and j on u(alpha), which
-    has alpha's length; a fixed point is its own one step."""
-    tau = _padded(spec.tau, spec.d)
+def _walk(spec: ShuffleSpec, tau: tuple[int, ...], parts: bool = True) -> tuple[tuple, ...]:
+    """Image tuples of sigma, of the pair (first, second) and, with parts, of
+    each u-orbit's (factor, first, second, product, swap), from one walk.
+
+    tau is spec.tau's image tuple of degree d, which the caller pads once.
+    The walk goes along tau from (i1, j1) once around each chosen cycle
+    alpha, i on alpha and j on u(alpha), which has alpha's length; a fixed
+    point is its own one step.  The step (i, j, i_next) sets sigma(i) = j + d,
+    sigma(j + d) = i_next, first(i) = j and second(j) = i_next, and writes
+    the same into the component of alpha's orbit, with product(i) = tau(i)
+    and the swap i <-> i + d.  The i and the j each run once over [1, d], so
+    every image is set: a valid spec makes the images bijections, and they
+    are not checked again.  The components are ordered by least point;
+    factor and swap have degree 2d, the rest degree d."""
+    d = spec.d
+    sigma, first, second = [0] * (2 * d), [0] * d, [0] * d
+    comps, where = [], {}
+    if parts:
+        short, long = list(range(1, d + 1)), list(range(1, 2 * d + 1))
+        for orbit in spec.orbits():
+            comps.append((long[:], short[:], short[:], short[:], long[:]))
+            where.update((alpha, comps[-1]) for alpha in orbit)
     for alpha, i, j in spec.choices:
+        if parts:
+            c_factor, c_first, c_second, c_product, c_swap = where[alpha]
         for _ in alpha:
             i_next = tau[i - 1]
-            yield i, j, i_next
+            sigma[i - 1] = j + d
+            sigma[j + d - 1] = i_next
+            first[i - 1] = j
+            second[j - 1] = i_next
+            if parts:
+                c_factor[i - 1] = j + d
+                c_factor[j + d - 1] = i_next
+                c_first[i - 1] = j
+                c_second[j - 1] = i_next
+                c_product[i - 1] = i_next
+                c_swap[i - 1] = i + d
+                c_swap[i + d - 1] = i
             i, j = i_next, tau[j - 1]
+    return (
+        tuple(sigma),
+        tuple(first),
+        tuple(second),
+        tuple([tuple(map(tuple, images)) for images in comps]),
+    )
 
 
 def build_shuffle(spec: ShuffleSpec) -> Permutation:
     """Product of the shuffled 2m-cycles; maps [1, d] onto [d+1, 2d].
 
     Advancing (i1, j1) together along tau rotates each 2m-cycle in place, so
-    specs differing only by such a rotation build the same permutation.  The
-    i_t and the j_t each run once over [1, d], so every image is set: a valid
-    spec makes the images a bijection, and they are not checked again.
+    specs differing only by such a rotation build the same permutation.
     """
-    images = [0] * (2 * spec.d)
-    for i, j, i_next in _steps(spec):
-        images[i - 1] = j + spec.d
-        images[j + spec.d - 1] = i_next
-    return _trusted(tuple(images))
+    return _trusted(_walk(spec, _padded(spec.tau, spec.d), parts=False)[0])
 
 
 @dataclass(frozen=True)
@@ -265,20 +295,22 @@ class CommutingPair:
         object.__setattr__(self, "product", _trusted(product))
 
 
-def _pair_images(spec: ShuffleSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Image tuples of the pair glued from the per-cycle point maps i_t -> j_t
-    and j_t -> i_(t+1), from one walk of the steps.  Raises SpecError unless
-    the two commute and multiply to tau."""
-    d = spec.d
-    first, second = [0] * d, [0] * d
-    for i, j, i_next in _steps(spec):
-        first[i - 1] = j
-        second[j - 1] = i_next
-    first, second = tuple(first), tuple(second)
+def _checked_pair(first: tuple[int, ...], second: tuple[int, ...], tau: tuple[int, ...]):
+    """(first, second), image tuples of degree d; raises SpecError unless the
+    two commute and multiply to tau."""
     product = _compose(first, second)
-    if product != _compose(second, first) or product != _padded(spec.tau, d):
+    if product != _compose(second, first) or product != tau:
         raise SpecError("pair construction did not multiply back to tau; this is a bug")
     return first, second
+
+
+def _pair_images(spec: ShuffleSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Image tuples of the pair glued from the per-cycle point maps i_t -> j_t
+    and j_t -> i_(t+1).  Raises SpecError unless the two commute and multiply
+    to tau."""
+    tau = _padded(spec.tau, spec.d)
+    _, first, second, _ = _walk(spec, tau, parts=False)
+    return _checked_pair(first, second, tau)
 
 
 def build_pair(spec: ShuffleSpec) -> CommutingPair:
@@ -371,41 +403,12 @@ class Component:
     swap: Permutation
 
 
-def _component_images(spec: ShuffleSpec) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """(factor, first, second, product, swap) image tuples per u-orbit,
-    ordered by least point, from one walk of the steps: each step is routed
-    by i_t's orbit, which is the step's, and i_t runs once over [1, d].
-    factor and swap have degree 2d, the rest degree d; like build_shuffle's,
-    the images are not checked again."""
-    d = spec.d
-    tau = _padded(spec.tau, d)
-    short, long = list(range(1, d + 1)), list(range(1, 2 * d + 1))
-    maps = []
-    where = [None] * (d + 1)  # point -> its orbit's images
-    for orbit in spec.orbits():
-        images = (long[:], short[:], short[:], short[:], long[:])
-        maps.append(images)
-        for alpha in orbit:
-            for x in alpha:
-                where[x] = images
-    for i, j, i_next in _steps(spec):
-        factor, first, second, product, swap = where[i]
-        factor[i - 1] = j + d
-        factor[j + d - 1] = i_next
-        first[i - 1] = j
-        second[j - 1] = i_next
-        product[i - 1] = tau[i - 1]
-        swap[i - 1] = i + d
-        swap[i + d - 1] = i
-    return tuple([tuple(map(tuple, images)) for images in maps])
-
-
 def components(spec: ShuffleSpec) -> tuple[Component, ...]:
     """The per-u-orbit factor data of a spec, ordered by least point.  The
     factors have pairwise disjoint supports and multiply to build_shuffle(spec)."""
     return tuple(
         Component(orbit, frozenset(x for alpha in orbit for x in alpha), *map(_trusted, images))
-        for orbit, images in zip(spec.orbits(), _component_images(spec))
+        for orbit, images in zip(spec.orbits(), _walk(spec, _padded(spec.tau, spec.d))[3])
     )
 
 

@@ -11,10 +11,25 @@ import pytest
 from braidperm import REGISTRY, RunConfig, claims, groups, lattice, oracles, run_verification
 from braidperm.claims import Session
 from braidperm.cli import main
-from braidperm.groups import CaseCertificate, abelian_kernel, braid_image, schreier_sims
+from braidperm.groups import (
+    CaseCertificate,
+    GeneratedGroup,
+    abelian_kernel,
+    braid_image,
+    schreier_sims,
+)
 from braidperm.oracles import EnumerationResult
-from braidperm.perm import Permutation, _trusted
+from braidperm.oracles import _commute as commute
+from braidperm.perm import (
+    Permutation,
+    _padded,
+    _shifted,
+    _trusted,
+    centralizer_order,
+    partition_count,
+)
 from braidperm.shuffle import ShuffleSpec, SpecError
+from braidperm.shuffle import _is_braid_like as braid_test
 from test_groups import (
     chain_complement_search,
     chain_split_complement,
@@ -199,8 +214,15 @@ def replaced_report(monkeypatch, tmp_path, name, replacement, tag):
 
 class TestPairFaults:
     def test_build_pair_fault_counts_against_pair_product(self, monkeypatch, tmp_path):
+        """A walk whose pair has first's images of 1 and 2 exchanged gives a
+        pair whose product is not tau on every spec."""
         fault = SpecError("pair construction did not multiply back to tau; this is a bug")
-        [entry] = faulty_report(monkeypatch, tmp_path, "_pair_images", fault, "lemma-2.4")
+
+        def corrupt(walk):
+            sigma, first, second, parts = walk
+            return sigma, swapped_images(_trusted(first), 1, 2).images, second, parts
+
+        [entry] = corrupted_report(monkeypatch, tmp_path, "_walk", corrupt, "lemma-2.4")
         witness = entry["witness"]
         # the 36 = 6 + 3 * 4 + 2 * 9 specs over the identity, the
         # transpositions and the 3-cycles
@@ -328,21 +350,22 @@ class TestLemma24:
         assert witness["examples"] == [] and not entry.passed
 
     def test_wrong_sigma_counts_factorization_failures(self, monkeypatch, tmp_path):
-        def corrupt(sigma):
-            return swapped_images(sigma, 1, 2)
+        def corrupt(walk):
+            sigma, *rest = walk
+            return swapped_images(_trusted(sigma), 1, 2).images, *rest
 
-        [entry] = corrupted_report(monkeypatch, tmp_path, "build_shuffle", corrupt, "lemma-2.4")
+        [entry] = corrupted_report(monkeypatch, tmp_path, "_walk", corrupt, "lemma-2.4")
         witness = entry["witness"]
         assert witness["factorization"] == witness["factor_product"] == witness["specs"] == 36
         assert witness["orbit_factor"] == witness["pair_product"] == 0
         assert not entry["pass"]
 
     def test_wrong_factor_counts_orbit_factor_failures(self, monkeypatch, tmp_path):
-        def corrupt(comps):
-            (factor, *images), *rest = comps
-            return ((swapped_images(_trusted(factor), 1, 6).images, *images), *rest)
+        def corrupt(walk):
+            *pair, ((factor, *images), *rest) = walk
+            return *pair, ((swapped_images(_trusted(factor), 1, 6).images, *images), *rest)
 
-        [entry] = corrupted_report(monkeypatch, tmp_path, "_component_images", corrupt, "lemma-2.4")
+        [entry] = corrupted_report(monkeypatch, tmp_path, "_walk", corrupt, "lemma-2.4")
         witness = entry["witness"]
         assert witness["orbit_factor"] == witness["factor_product"] == witness["specs"] == 36
         assert witness["factorization"] == witness["pair_product"] == 0
@@ -438,10 +461,57 @@ class TestCor213:
         assert calls == []
 
 
+# sum_lambda z_lambda over the partitions lambda of d: the number of orbits of
+# the diagonal S_d on S_d x S_d, by Burnside's lemma
+SUM_Z = {2: 4, 3: 11, 4: 43, 5: 161, 6: 901, 7: 5579}
+
+
+def centralizer_order_sum(s: Session, d: int) -> int:
+    return sum(centralizer_order(t) for t in {w.cycle_type(d) for w in s.taus(d)})
+
+
+def coset_images(s: Session, d: int):
+    """The coset's elements (w1 + d) followed by w2, in sweep order."""
+    members = [_padded(w, d) for w in s.taus(d)]
+    return (tuple([y + d for y in w1]) + w2 for w1 in members for w2 in members)
+
+
+def braid_like_images(sigma, d: int) -> bool:
+    """Whether sigma, a permutation of [1, 2d] as image tuple, and
+    shift(sigma, d) are braid-like at degree 3d."""
+    return braid_test(sigma + tuple(range(2 * d + 1, 3 * d + 1)), _shifted(sigma, d))
+
+
+def full_sweep_equivalence(s: Session, d: int) -> dict:
+    """thm-2.12's equivalence witness at d from a sweep that tests every
+    coset element for braid-likeness: the reference for the checker's one
+    test per diagonal orbit.  The coset element sigma = swap * w1 *
+    shift(w2, d) is (w1 + d) followed by w2, and shift(sigma, d) is (1..d)
+    followed by (w1 + 2d) and (w2 + d)."""
+    shuffle_all = {p.canonical() for tau in s.taus(d) for p in s.shuffles(d, tau).elements}
+    roots_all = {p.canonical() for tau in s.taus(d) for p in s.roots(d, tau).elements}
+    braid_count = 0
+    disagreements = []
+    for sigma in coset_images(s, d):
+        braid = braid_like_images(sigma, d)
+        split = sigma in roots_all
+        member = sigma in shuffle_all
+        braid_count += braid
+        if not (braid == split == member):
+            disagreements.append(str(_trusted(sigma)))
+    return {
+        "coset_size": len(s.taus(d)) ** 2,
+        "braid_like": braid_count,
+        "disagreement_count": len(disagreements),
+        "examples": disagreements[:3],
+    }
+
+
 def assert_one_disagreement(monkeypatch, accessor):
     """thm-2.12 at d = 3 with the first element of the (1 2 3) bucket of
     Session.<accessor> dropped: exactly that sigma disagrees in the
-    equivalence, and the bucket mismatches in the counts."""
+    equivalence, as in the full sweep, and the bucket mismatches in the
+    counts."""
     s = Session(RunConfig(d=3, n=3, claims=("thm-2.12",)))
     tau = Permutation.parse("(1 2 3)")
     dropped = getattr(s, accessor)(3, tau).elements[0]
@@ -456,6 +526,7 @@ def assert_one_disagreement(monkeypatch, accessor):
     monkeypatch.setattr(Session, accessor, one_fewer)
     equivalence, counts = claims._check_thm_2_12(s)
     assert equivalence.parameters == {"d": 3, "check": "equivalence"}
+    assert equivalence.witness == full_sweep_equivalence(s, 3)
     assert equivalence.witness["disagreement_count"] == 1
     assert equivalence.witness["examples"] == [str(dropped)]
     assert equivalence.witness["braid_like"] == 18 and not equivalence.passed
@@ -492,19 +563,147 @@ class TestThm212:
         assert all(e.passed for e in claims._check_lemma_2_5(s))
         assert 0 < calls < 24**2
 
-    def test_coset_is_concatenated_not_composed(self, monkeypatch):
-        """With roots and shuffles warm, thm-2.12 forms each of the 576 coset
-        elements at d = 4 and its shift by concatenating lifted members of
-        S_4, so it takes no image-tuple product of its own."""
-        s = Session(RunConfig(d=4))
-        for tau in s.taus(4):
-            s.roots(4, tau)
-            s.shuffles(4, tau)
-        calls = counted(monkeypatch, claims, "_compose")
+    def test_one_braid_test_per_diagonal_orbit(self, monkeypatch):
+        """With roots and shuffles warm, thm-2.12 tests one coset element per
+        orbit of the diagonal S_d: sum_lambda z_lambda of them, 11, 43 and
+        161 at d = 3, 4 and 5, against the 36, 576 and 14,400 elements of
+        the coset."""
+        for d, orbits in ((3, 11), (4, 43), (5, 161)):
+            s = Session(RunConfig(d=d))
+            for tau in s.taus(d):
+                s.roots(d, tau)
+                s.shuffles(d, tau)
+            calls = counted(monkeypatch, claims, "_is_braid_like")
+            equivalence, counts = claims._check_thm_2_12(s)
+            assert equivalence.witness["coset_size"] == math.factorial(d) ** 2
+            assert equivalence.passed and counts.passed
+            assert len(calls) == orbits == centralizer_order_sum(s, d)
+            monkeypatch.undo()
+
+    def test_matches_the_full_sweep(self):
+        """The equivalence witness from the representatives equals the full
+        sweep's on every d <= 6."""
+        s = Session(RunConfig(d_max=6, claims=("thm-2.12",)))
+        equivalences = claims._check_thm_2_12(s)[::2]
+        assert [e.parameters["d"] for e in equivalences] == [2, 3, 4, 5, 6]
+        for equivalence in equivalences:
+            assert equivalence.witness == full_sweep_equivalence(s, equivalence.parameters["d"])
+            assert equivalence.passed
+
+    @pytest.mark.parametrize("added", [None, "(1 6)", "(1 2)", "(1 4)(2 5)(3 7)"])
+    def test_an_added_element_disagrees_only_in_the_coset(self, monkeypatch, added):
+        """An element added to both (1 2 3) buckets at d = 3.  The first coset
+        element that is not braid-like (None) is the one disagreement.  The
+        others lie outside the coset and are none, as in the full sweep:
+        (1 6) and (1 2) move a point of [1, 3] within it, and the last maps
+        [1, 3] above 3 but moves 7.  The shuffle count of (1 2 3) mismatches
+        either way."""
+        s = Session(RunConfig(d=3, n=3, claims=("thm-2.12",)))
+        tau = Permutation.parse("(1 2 3)")
+        if added is None:
+            extra = next(_trusted(x) for x in coset_images(s, 3) if not braid_like_images(x, 3))
+        else:
+            extra = Permutation.parse(added)
+        for accessor in ("roots", "shuffles"):
+            full = getattr(Session, accessor)
+
+            def one_more(self, d, t, full=full):
+                result = full(self, d, t)
+                if t != tau:
+                    return result
+                return EnumerationResult(
+                    result.parameters, (*result.elements, extra), result.count + 1
+                )
+
+            monkeypatch.setattr(Session, accessor, one_more)
         equivalence, counts = claims._check_thm_2_12(s)
-        assert equivalence.witness["coset_size"] == 24**2
-        assert equivalence.passed and counts.passed
-        assert calls == []
+        assert equivalence.witness == full_sweep_equivalence(s, 3)
+        assert equivalence.witness["examples"] == ([str(extra)] if added is None else [])
+        assert equivalence.witness["braid_like"] == 18
+        assert counts.witness["shuffle_count_mismatches"] == [str(tau)] and not counts.passed
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_invariance_lemma(self, d):
+        """For every coset element sigma and every w in S_d, W = w + w + w
+        conjugates sigma + id and shift(sigma, d) to sigma' + id and
+        shift(sigma', d), where sigma' = swap * (w w1 w^-1) * shift(w w2
+        w^-1, d) is sigma conjugated by w + w; and sigma' is braid-like
+        exactly when sigma is."""
+        group = Session(RunConfig(d=d)).taus(d)
+        swap = Permutation.from_cycles([(i, i + d) for i in range(1, d + 1)], 2 * d)
+
+        def conjugate(g, x):
+            return g * x * g.inverse()
+
+        for w in group:
+            ww = w * w.shift(d)
+            www = ww * w.shift(2 * d)
+            for w1, w2 in product(group, group):
+                sigma = swap * w1 * w2.shift(d)
+                moved = swap * conjugate(w, w1) * conjugate(w, w2).shift(d)
+                assert conjugate(ww, sigma) == conjugate(www, sigma) == moved
+                assert conjugate(www, sigma.shift(d)) == moved.shift(d)
+                assert braid_like_images(moved.images, d) == braid_like_images(sigma.images, d)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
+    def test_representatives(self, monkeypatch, d):
+        """One coset element is tested per diagonal orbit, sum_lambda z_lambda
+        of them, with w1 the first member of its class in Session.taus
+        order.  For d <= 6 their orbit sizes d! / |C(w1) & C(w2)| sum to
+        |S_d|^2.  The braid-like set has p(d) * d! elements."""
+        s = Session(RunConfig(d=d))
+        calls = counted(monkeypatch, claims, "_is_braid_like")
+        braid = claims._braid_like_coset(s, d)
+        assert len(calls) == centralizer_order_sum(s, d) == SUM_Z[d]
+        assert len(braid) == partition_count(d) * math.factorial(d)
+        reps = [(tuple([y - d for y in a[:d]]), a[d : 2 * d]) for a, _ in calls]
+        firsts = {}
+        for w in s.taus(d):
+            firsts.setdefault(w.cycle_type(d), _padded(w, d))
+        assert {w1 for w1, _ in reps} == set(firsts.values())
+        if d > 6:
+            return
+        members = [_padded(w, d) for w in s.taus(d)]
+        centralizers = {w1: [g for g in members if commute(g, w1)] for w1 in firsts.values()}
+        sizes = [
+            math.factorial(d) // sum(commute(g, w2) for g in centralizers[w1]) for w1, w2 in reps
+        ]
+        assert sum(sizes) == math.factorial(d) ** 2
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_centralizer_generators(self, d):
+        """The generators commute with w1 and generate its whole centralizer,
+        of order z_lambda, for every class of S_d."""
+        s = Session(RunConfig(d=d))
+        for w in {w.cycle_type(d): w for w in s.taus(d)}.values():
+            gens = claims._centralizer_generators(w.cycles(include_fixed=True, degree=d), d)
+            assert all(commute(g, _padded(w, d)) for g in gens)
+            group = GeneratedGroup(d, tuple(map(_trusted, gens)))
+            assert schreier_sims(group).order() == centralizer_order(w.cycle_type(d))
+
+    def test_a_non_commuting_generator_fails_the_reference(self, monkeypatch):
+        """(1 2) added to every w1's centralizer generators merges C(w1)-orbits
+        where it does not commute with w1, and braid-like orbits go untested."""
+        real = claims._centralizer_generators
+
+        def with_transposition(cycles, d):
+            return [*real(cycles, d), (2, 1, *range(3, d + 1))]
+
+        monkeypatch.setattr(claims, "_centralizer_generators", with_transposition)
+        s = Session(RunConfig(d=4, claims=("thm-2.12",)))
+        equivalence, _ = claims._check_thm_2_12(s)
+        assert equivalence.witness != full_sweep_equivalence(s, 4)
+        assert not equivalence.passed
+
+    def test_a_closure_under_one_transposition_fails_the_reference(self, monkeypatch):
+        """Closing the braid-like representatives under (1 2) + (1 2) alone
+        misses most of each diagonal orbit."""
+        real = claims._diagonal_generators
+        monkeypatch.setattr(claims, "_diagonal_generators", lambda d: real(d)[:1])
+        s = Session(RunConfig(d=4, claims=("thm-2.12",)))
+        equivalence, _ = claims._check_thm_2_12(s)
+        assert equivalence.witness != full_sweep_equivalence(s, 4)
+        assert equivalence.witness["braid_like"] < 120 and not equivalence.passed
 
 
 class TestLemma25:

@@ -92,3 +92,12 @@ def test_report_at_n_30_is_pinned():
     report = run_verification(RunConfig(d=4, n=30)).to_json()
     digest = "22b804d963f99b5288367c623b44f47afdf1239347af53c27289d6acc3ad8dba"
     assert hashlib.sha256(report.encode()).hexdigest() == digest
+
+
+def test_thm_2_12_at_d_6_is_pinned():
+    """No golden has d = 6, where the representatives of the diagonal orbits
+    are furthest from the full coset (901 of 518,400 elements); thm-2.12
+    there is pinned by the report's sha256."""
+    report = run_verification(RunConfig(d=6, n=3, claims=("thm-2.12",))).to_json()
+    digest = "d231929e713c25f99efb516744f554597ef99f6162fff2913561413e43a2db4d"
+    assert hashlib.sha256(report.encode()).hexdigest() == digest
