@@ -147,6 +147,18 @@ class Session:
             ("taus", d), lambda: sorted(schreier_sims(self.sym(d)).elements(), key=_key)
         )
 
+    def classes(self, d: int) -> list[tuple[Permutation, int]]:
+        """(w, size of w's conjugacy class) for w the first member of each
+        cycle type of S_d in taus order."""
+
+        def build():
+            members: dict = {}
+            for w in self.taus(d):
+                members.setdefault(w.cycle_type(d), []).append(w)
+            return [(same[0], len(same)) for same in members.values()]
+
+        return self._cached(("classes", d), build)
+
     def roots(self, d: int, tau: Permutation):
         """tau's bucket of the one root sweep over the coset of S_d."""
         return self._cached(
@@ -291,12 +303,9 @@ def _braid_like_coset(s: Session, d: int) -> set[tuple[int, ...]]:
     under conjugation by w + w for w = (1 2) and (1 2 ... d), are the whole
     braid-like set."""
     top = tuple(range(2 * d + 1, 3 * d + 1))
-    firsts: dict = {}
-    for w in s.taus(d):
-        firsts.setdefault(w.cycle_type(d), w)
     members = [_padded(w, d) for w in s.taus(d)]
     braid = []
-    for w1 in firsts.values():
+    for w1, _ in s.classes(d):
         up = tuple([y + d for y in _padded(w1, d)])
         shift_head = _shifted(up, d)  # (1..d) followed by (w1 + 2d)
         gens = _centralizer_generators(w1.cycles(include_fixed=True, degree=d), d)
@@ -376,16 +385,33 @@ def _check_thm_2_12(s: Session) -> list[ClaimCheck]:
 
 def _check_lemma_2_4(s: Session) -> list[ClaimCheck]:
     """Per-spec identities: factorization through the pair, per-orbit factor
-    formula, per-orbit commutation, product recovery, rotation redundancy.
-    Each spec is walked once, with tau's image tuple padded once per tau, and
-    the walk gives sigma, the pair and the per-orbit components, keyed on the
-    spec's choices; a spec's rotation, (i1, j1) advanced along tau, is looked
-    up there, and a missing one fails.  Every comparison is between image
-    tuples.  first and shift(second, d) act on disjoint blocks, so their
-    product is first followed by (second + d); the block swap exchanges the
-    two d-blocks, so swap * first * shift(second, d) is (first + d) followed
-    by second.  A pair that does not commute or multiply to tau counts
-    against pair_product."""
+    formula, per-orbit commutation, product recovery, rotation redundancy,
+    decided on the specs over one tau per conjugacy class of S_d.
+
+    Relabeling lemma: for w in S_d, relabeling a spec's cycles and starting
+    points by w is a bijection from the specs over tau onto the specs over
+    w tau w^-1, whose inverse relabels by w^-1.  It conjugates every output
+    of _walk by w, or by w + w at degree 2d: the step (i, j, tau(i)) becomes
+    (w(i), w(j), w(tau(i))), and w tau w^-1 maps w(i) to w(tau(i)).  The
+    u-orbits, their points and so their swaps are relabeled with them, and
+    the factors, with disjoint supports, multiply to sigma in any order.  A
+    spec's rotation, (i1, j1) advanced along tau, relabels to the rotation of
+    its relabeling.  Conjugation is an automorphism and w + w commutes with
+    the block swap, so each of the six identities holds for a spec exactly
+    when it holds for its relabeling, and every failure count is a class
+    function of tau.  So the counts over S_d are the representatives'
+    counts weighted by their class sizes; the examples are the
+    representatives' own.
+
+    Each spec over a representative is walked once, with tau's image tuple
+    padded and u's orbits computed once per tau and u, and the walk gives
+    sigma, the pair and the per-orbit components, keyed on the spec's
+    choices; a spec's rotation is looked up there, and a missing one fails.
+    Every comparison is between image tuples.  first and shift(second, d)
+    act on disjoint blocks, so their product is first followed by (second +
+    d); the block swap exchanges the two d-blocks, so swap * first *
+    shift(second, d) is (first + d) followed by second.  A pair that does
+    not commute or multiply to tau counts against pair_product."""
     entries = []
     for d in s.config.ds():
         spec_count = 0
@@ -399,35 +425,39 @@ def _check_lemma_2_4(s: Session) -> list[ClaimCheck]:
         }
         examples: list[str] = []
         ident = tuple(range(1, 2 * d + 1))
-        for tau in s.taus(d):
+        for tau, size in s.classes(d):
             images = _padded(tau, d)
             step = (0, *images)
-            walks = {spec.choices: (spec, *_walk(spec, images)) for spec in iter_specs(tau, d)}
+            walks, u = {}, None
+            for spec in iter_specs(tau, d):
+                if spec.u != u:  # iter_specs yields the specs of one u together
+                    u, orbits = spec.u, spec.orbits()
+                walks[spec.choices] = (spec, *_walk(spec, images, orbits))
             for spec, sigma, first, second, parts in walks.values():
-                spec_count += 1
+                spec_count += size
                 try:
                     _checked_pair(first, second, images)
                 except SpecError as exc:
-                    failures["pair_product"] += 1
+                    failures["pair_product"] += size
                     examples.append(f"pair_product {spec.to_json_dict()}: {exc}")
                 else:
                     if tuple([x + d for x in first]) + second != sigma:
-                        failures["factorization"] += 1
+                        failures["factorization"] += size
                         examples.append(f"factorization {spec.to_json_dict()}")
                 prod = ident
                 for factor, first, second, product, swap in parts:
                     prod = _compose(prod, factor)
                     if _compose(swap, first + tuple([y + d for y in second])) != factor:
-                        failures["orbit_factor"] += 1
+                        failures["orbit_factor"] += size
                         examples.append(f"orbit_factor {spec.to_json_dict()}")
                     if _compose(first, second) != product or _compose(second, first) != product:
-                        failures["orbit_commute"] += 1
+                        failures["orbit_commute"] += size
                 if prod != sigma:
-                    failures["factor_product"] += 1
+                    failures["factor_product"] += size
                 rotated = tuple([(a, step[i1], step[j1]) for a, i1, j1 in spec.choices])
                 found = walks.get(rotated)
                 if found is None or found[1] != sigma:
-                    failures["rotation"] += 1
+                    failures["rotation"] += size
         entries.append(
             ClaimCheck(
                 claim="lemma-2.4",
@@ -546,8 +576,9 @@ def _check_prop_3_30(s: Session) -> list[ClaimCheck]:
     distant ones have disjoint supports.  So the relations, restrictions and
     subdirect product hold at every n when they hold at degree 2d, and are
     decided once per case: the relations by the certificate (sigma passes
-    _block_root), the rest by tower_certificate.  Per (case, n): the orbits,
-    from sigma's image tuple.  A sigma failing _block_root counts one
+    _block_root), the rest by tower_certificate, whose point sets, one per
+    u-orbit, also tell whether u is the identity.  Per (case, n): the
+    orbits, from sigma's image tuple.  A sigma failing _block_root counts one
     relation failure at each n; its other counters read its images as usual.
 
     The orbit-partition part of the claim is refuted by computation: the
@@ -569,13 +600,12 @@ def _check_prop_3_30(s: Session) -> list[ClaimCheck]:
                 if not holds:
                     failures[key] += 1
                     examples.append(f"{label} {case.sigma}")
+        # u is the identity exactly when each cycle of tau is its own u-orbit
+        identity_u = [len(s.towers(case).points) == len(case.spec.u) for case in pool]
         for n in s.config.ns():
             matches = [s.transitivity(case, n).orbits_match for case in pool]
             orbit_mismatches = [str(case.sigma) for case, match in zip(pool, matches) if not match]
-            refinement_holds = all(
-                match == all(len(o) == 1 for o in case.spec.orbits())
-                for case, match in zip(pool, matches)
-            )
+            refinement_holds = matches == identity_u
             entries.append(
                 ClaimCheck(
                     claim="prop-3.30",
@@ -605,7 +635,8 @@ def _check_prop_3_30(s: Session) -> list[ClaimCheck]:
 def _check_cor_3_31(s: Session) -> list[ClaimCheck]:
     """Stated criterion: transitive exactly when the cycle map is a single orbit.
 
-    Per case: the cycle map, from the spec.  Per (case, n): transitivity.
+    Per case: the number of u-orbits, from the tower certificate's point
+    sets.  Per (case, n): transitivity.
     g_s maps x + (s-1)*d to sigma(x) + (s-1)*d for x in [1, 2d] and fixes
     every other point, so the orbits are read off sigma's image tuple.
 
@@ -617,12 +648,12 @@ def _check_cor_3_31(s: Session) -> list[ClaimCheck]:
     entries = []
     for d in s.config.ds():
         pool = s.pool(d)
+        long_cycles = [len(s.towers(case).points) == 1 for case in pool]
         for n in s.config.ns():
             mismatches: list[str] = []
             only_if_holds = refined_holds = True
-            for case in pool:
+            for case, u_long_cycle in zip(pool, long_cycles):
                 transitive = s.transitivity(case, n).transitive
-                u_long_cycle = len(case.spec.orbits()) == 1
                 if transitive != u_long_cycle:
                     mismatches.append(str(case.sigma))
                 if transitive and not u_long_cycle:

@@ -220,11 +220,13 @@ def _json_int(value, name: str) -> int:
     return value
 
 
-def _walk(spec: ShuffleSpec, tau: tuple[int, ...], parts: bool = True) -> tuple[tuple, ...]:
-    """Image tuples of sigma, of the pair (first, second) and, with parts, of
-    each u-orbit's (factor, first, second, product, swap), from one walk.
+def _walk(spec: ShuffleSpec, tau: tuple[int, ...], orbits=None) -> tuple[tuple, ...]:
+    """Image tuples of sigma, of the pair (first, second) and, given
+    spec.orbits() as orbits, of each u-orbit's (factor, first, second,
+    product, swap), from one walk.
 
-    tau is spec.tau's image tuple of degree d, which the caller pads once.
+    tau is spec.tau's image tuple of degree d, and the caller pads it and
+    computes the orbits once, for every spec that shares them.
     The walk goes along tau from (i1, j1) once around each chosen cycle
     alpha, i on alpha and j on u(alpha), which has alpha's length; a fixed
     point is its own one step.  The step (i, j, i_next) sets sigma(i) = j + d,
@@ -237,9 +239,10 @@ def _walk(spec: ShuffleSpec, tau: tuple[int, ...], parts: bool = True) -> tuple[
     d = spec.d
     sigma, first, second = [0] * (2 * d), [0] * d, [0] * d
     comps, where = [], {}
+    parts = orbits is not None
     if parts:
         short, long = list(range(1, d + 1)), list(range(1, 2 * d + 1))
-        for orbit in spec.orbits():
+        for orbit in orbits:
             comps.append((long[:], short[:], short[:], short[:], long[:]))
             where.update((alpha, comps[-1]) for alpha in orbit)
     for alpha, i, j in spec.choices:
@@ -274,7 +277,7 @@ def build_shuffle(spec: ShuffleSpec) -> Permutation:
     Advancing (i1, j1) together along tau rotates each 2m-cycle in place, so
     specs differing only by such a rotation build the same permutation.
     """
-    return _trusted(_walk(spec, _padded(spec.tau, spec.d), parts=False)[0])
+    return _trusted(_walk(spec, _padded(spec.tau, spec.d))[0])
 
 
 @dataclass(frozen=True)
@@ -309,7 +312,7 @@ def _pair_images(spec: ShuffleSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
     and j_t -> i_(t+1).  Raises SpecError unless the two commute and multiply
     to tau."""
     tau = _padded(spec.tau, spec.d)
-    _, first, second, _ = _walk(spec, tau, parts=False)
+    _, first, second, _ = _walk(spec, tau)
     return _checked_pair(first, second, tau)
 
 
@@ -406,9 +409,10 @@ class Component:
 def components(spec: ShuffleSpec) -> tuple[Component, ...]:
     """The per-u-orbit factor data of a spec, ordered by least point.  The
     factors have pairwise disjoint supports and multiply to build_shuffle(spec)."""
+    orbits = spec.orbits()
     return tuple(
         Component(orbit, frozenset(x for alpha in orbit for x in alpha), *map(_trusted, images))
-        for orbit, images in zip(spec.orbits(), _walk(spec, _padded(spec.tau, spec.d))[3])
+        for orbit, images in zip(orbits, _walk(spec, _padded(spec.tau, spec.d), orbits)[3])
     )
 
 

@@ -22,13 +22,15 @@ from braidperm.oracles import EnumerationResult
 from braidperm.oracles import _commute as commute
 from braidperm.perm import (
     Permutation,
+    _compose,
+    _invert,
     _padded,
     _shifted,
     _trusted,
     centralizer_order,
     partition_count,
 )
-from braidperm.shuffle import ShuffleSpec, SpecError
+from braidperm.shuffle import ShuffleSpec, SpecError, _checked_pair, iter_specs
 from braidperm.shuffle import _is_braid_like as braid_test
 from test_groups import (
     chain_complement_search,
@@ -190,6 +192,28 @@ def faulty_report(monkeypatch, tmp_path, name, fault, tag):
     return replaced_report(monkeypatch, tmp_path, name, faulty, tag)
 
 
+def first_swapped(walk):
+    """A _walk output whose pair has first's images of 1 and 2 exchanged."""
+    sigma, first, second, parts = walk
+    return sigma, swapped_images(_trusted(first), 1, 2).images, second, parts
+
+
+def sigma_swapped(walk):
+    """A _walk output whose sigma has the images of 1 and 2 exchanged."""
+    sigma, *rest = walk
+    return swapped_images(_trusted(sigma), 1, 2).images, *rest
+
+
+def factor_swapped(walk):
+    """A _walk output whose first component's factor has the images of 1 and
+    6 exchanged; d >= 3."""
+    *pair, ((factor, *images), *rest) = walk
+    return *pair, ((swapped_images(_trusted(factor), 1, 6).images, *images), *rest)
+
+
+WALK_CORRUPTIONS = {"first": first_swapped, "sigma": sigma_swapped, "factor": factor_swapped}
+
+
 def corrupted_report(monkeypatch, tmp_path, name, corrupt, tag):
     """As faulty_report, with claims.<name> returning a wrong result instead:
     corrupt applied to what the real function returns."""
@@ -217,12 +241,7 @@ class TestPairFaults:
         """A walk whose pair has first's images of 1 and 2 exchanged gives a
         pair whose product is not tau on every spec."""
         fault = SpecError("pair construction did not multiply back to tau; this is a bug")
-
-        def corrupt(walk):
-            sigma, first, second, parts = walk
-            return sigma, swapped_images(_trusted(first), 1, 2).images, second, parts
-
-        [entry] = corrupted_report(monkeypatch, tmp_path, "_walk", corrupt, "lemma-2.4")
+        [entry] = corrupted_report(monkeypatch, tmp_path, "_walk", first_swapped, "lemma-2.4")
         witness = entry["witness"]
         # the 36 = 6 + 3 * 4 + 2 * 9 specs over the identity, the
         # transpositions and the 3-cycles
@@ -329,49 +348,224 @@ class TestLemma24:
         assert calls == []
 
     def test_missing_rotation_is_a_rotation_failure(self, monkeypatch):
-        """With the first spec over (1 2 3) left out of the enumeration, the one
-        spec rotating onto it finds no shuffle to compare with: exactly one
-        rotation failure, and nothing else fails or raises."""
+        """(1 2 3) is its class's representative.  With its first spec left
+        out of the enumeration, the one spec rotating onto it finds no
+        shuffle to compare with: one rotation failure, weighted by the
+        class's two 3-cycles, and 2 * 8 specs over the class where the full
+        sweep has 2 * 9 - 1.  Nothing else fails or raises."""
         tau = Permutation.parse("(1 2 3)")
-        real = claims.iter_specs
-
-        def one_fewer(t, d):
-            specs = real(t, d)
-            if t == tau:
-                next(specs)
-            return specs
-
-        monkeypatch.setattr(claims, "iter_specs", one_fewer)
+        assert (tau, 2) in Session(RunConfig(d=3)).classes(3)
+        dropping_first_spec(monkeypatch, tau)
         [entry] = claims._check_lemma_2_4(Session(RunConfig(d=3)))
         witness = entry.witness
-        assert witness["specs"] == 35 and witness["rotation"] == 1
+        assert witness["specs"] == 34 and witness["rotation"] == 2
         others = [v for k, v in witness.items() if k not in ("specs", "rotation", "examples")]
         assert len(others) == 5 and not any(others)
         assert witness["examples"] == [] and not entry.passed
+        reference = all_tau_lemma_2_4(Session(RunConfig(d=3)), 3)
+        assert reference["specs"] == 35 and reference["rotation"] == 1
+
+    def test_a_spec_missing_outside_the_representatives_is_not_seen(self, monkeypatch):
+        """(1 3 2) is not its class's representative, so the checker walks
+        no spec over it and a spec dropped there changes nothing; the full
+        sweep still finds one spec fewer and one rotation failure."""
+        tau = Permutation.parse("(1 3 2)")
+        assert tau not in [w for w, _ in Session(RunConfig(d=3)).classes(3)]
+        [clean] = claims._check_lemma_2_4(Session(RunConfig(d=3)))
+        dropping_first_spec(monkeypatch, tau)
+        [entry] = claims._check_lemma_2_4(Session(RunConfig(d=3)))
+        assert entry.witness == clean.witness and entry.passed
+        reference = all_tau_lemma_2_4(Session(RunConfig(d=3)), 3)
+        assert reference["specs"] == 35 and reference["rotation"] == 1
+        assert reference["examples"] == []
 
     def test_wrong_sigma_counts_factorization_failures(self, monkeypatch, tmp_path):
-        def corrupt(walk):
-            sigma, *rest = walk
-            return swapped_images(_trusted(sigma), 1, 2).images, *rest
-
-        [entry] = corrupted_report(monkeypatch, tmp_path, "_walk", corrupt, "lemma-2.4")
+        [entry] = corrupted_report(monkeypatch, tmp_path, "_walk", sigma_swapped, "lemma-2.4")
         witness = entry["witness"]
         assert witness["factorization"] == witness["factor_product"] == witness["specs"] == 36
         assert witness["orbit_factor"] == witness["pair_product"] == 0
         assert not entry["pass"]
 
     def test_wrong_factor_counts_orbit_factor_failures(self, monkeypatch, tmp_path):
-        def corrupt(walk):
-            *pair, ((factor, *images), *rest) = walk
-            return *pair, ((swapped_images(_trusted(factor), 1, 6).images, *images), *rest)
-
-        [entry] = corrupted_report(monkeypatch, tmp_path, "_walk", corrupt, "lemma-2.4")
+        [entry] = corrupted_report(monkeypatch, tmp_path, "_walk", factor_swapped, "lemma-2.4")
         witness = entry["witness"]
         assert witness["orbit_factor"] == witness["factor_product"] == witness["specs"] == 36
         assert witness["factorization"] == witness["pair_product"] == 0
         examples = witness["examples"]
         assert len(examples) == 3 and all(e.startswith("orbit_factor {") for e in examples)
         assert not entry["pass"]
+
+    def test_matches_the_full_sweep(self):
+        """The witness from the class representatives, weighted by class
+        size, equals the full sweep's over every tau on every d <= 6."""
+        s = Session(RunConfig(d_max=6, claims=("lemma-2.4",)))
+        entries = claims._check_lemma_2_4(s)
+        assert [e.parameters["d"] for e in entries] == [2, 3, 4, 5, 6]
+        for entry in entries:
+            assert entry.witness == all_tau_lemma_2_4(s, entry.parameters["d"])
+            assert entry.passed
+
+    @pytest.mark.parametrize("d", [3, 4])
+    @pytest.mark.parametrize("corruption", sorted(WALK_CORRUPTIONS))
+    def test_matches_the_full_sweep_under_corrupted_walks(self, monkeypatch, d, corruption):
+        """Each corruption hits every spec, so the weighted counts equal the
+        full sweep's, and the first three examples come from the identity,
+        the first tau of both sweeps."""
+        real, corrupt = claims._walk, WALK_CORRUPTIONS[corruption]
+        monkeypatch.setattr(claims, "_walk", lambda *args: corrupt(real(*args)))
+        s = Session(RunConfig(d=d, claims=("lemma-2.4",)))
+        [entry] = claims._check_lemma_2_4(s)
+        assert entry.witness == all_tau_lemma_2_4(s, d)
+        assert entry.witness["specs"] == {3: 36, 4: 336}[d] and not entry.passed
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_relabeling_lemma(self, d):
+        """For every spec over every tau and every w in S_d, relabeling by w
+        gives a spec over w tau w^-1, bijectively; it conjugates sigma, the
+        pair and every component by w or w + w, and it maps the spec's
+        rotation to the rotation of its relabeling."""
+        group = Session(RunConfig(d=d)).taus(d)
+        for w in group:
+            wi = _padded(w, d)
+            ww = wi + tuple([y + d for y in wi])
+            for tau in group:
+                moved_tau = w * tau * w.inverse()
+                over = {spec.choices for spec in iter_specs(moved_tau, d)}
+                relabeled = set()
+                for spec in iter_specs(tau, d):
+                    moved = relabeled_spec(spec, w, moved_tau)
+                    relabeled.add(moved.choices)
+                    sigma, first, second, parts = walk_of(spec)
+                    moved_sigma, moved_first, moved_second, moved_parts = walk_of(moved)
+                    assert moved_sigma == conjugated(ww, sigma)
+                    assert moved_first == conjugated(wi, first)
+                    assert moved_second == conjugated(wi, second)
+                    # the components are ordered by least point, which w may reorder
+                    assert set(moved_parts) == {
+                        (conjugated(ww, f), conjugated(wi, a), conjugated(wi, b),
+                         conjugated(wi, p), conjugated(ww, x))
+                        for f, a, b, p, x in parts
+                    }
+                    assert relabeled_spec(rotated_spec(spec), w, moved_tau) == rotated_spec(moved)
+                assert relabeled == over
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
+    def test_class_sizes(self, d):
+        """Session.classes lists the first member of each cycle type in
+        Session.taus order, with its class size d! / z_lambda; the sizes sum
+        to d!."""
+        s = Session(RunConfig(d=d))
+        classes = s.classes(d)
+        firsts = {}
+        for w in s.taus(d):
+            firsts.setdefault(w.cycle_type(d), w)
+        assert [w for w, _ in classes] == list(firsts.values())
+        assert len(classes) == partition_count(d)
+        for w, size in classes:
+            assert size * centralizer_order(w.cycle_type(d)) == math.factorial(d)
+        assert sum(size for _, size in classes) == math.factorial(d)
+
+    def test_walks_one_tau_per_class(self, monkeypatch):
+        """lemma-2.4 walks the specs over the class representatives only:
+        19, 89, 271 and 1,673 at d = 3 to 6, against the 36, 336, 3,000 and
+        40,320 specs its witness counts.  u's orbits are computed once per
+        representative and u."""
+        for d, walks, specs in ((3, 19, 36), (4, 89, 336), (5, 271, 3000), (6, 1673, 40320)):
+            s = Session(RunConfig(d=d, claims=("lemma-2.4",)))
+            us = {(tau, spec.u) for tau, _ in s.classes(d) for spec in iter_specs(tau, d)}
+            calls = counted(monkeypatch, claims, "_walk")
+            orbits = counted(monkeypatch, ShuffleSpec, "orbits")
+            [entry] = claims._check_lemma_2_4(s)
+            assert entry.passed and entry.witness["specs"] == specs
+            assert len(calls) == walks
+            assert len(orbits) == len(us)
+            monkeypatch.undo()
+
+
+def dropping_first_spec(monkeypatch, tau):
+    """Patch claims.iter_specs to leave out the first spec over tau."""
+    real = claims.iter_specs
+
+    def one_fewer(t, d):
+        specs = real(t, d)
+        if t == tau:
+            next(specs)
+        return specs
+
+    monkeypatch.setattr(claims, "iter_specs", one_fewer)
+
+
+def walk_of(spec: ShuffleSpec):
+    return claims._walk(spec, _padded(spec.tau, spec.d), spec.orbits())
+
+
+def conjugated(w: tuple[int, ...], x: tuple[int, ...]) -> tuple[int, ...]:
+    """w * x * w^-1 on image tuples of one degree."""
+    return _compose(w, _compose(x, _invert(w)))
+
+
+def relabeled_spec(spec: ShuffleSpec, w: Permutation, moved_tau: Permutation) -> ShuffleSpec:
+    """The spec over moved_tau = w * tau * w^-1 with spec's cycles and
+    starting points relabeled by w, through the checking constructor."""
+    return ShuffleSpec(
+        spec.d,
+        moved_tau,
+        tuple((tuple(map(w, alpha)), w(i1), w(j1)) for alpha, i1, j1 in spec.choices),
+    )
+
+
+def rotated_spec(spec: ShuffleSpec) -> ShuffleSpec:
+    """spec with (i1, j1) advanced along tau on every cycle."""
+    choices = tuple((alpha, spec.tau(i1), spec.tau(j1)) for alpha, i1, j1 in spec.choices)
+    return ShuffleSpec(spec.d, spec.tau, choices)
+
+
+def all_tau_lemma_2_4(s: Session, d: int) -> dict:
+    """lemma-2.4's witness at d from a sweep over the specs of every tau in
+    S_d: the reference for the checker's one tau per conjugacy class.  It
+    walks through claims._walk and claims.iter_specs, so a patch of either
+    reaches both."""
+    spec_count = 0
+    failures = dict.fromkeys(
+        ("factorization", "orbit_factor", "orbit_commute", "pair_product", "factor_product",
+         "rotation"),
+        0,
+    )
+    examples = []
+    ident = tuple(range(1, 2 * d + 1))
+    for tau in s.taus(d):
+        images = _padded(tau, d)
+        step = (0, *images)
+        walks = {
+            spec.choices: (spec, *claims._walk(spec, images, spec.orbits()))
+            for spec in claims.iter_specs(tau, d)
+        }
+        for spec, sigma, first, second, parts in walks.values():
+            spec_count += 1
+            try:
+                _checked_pair(first, second, images)
+            except SpecError as exc:
+                failures["pair_product"] += 1
+                examples.append(f"pair_product {spec.to_json_dict()}: {exc}")
+            else:
+                if tuple([x + d for x in first]) + second != sigma:
+                    failures["factorization"] += 1
+                    examples.append(f"factorization {spec.to_json_dict()}")
+            prod = ident
+            for factor, first, second, product, swap in parts:
+                prod = _compose(prod, factor)
+                if _compose(swap, first + tuple([y + d for y in second])) != factor:
+                    failures["orbit_factor"] += 1
+                    examples.append(f"orbit_factor {spec.to_json_dict()}")
+                if _compose(first, second) != product or _compose(second, first) != product:
+                    failures["orbit_commute"] += 1
+            if prod != sigma:
+                failures["factor_product"] += 1
+            rotated = tuple([(a, step[i1], step[j1]) for a, i1, j1 in spec.choices])
+            found = walks.get(rotated)
+            if found is None or found[1] != sigma:
+                failures["rotation"] += 1
+    return {"specs": spec_count, **failures, "examples": examples[:3]}
 
 
 def permutation_cor_2_13(s: Session):
@@ -1235,6 +1429,18 @@ class TestProp330:
         assert images == products == []
         assert len(certificates) == len(towers) == len(pool) == 18
         assert len(orbits) == 18 * 4
+
+    def test_orbit_claims_compute_each_cases_u_orbits_once(self, monkeypatch):
+        """prop-3.30 and cor-3.31 at d = 3, n = 3 to 6 read whether u is the
+        identity or one cycle from the tower certificate's point sets, so
+        the u-orbits of each of the 18 cases are computed once, by
+        components, for all four n."""
+        session = Session(RunConfig(d=3, n_max=6))
+        session.pool(3)
+        orbits = counted(monkeypatch, ShuffleSpec, "orbits")
+        entries = claims._check_prop_3_30(session) + claims._check_cor_3_31(session)
+        assert len(entries) == 3 * 4
+        assert len(orbits) == len({id(spec) for spec, in orbits}) == 18
 
     def test_orbit_claims_build_only_the_member_list_chain(self, monkeypatch):
         """prop-3.30 and cor-3.31 build no stabilizer chain of their own: the

@@ -101,3 +101,13 @@ def test_thm_2_12_at_d_6_is_pinned():
     report = run_verification(RunConfig(d=6, n=3, claims=("thm-2.12",))).to_json()
     digest = "d231929e713c25f99efb516744f554597ef99f6162fff2913561413e43a2db4d"
     assert hashlib.sha256(report.encode()).hexdigest() == digest
+
+
+def test_coset_claims_at_d_6_are_pinned():
+    """The four coset claims at d = 6, where lemma-2.4 walks the 1,673 specs
+    over one tau per conjugacy class for its 40,320, are pinned by the
+    report's sha256."""
+    claims = ("thm-2.12", "lemma-2.4", "lemma-2.5", "cor-2.13")
+    report = run_verification(RunConfig(d=6, n=3, claims=claims)).to_json()
+    digest = "15c0f8c6d5acd3185fc7b9d2a42c09aefff937c0070fc751a7b77b12f13d5c2b"
+    assert hashlib.sha256(report.encode()).hexdigest() == digest
