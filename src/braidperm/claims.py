@@ -56,13 +56,11 @@ from .shuffle import (
     _walk,
     decompose_pair,
     iter_specs,
-    pair_from_shuffle,
 )
 
 __all__ = ["REGISTRY", "RunConfig", "Session", "run_verification"]
 
 RANDOM_INSTANCES = 1000  # cor-2.13 samples, spread over the shuffle cases
-_POOL_FREE = frozenset({"thm-2.12", "lemma-2.4", "lemma-2.5", "cor-2.13"})  # read no Session.pool
 
 
 @dataclass
@@ -103,7 +101,7 @@ def _key(p: Permutation) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class GridCase:
-    """One shuffle permutation of the grid with its recovered spec.  key,
+    """One shuffle permutation of the grid with the spec that built it.  key,
     sigma's and tau's image tuples, is computed once, when the case is made,
     and is the case's key in every Session cache that reads it."""
 
@@ -123,15 +121,13 @@ class Session:
     Every accessor is one call to ``_cached`` with its own key prefix.  The
     builder is called from a lambda inside the accessor, so a miss is a
     builder call made directly from the accessor; perfbench/tracer.py counts
-    cache misses by exactly that.  ``decomposition`` alone keeps nothing in a
-    run that builds no case pool, and the pool takes what it kept.
+    cache misses by exactly that.
     """
 
     def __init__(self, config: RunConfig):
         self.config = config
         self.rng = random.Random(config.seed)
         self._cache: dict[tuple, object] = {}
-        self._builds_pool = not _POOL_FREE.issuperset(config.claims or REGISTRY)
 
     def _cached(self, key: tuple, build: Callable[[], object]):
         if key not in self._cache:
@@ -172,27 +168,13 @@ class Session:
         def build():
             cases = []
             for tau in self.taus(d):
-                for sigma in self.shuffles(d, tau).elements:
-                    pair = pair_from_shuffle(sigma, d)
-                    key = ("decomposition", d, pair.first.images, pair.second.images)
-                    spec = self._cache.pop(key, None) or decompose_pair(pair.first, pair.second, d)
+                shuffles = self.shuffles(d, tau)
+                # strict: an enumeration without a spec per sigma raises ValueError
+                for sigma, spec in zip(shuffles.elements, shuffles.specs, strict=True):
                     cases.append(GridCase(d, tau, sigma, spec))
             return cases
 
         return self._cached(("pool", d), build)
-
-    def decomposition(self, d: int, first: tuple[int, ...], second: tuple[int, ...]) -> ShuffleSpec:
-        """decompose_pair of the commuting pair with these degree-d image
-        tuples, for lemma-2.5's round trip.  The case pool decomposes the same
-        pairs, so a run with a claim that reads the pool keeps each spec until
-        the pool takes it, and each pair is decomposed once; a run without
-        one keeps none, which would only hold memory."""
-        if not self._builds_pool:
-            return decompose_pair(_trusted(first), _trusted(second), d)
-        return self._cached(
-            ("decomposition", d, first, second),
-            lambda: decompose_pair(_trusted(first), _trusted(second), d),
-        )
 
     def certificate(self, case: GridCase) -> CaseCertificate:
         """The case's kernel facts for every n."""
@@ -472,9 +454,8 @@ def _check_lemma_2_4(s: Session) -> list[ClaimCheck]:
 def _check_lemma_2_5(s: Session) -> list[ClaimCheck]:
     """Commuting-pair counts against order times class count, and the exact
     decompose/rebuild round trip on every commuting pair of S_d: the pairs
-    come from the one sweep that the counts use, the decompositions from
-    Session.decomposition, which the case pool shares, and the rebuilt pair
-    is compared with the given one as image tuples."""
+    come from the one sweep that the counts use, each is decomposed once,
+    and the rebuilt pair is compared with the given one as image tuples."""
     entries = []
     groups = []
     for d in s.config.ds():
@@ -499,13 +480,12 @@ def _check_lemma_2_5(s: Session) -> list[ClaimCheck]:
         pairs = pairs_of[f"sym-{d}"]
         bad = 0
         for a, b in pairs:
-            pair = _padded(a, d), _padded(b, d)
             try:
-                rebuilt = _pair_images(s.decomposition(d, *pair))
+                rebuilt = _pair_images(decompose_pair(a, b, d))
             except (SpecError, RuntimeError):  # a failed round trip or rebuild
                 bad += 1
                 continue
-            if rebuilt != pair:
+            if rebuilt != (_padded(a, d), _padded(b, d)):
                 bad += 1
         entries.append(
             ClaimCheck(

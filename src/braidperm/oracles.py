@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .groups import GeneratedGroup, schreier_sims
 from .perm import Permutation, _compose, _padded, _trusted
-from .shuffle import build_shuffle, iter_specs
+from .shuffle import ShuffleSpec, build_shuffle, iter_specs
 
 __all__ = [
     "CapExceeded",
@@ -34,11 +34,13 @@ class CapExceeded(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class EnumerationResult:
-    """A deduplicated, canonically sorted enumeration."""
+    """A deduplicated, canonically sorted enumeration; a shuffle enumeration
+    also holds, in step with elements, the spec that built each one."""
 
     parameters: dict
     elements: tuple[Permutation, ...]
     count: int
+    specs: tuple[ShuffleSpec, ...] = ()
 
 
 def _sorted(perms) -> tuple[Permutation, ...]:
@@ -95,16 +97,25 @@ def enumerate_roots(
 
 
 def enumerate_shuffles(d: int, tau: Permutation) -> EnumerationResult:
-    """All distinct shuffle-built permutations over tau: every cycle map and
-    every choice of starting points, deduplicated."""
+    """All distinct shuffle-built permutations over tau, over every cycle map
+    and every choice of starting points, each with the first spec in
+    iter_specs order that builds it.
+
+    That spec is decompose_pair's for sigma's pair first(i) = sigma(i) - d,
+    second(i) = sigma(d + i).  sigma fixes u, and on each cycle alpha the
+    (i1, j1) that build sigma are one pair advanced together along tau, one
+    per i1 on alpha.  iter_specs runs i1 along each cycle from its least
+    point, cycle by cycle, so the first spec has i1 = alpha's least point and
+    j1 = sigma(i1) - d = first(i1) on every alpha: decompose_pair's choices.
+    """
     if d > D_CAP:
         raise CapExceeded(f"d = {d} exceeds the cap {D_CAP}")
-    found = {build_shuffle(spec) for spec in iter_specs(tau, d)}
-    return EnumerationResult(
-        {"kind": "shuffles", "d": d, "tau": str(tau)},
-        _sorted(found),
-        len(found),
-    )
+    found: dict[Permutation, ShuffleSpec] = {}
+    for spec in iter_specs(tau, d):
+        found.setdefault(build_shuffle(spec), spec)
+    elements = _sorted(found)
+    parameters = {"kind": "shuffles", "d": d, "tau": str(tau)}
+    return EnumerationResult(parameters, elements, len(found), tuple(map(found.get, elements)))
 
 
 def _commute(a: tuple[int, ...], b: tuple[int, ...]) -> bool:

@@ -38,7 +38,6 @@ __all__ = [
     "decompose_pair",
     "is_braid_like",
     "iter_specs",
-    "pair_from_shuffle",
     "tau_cycles",
     "tau_from_cycles",
 ]
@@ -320,22 +319,6 @@ def build_pair(spec: ShuffleSpec) -> CommutingPair:
     """The commuting pair glued from the per-cycle point maps; multiplies to tau."""
     first, second = _pair_images(spec)
     return CommutingPair(_trusted(first), _trusted(second))
-
-
-def pair_from_shuffle(sigma: Permutation, d: int) -> CommutingPair:
-    """Read the commuting pair back off a shuffle-built permutation.
-
-    For sigma on [1, 2d] mapping [1, d] onto [d+1, 2d] the components are
-    first(i) = sigma(i) - d and second(i) = sigma(d + i), both bijections of
-    [1, d], so their images are not checked again.
-    """
-    if max(sigma.support(), default=0) > 2 * d:
-        raise SpecError(f"permutation must live on [1, {2 * d}]")
-    if any(not d < sigma(i) <= 2 * d for i in range(1, d + 1)):
-        raise SpecError("permutation does not map the first block onto the second")
-    first = _trusted(tuple(sigma(i) - d for i in range(1, d + 1)))
-    second = _trusted(tuple(sigma(d + i) for i in range(1, d + 1)))
-    return CommutingPair(first, second)
 
 
 def _is_braid_like(a: tuple[int, ...], b: tuple[int, ...]) -> bool:

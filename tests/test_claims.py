@@ -18,7 +18,7 @@ from braidperm.groups import (
     braid_image,
     schreier_sims,
 )
-from braidperm.oracles import EnumerationResult
+from braidperm.oracles import EnumerationResult, enumerate_shuffles
 from braidperm.oracles import _commute as commute
 from braidperm.perm import (
     Permutation,
@@ -30,7 +30,14 @@ from braidperm.perm import (
     centralizer_order,
     partition_count,
 )
-from braidperm.shuffle import ShuffleSpec, SpecError, _checked_pair, iter_specs
+from braidperm.shuffle import (
+    ShuffleSpec,
+    SpecError,
+    _checked_pair,
+    build_shuffle,
+    decompose_pair,
+    iter_specs,
+)
 from braidperm.shuffle import _is_braid_like as braid_test
 from test_groups import (
     chain_complement_search,
@@ -260,23 +267,28 @@ class TestPairFaults:
         assert all(e["pass"] for e in entries if e is not entry)
 
     def test_each_pair_is_decomposed_once(self, monkeypatch):
-        """The case pool's pairs are lemma-2.5's commuting pairs of S_d, so on
-        the d <= 4 grid the 4 + 18 + 120 pairs are decomposed once each,
-        against 284 calls when the two decomposed separately."""
+        """On the d <= 4 grid the 4 + 18 + 120 decompositions are all
+        lemma-2.5's round trips, one per commuting pair of S_d: the case pool
+        takes its specs from the shuffle enumerations."""
         calls = counted(monkeypatch, claims, "decompose_pair")
         report = run_verification(RunConfig(d_max=4, n_max=4))
         assert len(calls) == len({(a, b, d) for a, b, d in calls}) == 142
+        assert set(calls) == {
+            (a, b, d)
+            for d in (2, 3, 4)
+            for a, b in oracles.commuting_pairs(groups.symmetric_group(d))
+        }
         assert any(e.claim == "lemma-2.5" for e in report.entries)
 
-    @pytest.mark.parametrize("tags", [("lemma-2.5",), ("lemma-2.5", "prop-3.30")])
-    def test_no_decomposition_is_left_behind(self, tags):
-        """A run without a claim that reads the case pool keeps none of
-        lemma-2.5's decompositions, and in a run with one the pool takes
-        them all."""
-        s = Session(RunConfig(d=3, n=3, claims=tags))
-        for tag in tags:
-            assert all(entry.passed or tag == "prop-3.30" for entry in REGISTRY[tag](s))
-        assert not [key for key in s._cache if key[0] == "decomposition"]
+    def test_the_pool_decomposes_nothing(self, monkeypatch):
+        """prop-3.30 alone on d <= 4 reads the 142 cases of the pool and
+        decomposes no pair: each case's spec is the one that built its
+        sigma."""
+        calls = counted(monkeypatch, claims, "decompose_pair")
+        s = Session(RunConfig(d_max=4, claims=("prop-3.30",)))
+        assert len(claims._check_prop_3_30(s)) == 6
+        assert sum(len(s.pool(d)) for d in (2, 3, 4)) == 142
+        assert calls == []
 
 
 def validated_constructions(monkeypatch):
@@ -294,7 +306,7 @@ def validated_constructions(monkeypatch):
 
 class TestPool:
     def test_pool_makes_no_validated_permutations(self, monkeypatch):
-        """With S_4 listed, the pool reads every case's pair off its sigma
+        """With S_4 listed, the pool enumerates every case with its spec
         without one validated Permutation construction."""
         s = Session(RunConfig(d=4))
         s.taus(4)
@@ -317,6 +329,46 @@ class TestPool:
         # sigma's and tau's for each of the 18 cases, and one per tau of S_3
         # for sorting the taus and one for its shuffle enumeration
         assert keys[3] == keys[4] == keys[6] == 2 * 18 + 6 + 6
+
+    def test_each_spec_is_the_decomposition_of_its_sigma(self):
+        """For every d <= 6 each case's spec is decompose_pair's for the pair
+        read off sigma, first(i) = sigma(i) - d and second(i) = sigma(d + i):
+        the first spec that builds sigma is the one decompose_pair picks."""
+        for d in range(2, 7):
+            pool = Session(RunConfig(d=d)).pool(d)
+            assert len(pool) == (4, 18, 120, 840, 7920)[d - 2]
+            for case in pool:
+                first = Permutation([case.sigma(i) - d for i in range(1, d + 1)])
+                second = Permutation([case.sigma(d + i) for i in range(1, d + 1)])
+                assert case.spec == decompose_pair(first, second, d)
+
+    def test_each_spec_builds_its_sigma(self):
+        """For every tau of S_d, d <= 5, the enumeration's specs are aligned
+        with its elements: each builds its sigma."""
+        for d in range(2, 6):
+            for tau in Session(RunConfig(d=d)).taus(d):
+                result = enumerate_shuffles(d, tau)
+                assert len(result.specs) == len(result.elements) == result.count
+                for sigma, spec in zip(result.elements, result.specs):
+                    assert spec.tau == tau and build_shuffle(spec) == sigma
+
+    @pytest.mark.parametrize(
+        "cut", [lambda specs: (), lambda specs: specs[1:]], ids=["none", "one_short"]
+    )
+    def test_an_enumeration_without_its_specs_is_refused(self, monkeypatch, cut):
+        """A shuffle enumeration whose specs are missing or one short makes
+        the pool raise, instead of building fewer cases than sigmas."""
+        full = Session.shuffles
+
+        def unspecified(self, d, tau):
+            result = full(self, d, tau)
+            return EnumerationResult(
+                result.parameters, result.elements, result.count, cut(result.specs)
+            )
+
+        monkeypatch.setattr(Session, "shuffles", unspecified)
+        with pytest.raises(ValueError):
+            Session(RunConfig(d=3)).pool(3)
 
 
 class TestLemma24:

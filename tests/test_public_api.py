@@ -9,7 +9,10 @@ defined in the package is read, as an attribute or a name, in ``src/braidperm``
 or in the ``perfbench/`` harness, or is named in README.md.  Every public
 ``Session`` method, a cache the claim checkers share, is called in
 ``claims.py`` outside its own definition, whatever README.md says: README
-uses words such as "image" and "lattice" in their ordinary sense.
+uses words such as "image" and "lattice" in their ordinary sense.  The
+``Session`` cache is one mechanism: ``_cache`` is touched only by
+``__init__`` and ``_cached``, and what ``__init__`` sets up does not depend
+on the claims a run selects.
 """
 
 import ast
@@ -151,6 +154,50 @@ def uncalled_methods(tree, class_name):
         if not called:
             uncalled.append(f"{class_name}.{method.name}")
     return uncalled
+
+
+def cache_policy_breaches(tree, class_name="Session"):
+    """method:line, in line order, for each touch of a ``_cache`` attribute
+    anywhere in tree outside class_name's __init__ and _cached, and for each
+    read of a ``claims`` attribute (config.claims) in its __init__; the
+    method is "-" outside the class."""
+    [cls] = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == class_name]
+    owners = {
+        node: method.name
+        for method in cls.body
+        if isinstance(method, ast.FunctionDef)
+        for node in ast.walk(method)
+    }
+    breaches = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute):
+            continue
+        owner = owners.get(node, "-")
+        if (node.attr == "_cache" and owner not in ("__init__", "_cached")) or (
+            node.attr == "claims" and owner == "__init__"
+        ):
+            breaches.append((node.lineno, f"{owner}:{node.lineno}"))
+    return [breach for _, breach in sorted(breaches)]
+
+
+def test_the_session_cache_is_one_mechanism():
+    assert cache_policy_breaches(_trees()["claims"]) == []
+
+
+def test_a_claim_dependent_cache_is_a_breach():
+    tree = ast.parse(
+        "class Session:\n"
+        "    def __init__(self, config):\n"
+        "        self._cache = {}\n"
+        "        self._keeps = 'pool' in config.claims\n"
+        "    def _cached(self, key, build):\n"
+        "        return self._cache.setdefault(key, build())\n"
+        "    def pool(self):\n"
+        "        return self._cache.pop('spec', None)\n"
+        "def check(s):\n"
+        "    return s._cache\n"
+    )
+    assert cache_policy_breaches(tree) == ["__init__:4", "pool:8", "-:10"]
 
 
 def test_every_session_method_is_called_by_the_claims():

@@ -18,7 +18,6 @@ from braidperm.shuffle import (
     decompose_pair,
     is_braid_like,
     iter_specs,
-    pair_from_shuffle,
 )
 from test_perm import block_swap
 
@@ -213,19 +212,6 @@ class TestPairShuffleBridge:
             for spec in iter_specs(tau, 3):
                 pair = build_pair(spec)
                 assert shuffle_from_pair(pair.first, pair.second, 3) == build_shuffle(spec)
-
-    def test_pair_from_shuffle_reads_blocks(self):
-        spec = ShuffleSpec.make(perm("(1 2)"), 2)
-        sigma = build_shuffle(spec)
-        pair = pair_from_shuffle(sigma, 2)
-        assert (pair.first, pair.second) == (Permutation.identity(), perm("(1 2)"))
-        with pytest.raises(SpecError):
-            pair_from_shuffle(perm("(1 2)"), 2)
-
-    @pytest.mark.parametrize("sigma", ["(1 3)(2 4)(5 6)", "(1 3 5)(2 4)"])
-    def test_pair_from_shuffle_refuses_points_above_2d(self, sigma):
-        with pytest.raises(SpecError, match=r"permutation must live on \[1, 4\]"):
-            pair_from_shuffle(perm(sigma), 2)
 
 
 class TestBraidLike:
