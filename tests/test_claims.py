@@ -280,6 +280,15 @@ class TestPairFaults:
         }
         assert any(e.claim == "lemma-2.5" for e in report.entries)
 
+    @pytest.mark.parametrize("tags", [("lemma-2.5",), ("lemma-2.5", "prop-3.30")])
+    def test_no_decomposition_is_left_behind(self, tags):
+        """With or without a claim that reads the case pool, lemma-2.5's
+        round trips keep no decomposition in the Session cache."""
+        s = Session(RunConfig(d=3, n=3, claims=tags))
+        for tag in tags:
+            assert all(entry.passed or tag == "prop-3.30" for entry in REGISTRY[tag](s))
+        assert not [key for key in s._cache if key[0] == "decomposition"]
+
     def test_the_pool_decomposes_nothing(self, monkeypatch):
         """prop-3.30 alone on d <= 4 reads the 142 cases of the pool and
         decomposes no pair: each case's spec is the one that built its
