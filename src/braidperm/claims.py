@@ -12,6 +12,7 @@ import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import permutations
 from typing import Callable
 
 from .groups import (
@@ -35,7 +36,8 @@ from .lattice import (
     monodromy_kernel,
     q2_of,
 )
-from .oracles import D_CAP, DEFAULT_CAP, commuting_pairs, conjugacy_class_count, enumerate_shuffles, roots_by_tau
+from .oracles import D_CAP, DEFAULT_CAP, CapExceeded, EnumerationResult, _commute
+from .oracles import commuting_pairs, conjugacy_class_count, enumerate_shuffles
 from .perm import (
     Permutation,
     _compose,
@@ -134,13 +136,11 @@ class Session:
             self._cache[key] = build()
         return self._cache[key]
 
-    def sym(self, d: int):
-        return self._cached(("sym", d), lambda: symmetric_group(d))
-
     def taus(self, d: int) -> list[Permutation]:
-        """The members of S_d, sorted by their image tuples."""
+        """The members of S_d, sorted by their image tuples, which is the
+        order itertools.permutations lists them in."""
         return self._cached(
-            ("taus", d), lambda: sorted(schreier_sims(self.sym(d)).elements(), key=_key)
+            ("taus", d), lambda: [_trusted(w) for w in permutations(range(1, d + 1))]
         )
 
     def classes(self, d: int) -> list[tuple[Permutation, int]]:
@@ -155,10 +155,18 @@ class Session:
 
         return self._cached(("classes", d), build)
 
-    def roots(self, d: int, tau: Permutation):
-        """tau's bucket of the one root sweep over the coset of S_d."""
+    def fibres(self, d: int) -> list[tuple[Permutation, int, tuple]]:
+        """(tau, class size, F(tau)) for each of classes(d); see _fibres."""
         return self._cached(
-            ("roots", d), lambda: roots_by_tau(self.sym(d), self.config.cap)
+            ("fibres", d), lambda: _fibres(self.classes(d), self.taus(d), d, self.config.cap)
+        )
+
+    def roots(self, d: int, tau: Permutation) -> EnumerationResult:
+        """tau's bucket of the coset's roots: the roots in the fibres over
+        the class representatives, closed under conjugation by w + w, which
+        by the fibre lemma in _fibres gives every root."""
+        return self._cached(
+            ("roots", d), lambda: _root_buckets(self.fibres(d), self.taus(d), d)
         )[_key(tau)]
 
     def shuffles(self, d: int, tau: Permutation):
@@ -212,29 +220,6 @@ class Session:
         )
 
 
-def _centralizer_generators(cycles: list[tuple[int, ...]], d: int) -> list[tuple[int, ...]]:
-    """Image tuples of degree d generating the centralizer in S_d of the
-    permutation w with these cycles, fixed points included as 1-cycles.
-
-    The centralizer is the product over the lengths m of Z_m wr S_k, where
-    c_1, ..., c_k are w's m-cycles.  Per length this takes a rotation of c_1
-    and, for k >= 2, the swap c_1[t] <-> c_2[t] and the cycling c_1[t] ->
-    c_2[t] -> ... -> c_k[t] -> c_1[t].  Each commutes with w, which maps c[t]
-    to c[t + 1].  The swap and the cycling generate S_k on the m-cycles, and
-    conjugating the rotation by them rotates each c_i."""
-    by_length: dict[int, list[tuple[int, ...]]] = {}
-    for c in cycles:
-        by_length.setdefault(len(c), []).append(c)
-    moves = []
-    for m, same in by_length.items():
-        if m > 1:
-            moves.append(dict(zip(same[0], same[0][1:] + same[0][:1])))
-        if len(same) > 1:
-            moves.append({**dict(zip(same[0], same[1])), **dict(zip(same[1], same[0]))})
-            moves.append({x: y for a, b in zip(same, same[1:] + same[:1]) for x, y in zip(a, b)})
-    return [tuple([move.get(x, x) for x in range(1, d + 1)]) for move in moves]
-
-
 def _diagonal_generators(d: int) -> list[tuple[int, ...]]:
     """w + w, the image tuple of degree 2d of w on both blocks, for
     w = (1 2) and (1 2 ... d), which generate S_d."""
@@ -244,110 +229,120 @@ def _diagonal_generators(d: int) -> list[tuple[int, ...]]:
     ]
 
 
-def _conjugation_closure(start, gens: list[tuple[int, ...]]) -> set[tuple[int, ...]]:
-    """The image tuples in start closed under x -> g * x * g^-1 for each of
-    gens, all of one degree."""
-    pairs = [(g, _invert(g)) for g in gens]
-    seen = set(start)
-    frontier = list(seen)
+def _fibres(classes, members: list[Permutation], d: int, cap: int) -> list[tuple]:
+    """(tau, size, F(tau)) for each (tau, size) of classes: the fibre F(tau)
+    lists (sigma, w1, w2, root) for w1 over members, as image tuples.
+
+    A coset element swap * w1 * shift(w2, d) is sigma = (w1 + d) followed by
+    w2, and sigma^2 is (w2 * w1) followed by (w1 * w2 + d).  So F(tau), where
+    w2 = tau * w1^-1, holds the d! elements whose square has first block
+    tau, and the fibres partition the coset.  root says sigma^2 = tau
+    followed by (tau + d), which in F(tau) is w1 * w2 = tau = w2 * w1: the
+    pair commutes exactly when sigma is a root.  members is in image-tuple
+    order, so each fibre is sorted, and sigma(2d) = w2(d) <= d, so each
+    sigma is canonical.
+
+    Fibre lemma: for w in S_d, conjugation by w + w, which commutes with the
+    block swap, maps sigma to (w w1 w^-1 + d) followed by w w2 w^-1, and so
+    F(tau) onto F(w tau w^-1).  It keeps braid-likeness (W = w + w + w
+    conjugates sigma + id and shift(sigma, d) to sigma' + id and
+    shift(sigma', d)), root-ness (it conjugates the square and its target),
+    commutation of the pair, and shuffle membership (the relabeling lemma
+    in _check_lemma_2_4).  Every tau is conjugate to its class's
+    representative, so each count over the coset is the representatives'
+    counts weighted by class size (Burnside's lemma; Holt, Eick and O'Brien,
+    Handbook of Computational Group Theory, 2005, ch. 4).
+
+    Round trip: for commuting (a, b), a commutes with tau = a * b.  The walk
+    from any i1 on a cycle alpha of tau with j1 = a(i1) rebuilds a on alpha
+    and b on a(alpha): if j_t = a(i_t), then second(j_t) = tau(i_t) = b(j_t)
+    and j_(t+1) = tau(a(i_t)) = a(i_(t+1)).  decompose_pair walks from least
+    points; the pair conjugated by w is rebuilt by the relabeled walk from
+    other i1s, so the round trip's verdict is a class function too."""
+    size = len(classes) * len(members)
+    if size > cap:
+        raise CapExceeded(f"the fibres' size p(d) * d! = {size} exceeds the cap {cap}")
+    images = [_padded(w, d) for w in members]
+    inverses = [_invert(w) for w in images]
+    out = []
+    for tau, class_size in classes:
+        t = _padded(tau, d)
+        target = t + tuple([y + d for y in t])
+        fibre = []
+        for w1, w1_inv in zip(images, inverses):
+            w2 = _compose(t, w1_inv)
+            sigma = tuple([y + d for y in w1]) + w2
+            fibre.append((sigma, w1, w2, _compose(sigma, sigma) == target))
+        out.append((tau, class_size, tuple(fibre)))
+    return out
+
+
+def _root_buckets(fibres, members: list[Permutation], d: int) -> dict:
+    """tau.canonical() -> the EnumerationResult of tau's roots, for each tau
+    of members: the fibres' roots closed under conjugation by w + w for w in
+    _diagonal_generators, each filed under its square's first block."""
+    gens = [(g, _invert(g)) for g in _diagonal_generators(d)]
+    roots = {sigma for _, _, fibre in fibres for sigma, _, _, root in fibre if root}
+    frontier = list(roots)
     while frontier:
         x = frontier.pop()
-        for g, g_inv in pairs:
+        for g, g_inv in gens:
             y = _compose(g, _compose(x, g_inv))
-            if y not in seen:
-                seen.add(y)
+            if y not in roots:
+                roots.add(y)
                 frontier.append(y)
-    return seen
-
-
-def _braid_like_coset(s: Session, d: int) -> set[tuple[int, ...]]:
-    """The braid-like elements of the coset swap * S_d * shift(S_d, d), as
-    image tuples of degree 2d, from one braid test per diagonal orbit.
-
-    On image tuples sigma = swap * w1 * shift(w2, d) is (w1 + d) followed by
-    w2, and shift(sigma, d) is (1..d) followed by (w1 + 2d) and (w2 + d), so
-    the pair is tested at degree 3d by concatenation.
-
-    Invariance lemma: for w in S_d, sigma' = (w + w) * sigma * (w + w)^-1 is
-    braid-like exactly when sigma is.  w + w commutes with the swap, so
-    sigma' = swap * (w w1 w^-1) * shift(w w2 w^-1, d) is again in the coset.
-    W = w + w + w at degree 3d conjugates sigma + id to sigma' + id and
-    shift(sigma, d) to shift(sigma', d).  Conjugation by W is an automorphism,
-    so it keeps a != b and a*b*a == b*a*b.
-
-    So the braid-like set is a union of orbits of the diagonal S_d, which
-    acts on the coordinates as (w1, w2) -> (w w1 w^-1, w w2 w^-1).  Each orbit
-    meets the pairs whose w1 is the first member of its class in
-    Session.taus order, and those pairs form one C(w1)-orbit of w2.  One w2
-    per C(w1)-orbit gives one element per diagonal orbit: by Burnside's
-    lemma, sum_lambda z_lambda of them (Holt, Eick and O'Brien, Handbook of
-    Computational Group Theory, 2005, ch. 4).  The braid-like ones, closed
-    under conjugation by w + w for w = (1 2) and (1 2 ... d), are the whole
-    braid-like set."""
-    top = tuple(range(2 * d + 1, 3 * d + 1))
-    members = [_padded(w, d) for w in s.taus(d)]
-    braid = []
-    for w1, _ in s.classes(d):
-        up = tuple([y + d for y in _padded(w1, d)])
-        shift_head = _shifted(up, d)  # (1..d) followed by (w1 + 2d)
-        gens = _centralizer_generators(w1.cycles(include_fixed=True, degree=d), d)
-        seen: set[tuple[int, ...]] = set()
-        for w2 in members:
-            if w2 in seen:
-                continue
-            seen |= _conjugation_closure((w2,), gens)
-            # sigma(2d) = w2(d) <= d, so this degree-2d tuple is canonical
-            sigma = up + w2
-            if _is_braid_like(sigma + top, shift_head + tuple([y + d for y in w2])):
-                braid.append(sigma)
-    return _conjugation_closure(braid, _diagonal_generators(d))
+    found: dict[Permutation, list] = {tau: [] for tau in members}
+    for sigma in sorted(roots):
+        found[_trusted(_compose(sigma, sigma)[:d])].append(_trusted(sigma))
+    return {
+        _key(tau): EnumerationResult({"kind": "roots", "d": d, "tau": str(tau)}, tuple(r), len(r))
+        for tau, r in found.items()
+    }
 
 
 def _check_thm_2_12(s: Session) -> list[ClaimCheck]:
-    """Equivalence of braid-likeness, block-split squares (membership in the
-    root sweep's buckets), and shuffle membership over the whole coset, plus
-    the counting and set identities.
-
-    The root and shuffle sets are compared in full; braid-likeness is read
-    from _braid_like_coset, one test per diagonal orbit.  A coset element
-    disagrees when it is in one of the three sets and not in another, and
-    the examples are the least of them as image tuples: Session.taus is in
-    image-tuple order, so this is the order of a sweep over (w1, w2)."""
+    """Equivalence of braid-likeness, block-split squares and shuffle
+    membership over the coset, and the counting and set identities, on the
+    fibres over one tau per conjugacy class (_fibres), each count weighted
+    by the class size.  Each fibre element's three verdicts are tested
+    directly: braid-likeness of (sigma, shift(sigma, d)) at degree 3d by
+    concatenation, the root flag, and membership in tau's shuffles.  The
+    examples are the representatives' own.  The roots of F(tau), sorted as
+    the fibre is, are compared with tau's shuffles."""
     entries = []
     for d in s.config.ds():
-        shuffle_all = {p.canonical() for tau in s.taus(d) for p in s.shuffles(d, tau).elements}
-        roots_all = {p.canonical() for tau in s.taus(d) for p in s.roots(d, tau).elements}
-        braid = _braid_like_coset(s, d)
-        # a coset element's canonical tuple has degree 2d and maps [1, d] above d
-        disagreements = sorted(
-            x
-            for x in (braid ^ roots_all) | (braid ^ shuffle_all)
-            if len(x) == 2 * d and min(x[:d]) > d
-        )
+        top = tuple(range(2 * d + 1, 3 * d + 1))
+        braid_like = disagreements = total = 0
+        examples, set_mismatches, count_mismatches = [], [], []
+        for tau, size, fibre in s.fibres(d):
+            shuffles = s.shuffles(d, tau)
+            members = tuple([p.canonical() for p in shuffles.elements])
+            found = set(members)
+            roots = tuple([sigma for sigma, _, _, root in fibre if root])
+            for sigma, _, _, root in fibre:
+                braid = _is_braid_like(sigma + top, _shifted(sigma, d))
+                braid_like += size * braid
+                if not braid == root == (sigma in found):
+                    disagreements += size
+                    examples.append(str(_trusted(sigma)))
+            total += size * len(roots)
+            if roots != members:
+                set_mismatches.append(str(tau))
+            if shuffles.count != centralizer_order(tau.cycle_type(d)):
+                count_mismatches.append(str(tau))
         entries.append(
             ClaimCheck(
                 claim="thm-2.12",
                 parameters={"d": d, "check": "equivalence"},
                 witness={
                     "coset_size": len(s.taus(d)) ** 2,
-                    "braid_like": len(braid),
-                    "disagreement_count": len(disagreements),
-                    "examples": [str(_trusted(x)) for x in disagreements[:3]],
+                    "braid_like": braid_like,
+                    "disagreement_count": disagreements,
+                    "examples": examples[:3],
                 },
                 passed=not disagreements,
             )
         )
-        total = 0
-        set_mismatches: list[str] = []
-        count_mismatches: list[str] = []
-        for tau in s.taus(d):
-            roots = s.roots(d, tau)
-            shuffles = s.shuffles(d, tau)
-            total += roots.count
-            if roots.elements != shuffles.elements:
-                set_mismatches.append(str(tau))
-            if shuffles.count != centralizer_order(tau.cycle_type(d)):
-                count_mismatches.append(str(tau))
         expected = partition_count(d) * math.factorial(d)
         entries.append(
             ClaimCheck(
@@ -453,47 +448,51 @@ def _check_lemma_2_4(s: Session) -> list[ClaimCheck]:
 
 def _check_lemma_2_5(s: Session) -> list[ClaimCheck]:
     """Commuting-pair counts against order times class count, and the exact
-    decompose/rebuild round trip on every commuting pair of S_d: the pairs
-    come from the one sweep that the counts use, each is decomposed once,
-    and the rebuilt pair is compared with the given one as image tuples."""
-    entries = []
+    decompose/rebuild round trip.  For S_d the pairs are the (w1, w2) of the
+    representatives' fibres that pass _commute, weighted by class size (the
+    fibre lemma and the round trip's class function, in _fibres); each is
+    decomposed once and the rebuilt pair compared as image tuples.  The four
+    cyclic groups are swept in full by commuting_pairs."""
     groups = []
+    roundtrips = []
     for d in s.config.ds():
-        groups.append((f"sym-{d}", s.sym(d)))
+        pairs = bad = 0
+        for _, size, fibre in s.fibres(d):
+            for _, w1, w2, _ in fibre:
+                if not _commute(w1, w2):
+                    continue
+                pairs += size
+                try:
+                    rebuilt = _pair_images(decompose_pair(_trusted(w1), _trusted(w2), d))
+                except (SpecError, RuntimeError):  # a failed round trip or rebuild
+                    bad += size
+                    continue
+                if rebuilt != (w1, w2):
+                    bad += size
+        groups.append((f"sym-{d}", symmetric_group(d), pairs))
+        roundtrips.append((d, pairs, bad))
     for text in ["(1 2)", "(1 2 3)", "(1 2 3 4)", "(1 2)(3 4)"]:
-        tau = Permutation.parse(text)
-        groups.append((f"cyclic-{text}", cyclic_group(tau)))
-    pairs_of: dict[str, list[tuple[Permutation, Permutation]]] = {}
-    for name, group in groups:
-        pairs = pairs_of[name] = commuting_pairs(group, s.config.cap)
+        group = cyclic_group(Permutation.parse(text))
+        groups.append((f"cyclic-{text}", group, len(commuting_pairs(group, s.config.cap))))
+    entries = []
+    for name, group, pairs in groups:
         order = schreier_sims(group).order()
         classes = conjugacy_class_count(group, s.config.cap)
         entries.append(
             ClaimCheck(
                 claim="lemma-2.5",
                 parameters={"group": name},
-                witness={"pairs": len(pairs), "order": order, "classes": classes},
-                passed=len(pairs) == order * classes,
+                witness={"pairs": pairs, "order": order, "classes": classes},
+                passed=pairs == order * classes,
             )
         )
-    for d in s.config.ds():
-        pairs = pairs_of[f"sym-{d}"]
-        bad = 0
-        for a, b in pairs:
-            try:
-                rebuilt = _pair_images(decompose_pair(a, b, d))
-            except (SpecError, RuntimeError):  # a failed round trip or rebuild
-                bad += 1
-                continue
-            if rebuilt != (_padded(a, d), _padded(b, d)):
-                bad += 1
+    for d, pairs, bad in roundtrips:
         entries.append(
             ClaimCheck(
                 claim="lemma-2.5",
                 parameters={"d": d, "check": "roundtrip"},
-                witness={"commuting_pairs": len(pairs), "roundtrip_failures": bad},
-                passed=bad == 0
-                and len(pairs) == math.factorial(d) * partition_count(d),
+                witness={"commuting_pairs": pairs, "roundtrip_failures": bad},
+                passed=bad == 0 and pairs == math.factorial(d) * partition_count(d),
             )
         )
     return entries

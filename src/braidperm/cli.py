@@ -195,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--cap",
         type=int,
         default=DEFAULT_CAP,
-        help="enumeration size cap (default 10^7)",
+        help="largest sweep, as the coset claims' p(d)*d! fibre elements (default 10^7)",
     )
     verify.set_defaults(func=_cmd_verify)
 

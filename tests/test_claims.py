@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import random
@@ -13,7 +14,6 @@ from braidperm.claims import Session
 from braidperm.cli import main
 from braidperm.groups import (
     CaseCertificate,
-    GeneratedGroup,
     abelian_kernel,
     braid_image,
     schreier_sims,
@@ -34,6 +34,7 @@ from braidperm.shuffle import (
     ShuffleSpec,
     SpecError,
     _checked_pair,
+    _pair_images,
     build_shuffle,
     decompose_pair,
     iter_specs,
@@ -267,16 +268,19 @@ class TestPairFaults:
         assert all(e["pass"] for e in entries if e is not entry)
 
     def test_each_pair_is_decomposed_once(self, monkeypatch):
-        """On the d <= 4 grid the 4 + 18 + 120 decompositions are all
-        lemma-2.5's round trips, one per commuting pair of S_d: the case pool
-        takes its specs from the shuffle enumerations."""
+        """On the d <= 4 grid the 4 + 11 + 43 decompositions are all
+        lemma-2.5's round trips, one per commuting pair whose product is a
+        class representative, sum_lambda z_lambda per d: the case pool takes
+        its specs from the shuffle enumerations."""
         calls = counted(monkeypatch, claims, "decompose_pair")
         report = run_verification(RunConfig(d_max=4, n_max=4))
-        assert len(calls) == len({(a, b, d) for a, b, d in calls}) == 142
+        assert len(calls) == len({(a, b, d) for a, b, d in calls}) == 58
+        s = Session(RunConfig(d_max=4))
         assert set(calls) == {
             (a, b, d)
             for d in (2, 3, 4)
             for a, b in oracles.commuting_pairs(groups.symmetric_group(d))
+            if a * b in {tau for tau, _ in s.classes(d)}
         }
         assert any(e.claim == "lemma-2.5" for e in report.entries)
 
@@ -313,6 +317,19 @@ def validated_constructions(monkeypatch):
     return calls
 
 
+class TestTaus:
+    def test_builds_no_stabilizer_chain(self, monkeypatch):
+        """Session.taus lists S_5 in the order of the sorted members of its
+        stabilizer chain, and builds no chain itself."""
+        chain = schreier_sims(groups.symmetric_group(5))
+        members = sorted(chain.elements(), key=Permutation.canonical)
+        builds = counted(monkeypatch, groups, "schreier_sims")
+        claims_builds = counted(monkeypatch, claims, "schreier_sims")
+        taus = Session(RunConfig(d=5)).taus(5)
+        assert builds == claims_builds == []
+        assert [tau.images for tau in taus] == [w.images for w in members]
+
+
 class TestPool:
     def test_pool_makes_no_validated_permutations(self, monkeypatch):
         """With S_4 listed, the pool enumerates every case with its spec
@@ -336,8 +353,8 @@ class TestPool:
             keys[n_max] = len(calls)
             monkeypatch.undo()
         # sigma's and tau's for each of the 18 cases, and one per tau of S_3
-        # for sorting the taus and one for its shuffle enumeration
-        assert keys[3] == keys[4] == keys[6] == 2 * 18 + 6 + 6
+        # for its shuffle enumeration; the taus are listed in order, unsorted
+        assert keys[3] == keys[4] == keys[6] == 2 * 18 + 6
 
     def test_each_spec_is_the_decomposition_of_its_sigma(self):
         """For every d <= 6 each case's spec is decompose_pair's for the pair
@@ -629,9 +646,21 @@ def all_tau_lemma_2_4(s: Session, d: int) -> dict:
     return {"specs": spec_count, **failures, "examples": examples[:3]}
 
 
-def permutation_cor_2_13(s: Session):
-    """cor-2.13 as Permutation products and powers over Session.pool: the
-    reference for the checker's image-tuple twist."""
+def without_first(result: EnumerationResult) -> EnumerationResult:
+    return EnumerationResult(result.parameters, result.elements[1:], result.count - 1)
+
+
+@functools.cache
+def swept_roots(d: int) -> dict:
+    """oracles.roots_by_tau over S_d, the |S_d|^2 root sweep: the reference
+    for Session.roots and the fibres.  Shared, so copy before changing it."""
+    return oracles.roots_by_tau(groups.symmetric_group(d))
+
+
+def permutation_cor_2_13(s: Session, buckets: dict):
+    """cor-2.13 as Permutation products and powers over Session.pool, with
+    the root buckets of buckets[d] (swept_roots): the reference for the
+    checker's image-tuple twist and for Session.roots."""
     pool = [case for d in s.config.ds() for case in s.pool(d)]
     reps = max(1, -(-claims.RANDOM_INSTANCES // max(1, len(pool))))
     instances = 0
@@ -649,7 +678,7 @@ def permutation_cor_2_13(s: Session):
             if twisted * twisted != target:
                 failures.append(f"d={case.d} sigma={case.sigma} k={k} l={l}")
                 continue
-            roots = s.roots(case.d, power).elements
+            roots = buckets[case.d][power.canonical()].elements
             at = bisect_left(roots, twisted.canonical(), key=Permutation.canonical)
             if roots[at : at + 1] != (twisted,):
                 failures.append(f"membership d={case.d} sigma={case.sigma} k={k} l={l}")
@@ -681,22 +710,23 @@ class TestCor213:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_matches_permutation_products(self, monkeypatch, d, seed, dropped):
         """The image-tuple twist draws and decides as the Permutation products
-        over the pool do; with one root dropped from the identity's bucket
-        both name the same membership failures."""
+        over the pool do, on the full root sweep's buckets; with one root
+        dropped from the identity's bucket of both, both name the same
+        membership failures."""
+        identity = Permutation.identity(d)
+        buckets = dict(swept_roots(d))
         if dropped:
-            identity = Permutation.identity(d)
             full = Session.roots
 
             def one_fewer(self, d, tau):
                 result = full(self, d, tau)
-                if tau != identity:
-                    return result
-                return EnumerationResult(result.parameters, result.elements[1:], result.count - 1)
+                return without_first(result) if tau == identity else result
 
             monkeypatch.setattr(Session, "roots", one_fewer)
+            buckets[identity.canonical()] = without_first(buckets[identity.canonical()])
         config = RunConfig(d=d, n=3, seed=seed, claims=("cor-2.13",))
         [entry] = claims._check_cor_2_13(Session(config))
-        instances, failures = permutation_cor_2_13(Session(config))
+        instances, failures = permutation_cor_2_13(Session(config), {d: buckets})
         assert entry.parameters["instances"] == instances
         assert entry.witness["failures"] == len(failures)
         assert entry.witness["examples"] == failures[:3]
@@ -717,12 +747,9 @@ class TestCor213:
 
 
 # sum_lambda z_lambda over the partitions lambda of d: the number of orbits of
-# the diagonal S_d on S_d x S_d, by Burnside's lemma
+# the diagonal S_d on S_d x S_d, by Burnside's lemma, and the number of roots
+# in the fibres over the class representatives
 SUM_Z = {2: 4, 3: 11, 4: 43, 5: 161, 6: 901, 7: 5579}
-
-
-def centralizer_order_sum(s: Session, d: int) -> int:
-    return sum(centralizer_order(t) for t in {w.cycle_type(d) for w in s.taus(d)})
 
 
 def coset_images(s: Session, d: int):
@@ -739,12 +766,13 @@ def braid_like_images(sigma, d: int) -> bool:
 
 def full_sweep_equivalence(s: Session, d: int) -> dict:
     """thm-2.12's equivalence witness at d from a sweep that tests every
-    coset element for braid-likeness: the reference for the checker's one
-    test per diagonal orbit.  The coset element sigma = swap * w1 *
-    shift(w2, d) is (w1 + d) followed by w2, and shift(sigma, d) is (1..d)
-    followed by (w1 + 2d) and (w2 + d)."""
+    coset element for braid-likeness, membership in the full root sweep
+    (swept_roots) and membership in the shuffles of any tau: the reference
+    for the checker's fibres over class representatives.  The coset element
+    sigma = swap * w1 * shift(w2, d) is (w1 + d) followed by w2, and
+    shift(sigma, d) is (1..d) followed by (w1 + 2d) and (w2 + d)."""
     shuffle_all = {p.canonical() for tau in s.taus(d) for p in s.shuffles(d, tau).elements}
-    roots_all = {p.canonical() for tau in s.taus(d) for p in s.roots(d, tau).elements}
+    roots_all = {p.canonical() for bucket in swept_roots(d).values() for p in bucket.elements}
     braid_count = 0
     disagreements = []
     for sigma in coset_images(s, d):
@@ -762,47 +790,136 @@ def full_sweep_equivalence(s: Session, d: int) -> dict:
     }
 
 
+def full_sweep_counts(s: Session, d: int) -> dict:
+    """thm-2.12's counts witness at d from the full root sweep, with every
+    tau's bucket compared with its shuffles: the reference for the checker's
+    class representatives."""
+    total = 0
+    set_mismatches, count_mismatches = [], []
+    for tau in s.taus(d):
+        roots, shuffles = swept_roots(d)[tau.canonical()], s.shuffles(d, tau)
+        total += roots.count
+        if roots.elements != shuffles.elements:
+            set_mismatches.append(str(tau))
+        if shuffles.count != centralizer_order(tau.cycle_type(d)):
+            count_mismatches.append(str(tau))
+    return {
+        "total_roots": total,
+        "expected": partition_count(d) * math.factorial(d),
+        "set_mismatches": set_mismatches,
+        "shuffle_count_mismatches": count_mismatches,
+    }
+
+
+def full_sweep_lemma_2_5(d: int) -> tuple[dict, dict]:
+    """lemma-2.5's two witnesses for S_d from the |S_d|^2 pair sweep, with
+    every commuting pair decomposed and rebuilt: the reference for the
+    checker's fibres over class representatives."""
+    pairs = oracles.commuting_pairs(groups.symmetric_group(d))
+    bad = 0
+    for a, b in pairs:
+        try:
+            rebuilt = _pair_images(decompose_pair(a, b, d))
+        except (SpecError, RuntimeError):
+            bad += 1
+            continue
+        bad += rebuilt != (_padded(a, d), _padded(b, d))
+    counts = {"pairs": len(pairs), "order": math.factorial(d), "classes": partition_count(d)}
+    return counts, {"commuting_pairs": len(pairs), "roundtrip_failures": bad}
+
+
+def fibre_of(s: Session, d: int, tau: Permutation) -> tuple:
+    [fibre] = [fibre for t, _, fibre in s.fibres(d) if t == tau]
+    return fibre
+
+
 def assert_one_disagreement(monkeypatch, accessor):
-    """thm-2.12 at d = 3 with the first element of the (1 2 3) bucket of
-    Session.<accessor> dropped: exactly that sigma disagrees in the
-    equivalence, as in the full sweep, and the bucket mismatches in the
-    counts."""
+    """thm-2.12 at d = 3 with the first root of the (1 2 3) fibre dropped
+    from Session.<accessor>: from the shuffles of (1 2 3), or as a root in
+    the fibres.  (1 2 3) represents the two 3-cycles, so that sigma is the
+    one example and disagrees with weight 2, and the counts name (1 2 3) as
+    a set mismatch.  Returns the counts entry."""
     s = Session(RunConfig(d=3, n=3, claims=("thm-2.12",)))
     tau = Permutation.parse("(1 2 3)")
-    dropped = getattr(s, accessor)(3, tau).elements[0]
+    assert (tau, 2) in s.classes(3)
+    dropped = s.shuffles(3, tau).elements[0]
     full = getattr(Session, accessor)
+    if accessor == "shuffles":
 
-    def one_fewer(self, d, t):
-        result = full(self, d, t)
-        if t != tau:
-            return result
-        return EnumerationResult(result.parameters, result.elements[1:], result.count - 1)
+        def patched(self, d, t):
+            result = full(self, d, t)
+            return without_first(result) if t == tau else result
 
-    monkeypatch.setattr(Session, accessor, one_fewer)
+    else:
+
+        def patched(self, d):
+            return [
+                (t, size, tuple((x, *pair, root and x != dropped.images) for x, *pair, root in f))
+                for t, size, f in full(self, d)
+            ]
+
+    monkeypatch.setattr(Session, accessor, patched)
     equivalence, counts = claims._check_thm_2_12(s)
     assert equivalence.parameters == {"d": 3, "check": "equivalence"}
-    assert equivalence.witness == full_sweep_equivalence(s, 3)
-    assert equivalence.witness["disagreement_count"] == 1
-    assert equivalence.witness["examples"] == [str(dropped)]
-    assert equivalence.witness["braid_like"] == 18 and not equivalence.passed
+    assert equivalence.witness == {
+        "coset_size": 36,
+        "braid_like": 18,
+        "disagreement_count": 2,
+        "examples": [str(dropped)],
+    }
+    assert not equivalence.passed
     assert counts.witness["set_mismatches"] == [str(tau)] and not counts.passed
+    return counts
+
+
+def mutated_fibres(monkeypatch, mutation: str) -> None:
+    """Patch the fibres' domain: drop the last class, weight each class by
+    z_lambda instead of its size, or test roots on the square's first block
+    only, which every element of a fibre passes."""
+    if mutation == "first-block-roots":
+        real = claims._fibres
+
+        def first_block(classes, members, d, cap):
+            return [
+                (tau, size, tuple(
+                    (x, w1, w2, _compose(x, x)[:d] == _padded(tau, d)) for x, w1, w2, _ in f
+                ))
+                for tau, size, f in real(classes, members, d, cap)
+            ]
+
+        monkeypatch.setattr(claims, "_fibres", first_block)
+        return
+    real = Session.classes
+
+    def mutated(self, d):
+        classes = real(self, d)
+        if mutation == "dropped-class":
+            return classes[:-1]
+        return [(tau, centralizer_order(tau.cycle_type(d))) for tau, _ in classes]
+
+    monkeypatch.setattr(Session, "classes", mutated)
 
 
 class TestThm212:
     def test_missing_shuffle_is_a_disagreement(self, monkeypatch):
-        assert_one_disagreement(monkeypatch, "shuffles")
+        counts = assert_one_disagreement(monkeypatch, "shuffles")
+        assert counts.witness["total_roots"] == 18
+        assert counts.witness["shuffle_count_mismatches"] == ["(1 2 3)"]
 
     def test_missing_root_is_a_disagreement(self, monkeypatch):
-        """The equivalence reads a block-split square as membership in the
-        root buckets, so a root dropped from its bucket disagrees there."""
-        assert_one_disagreement(monkeypatch, "roots")
+        """The equivalence reads a block-split square as the fibre's root
+        flag, so a root whose flag is cleared disagrees there, and the roots
+        fall short by its weight."""
+        counts = assert_one_disagreement(monkeypatch, "fibres")
+        assert counts.witness["total_roots"] == 16
+        assert counts.witness["shuffle_count_mismatches"] == []
 
     def test_sweeps_make_no_quadratic_products(self, monkeypatch):
-        """thm-2.12 sweeps the 576-element coset at d = 4, and lemma-2.5 the
-        576 pairs of S_4, without a Permutation product per element or pair."""
+        """thm-2.12 tests the 120 elements of the fibres over the class
+        representatives at d = 4, and lemma-2.5 their pairs, without a
+        Permutation product per element or pair."""
         s = Session(RunConfig(d=4))
-        for tau in s.taus(4):
-            s.roots(4, tau)
+        for tau, _, _ in s.fibres(4):
             s.shuffles(4, tau)
         calls = 0
         mul = Permutation.__mul__
@@ -816,65 +933,75 @@ class TestThm212:
         assert all(e.passed for e in claims._check_thm_2_12(s))
         assert calls == 0
         assert all(e.passed for e in claims._check_lemma_2_5(s))
-        assert 0 < calls < 24**2
+        assert 0 < calls < 120
 
-    def test_one_braid_test_per_diagonal_orbit(self, monkeypatch):
-        """With roots and shuffles warm, thm-2.12 tests one coset element per
-        orbit of the diagonal S_d: sum_lambda z_lambda of them, 11, 43 and
-        161 at d = 3, 4 and 5, against the 36, 576 and 14,400 elements of
-        the coset."""
-        for d, orbits in ((3, 11), (4, 43), (5, 161)):
+    def test_one_braid_test_per_fibre_element(self, monkeypatch):
+        """With the fibres and the representatives' shuffles warm, thm-2.12
+        tests each element of the fibres over the class representatives
+        once: p(d) * d! of them, 18, 120 and 840 at d = 3, 4 and 5, against
+        the 36, 576 and 14,400 elements of the coset."""
+        for d, tests in ((3, 18), (4, 120), (5, 840)):
             s = Session(RunConfig(d=d))
-            for tau in s.taus(d):
-                s.roots(d, tau)
+            for tau, _, _ in s.fibres(d):
                 s.shuffles(d, tau)
             calls = counted(monkeypatch, claims, "_is_braid_like")
             equivalence, counts = claims._check_thm_2_12(s)
             assert equivalence.witness["coset_size"] == math.factorial(d) ** 2
             assert equivalence.passed and counts.passed
-            assert len(calls) == orbits == centralizer_order_sum(s, d)
+            assert len(calls) == tests == partition_count(d) * math.factorial(d)
+            tested = {a[: 2 * d] for a, _ in calls}
+            assert tested == {x for _, _, fibre in s.fibres(d) for x, *_ in fibre}
             monkeypatch.undo()
 
     def test_matches_the_full_sweep(self):
-        """The equivalence witness from the representatives equals the full
-        sweep's on every d <= 6."""
+        """thm-2.12's witnesses from the fibres over the class
+        representatives equal the full sweeps' on every d <= 6: the
+        equivalence over the whole coset, and the counts over every tau's
+        root bucket."""
         s = Session(RunConfig(d_max=6, claims=("thm-2.12",)))
-        equivalences = claims._check_thm_2_12(s)[::2]
-        assert [e.parameters["d"] for e in equivalences] == [2, 3, 4, 5, 6]
-        for equivalence in equivalences:
-            assert equivalence.witness == full_sweep_equivalence(s, equivalence.parameters["d"])
-            assert equivalence.passed
+        entries = claims._check_thm_2_12(s)
+        assert [e.parameters for e in entries] == [
+            {"d": d, "check": check} for d in range(2, 7) for check in ("equivalence", "counts")
+        ]
+        for equivalence, counts in zip(entries[::2], entries[1::2]):
+            d = equivalence.parameters["d"]
+            assert equivalence.witness == full_sweep_equivalence(s, d)
+            assert counts.witness == full_sweep_counts(s, d)
+            assert equivalence.passed and counts.passed
 
     @pytest.mark.parametrize("added", [None, "(1 6)", "(1 2)", "(1 4)(2 5)(3 7)"])
     def test_an_added_element_disagrees_only_in_the_coset(self, monkeypatch, added):
-        """An element added to both (1 2 3) buckets at d = 3.  The first coset
-        element that is not braid-like (None) is the one disagreement.  The
-        others lie outside the coset and are none, as in the full sweep:
-        (1 6) and (1 2) move a point of [1, 3] within it, and the last maps
-        [1, 3] above 3 but moves 7.  The shuffle count of (1 2 3) mismatches
-        either way."""
+        """An element added to the shuffles of (1 2 3) at d = 3.  The first
+        element of its fibre that is not braid-like (None) is the one
+        disagreement, weighted by the class size 2.  The others lie outside
+        the coset and are none, as in the full sweep: (1 6) and (1 2) move a
+        point of [1, 3] within it, and the last maps [1, 3] above 3 but
+        moves 7.  Either way the shuffles of (1 2 3) mismatch its roots, and
+        their count its centralizer order."""
         s = Session(RunConfig(d=3, n=3, claims=("thm-2.12",)))
         tau = Permutation.parse("(1 2 3)")
         if added is None:
-            extra = next(_trusted(x) for x in coset_images(s, 3) if not braid_like_images(x, 3))
+            fibre = fibre_of(s, 3, tau)
+            extra = next(_trusted(x) for x, *_ in fibre if not braid_like_images(x, 3))
         else:
             extra = Permutation.parse(added)
-        for accessor in ("roots", "shuffles"):
-            full = getattr(Session, accessor)
+        full = Session.shuffles
 
-            def one_more(self, d, t, full=full):
-                result = full(self, d, t)
-                if t != tau:
-                    return result
-                return EnumerationResult(
-                    result.parameters, (*result.elements, extra), result.count + 1
-                )
+        def one_more(self, d, t):
+            result = full(self, d, t)
+            if t != tau:
+                return result
+            elements = (*result.elements, extra)
+            return EnumerationResult(result.parameters, elements, result.count + 1)
 
-            monkeypatch.setattr(Session, accessor, one_more)
+        monkeypatch.setattr(Session, "shuffles", one_more)
         equivalence, counts = claims._check_thm_2_12(s)
-        assert equivalence.witness == full_sweep_equivalence(s, 3)
+        if added is not None:
+            assert equivalence.witness == full_sweep_equivalence(s, 3)
+        assert equivalence.witness["disagreement_count"] == (2 if added is None else 0)
         assert equivalence.witness["examples"] == ([str(extra)] if added is None else [])
         assert equivalence.witness["braid_like"] == 18
+        assert counts.witness["set_mismatches"] == [str(tau)]
         assert counts.witness["shuffle_count_mismatches"] == [str(tau)] and not counts.passed
 
     @pytest.mark.parametrize("d", [2, 3, 4])
@@ -900,85 +1027,188 @@ class TestThm212:
                 assert conjugate(www, sigma.shift(d)) == moved.shift(d)
                 assert braid_like_images(moved.images, d) == braid_like_images(sigma.images, d)
 
-    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
-    def test_representatives(self, monkeypatch, d):
-        """One coset element is tested per diagonal orbit, sum_lambda z_lambda
-        of them, with w1 the first member of its class in Session.taus
-        order.  For d <= 6 their orbit sizes d! / |C(w1) & C(w2)| sum to
-        |S_d|^2.  The braid-like set has p(d) * d! elements."""
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_fibre_lemma(self, d):
+        """For every tau and every w of S_d, conjugation by w + w maps F(tau)
+        onto F(w tau w^-1) and keeps braid-likeness, root-ness, commutation
+        of the pair and shuffle membership, each tested directly.  F(tau) is
+        built by claims._fibres with tau as its one class, and is exactly
+        the coset elements whose square has first block tau."""
         s = Session(RunConfig(d=d))
-        calls = counted(monkeypatch, claims, "_is_braid_like")
-        braid = claims._braid_like_coset(s, d)
-        assert len(calls) == centralizer_order_sum(s, d) == SUM_Z[d]
-        assert len(braid) == partition_count(d) * math.factorial(d)
-        reps = [(tuple([y - d for y in a[:d]]), a[d : 2 * d]) for a, _ in calls]
-        firsts = {}
+        taus = [_padded(tau, d) for tau in s.taus(d)]
+        by_first_block = {}
+        for x in coset_images(s, d):
+            by_first_block.setdefault(_compose(x, x)[:d], set()).add(x)
+        verdicts = {}
+        for tau in taus:
+            [(_, _, fibre)] = claims._fibres([(_trusted(tau), 1)], s.taus(d), d, 10**6)
+            assert {x for x, *_ in fibre} == by_first_block[tau]
+            target = tau + tuple([y + d for y in tau])
+            shuffles = {p.canonical() for p in s.shuffles(d, _trusted(tau)).elements}
+            verdicts[tau] = {
+                x: (
+                    braid_like_images(x, d), _compose(x, x) == target, commute(w1, w2),
+                    x in shuffles,
+                )
+                for x, w1, w2, _ in fibre
+            }
+        for tau in taus:
+            for w in taus:
+                ww = w + tuple([y + d for y in w])
+                moved = {conjugated(ww, x): v for x, v in verdicts[tau].items()}
+                assert moved == verdicts[conjugated(w, tau)]
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
+    def test_representatives(self, d):
+        """The fibres lie over the first member of each class in Session.taus
+        order, with its class size: one fibre per class, of d! elements
+        (w1 + d) followed by w2 = tau * w1^-1, sorted.  Their roots number
+        sum_lambda z_lambda, and weighted by class size p(d) * d!.  For
+        d <= 6 each representative's roots are its bucket of the full root
+        sweep, and Session.roots, their closure, is every bucket."""
+        s = Session(RunConfig(d=d))
+        firsts, sizes = {}, {}
         for w in s.taus(d):
-            firsts.setdefault(w.cycle_type(d), _padded(w, d))
-        assert {w1 for w1, _ in reps} == set(firsts.values())
+            firsts.setdefault(w.cycle_type(d), w)
+            sizes[w.cycle_type(d)] = sizes.get(w.cycle_type(d), 0) + 1
+        fibres = s.fibres(d)
+        assert [(tau, size) for tau, size, _ in fibres] == [
+            (w, sizes[t]) for t, w in firsts.items()
+        ]
+        roots = {}
+        for tau, _, fibre in fibres:
+            assert len(fibre) == math.factorial(d) and list(fibre) == sorted(fibre)
+            for x, w1, w2, _ in fibre:
+                assert x == tuple([y + d for y in w1]) + w2
+                assert _compose(w2, w1) == _padded(tau, d)
+            roots[tau] = tuple([_trusted(x) for x, *_, root in fibre if root])
+        assert sum(map(len, roots.values())) == SUM_Z[d]
+        total = sum(size * len(roots[tau]) for tau, size, _ in fibres)
+        assert total == partition_count(d) * math.factorial(d)
         if d > 6:
             return
-        members = [_padded(w, d) for w in s.taus(d)]
-        centralizers = {w1: [g for g in members if commute(g, w1)] for w1 in firsts.values()}
-        sizes = [
-            math.factorial(d) // sum(commute(g, w2) for g in centralizers[w1]) for w1, w2 in reps
-        ]
-        assert sum(sizes) == math.factorial(d) ** 2
+        buckets = swept_roots(d)
+        assert all(roots[tau] == buckets[tau.canonical()].elements for tau in roots)
+        for tau in s.taus(d):
+            assert s.roots(d, tau).elements == buckets[tau.canonical()].elements
 
-    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
-    def test_centralizer_generators(self, d):
-        """The generators commute with w1 and generate its whole centralizer,
-        of order z_lambda, for every class of S_d."""
-        s = Session(RunConfig(d=d))
-        for w in {w.cycle_type(d): w for w in s.taus(d)}.values():
-            gens = claims._centralizer_generators(w.cycles(include_fixed=True, degree=d), d)
-            assert all(commute(g, _padded(w, d)) for g in gens)
-            group = GeneratedGroup(d, tuple(map(_trusted, gens)))
-            assert schreier_sims(group).order() == centralizer_order(w.cycle_type(d))
+    def test_a_representative_of_another_class_fails_the_counts(self, monkeypatch):
+        """The identity in place of the representative of the six
+        transpositions of S_4 counts its 24 roots six times: 240 roots and
+        braid-like elements, and as many commuting pairs, against 120.  Each
+        element still agrees with itself, so the equivalence holds, but it
+        differs from the full sweep's."""
+        real = Session.classes
+        identity = Permutation.identity(4)
 
-    def test_a_non_commuting_generator_fails_the_reference(self, monkeypatch):
-        """(1 2) added to every w1's centralizer generators merges C(w1)-orbits
-        where it does not commute with w1, and braid-like orbits go untested."""
-        real = claims._centralizer_generators
+        def mutated(self, d):
+            return [
+                (identity if size == 6 and tau.order() == 2 else tau, size)
+                for tau, size in real(self, d)
+            ]
 
-        def with_transposition(cycles, d):
-            return [*real(cycles, d), (2, 1, *range(3, d + 1))]
-
-        monkeypatch.setattr(claims, "_centralizer_generators", with_transposition)
-        s = Session(RunConfig(d=4, claims=("thm-2.12",)))
-        equivalence, _ = claims._check_thm_2_12(s)
+        monkeypatch.setattr(Session, "classes", mutated)
+        s = Session(RunConfig(d=4, claims=("thm-2.12", "lemma-2.5")))
+        equivalence, counts = claims._check_thm_2_12(s)
+        assert equivalence.passed and equivalence.witness["braid_like"] == 240
         assert equivalence.witness != full_sweep_equivalence(s, 4)
-        assert not equivalence.passed
+        assert counts.witness["total_roots"] == 240 and not counts.passed
+        [sym, *_, roundtrip] = claims._check_lemma_2_5(s)
+        assert sym.witness["pairs"] == 240 and not sym.passed
+        assert roundtrip.witness == {"commuting_pairs": 240, "roundtrip_failures": 0}
+        assert not roundtrip.passed
+
+    @pytest.mark.parametrize(
+        "mutation, roots, pairs",
+        [("dropped-class", 96, 96), ("z-weights", 681, 681), ("first-block-roots", 576, 120)],
+    )
+    def test_a_mutated_domain_fails_the_counts(self, monkeypatch, mutation, roots, pairs):
+        """At d = 4 each mutation of the fibres' domain fails thm-2.12's
+        counts, whose total is p(4) * 4! = 120 on the true domain: dropping
+        the last class, weighting each class by z_lambda instead of its
+        size, or a root test on the square's first block alone, which
+        accepts whole fibres, 4!^2 = 576 elements.  The first two fail
+        lemma-2.5's counts as well; the third leaves its commutation test."""
+        mutated_fibres(monkeypatch, mutation)
+        s = Session(RunConfig(d=4, claims=("thm-2.12", "lemma-2.5")))
+        _, counts = claims._check_thm_2_12(s)
+        assert counts.witness["total_roots"] == roots and not counts.passed
+        [sym, *_, roundtrip] = claims._check_lemma_2_5(s)
+        assert sym.witness["pairs"] == roundtrip.witness["commuting_pairs"] == pairs
+        assert sym.passed is roundtrip.passed is (pairs == 120)
 
     def test_a_closure_under_one_transposition_fails_the_reference(self, monkeypatch):
-        """Closing the braid-like representatives under (1 2) + (1 2) alone
-        misses most of each diagonal orbit."""
+        """Closing the representatives' roots under (1 2) + (1 2) alone
+        misses most of each class: Session.roots holds 50 of the 120 roots
+        at d = 4, and cor-2.13 counts 375 membership failures in its 1,080
+        instances where the full root sweep's buckets give none."""
         real = claims._diagonal_generators
         monkeypatch.setattr(claims, "_diagonal_generators", lambda d: real(d)[:1])
-        s = Session(RunConfig(d=4, claims=("thm-2.12",)))
-        equivalence, _ = claims._check_thm_2_12(s)
-        assert equivalence.witness != full_sweep_equivalence(s, 4)
-        assert equivalence.witness["braid_like"] < 120 and not equivalence.passed
+        config = RunConfig(d=4, n=3, claims=("cor-2.13",))
+        s = Session(config)
+        assert sum(s.roots(4, tau).count for tau in s.taus(4)) == 50
+        [entry] = claims._check_cor_2_13(s)
+        instances, failures = permutation_cor_2_13(Session(config), {4: swept_roots(4)})
+        assert entry.parameters["instances"] == instances and failures == []
+        assert entry.witness["failures"] == 375 and not entry.passed
 
 
 class TestLemma25:
     def test_one_sweep_per_group(self, monkeypatch):
-        """lemma-2.5 at d = 4 reads its counts and its round trips from one
-        commuting_pairs sweep per group, and composes nothing itself: the
-        oracle's 24**2 + 2**2 + 3**2 + 4**2 + 2**2 commutation tests, one per
-        ordered pair, are all, and it forms no product."""
+        """lemma-2.5 at d = 4, with the fibres built, reads S_4's counts and
+        round trips from one pass over the 120 elements of the fibres over
+        the class representatives, and each cyclic group's count from one
+        commuting_pairs sweep, and composes nothing itself: its own 120
+        commutation tests and the oracle's 2**2 + 3**2 + 4**2 + 2**2 = 33
+        are all, 153 against the 609 of a full sweep of S_4."""
         s = Session(RunConfig(d=4))
+        s.fibres(4)
         own = counted(monkeypatch, claims, "_compose")
         sweeps = counted(monkeypatch, claims, "commuting_pairs")
         oracle = counted(monkeypatch, oracles, "_compose")
+        fibre_tests = counted(monkeypatch, claims, "_commute")
         tests = counted(monkeypatch, oracles, "_commute")
         entries = claims._check_lemma_2_5(s)
         assert all(e.passed for e in entries)
         assert own == oracle == []
-        assert len(sweeps) == 5
-        assert len(tests) == 609
+        assert [group.generators for group, _ in sweeps] == [
+            (Permutation.parse(text),) for text in ("(1 2)", "(1 2 3)", "(1 2 3 4)", "(1 2)(3 4)")
+        ]
+        assert len(fibre_tests) == 120 and len(tests) == 33
         [roundtrip] = [e for e in entries if e.parameters.get("check") == "roundtrip"]
         assert roundtrip.witness == {"commuting_pairs": 120, "roundtrip_failures": 0}
+
+    def test_matches_the_full_sweep(self):
+        """lemma-2.5's S_d counts and round trips from the fibres over the
+        class representatives equal the full pair sweep's, with every pair
+        decomposed, on every d <= 6."""
+        s = Session(RunConfig(d_max=6, claims=("lemma-2.5",)))
+        entries = claims._check_lemma_2_5(s)
+        sym = [e for e in entries if e.parameters.get("group", "").startswith("sym-")]
+        roundtrips = [e for e in entries if e.parameters.get("check") == "roundtrip"]
+        for d, entry, roundtrip in zip(range(2, 7), sym, roundtrips, strict=True):
+            counts, trips = full_sweep_lemma_2_5(d)
+            assert entry.parameters == {"group": f"sym-{d}"} and entry.witness == counts
+            assert roundtrip.parameters["d"] == d and roundtrip.witness == trips
+        assert all(e.passed for e in entries)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_round_trip_lemma(self, d):
+        """For every commuting pair (a, b) of S_d and every i1 on every cycle
+        alpha of tau = a * b, the spec that starts alpha at (i1, a(i1)) and
+        every other cycle at its least point rebuilds (a, b): decompose_pair's
+        choice of the least points does not matter."""
+        for a, b in oracles.commuting_pairs(groups.symmetric_group(d)):
+            first, second = _padded(a, d), _padded(b, d)
+            tau = _trusted(_compose(first, second))
+            cycles = tau.cycles(include_fixed=True, degree=d)
+            for alpha in cycles:
+                for i1 in alpha:
+                    choices = tuple(
+                        (c, i1, first[i1 - 1]) if c == alpha else (c, c[0], first[c[0] - 1])
+                        for c in cycles
+                    )
+                    assert _pair_images(ShuffleSpec(d, tau, choices)) == (first, second)
 
 
 class TestSharedKernelChain:
@@ -1280,7 +1510,7 @@ def failing_certificate(monkeypatch, target):
 class TestCor310:
     def test_orders_come_from_the_certificates(self, monkeypatch):
         """On d = 3, n = 3 the orders are n! * |A| and |A| from the (n, q)
-        lattice, with no chain of degree 9.  With one odd-q certificate
+        lattice, with no stabilizer chain at all.  With one odd-q certificate
         failing, its entry lists the same orders and matrix set but is
         inconsistent, and still no chain is built; the other entry is as
         before."""
@@ -1294,7 +1524,7 @@ class TestCor310:
         clean = claims._check_cor_3_10(Session(RunConfig(d=3, n=3)))
         assert [e.witness["orders"] for e in clean] == [[6], [162]]
         assert [e.witness["kernel_orders"] for e in clean] == [[1], [27]]
-        assert degrees == [3] and all(e.passed for e in clean)
+        assert degrees == [] and all(e.passed for e in clean)
         session = Session(RunConfig(d=3, n=3))
         target = next(c for c in session.pool(3) if c.tau.order() == 3)
         degrees.clear()
@@ -1503,9 +1733,9 @@ class TestProp330:
         assert len(entries) == 3 * 4
         assert len(orbits) == len({id(spec) for spec, in orbits}) == 18
 
-    def test_orbit_claims_build_only_the_member_list_chain(self, monkeypatch):
-        """prop-3.30 and cor-3.31 build no stabilizer chain of their own: the
-        one build is S_3's, which lists the taus."""
+    def test_orbit_claims_build_no_stabilizer_chain(self, monkeypatch):
+        """prop-3.30 and cor-3.31 build no stabilizer chain, and neither does
+        Session.taus, which lists S_3 for them."""
         degrees = []
 
         def counting(group):
@@ -1515,7 +1745,7 @@ class TestProp330:
         monkeypatch.setattr(groups, "schreier_sims", counting)
         monkeypatch.setattr(claims, "schreier_sims", counting)
         run_verification(RunConfig(d=3, n=4, claims=("prop-3.30", "cor-3.31")))
-        assert degrees == [3]
+        assert degrees == []
 
 
 def lemma_3_3_identities_hold(image, kernel_gens):

@@ -1,12 +1,18 @@
 """The algorithm modules stand below the verification suite: none of them
 imports the report, the claim checkers or the CLI.  And the claim checkers
 import nothing of the braid image at degree n * d: every claim on the group
-rests on the per-case certificate and the (n, q) lattice."""
+rests on the per-case certificate and the (n, q) lattice.  Nor do they sweep
+the whole coset of S_d: the coset claims rest on the fibres over the class
+representatives, and the |S_d|^2 sweeps are the tests' references."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from braidperm import claims, oracles
+from braidperm.claims import RunConfig, run_verification
+from braidperm.perm import Permutation
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "braidperm"
 
@@ -58,3 +64,24 @@ def test_claims_build_no_braid_image():
     names = imported_names(PACKAGE / "claims.py")
     assert {"case_certificate", "kernel_lattice"} <= names
     assert names & degree_nd == set()
+
+
+def test_claims_import_no_root_sweep():
+    names = imported_names(PACKAGE / "claims.py")
+    assert names & {"roots_by_tau", "enumerate_roots"} == set()
+
+
+def test_no_pair_sweep_of_a_symmetric_group(monkeypatch):
+    """All ten claims on d <= 5 sweep the commuting pairs of the four cyclic
+    groups of lemma-2.5 only, and never the coset's roots."""
+    real_pairs, real_roots = oracles.commuting_pairs, oracles.roots_by_tau
+    sweeps, roots = [], []
+    for module in (claims, oracles):
+        monkeypatch.setattr(
+            module, "commuting_pairs", lambda *a: sweeps.append(a[0]) or real_pairs(*a)
+        )
+    monkeypatch.setattr(oracles, "roots_by_tau", lambda *a: roots.append(a) or real_roots(*a))
+    run_verification(RunConfig(d_max=5, n_max=3))
+    cyclic = [(Permutation.parse(t),) for t in ("(1 2)", "(1 2 3)", "(1 2 3 4)", "(1 2)(3 4)")]
+    assert [group.generators for group in sweeps] == cyclic
+    assert roots == []
