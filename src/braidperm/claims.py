@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import permutations
 from typing import Callable
 
@@ -36,7 +36,7 @@ from .lattice import (
     monodromy_kernel,
     q2_of,
 )
-from .oracles import D_CAP, DEFAULT_CAP, CapExceeded, EnumerationResult, _commute
+from .oracles import D_CAP, DEFAULT_CAP, CapExceeded, _commute
 from .oracles import commuting_pairs, conjugacy_class_count, enumerate_shuffles
 from .perm import (
     Permutation,
@@ -97,24 +97,17 @@ class RunConfig:
         }
 
 
-def _key(p: Permutation) -> tuple[int, ...]:
-    return p.canonical()
-
-
 @dataclass(frozen=True)
 class GridCase:
-    """One shuffle permutation of the grid with the spec that built it.  key,
-    sigma's and tau's image tuples, is computed once, when the case is made,
-    and is the case's key in every Session cache that reads it."""
+    """One shuffle permutation of the grid: tau's and sigma's image tuples, of
+    degree d and 2d, which together key the case in every Session cache, the
+    spec that built sigma, and q = order(tau), read once per tau by the pool."""
 
     d: int
-    tau: Permutation
-    sigma: Permutation
+    tau: tuple[int, ...]
+    sigma: tuple[int, ...]
     spec: ShuffleSpec
-    key: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "key", (_key(self.sigma), _key(self.tau)))
+    q: int
 
 
 class Session:
@@ -161,25 +154,26 @@ class Session:
             ("fibres", d), lambda: _fibres(self.classes(d), self.taus(d), d, self.config.cap)
         )
 
-    def roots(self, d: int, tau: Permutation) -> EnumerationResult:
-        """tau's bucket of the coset's roots: the roots in the fibres over
-        the class representatives, closed under conjugation by w + w, which
-        by the fibre lemma in _fibres gives every root."""
+    def roots(self, d: int, tau: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+        """tau's roots as sorted image tuples, tau's of degree d: the roots in
+        the fibres over the class representatives, closed under conjugation
+        by w + w, which by the fibre lemma in _fibres gives every root."""
         return self._cached(
             ("roots", d), lambda: _root_buckets(self.fibres(d), self.taus(d), d)
-        )[_key(tau)]
+        )[tau]
 
     def shuffles(self, d: int, tau: Permutation):
-        return self._cached(("shuffles", d, _key(tau)), lambda: enumerate_shuffles(d, tau))
+        return self._cached(("shuffles", d, tau.canonical()), lambda: enumerate_shuffles(d, tau))
 
     def pool(self, d: int) -> list[GridCase]:
         def build():
             cases = []
             for tau in self.taus(d):
+                images, q = tau.images, tau.order()
                 shuffles = self.shuffles(d, tau)
                 # strict: an enumeration without a spec per sigma raises ValueError
                 for sigma, spec in zip(shuffles.elements, shuffles.specs, strict=True):
-                    cases.append(GridCase(d, tau, sigma, spec))
+                    cases.append(GridCase(d, images, sigma.images, spec, q))
             return cases
 
         return self._cached(("pool", d), build)
@@ -187,8 +181,8 @@ class Session:
     def certificate(self, case: GridCase) -> CaseCertificate:
         """The case's kernel facts for every n."""
         return self._cached(
-            ("certificate", case.d, case.key),
-            lambda: case_certificate(case.sigma, case.tau, case.d),
+            ("certificate", case.sigma, case.tau),
+            lambda: case_certificate(case.sigma, case.tau, case.q, case.d),
         )
 
     def lattice(self, n: int, q: int) -> KernelLattice:
@@ -210,12 +204,13 @@ class Session:
     def towers(self, case: GridCase):
         """The case's tower facts for every n."""
         return self._cached(
-            ("towers", case.d, case.key), lambda: tower_certificate(case.sigma, case.spec)
+            ("towers", case.sigma, case.tau),
+            lambda: tower_certificate(case.sigma, case.tau, case.spec),
         )
 
     def transitivity(self, case: GridCase, n: int):
         return self._cached(
-            ("transitivity", case.d, n, case.key),
+            ("transitivity", n, case.sigma, case.tau),
             lambda: transitivity_report(case.sigma, case.d, n, self.towers(case).points),
         )
 
@@ -231,7 +226,8 @@ def _diagonal_generators(d: int) -> list[tuple[int, ...]]:
 
 def _fibres(classes, members: list[Permutation], d: int, cap: int) -> list[tuple]:
     """(tau, size, F(tau)) for each (tau, size) of classes: the fibre F(tau)
-    lists (sigma, w1, w2, root) for w1 over members, as image tuples.
+    lists (sigma, root) for w1 over members, sigma an image tuple whose
+    blocks give back w1 = sigma[:d] - d and w2 = sigma[d:].
 
     A coset element swap * w1 * shift(w2, d) is sigma = (w1 + d) followed by
     w2, and sigma^2 is (w2 * w1) followed by (w1 * w2 + d).  So F(tau), where
@@ -272,17 +268,17 @@ def _fibres(classes, members: list[Permutation], d: int, cap: int) -> list[tuple
         for w1, w1_inv in zip(images, inverses):
             w2 = _compose(t, w1_inv)
             sigma = tuple([y + d for y in w1]) + w2
-            fibre.append((sigma, w1, w2, _compose(sigma, sigma) == target))
+            fibre.append((sigma, _compose(sigma, sigma) == target))
         out.append((tau, class_size, tuple(fibre)))
     return out
 
 
 def _root_buckets(fibres, members: list[Permutation], d: int) -> dict:
-    """tau.canonical() -> the EnumerationResult of tau's roots, for each tau
-    of members: the fibres' roots closed under conjugation by w + w for w in
-    _diagonal_generators, each filed under its square's first block."""
+    """tau's image tuple -> the sorted image tuples of tau's roots, for each
+    tau of members: the fibres' roots closed under conjugation by w + w for
+    w in _diagonal_generators, each filed under its square's first block."""
     gens = [(g, _invert(g)) for g in _diagonal_generators(d)]
-    roots = {sigma for _, _, fibre in fibres for sigma, _, _, root in fibre if root}
+    roots = {sigma for _, _, fibre in fibres for sigma, root in fibre if root}
     frontier = list(roots)
     while frontier:
         x = frontier.pop()
@@ -291,13 +287,10 @@ def _root_buckets(fibres, members: list[Permutation], d: int) -> dict:
             if y not in roots:
                 roots.add(y)
                 frontier.append(y)
-    found: dict[Permutation, list] = {tau: [] for tau in members}
+    found: dict[tuple[int, ...], list] = {tau.images: [] for tau in members}
     for sigma in sorted(roots):
-        found[_trusted(_compose(sigma, sigma)[:d])].append(_trusted(sigma))
-    return {
-        _key(tau): EnumerationResult({"kind": "roots", "d": d, "tau": str(tau)}, tuple(r), len(r))
-        for tau, r in found.items()
-    }
+        found[_compose(sigma, sigma)[:d]].append(sigma)
+    return {tau: tuple(r) for tau, r in found.items()}
 
 
 def _check_thm_2_12(s: Session) -> list[ClaimCheck]:
@@ -318,8 +311,8 @@ def _check_thm_2_12(s: Session) -> list[ClaimCheck]:
             shuffles = s.shuffles(d, tau)
             members = tuple([p.canonical() for p in shuffles.elements])
             found = set(members)
-            roots = tuple([sigma for sigma, _, _, root in fibre if root])
-            for sigma, _, _, root in fibre:
+            roots = tuple([sigma for sigma, root in fibre if root])
+            for sigma, root in fibre:
                 braid = _is_braid_like(sigma + top, _shifted(sigma, d))
                 braid_like += size * braid
                 if not braid == root == (sigma in found):
@@ -449,7 +442,8 @@ def _check_lemma_2_4(s: Session) -> list[ClaimCheck]:
 def _check_lemma_2_5(s: Session) -> list[ClaimCheck]:
     """Commuting-pair counts against order times class count, and the exact
     decompose/rebuild round trip.  For S_d the pairs are the (w1, w2) of the
-    representatives' fibres that pass _commute, weighted by class size (the
+    representatives' fibres, read off sigma's blocks as w1 = sigma[:d] - d
+    and w2 = sigma[d:], that pass _commute, weighted by class size (the
     fibre lemma and the round trip's class function, in _fibres); each is
     decomposed once and the rebuilt pair compared as image tuples.  The four
     cyclic groups are swept in full by commuting_pairs."""
@@ -458,7 +452,8 @@ def _check_lemma_2_5(s: Session) -> list[ClaimCheck]:
     for d in s.config.ds():
         pairs = bad = 0
         for _, size, fibre in s.fibres(d):
-            for _, w1, w2, _ in fibre:
+            for sigma, _ in fibre:
+                w1, w2 = tuple([y - d for y in sigma[:d]]), sigma[d:]
                 if not _commute(w1, w2):
                     continue
                 pairs += size
@@ -504,7 +499,10 @@ def _check_cor_2_13(s: Session) -> list[ClaimCheck]:
     and sigma * a appears in the enumeration for that power.  The cases are
     the shuffle enumerations' (d, tau, sigma) in Session.pool's order, without
     building the pool; one table of block powers per tau gives the twist, the
-    target and the roots key as image tuples."""
+    target and the roots key as image tuples.  The sigmas are not read from
+    Session.roots, though by thm-2.12 the two are equal: thm-2.12 compares
+    them on the class representatives only, so these lookups are the run's
+    one independent check of the closure Session.roots builds, on every tau."""
     ds = s.config.ds()
     cases = sum(len(s.shuffles(d, tau).elements) for d in ds for tau in s.taus(d))
     reps = max(1, -(-RANDOM_INSTANCES // max(1, cases)))
@@ -515,20 +513,17 @@ def _check_cor_2_13(s: Session) -> list[ClaimCheck]:
             shifted, _ = _block_powers(tau, d, 2)
             q = len(shifted[0])
             for sigma in s.shuffles(d, tau).elements:
-                images = _padded(sigma, 2 * d)
                 for _ in range(reps):
                     k = s.rng.randrange(0, 3 * q)
                     l = s.rng.randrange(0, 3 * q)
-                    twisted = _compose(images, _realize(shifted, (k, l)))
+                    twisted = _compose(sigma.images, _realize(shifted, (k, l)))
                     instances += 1
                     if _compose(twisted, twisted) != _realize(shifted, (k + l + 1,) * 2):
                         failures.append(f"d={d} sigma={sigma} k={k} l={l}")
                         continue
-                    power = _trusted(shifted[0][(k + l + 1) % q])
-                    roots = s.roots(d, power).elements  # sorted by canonical()
-                    member = _trusted(twisted)
-                    at = bisect_left(roots, member.canonical(), key=Permutation.canonical)
-                    if roots[at : at + 1] != (member,):
+                    roots = s.roots(d, shifted[0][(k + l + 1) % q])
+                    at = bisect_left(roots, twisted)
+                    if roots[at : at + 1] != (twisted,):
                         failures.append(f"membership d={d} sigma={sigma} k={k} l={l}")
     return [
         ClaimCheck(
@@ -578,12 +573,12 @@ def _check_prop_3_30(s: Session) -> list[ClaimCheck]:
             ):
                 if not holds:
                     failures[key] += 1
-                    examples.append(f"{label} {case.sigma}")
+                    examples.append(f"{label} {_trusted(case.sigma)}")
         # u is the identity exactly when each cycle of tau is its own u-orbit
         identity_u = [len(s.towers(case).points) == len(case.spec.u) for case in pool]
         for n in s.config.ns():
             matches = [s.transitivity(case, n).orbits_match for case in pool]
-            orbit_mismatches = [str(case.sigma) for case, match in zip(pool, matches) if not match]
+            orbit_mismatches = [case for case, match in zip(pool, matches) if not match]
             refinement_holds = matches == identity_u
             entries.append(
                 ClaimCheck(
@@ -600,7 +595,7 @@ def _check_prop_3_30(s: Session) -> list[ClaimCheck]:
                     witness={
                         "cases": len(pool),
                         "orbit_mismatches": len(orbit_mismatches),
-                        "examples": orbit_mismatches[:3],
+                        "examples": [str(_trusted(c.sigma)) for c in orbit_mismatches[:3]],
                         "finding": "orbits equal the towers exactly when the cycle "
                         "map is the identity",
                         "finding_holds": refinement_holds,
@@ -629,12 +624,12 @@ def _check_cor_3_31(s: Session) -> list[ClaimCheck]:
         pool = s.pool(d)
         long_cycles = [len(s.towers(case).points) == 1 for case in pool]
         for n in s.config.ns():
-            mismatches: list[str] = []
+            mismatches: list[GridCase] = []
             only_if_holds = refined_holds = True
             for case, u_long_cycle in zip(pool, long_cycles):
                 transitive = s.transitivity(case, n).transitive
                 if transitive != u_long_cycle:
-                    mismatches.append(str(case.sigma))
+                    mismatches.append(case)
                 if transitive and not u_long_cycle:
                     only_if_holds = False
                 tau_single_cycle = len(case.spec.u) == 1
@@ -647,7 +642,7 @@ def _check_cor_3_31(s: Session) -> list[ClaimCheck]:
                     witness={
                         "cases": len(pool),
                         "mismatches": len(mismatches),
-                        "examples": mismatches[:3],
+                        "examples": [str(_trusted(c.sigma)) for c in mismatches[:3]],
                         "transitive_implies_long_cycle": only_if_holds,
                         "finding": "transitive exactly when tau is a single cycle",
                         "finding_holds": refined_holds,
@@ -677,7 +672,7 @@ def _check_lemma_3_3(s: Session) -> list[ClaimCheck]:
             for case in s.pool(d):
                 cases += 1
                 if not s.certificate(case).holds:
-                    failures.append(f"certificate {case.sigma}")
+                    failures.append(f"certificate {_trusted(case.sigma)}")
             entries.append(
                 ClaimCheck(
                     claim="lemma-3.3",
@@ -722,29 +717,29 @@ def _check_thm_3_4(s: Session) -> list[ClaimCheck]:
             errors: list[str] = []
             for case in s.pool(d):
                 cases += 1
-                q = case.tau.order()
+                q = case.q
                 certificate, lattice = s.certificate(case), s.lattice(n, q)
                 orders_hold = certificate.holds and lattice.orders_hold
                 if not orders_hold:
                     order_failures += 1
-                    errors.append(f"orders {case.sigma}")
+                    errors.append(f"orders {_trusted(case.sigma)}")
                 if not lattice.parametrized:
                     bijection_failures += 1
-                    errors.append(f"structure {case.sigma}")
-                    errors.append(f"parametrization {case.sigma}")
+                    errors.append(f"structure {_trusted(case.sigma)}")
+                    errors.append(f"parametrization {_trusted(case.sigma)}")
                 certified = orders_hold and lattice.parametrized
                 if not certified:
                     intersection_failures += 1
-                    errors.append(f"intersection {case.sigma} unverified")
+                    errors.append(f"intersection {_trusted(case.sigma)} unverified")
                 elif q % 2 == 0 and not lattice.outside:
                     intersection_failures += 1
-                    errors.append(f"intersection {case.sigma} {(1,) + (0,) * (n - 1)}")
+                    errors.append(f"intersection {_trusted(case.sigma)} {(1,) + (0,) * (n - 1)}")
                 if q % 2:
                     split_odd += 1
                     if certified and certificate.splits:
                         split_verified += 1
                     elif certified:
-                        errors.append(f"split {case.sigma}: the twist fails its checks")
+                        errors.append(f"split {_trusted(case.sigma)}: the twist fails its checks")
                 else:
                     split_even += 1
                     searches.append(s.complements(n, q) if certified else None)
@@ -796,9 +791,8 @@ def _check_cor_3_10(s: Session) -> list[ClaimCheck]:
     for d in s.config.ds():
         for n in s.config.ns():
             for case in s.pool(d):
-                q = case.tau.order()
-                if q % 2:
-                    by_qn.setdefault((q, n), []).append(case)
+                if case.q % 2:
+                    by_qn.setdefault((case.q, n), []).append(case)
     entries = []
     for (q, n), cases in sorted(by_qn.items()):
         lattice = s.lattice(n, q)
@@ -846,14 +840,14 @@ def _check_prop_3_11(s: Session) -> list[ClaimCheck]:
             matrices_by_q: dict[str, dict] = {}
             stated: dict[int, bool] = {}
             for case in s.pool(d):
-                q = case.tau.order()
+                q = case.q
                 lattice = s.lattice(n, q)
                 kernel = s.kernel_size(n, q)
                 if q == 1:
                     trivial_cases += 1
                     if kernel != math.factorial(n):
                         kernel_failures += 1
-                        examples.append(f"trivial-kernel {case.sigma}")
+                        examples.append(f"trivial-kernel {_trusted(case.sigma)}")
                     continue
                 cases += 1
                 mats = lattice.matrices
@@ -866,16 +860,16 @@ def _check_prop_3_11(s: Session) -> list[ClaimCheck]:
                     stated[q] = mats == [expected_monodromy_matrix(i, n, q) for i in range(1, n)]
                 if not stated[q]:
                     matrix_mismatches += 1
-                    examples.append(f"formula {case.sigma}")
+                    examples.append(f"formula {_trusted(case.sigma)}")
                 if kernel is None:
                     relation_failures += 1
-                    examples.append(f"relations {case.sigma}")
+                    examples.append(f"relations {_trusted(case.sigma)}")
                 if not (s.certificate(case).holds and lattice.actions_match):
                     action_mismatches += 1
-                    examples.append(f"action {case.sigma}")
+                    examples.append(f"action {_trusted(case.sigma)}")
                 if kernel != 1:
                     kernel_failures += 1
-                    examples.append(f"kernel {case.sigma}")
+                    examples.append(f"kernel {_trusted(case.sigma)}")
             entries.append(
                 ClaimCheck(
                     claim="prop-3.11",

@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .lattice import _block_powers, _read_exponents, _Span, _swapped, f_vector, q2_of
 from .perm import Permutation, _compose, _invert, _padded, _shifted, _trusted
-from .shuffle import ShuffleSpec, _is_braid_like, components, is_braid_like
+from .shuffle import ShuffleSpec, _is_braid_like, _walk
 
 __all__ = [
     "BSGS",
@@ -236,22 +236,22 @@ def _block_split(square: tuple[int, ...], d: int) -> tuple[int, ...] | None:
     return tau if square[d:] == tuple([x + d for x in tau]) else None
 
 
-def _block_root(sigma: Permutation, d: int) -> Permutation:
-    """The block factor tau when sigma passes braid_image's checks at degree
-    2d: sigma lives on [1, 2d] and maps [1, d] onto [d+1, 2d], (sigma,
-    shift(sigma, d)) is braid-like, and sigma squared is tau * shift(tau, d).
-    ValueError names the first check that fails."""
-    images = _padded(sigma, 2 * d)
-    if len(images) > 2 * d:
+def _block_root(sigma: tuple[int, ...], d: int) -> tuple[int, ...]:
+    """tau's image tuple of degree d when sigma, an image tuple of degree at
+    least 2d, passes braid_image's checks at degree 2d: sigma lives on [1, 2d] and maps
+    [1, d] onto [d+1, 2d], (sigma, shift(sigma, d)) is braid-like, and sigma
+    squared is tau * shift(tau, d).  ValueError names the first check that
+    fails."""
+    if len(sigma) > 2 * d:
         raise ValueError(f"sigma must live on [1, {2 * d}]")
-    if any(not d < y <= 2 * d for y in images[:d]):
+    if any(not d < y <= 2 * d for y in sigma[:d]):
         raise ValueError("sigma does not map the first block onto the second")
-    if not is_braid_like(sigma, sigma.shift(d)):
+    if not _is_braid_like(sigma + tuple(range(2 * d + 1, 3 * d + 1)), _shifted(sigma, d)):
         raise ValueError("(sigma, shift(sigma, d)) is not braid-like")
-    tau = _block_split(_compose(images, images), d)
+    tau = _block_split(_compose(sigma, sigma), d)
     if tau is None:
         raise ValueError("sigma squared does not split into equal block factors")
-    return _trusted(tau)
+    return tau
 
 
 def braid_image(sigma: Permutation, d: int, n: int) -> BraidImage:
@@ -265,7 +265,7 @@ def braid_image(sigma: Permutation, d: int, n: int) -> BraidImage:
         raise ValueError("need n >= 3")
     if d < 1:
         raise ValueError("need d >= 1")
-    tau = _block_root(sigma, d)
+    tau = _trusted(_block_root(_padded(sigma, 2 * d), d))
     q = tau.order()
     gens = tuple(sigma.shift((s - 1) * d) for s in range(1, n))
     return BraidImage(sigma, d, n, tau, q, q2_of(q), gens)
@@ -309,9 +309,11 @@ class CaseCertificate(NamedTuple):
     relations: bool
 
 
-def case_certificate(sigma: Permutation, tau: Permutation, d: int) -> CaseCertificate:
+def case_certificate(
+    sigma: tuple[int, ...], tau: tuple[int, ...], q: int, d: int
+) -> CaseCertificate:
     """What the kernel claims need of one shuffle case, at degree 2d for
-    every n at once.
+    every n at once, from sigma's and tau's image tuples and q = order(tau).
 
     holds: sigma passes _block_root's checks with block factor tau, and
     sigma * t_1 * sigma^-1 = t_2, t_i being tau on block i.  Shifted, with
@@ -324,7 +326,7 @@ def case_certificate(sigma: Permutation, tau: Permutation, d: int) -> CaseCertif
     lattice.kernel_lattice decides them once per (n, q) (Artin, Theory of
     braids, 1947; Dixon and Mortimer, Permutation Groups, 1996, 2.6).
 
-    splits: holds, q = order(tau) is odd, and the twist sigma *
+    splits: holds, q is odd, and the twist sigma *
     shift(tau**(q-1), d) passes _twist_holds; by the same shifts the twisted
     generators are involutions satisfying the Coxeter relations, and
     generate a copy of S_n meeting A trivially.
@@ -346,10 +348,9 @@ def case_certificate(sigma: Permutation, tau: Permutation, d: int) -> CaseCertif
         root = _block_root(sigma, d)
     except ValueError:
         return CaseCertificate(False, False, False)
-    images, t = _padded(sigma, 2 * d), _padded(tau, d)
-    first = t + tuple(range(d + 1, 2 * d + 1))
-    holds = root == tau and _compose(images, first) == _compose(_shifted(t, d), images)
-    splits = holds and tau.order() % 2 == 1 and _twist_holds(images, t, d)
+    first = tau + tuple(range(d + 1, 2 * d + 1))
+    holds = root == tau and _compose(sigma, first) == _compose(_shifted(tau, d), sigma)
+    splits = holds and q % 2 == 1 and _twist_holds(sigma, tau, d)
     return CaseCertificate(holds, splits, True)
 
 
@@ -440,21 +441,27 @@ class TowerCertificate(NamedTuple):
     subdirect: bool
 
 
-def tower_certificate(sigma: Permutation, spec: ShuffleSpec) -> TowerCertificate:
-    """prop-3.30's tower facts, at degree 2d for every n: the components'
-    point sets; whether sigma agrees with each factor on tower(points, d,
-    2); and for the subdirect product also whether each factor moves only
-    points of that tower, and the point sets partition [1, d]."""
+def tower_certificate(
+    sigma: tuple[int, ...], tau: tuple[int, ...], spec: ShuffleSpec
+) -> TowerCertificate:
+    """prop-3.30's tower facts, at degree 2d for every n, from the image
+    tuples sigma and spec.tau's tau, of degree 2d and d, and one _walk of
+    the spec: each u-orbit's points, the x <= d its swap moves; whether
+    sigma agrees with the orbit's factor on tower(points, d, 2); and for the
+    subdirect product also whether each factor moves only points of that
+    tower, and the point sets partition [1, d]."""
     d = spec.d
-    comps = components(spec)
+    points = []
     restrictions_match = on_towers = True
-    for comp in comps:
-        y = tower(comp.points, d, 2)
-        on_towers = on_towers and y.issuperset(comp.factor.support())
-        restrictions_match = restrictions_match and all(sigma(x) == comp.factor(x) for x in y)
-    partition = sorted(x for c in comps for x in c.points) == list(range(1, d + 1))
+    for factor, *_, swap in _walk(spec, tau, spec.orbits())[3]:
+        points.append(frozenset(x for x in range(1, d + 1) if swap[x - 1] != x))
+        y = tower(points[-1], d, 2)
+        moved = (x for x, image in enumerate(factor, start=1) if image != x)
+        on_towers = on_towers and y.issuperset(moved)
+        restrictions_match = restrictions_match and all(sigma[x - 1] == factor[x - 1] for x in y)
+    partition = sorted(x for own in points for x in own) == list(range(1, d + 1))
     subdirect = restrictions_match and partition and on_towers
-    return TowerCertificate(tuple(c.points for c in comps), restrictions_match, subdirect)
+    return TowerCertificate(tuple(points), restrictions_match, subdirect)
 
 
 class Transitivity(NamedTuple):
@@ -462,13 +469,12 @@ class Transitivity(NamedTuple):
     orbits_match: bool
 
 
-def transitivity_report(sigma: Permutation, d: int, n: int, points: Iterable) -> Transitivity:
-    """Whether the block shifts g_1, ..., g_(n-1) of sigma are transitive,
-    and whether their orbits are the towers over points.  The orbits are
-    the classes of the shifted edges x + k -> sigma(x) + k, k = (s-1)*d,
-    joined on sigma's image tuple."""
-    images = _padded(sigma, 2 * d)
-    parent = list(range((n - 2) * d + len(images) + 1))
+def transitivity_report(sigma: tuple[int, ...], d: int, n: int, points: Iterable) -> Transitivity:
+    """Whether the block shifts g_1, ..., g_(n-1) of sigma, an image tuple of
+    degree 2d, are transitive, and whether their orbits are the towers over
+    points.  The orbits are the classes of the shifted edges x + k ->
+    sigma(x) + k, k = (s-1)*d, joined on sigma's images."""
+    parent = list(range((n - 2) * d + len(sigma) + 1))
 
     def root(x: int) -> int:
         while parent[x] != x:
@@ -477,7 +483,7 @@ def transitivity_report(sigma: Permutation, d: int, n: int, points: Iterable) ->
         return x
 
     for k in range(0, (n - 1) * d, d):
-        for x, y in enumerate(images, start=k + 1):
+        for x, y in enumerate(sigma, start=k + 1):
             parent[root(x)] = root(y + k)
     orbits: dict[int, set[int]] = {}
     for x in range(1, len(parent)):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .groups import GeneratedGroup, schreier_sims
 from .perm import Permutation, _compose, _padded, _trusted
-from .shuffle import ShuffleSpec, build_shuffle, iter_specs
+from .shuffle import ShuffleSpec, _walk, iter_specs
 
 __all__ = [
     "CapExceeded",
@@ -99,7 +99,10 @@ def enumerate_roots(
 def enumerate_shuffles(d: int, tau: Permutation) -> EnumerationResult:
     """All distinct shuffle-built permutations over tau, over every cycle map
     and every choice of starting points, each with the first spec in
-    iter_specs order that builds it.
+    iter_specs order that builds it.  Each spec is walked as build_shuffle
+    walks it, with tau padded once; sigma maps 2d into [1, d], so its image
+    tuple of degree 2d is its canonical(), and the distinct tuples are
+    sorted as _sorted sorts and wrapped once each.
 
     That spec is decompose_pair's for sigma's pair first(i) = sigma(i) - d,
     second(i) = sigma(d + i).  sigma fixes u, and on each cycle alpha the
@@ -110,12 +113,14 @@ def enumerate_shuffles(d: int, tau: Permutation) -> EnumerationResult:
     """
     if d > D_CAP:
         raise CapExceeded(f"d = {d} exceeds the cap {D_CAP}")
-    found: dict[Permutation, ShuffleSpec] = {}
+    images = _padded(tau, d)
+    found: dict[tuple[int, ...], ShuffleSpec] = {}
     for spec in iter_specs(tau, d):
-        found.setdefault(build_shuffle(spec), spec)
-    elements = _sorted(found)
+        found.setdefault(_walk(spec, images)[0], spec)
+    sigmas = sorted(found)
+    specs = tuple(map(found.get, sigmas))
     parameters = {"kind": "shuffles", "d": d, "tau": str(tau)}
-    return EnumerationResult(parameters, elements, len(found), tuple(map(found.get, elements)))
+    return EnumerationResult(parameters, tuple(map(_trusted, sigmas)), len(sigmas), specs)
 
 
 def _commute(a: tuple[int, ...], b: tuple[int, ...]) -> bool:

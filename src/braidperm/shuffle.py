@@ -36,7 +36,6 @@ __all__ = [
     "build_shuffle",
     "components",
     "decompose_pair",
-    "is_braid_like",
     "iter_specs",
     "tau_cycles",
     "tau_from_cycles",
@@ -322,7 +321,8 @@ def build_pair(spec: ShuffleSpec) -> CommutingPair:
 
 
 def _is_braid_like(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    """is_braid_like on image tuples of equal length.
+    """Whether a and b, image tuples of equal length, do not commute but
+    a*b*a == b*a*b.
 
     a*b*a == b*a*b holds with a*b == b*a exactly when a == b: if a and b
     commute, then a*b*a = a*a*b and b*a*b = a*b*b, so their equality cancels
@@ -336,12 +336,6 @@ def _is_braid_like(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
         if a[b[a[x] - 1] - 1] != b[a[b[x] - 1] - 1]:
             return False
     return True
-
-
-def is_braid_like(a: Permutation, b: Permutation) -> bool:
-    """True when a and b do not commute but a*b*a == b*a*b."""
-    degree = max(a.degree, b.degree)
-    return _is_braid_like(_padded(a, degree), _padded(b, degree))
 
 
 def decompose_pair(first: Permutation, second: Permutation, d: int) -> ShuffleSpec:

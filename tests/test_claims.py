@@ -4,7 +4,7 @@ import math
 import random
 import re
 from bisect import bisect_left
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import product
 
 import pytest
@@ -164,7 +164,7 @@ class TestLemma33:
         into the first block, so no certificate holds and the kernel
         identities are unverified: each of the 4 cases at d = 2 counts one
         failure, in the report and through the CLI."""
-        corrupt_sigmas(monkeypatch, lambda case: swapped_images(case.sigma, 1, case.d + 1))
+        corrupt_sigmas(monkeypatch, lambda case: swapped_images(sigma_of(case), 1, case.d + 1))
         report = run_verification(RunConfig(d=2, n=3, claims=("lemma-3.3",)))
         [entry] = report.entries
         assert not entry.passed and entry.witness["failures"] == 4
@@ -177,14 +177,26 @@ class TestLemma33:
         assert written["witness"]["failures"] == 4 and not written["pass"]
 
 
+def sigma_of(case) -> Permutation:
+    """The case's sigma as a Permutation, for products and for the report's
+    cycle notation."""
+    return _trusted(case.sigma)
+
+
+def tau_of(case) -> Permutation:
+    return _trusted(case.tau)
+
+
 def corrupt_sigmas(monkeypatch, corrupt):
-    """Patch Session.pool: each case's sigma replaced by corrupt(case), or
-    kept when it returns None."""
+    """Patch Session.pool: each case's sigma replaced by the image tuple of
+    degree 2d of corrupt(case), a Permutation, or kept when it returns None."""
     pool = Session.pool
 
     def patched(self, d):
-        cases = pool(self, d)
-        return [c if (sigma := corrupt(c)) is None else replace(c, sigma=sigma) for c in cases]
+        return [
+            c if (sigma := corrupt(c)) is None else replace(c, sigma=_padded(sigma, 2 * d))
+            for c in pool(self, d)
+        ]
 
     monkeypatch.setattr(Session, "pool", patched)
 
@@ -340,21 +352,33 @@ class TestPool:
         assert len(s.pool(4)) == 120
         assert len(calls) == 0
 
-    def test_one_key_per_case(self, monkeypatch):
-        """prop-3.30 and lemma-3.3 at d = 3 look every case up in the Session
-        caches once per n, but each case's key is computed once, when the
-        pool makes the case: the number of keys does not grow with n."""
-        keys = {}
-        for n_max in (3, 4, 6):
-            calls = counted(monkeypatch, claims, "_key")
-            s = Session(RunConfig(d=3, n_max=n_max))
-            entries = claims._check_prop_3_30(s) + claims._check_lemma_3_3(s)
-            assert len(entries) == 3 * len(s.config.ns())
-            keys[n_max] = len(calls)
+    def test_the_case_layer_runs_on_image_tuples(self, monkeypatch):
+        """All ten claims on d <= 4 at n = 3, 4 and 6.  No GridCase field is
+        a Permutation: sigma and tau are image tuples of degree 2d and d.
+        The run reads order(tau) at most once per tau, when the pool is
+        built, and evaluates no Permutation at a point; its canonical()
+        calls, which the S_d and shuffle layers make once per tau or
+        representative, do not grow with n."""
+        taus = sum(math.factorial(d) for d in (2, 3, 4))
+        canonical = {}
+        for n in (3, 4, 6):
+            orders = counted(monkeypatch, Permutation, "order")
+            points = counted(monkeypatch, Permutation, "__call__")
+            keys = counted(monkeypatch, Permutation, "canonical")
+            s = Session(RunConfig(d_max=4, n=n))
+            for checker in REGISTRY.values():
+                checker(s)
+            canonical[n] = len(keys)
             monkeypatch.undo()
-        # sigma's and tau's for each of the 18 cases, and one per tau of S_3
-        # for its shuffle enumeration; the taus are listed in order, unsorted
-        assert keys[3] == keys[4] == keys[6] == 2 * 18 + 6
+            assert points == []
+            assert len({tau.images for tau, in orders}) == len(orders) <= taus
+            for d in (2, 3, 4):
+                for case in s.pool(d):
+                    values = [getattr(case, f.name) for f in fields(case)]
+                    assert not any(isinstance(v, Permutation) for v in values)
+                    assert (len(case.sigma), len(case.tau)) == (2 * d, d)
+                    assert all(type(x) is int for x in case.sigma + case.tau)
+        assert canonical[3] == canonical[4] == canonical[6] > 0
 
     def test_each_spec_is_the_decomposition_of_its_sigma(self):
         """For every d <= 6 each case's spec is decompose_pair's for the pair
@@ -364,8 +388,8 @@ class TestPool:
             pool = Session(RunConfig(d=d)).pool(d)
             assert len(pool) == (4, 18, 120, 840, 7920)[d - 2]
             for case in pool:
-                first = Permutation([case.sigma(i) - d for i in range(1, d + 1)])
-                second = Permutation([case.sigma(d + i) for i in range(1, d + 1)])
+                first = Permutation([case.sigma[i - 1] - d for i in range(1, d + 1)])
+                second = Permutation([case.sigma[d + i - 1] for i in range(1, d + 1)])
                 assert case.spec == decompose_pair(first, second, d)
 
     def test_each_spec_builds_its_sigma(self):
@@ -666,22 +690,22 @@ def permutation_cor_2_13(s: Session, buckets: dict):
     instances = 0
     failures = []
     for case in pool:
-        q = case.tau.order()
+        q, tau, sigma = case.q, tau_of(case), sigma_of(case)
         for _ in range(reps):
             k = s.rng.randrange(0, 3 * q)
             l = s.rng.randrange(0, 3 * q)
-            twist = (case.tau**k) * (case.tau**l).shift(case.d)
-            twisted = case.sigma * twist
-            power = case.tau ** (k + l + 1)
+            twist = (tau**k) * (tau**l).shift(case.d)
+            twisted = sigma * twist
+            power = tau ** (k + l + 1)
             target = power * power.shift(case.d)
             instances += 1
             if twisted * twisted != target:
-                failures.append(f"d={case.d} sigma={case.sigma} k={k} l={l}")
+                failures.append(f"d={case.d} sigma={sigma} k={k} l={l}")
                 continue
             roots = buckets[case.d][power.canonical()].elements
             at = bisect_left(roots, twisted.canonical(), key=Permutation.canonical)
             if roots[at : at + 1] != (twisted,):
-                failures.append(f"membership d={case.d} sigma={case.sigma} k={k} l={l}")
+                failures.append(f"membership d={case.d} sigma={sigma} k={k} l={l}")
     return instances, failures
 
 
@@ -693,7 +717,7 @@ class TestCor213:
         s = Session(RunConfig(d=3, n=3, claims=("cor-2.13",)))
         taus = [tau for tau in s.taus(3) if tau.order() == 3]
         monkeypatch.setattr(s, "taus", lambda d: taus)
-        monkeypatch.setattr(Session, "roots", lambda self, d, tau: EnumerationResult({}, (), 0))
+        monkeypatch.setattr(Session, "roots", lambda self, d, tau: ())
         [entry] = claims._check_cor_2_13(s)
         assert entry.parameters["instances"] == 6 * 167
         assert entry.witness["failures"] == entry.parameters["instances"] and not entry.passed
@@ -720,7 +744,7 @@ class TestCor213:
 
             def one_fewer(self, d, tau):
                 result = full(self, d, tau)
-                return without_first(result) if tau == identity else result
+                return result[1:] if tau == identity.images else result
 
             monkeypatch.setattr(Session, "roots", one_fewer)
             buckets[identity.canonical()] = without_first(buckets[identity.canonical()])
@@ -756,6 +780,11 @@ def coset_images(s: Session, d: int):
     """The coset's elements (w1 + d) followed by w2, in sweep order."""
     members = [_padded(w, d) for w in s.taus(d)]
     return (tuple([y + d for y in w1]) + w2 for w1 in members for w2 in members)
+
+
+def blocks(sigma, d: int) -> tuple:
+    """(w1, w2) of the coset element sigma = (w1 + d) followed by w2."""
+    return tuple([y - d for y in sigma[:d]]), sigma[d:]
 
 
 def braid_like_images(sigma, d: int) -> bool:
@@ -881,9 +910,7 @@ def mutated_fibres(monkeypatch, mutation: str) -> None:
 
         def first_block(classes, members, d, cap):
             return [
-                (tau, size, tuple(
-                    (x, w1, w2, _compose(x, x)[:d] == _padded(tau, d)) for x, w1, w2, _ in f
-                ))
+                (tau, size, tuple((x, _compose(x, x)[:d] == _padded(tau, d)) for x, _ in f))
                 for tau, size, f in real(classes, members, d, cap)
             ]
 
@@ -1047,10 +1074,10 @@ class TestThm212:
             shuffles = {p.canonical() for p in s.shuffles(d, _trusted(tau)).elements}
             verdicts[tau] = {
                 x: (
-                    braid_like_images(x, d), _compose(x, x) == target, commute(w1, w2),
+                    braid_like_images(x, d), _compose(x, x) == target, commute(*blocks(x, d)),
                     x in shuffles,
                 )
-                for x, w1, w2, _ in fibre
+                for x, _ in fibre
             }
         for tau in taus:
             for w in taus:
@@ -1078,7 +1105,8 @@ class TestThm212:
         roots = {}
         for tau, _, fibre in fibres:
             assert len(fibre) == math.factorial(d) and list(fibre) == sorted(fibre)
-            for x, w1, w2, _ in fibre:
+            for x, _ in fibre:
+                w1, w2 = blocks(x, d)
                 assert x == tuple([y + d for y in w1]) + w2
                 assert _compose(w2, w1) == _padded(tau, d)
             roots[tau] = tuple([_trusted(x) for x, *_, root in fibre if root])
@@ -1090,7 +1118,9 @@ class TestThm212:
         buckets = swept_roots(d)
         assert all(roots[tau] == buckets[tau.canonical()].elements for tau in roots)
         for tau in s.taus(d):
-            assert s.roots(d, tau).elements == buckets[tau.canonical()].elements
+            assert s.roots(d, tau.images) == tuple(
+                p.images for p in buckets[tau.canonical()].elements
+            )
 
     def test_a_representative_of_another_class_fails_the_counts(self, monkeypatch):
         """The identity in place of the representative of the six
@@ -1146,7 +1176,7 @@ class TestThm212:
         monkeypatch.setattr(claims, "_diagonal_generators", lambda d: real(d)[:1])
         config = RunConfig(d=4, n=3, claims=("cor-2.13",))
         s = Session(config)
-        assert sum(s.roots(4, tau).count for tau in s.taus(4)) == 50
+        assert sum(len(s.roots(4, tau.images)) for tau in s.taus(4)) == 50
         [entry] = claims._check_cor_2_13(s)
         instances, failures = permutation_cor_2_13(Session(config), {4: swept_roots(4)})
         assert entry.parameters["instances"] == instances and failures == []
@@ -1222,14 +1252,14 @@ class TestSharedKernelChain:
             pool = s.pool(d)
             by_kernel = {}
             for case in pool:
-                kernel = abelian_kernel(braid_image(case.sigma, d, n))
+                kernel = abelian_kernel(braid_image(sigma_of(case), d, n))
                 key = tuple(g.canonical() for g in kernel.generators)
                 if key not in by_kernel:
                     by_kernel[key] = schreier_sims(kernel)
-                chain, span = by_kernel[key], s.lattice(n, case.tau.order()).span
+                chain, span = by_kernel[key], s.lattice(n, case.q).span
                 assert span.order() == chain.order()
-                for exps in product(range(case.tau.order()), repeat=n):
-                    g = realize_by_products(exps, case.tau, d)
+                for exps in product(range(case.q), repeat=n):
+                    g = realize_by_products(exps, tau_of(case), d)
                     assert (exps in span) == (g in chain)
             assert (len(pool), len(by_kernel)) == (cases, chains)
 
@@ -1244,7 +1274,7 @@ def thm_3_4_session():
 
 
 def even_cases(session, entry):
-    return sum(c.tau.order() % 2 == 0 for c in session.pool(entry.parameters["d"]))
+    return sum(c.q % 2 == 0 for c in session.pool(entry.parameters["d"]))
 
 
 def substitute_vectors(substitute):
@@ -1290,21 +1320,21 @@ class TestThm34:
         # one lattice, which decides the structure too, per (n, q): q in
         # {1, 2, 3}, n in {3, 4}
         built = sorted((n, q) for _, q, n in lattices)
-        assert built == sorted({(n, c.tau.order()) for c, n in cases}) and len(built) == 6
+        assert built == sorted({(n, c.q) for c, n in cases}) and len(built) == 6
 
     def test_a_failed_certificate_is_not_counted(self, monkeypatch):
         """An even-q case whose certificate fails is neither searched nor
         credited with the (n, q) count, which the other cases still share."""
         session = Session(RunConfig(d=3, n=3, claims=("thm-3.4",)))
-        target = next(case for case in session.pool(3) if case.tau.order() == 2)
+        target = next(case for case in session.pool(3) if case.q == 2)
         failing_certificate(monkeypatch, target)
         [entry] = claims._check_thm_3_4(session)
         witness = entry.witness
         assert witness["even_q_cases"] == 6
         assert witness["even_q_searched"] == witness["even_q_with_complement"] == 5
         assert witness["examples"] == [
-            f"orders {target.sigma}",
-            f"intersection {target.sigma} unverified",
+            f"orders {sigma_of(target)}",
+            f"intersection {sigma_of(target)} unverified",
         ]
         assert not entry.passed
 
@@ -1316,7 +1346,7 @@ class TestThm34:
         monkeypatch.setattr(lattice, "g_vector", lambda n, r: (0,) * n)
         session = Session(RunConfig(d=3, n=3, claims=("thm-3.4",)))
         [entry] = claims._check_thm_3_4(session)
-        threes = [case.sigma for case in session.pool(3) if case.tau.order() == 3]
+        threes = [sigma_of(case) for case in session.pool(3) if case.q == 3]
         witness = entry.witness
         assert witness["structure_failures"] == len(threes) > 0
         assert witness["order_failures"] == witness["parametrization_failures"] == len(threes)
@@ -1346,7 +1376,7 @@ class TestThm34:
         refuted = {"prop-3.30", "cor-3.31"}
         kernel_claims = {"lemma-3.3", "thm-3.4", "cor-3.10", "prop-3.11"}
         pool = Session(RunConfig(d=3, n=3)).pool(3)
-        target = next(c for c in pool if c.tau.order() == 3)
+        target = next(c for c in pool if c.q == 3)
         for fault in (False, True):
             if fault:
                 failing_certificate(monkeypatch, target)
@@ -1370,7 +1400,7 @@ class TestThm34:
 
             def conjugate(case):
                 x = Permutation.from_cycles([(case.d, case.d + 1)], 2 * case.d)
-                return x * case.sigma * x
+                return x * sigma_of(case) * x
 
             corrupt_sigmas(monkeypatch, conjugate)
         entries = claims._check_thm_3_4(session)
@@ -1384,7 +1414,7 @@ class TestThm34:
             if substitute == "first-generator":
                 # only the q = 1 cases, where A is trivial either way, keep
                 # their orders, so only they verify a split
-                trivial = sum(c.tau.order() == 1 for c in session.pool(entry.parameters["d"]))
+                trivial = sum(c.q == 1 for c in session.pool(entry.parameters["d"]))
                 assert witness["split_verified"] == trivial
                 assert witness["parametrization_failures"] > 0
             else:
@@ -1414,7 +1444,7 @@ class TestThm34:
         session = Session(RunConfig(d_max=4, n=3))
         monkeypatch.setattr(Session, "lattice", substitute_vectors(lambda n, q, v: v[:2]))
         for entry in claims._check_thm_3_4(session):
-            small = sum(c.tau.order() > 2 for c in session.pool(entry.parameters["d"]))
+            small = sum(c.q > 2 for c in session.pool(entry.parameters["d"]))
             assert entry.witness["order_failures"] == small
             assert entry.witness["parametrization_failures"] == small
             assert entry.witness["structure_failures"] == small
@@ -1439,8 +1469,8 @@ class TestThm34:
         the conjugates of A's generators leave the block product."""
         session = Session(RunConfig(d=3, n=3))
         x = Permutation.from_cycles([(1, 2)], 6)
-        corrupt_sigmas(monkeypatch, lambda case: x * case.sigma * x)
-        moved = sum(x * c.tau * x != c.tau for c in session.pool(3))
+        corrupt_sigmas(monkeypatch, lambda case: x * sigma_of(case) * x)
+        moved = sum(x * tau_of(c) * x != tau_of(c) for c in session.pool(3))
         [entry] = claims._check_thm_3_4(session)
         witness = entry.witness
         assert witness["order_failures"] == moved > 0 == witness["parametrization_failures"]
@@ -1451,7 +1481,7 @@ class TestThm34:
     # block product outside A
     def test_failures_counted_against_an_enlarged_braid_chain(self, monkeypatch):
         session, _ = thm_3_4_session()
-        corrupt_sigmas(monkeypatch, lambda c: c.sigma * c.tau if c.tau.order() % 2 == 0 else None)
+        corrupt_sigmas(monkeypatch, lambda c: sigma_of(c) * tau_of(c) if c.q % 2 == 0 else None)
         entries = claims._check_thm_3_4(session)
         assert len(entries) == 4
         for entry in entries:
@@ -1526,7 +1556,7 @@ class TestCor310:
         assert [e.witness["kernel_orders"] for e in clean] == [[1], [27]]
         assert degrees == [] and all(e.passed for e in clean)
         session = Session(RunConfig(d=3, n=3))
-        target = next(c for c in session.pool(3) if c.tau.order() == 3)
+        target = next(c for c in session.pool(3) if c.q == 3)
         degrees.clear()
         failing_certificate(monkeypatch, target)
         trivial, three = claims._check_cor_3_10(session)
@@ -1553,8 +1583,8 @@ class TestProp311:
         case alone counts an action mismatch: a verdict reused across cases
         of equal (q, n) would add or hide one."""
         session = Session(RunConfig(d=3, n=4))
-        target = [case for case in session.pool(3) if case.tau.order() == 3][position]
-        corrupted = swapped_images(target.sigma, 1, 4)
+        target = [case for case in session.pool(3) if case.q == 3][position]
+        corrupted = swapped_images(sigma_of(target), 1, 4)
         corrupt_sigmas(monkeypatch, lambda case: corrupted if case == target else None)
         [entry] = claims._check_prop_3_11(session)
         witness = entry.witness
@@ -1581,7 +1611,7 @@ class TestProp311:
         monkeypatch.setattr(Session, "lattice", patched)
         [entry] = claims._check_prop_3_11(session)
         witness = entry.witness
-        threes = [case.sigma for case in session.pool(3) if case.tau.order() == 3]
+        threes = [sigma_of(case) for case in session.pool(3) if case.q == 3]
         assert len(threes) == 6
         assert witness["relation_failures"] == witness["kernel_failures"] == 6
         assert witness["matrix_mismatches"] == 6 and witness["action_mismatches"] == 0
@@ -1617,9 +1647,15 @@ class TestProp311:
 
 def subdirect_entry(monkeypatch, fault):
     """prop-3.30's relations-and-subdirect entry at d = 3, n = 3 with the
-    components tower_certificate reads replaced by fault(components, d)."""
-    real = groups.components
-    monkeypatch.setattr(groups, "components", lambda spec: fault(real(spec), spec.d))
+    per-orbit (factor, first, second, product, swap) image tuples
+    tower_certificate reads from _walk replaced by fault(parts, d)."""
+    real = groups._walk
+
+    def faulty(spec, tau, orbits):
+        *rest, parts = real(spec, tau, orbits)
+        return *rest, fault(parts, spec.d)
+
+    monkeypatch.setattr(groups, "_walk", faulty)
     report = run_verification(RunConfig(d=3, n=3, claims=("prop-3.30",)))
     [entry] = [e for e in report.entries if e.parameters["check"] == "relations-and-subdirect"]
     return entry
@@ -1632,13 +1668,13 @@ class TestProp330:
         with its shifted factors on their own towers, but the group is no
         longer the product of shifts supported on disjoint towers."""
 
-        def swap_fault(comps, d):
-            if len(comps) == 1:
-                return comps
-            *rest, last = comps
-            x = min(comps[0].points)
-            swap = Permutation.from_cycles([(x, x + d)])
-            return (*rest, replace(last, factor=last.factor * swap))
+        def swap_fault(parts, d):
+            if len(parts) == 1:
+                return parts
+            *rest, (factor, *images) = parts
+            x = min(x for x, y in enumerate(parts[0][-1], start=1) if y != x)
+            swap = _padded(Permutation.from_cycles([(x, x + d)]), 2 * d)
+            return (*rest, (_compose(factor, swap), *images))
 
         entry = subdirect_entry(monkeypatch, swap_fault)
         assert entry.witness["restriction_mismatches"] == 0
@@ -1648,7 +1684,7 @@ class TestProp330:
     def test_overlapping_towers_fail_subdirect(self, monkeypatch):
         """A duplicated first component: its tower is listed twice, so the
         towers no longer partition the points."""
-        entry = subdirect_entry(monkeypatch, lambda comps, d: (comps[0], *comps))
+        entry = subdirect_entry(monkeypatch, lambda parts, d: (parts[0], *parts))
         assert entry.witness["restriction_mismatches"] == 0
         assert entry.witness["subdirect_failures"] == entry.witness["cases"] == 18
         assert not entry.passed
@@ -1668,9 +1704,9 @@ class TestProp330:
         clean_prop = claims._check_prop_3_30(clean)
         clean_orbits = [e for e in clean_prop if e.parameters["check"] == "orbit-partition"]
         clean_transitivity = claims._check_cor_3_31(clean)
-        target = next(case for case in clean.pool(3) if str(case.tau) == "(1 2 3)")
-        corrupted = swapped_images(target.sigma, 1, 4)
-        assert (str(target.sigma), str(corrupted)) == ("(1 4 2 5 3 6)", "(1 2 5 3 6)")
+        target = next(case for case in clean.pool(3) if str(tau_of(case)) == "(1 2 3)")
+        corrupted = swapped_images(sigma_of(target), 1, 4)
+        assert (str(sigma_of(target)), str(corrupted)) == ("(1 4 2 5 3 6)", "(1 2 5 3 6)")
         corrupt_sigmas(monkeypatch, lambda case: corrupted if case == target else None)
         session = Session(config)
         prop = claims._check_prop_3_30(session)
@@ -1725,7 +1761,7 @@ class TestProp330:
         """prop-3.30 and cor-3.31 at d = 3, n = 3 to 6 read whether u is the
         identity or one cycle from the tower certificate's point sets, so
         the u-orbits of each of the 18 cases are computed once, by
-        components, for all four n."""
+        tower_certificate, for all four n."""
         session = Session(RunConfig(d=3, n_max=6))
         session.pool(3)
         orbits = counted(monkeypatch, ShuffleSpec, "orbits")
@@ -1774,7 +1810,7 @@ class TestChecksMatchReferences:
     def test_per_case_verdicts(self, monkeypatch, d, n):
         session = Session(RunConfig(d=d, n=n))
         for case in session.pool(d):
-            image = braid_image(case.sigma, d, n)
+            image = braid_image(sigma_of(case), d, n)
             kernel = abelian_kernel(image)
             span, orders_hold, _ = extension_certificate(image, kernel)
             b_bsgs, a_bsgs = schreier_sims(image.group()), schreier_sims(kernel)
@@ -1811,7 +1847,7 @@ class TestChecksMatchReferences:
         the odd-q twist and lemma-3.3's identities."""
         session = Session(RunConfig(d=d, n=n))
         for case in session.pool(d):
-            image = braid_image(case.sigma, d, n)
+            image = braid_image(sigma_of(case), d, n)
             kernel = abelian_kernel(image)
             span, orders_hold, parametrized = extension_certificate(image, kernel)
             mats = monodromy_matrices(image)
@@ -1837,8 +1873,8 @@ class TestCertificateFaults:
     @pytest.fixture
     def faulty(self, monkeypatch):
         session = Session(RunConfig(d=3, n=4))
-        target = next(case for case in session.pool(3) if case.tau.order() == 3)
-        corrupted = swapped_images(target.sigma, 1, 4)
+        target = next(case for case in session.pool(3) if case.q == 3)
+        corrupted = swapped_images(sigma_of(target), 1, 4)
         corrupt_sigmas(monkeypatch, lambda case: corrupted if case == target else None)
         return session, corrupted
 
@@ -1902,7 +1938,7 @@ class TestKernelClaimsBudget:
         assert all(e.passed for e in entries)
         [thm] = [e for e in entries if e.claim == "thm-3.4"]
         assert thm.witness["even_q_cases"] == 6 and thm.witness["even_q_searched"] == 0
-        pairs = {(6, case.tau.order()) for case in session.pool(3)}
+        pairs = {(6, case.q) for case in session.pool(3)}
         assert [a for calls in tables for a in calls if a[1] * a[2] == 18] == []
         assert sum(map(len, reads)) <= len(pairs) == len(lattices) == 3
         assert len(certificates) == len(session.pool(3)) == 18

@@ -157,12 +157,18 @@ def transitivity_reference(image, spec):
     )
 
 
+def towers_of(sigma, spec):
+    """tower_certificate of the Permutation sigma, on its image tuple of
+    degree 2d and spec.tau's of degree d."""
+    return tower_certificate(_padded(sigma, 2 * spec.d), _padded(spec.tau, spec.d), spec)
+
+
 def transitivity(sigma, spec, n):
     """The new verdicts in the reference's form: the tower facts per case,
     the orbits per (case, n), and the cycle map's orbit count, as the claims
     read them."""
-    towers = tower_certificate(sigma, spec)
-    trep = transitivity_report(sigma, spec.d, n, towers.points)
+    towers = towers_of(sigma, spec)
+    trep = transitivity_report(_padded(sigma, 2 * spec.d), spec.d, n, towers.points)
     return TransitivityClass(
         transitive=trep.transitive,
         u_long_cycle=len(spec.orbits()) == 1,
@@ -824,9 +830,10 @@ class TestComplementCount:
         session = Session(RunConfig(d=d, n=n))
         searched = 0
         for case in session.pool(d):
-            q = case.tau.order()
+            q = case.q
             count = session.complements(n, q)
-            assert complement_search(braid_image(case.sigma, d, n), session.lattice(n, q).span) == count
+            image = braid_image(_trusted(case.sigma), d, n)
+            assert complement_search(image, session.lattice(n, q).span) == count
             searched += count is not None and q % 2 == 0
         if (d, n) == (6, 3):
             assert searched == 3600
@@ -862,9 +869,10 @@ class TestCaseCertificate:
         passes the relations, and splits exactly for odd q."""
         pool = Session(RunConfig(d=d)).pool(d)
         for case in pool:
-            sigma, tau = case.sigma, case.tau
-            assert sigma * tau * sigma.inverse() == tau.shift(d)
-            assert case_certificate(sigma, tau, d) == (True, tau.order() % 2 == 1, True)
+            sigma, tau = _trusted(case.sigma), _trusted(case.tau)
+            assert sigma * tau * sigma.inverse() == tau.shift(d) and case.q == tau.order()
+            certificate = case_certificate(case.sigma, case.tau, case.q, d)
+            assert certificate == (True, case.q % 2 == 1, True)
         assert len(pool) == cases
 
     @pytest.mark.parametrize("d", [2, 3, 4])
@@ -872,10 +880,10 @@ class TestCaseCertificate:
         """abelian_kernel's 2n - 3 generators, read at degree n * d, have
         exactly the vectors f_1, ..., f_(n-1), g_1, ..., g_(n-2) mod q."""
         for case in Session(RunConfig(d=d)).pool(d):
-            q = case.tau.order()
+            q = case.q
             for n in range(3, 7):
-                kernel = abelian_kernel(braid_image(case.sigma, d, n))
-                lookups = lattice._block_powers(case.tau, d, n)[1]
+                kernel = abelian_kernel(braid_image(_trusted(case.sigma), d, n))
+                lookups = lattice._block_powers(_trusted(case.tau), d, n)[1]
                 read = [
                     lattice._read_exponents(_padded(k, n * d), lookups, d)
                     for k in kernel.generators
@@ -887,16 +895,19 @@ class TestCaseCertificate:
         (1 2 3) on more than d points fails, however well it braids: its
         relations, which do not read tau, still hold."""
         image, _ = image_for("(1 2 3)", 3, 3)
-        assert case_certificate(image.sigma, image.tau, 3) == (True, True, True)
-        for other in ("(1 3 2)", "()", "(1 2 3)(4 5)"):
-            assert case_certificate(image.sigma, perm(other), 3) == (False, False, True)
+        sigma = _padded(image.sigma, 6)
+        assert case_certificate(sigma, _padded(image.tau, 3), image.q, 3) == (True, True, True)
+        for other in map(perm, ("(1 3 2)", "()", "(1 2 3)(4 5)")):
+            certificate = case_certificate(sigma, _padded(other, 3), other.order(), 3)
+            assert certificate == (False, False, True)
 
     def test_a_sigma_off_the_blocks_fails(self):
         """sigma with the images of 1 and 4 exchanged maps 1 into the first block."""
         image, _ = image_for("(1 2 3)", 3, 3)
-        images = list(image.sigma.images)
+        images = list(_padded(image.sigma, 6))
         images[0], images[3] = images[3], images[0]
-        assert case_certificate(Permutation(tuple(images)), image.tau, 3) == (False, False, False)
+        certificate = case_certificate(tuple(images), _padded(image.tau, 3), image.q, 3)
+        assert certificate == (False, False, False)
 
     def test_the_twist_check(self):
         """For q = 3 the twist sigma * shift(tau^2, 3) passes, and sigma itself,
@@ -911,7 +922,7 @@ def pool_cases(slices):
     """(image, spec) for every Session pool case of each (d, ns) in slices."""
     session = Session(RunConfig())
     return [
-        (braid_image(case.sigma, d, n), case.spec)
+        (braid_image(_trusted(case.sigma), d, n), case.spec)
         for d, ns in slices
         for case in session.pool(d)
         for n in ns
@@ -1008,7 +1019,7 @@ class TestTransitivity:
                 assert bs_restricted.order() == bs_local.order()
                 assert all(g in bs_local for g in restricted)
                 assert all(g in bs_restricted for g in local)
-            assert tower_certificate(image.sigma, spec).restrictions_match
+            assert towers_of(image.sigma, spec).restrictions_match
         assert (len(cases), towers_seen) == (164, 286)
 
     def test_mismatched_spec_fails_restrictions(self):
@@ -1026,7 +1037,7 @@ class TestTransitivity:
             cases.append((braid_image(perm(sigma), 2, 3), spec))
         verdicts = []
         for image, spec in cases:
-            subdirect = tower_certificate(image.sigma, spec).subdirect
+            subdirect = towers_of(image.sigma, spec).subdirect
             assert subdirect == subdirect_by_orders(image, spec, schreier_sims(image.group()))
             verdicts.append(subdirect)
         assert (verdicts.count(True), verdicts.count(False)) == (164, 3)
@@ -1043,8 +1054,9 @@ class TestTransitivity:
         session = Session(RunConfig(d=d, n=n))
         verdicts = []
         for case in session.pool(d):
-            verdicts.append(transitivity_reference(braid_image(case.sigma, d, n), case.spec))
-            assert transitivity(case.sigma, case.spec, n) == verdicts[-1]
+            sigma = _trusted(case.sigma)
+            verdicts.append(transitivity_reference(braid_image(sigma, d, n), case.spec))
+            assert transitivity(sigma, case.spec, n) == verdicts[-1]
         assert all(v.restrictions_match and v.subdirect for v in verdicts)
         assert {v.orbits_match for v in verdicts} == {True, False}
 
@@ -1060,12 +1072,12 @@ class TestTransitivity:
         braid_image's checks; the new verdicts still equal the reference's on
         the generator family of its block shifts."""
         for case in Session(RunConfig(d=3)).pool(3):
-            images = list(case.sigma.images)
+            images = list(case.sigma)
             images[0], images[3] = images[3], images[0]
             sigma = Permutation(tuple(images))
-            q = case.tau.order()
+            q = case.q
             gens = tuple(sigma.shift(k * 3) for k in range(n - 1))
-            image = BraidImage(sigma, 3, n, case.tau, q, lattice.q2_of(q), gens)
+            image = BraidImage(sigma, 3, n, _trusted(case.tau), q, lattice.q2_of(q), gens)
             assert transitivity(sigma, case.spec, n) == transitivity_reference(image, case.spec)
 
     def test_no_chain_per_tower(self, monkeypatch):

@@ -888,7 +888,7 @@ class TestMonodromyBudget:
         matrices conjugation gives at degree n * d on every case."""
         session = Session(RunConfig())
         images = [
-            braid_image(case.sigma, d, n)
+            braid_image(_trusted(case.sigma), d, n)
             for d in (2, 3)
             for case in session.pool(d)
             for n in (3, 4)

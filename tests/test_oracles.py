@@ -13,8 +13,8 @@ from braidperm.oracles import (
     roots_by_tau,
 )
 from braidperm.perm import Permutation, partition_count
-from braidperm.shuffle import is_braid_like
 from test_perm import block_swap
+from test_shuffle import is_braid_like
 
 
 def perm(text):

@@ -16,7 +16,6 @@ from braidperm.shuffle import (
     build_shuffle,
     components,
     decompose_pair,
-    is_braid_like,
     iter_specs,
 )
 from test_perm import block_swap
@@ -24,6 +23,13 @@ from test_perm import block_swap
 
 def perm(text):
     return Permutation.parse(text)
+
+
+def is_braid_like(a: Permutation, b: Permutation) -> bool:
+    """True when a and b do not commute but a*b*a == b*a*b: _is_braid_like
+    on both padded to the larger degree."""
+    degree = max(a.degree, b.degree)
+    return _is_braid_like(_padded(a, degree), _padded(b, degree))
 
 
 def all_of_sd(d):
