@@ -30,14 +30,13 @@ from .lattice import (
     KernelLattice,
     _block_powers,
     _kernel_vectors,
-    _realize,
     expected_monodromy_matrix,
     kernel_lattice,
     monodromy_kernel,
     q2_of,
 )
 from .oracles import D_CAP, DEFAULT_CAP, CapExceeded, _commute
-from .oracles import commuting_pairs, conjugacy_class_count, enumerate_shuffles
+from .oracles import commuting_pairs, conjugacy_class_count
 from .perm import (
     Permutation,
     _compose,
@@ -54,6 +53,7 @@ from .shuffle import (
     SpecError,
     _checked_pair,
     _is_braid_like,
+    _least_point_specs,
     _pair_images,
     _walk,
     decompose_pair,
@@ -162,18 +162,35 @@ class Session:
             ("roots", d), lambda: _root_buckets(self.fibres(d), self.taus(d), d)
         )[tau]
 
-    def shuffles(self, d: int, tau: Permutation):
-        return self._cached(("shuffles", d, tau.canonical()), lambda: enumerate_shuffles(d, tau))
+    def shuffles(self, d: int, tau: Permutation) -> tuple[tuple, tuple[ShuffleSpec, ...]]:
+        """The shuffles over tau as (sigmas, specs): the sorted image tuples of
+        degree 2d of the sigmas, and in step with them the spec that builds
+        each, decompose_pair's.  One _walk per sigma, over the least-point
+        specs (shuffle._least_point_specs, whose lemma says no two build one
+        sigma); enumerate_shuffles, which walks every spec, is the tests'
+        reference."""
+
+        def build():
+            images = _padded(tau, d)
+            found: dict[tuple[int, ...], ShuffleSpec] = {}
+            for spec in _least_point_specs(tau, d):
+                sigma = _walk(spec, images)[0]
+                if found.setdefault(sigma, spec) is not spec:
+                    raise RuntimeError(f"two specs build {_trusted(sigma)}; this is a bug")
+            sigmas = tuple(sorted(found))
+            return sigmas, tuple([found[sigma] for sigma in sigmas])
+
+        return self._cached(("shuffles", d, tau.canonical()), build)
 
     def pool(self, d: int) -> list[GridCase]:
         def build():
             cases = []
             for tau in self.taus(d):
                 images, q = tau.images, tau.order()
-                shuffles = self.shuffles(d, tau)
-                # strict: an enumeration without a spec per sigma raises ValueError
-                for sigma, spec in zip(shuffles.elements, shuffles.specs, strict=True):
-                    cases.append(GridCase(d, images, sigma.images, spec, q))
+                sigmas, specs = self.shuffles(d, tau)
+                # strict: shuffles without a spec per sigma raise ValueError
+                for sigma, spec in zip(sigmas, specs, strict=True):
+                    cases.append(GridCase(d, images, sigma, spec, q))
             return cases
 
         return self._cached(("pool", d), build)
@@ -308,8 +325,7 @@ def _check_thm_2_12(s: Session) -> list[ClaimCheck]:
         braid_like = disagreements = total = 0
         examples, set_mismatches, count_mismatches = [], [], []
         for tau, size, fibre in s.fibres(d):
-            shuffles = s.shuffles(d, tau)
-            members = tuple([p.canonical() for p in shuffles.elements])
+            members, _ = s.shuffles(d, tau)
             found = set(members)
             roots = tuple([sigma for sigma, root in fibre if root])
             for sigma, root in fibre:
@@ -321,7 +337,7 @@ def _check_thm_2_12(s: Session) -> list[ClaimCheck]:
             total += size * len(roots)
             if roots != members:
                 set_mismatches.append(str(tau))
-            if shuffles.count != centralizer_order(tau.cycle_type(d)):
+            if len(members) != centralizer_order(tau.cycle_type(d)):
                 count_mismatches.append(str(tau))
         entries.append(
             ClaimCheck(
@@ -497,41 +513,52 @@ def _check_cor_2_13(s: Session) -> list[ClaimCheck]:
     """Twisting by powers from the two blocks: for a = tau^k * shift(tau^l, d)
     with random k, l the square of sigma * a is the (k+l+1)-power block pair,
     and sigma * a appears in the enumeration for that power.  The cases are
-    the shuffle enumerations' (d, tau, sigma) in Session.pool's order, without
-    building the pool; one table of block powers per tau gives the twist, the
-    target and the roots key as image tuples.  The sigmas are not read from
+    Session.shuffles' (d, tau, sigma) in Session.pool's order, without
+    building the pool.  Per tau, from the powers of tau on the two blocks, a
+    q x q table gives the twist at (k, l) and a table of q pairs the target
+    and the roots at k + l + 1, both indexed mod q; a product of powers on
+    disjoint blocks has the images of the first followed by the second.
+    Each instance draws k, then l, in case order.  Swapping k and l changes
+    no verdict: w1 and w2 commute with tau, so sigma * tau^l * shift(tau^k,
+    d) is a root of the same power.  The sigmas are not read from
     Session.roots, though by thm-2.12 the two are equal: thm-2.12 compares
     them on the class representatives only, so these lookups are the run's
-    one independent check of the closure Session.roots builds, on every tau."""
+    one independent check of the closure Session.roots builds, on every tau.
+    sigma is put in cycle notation for the emitted examples only."""
     ds = s.config.ds()
-    cases = sum(len(s.shuffles(d, tau).elements) for d in ds for tau in s.taus(d))
+    cases = sum(len(s.shuffles(d, tau)[0]) for d in ds for tau in s.taus(d))
     reps = max(1, -(-RANDOM_INSTANCES // max(1, cases)))
     instances = 0
-    failures: list[str] = []
+    failures: list[tuple] = []
     for d in ds:
         for tau in s.taus(d):
-            shifted, _ = _block_powers(tau, d, 2)
-            q = len(shifted[0])
-            for sigma in s.shuffles(d, tau).elements:
+            (low, high), _ = _block_powers(tau, d, 2)
+            q = len(low)
+            twists = [[a + b for b in high] for a in low]
+            powers = [(a + b, s.roots(d, a)) for a, b in zip(low, high)]
+            for sigma in s.shuffles(d, tau)[0]:
                 for _ in range(reps):
                     k = s.rng.randrange(0, 3 * q)
                     l = s.rng.randrange(0, 3 * q)
-                    twisted = _compose(sigma.images, _realize(shifted, (k, l)))
+                    twisted = _compose(sigma, twists[k % q][l % q])
                     instances += 1
-                    if _compose(twisted, twisted) != _realize(shifted, (k + l + 1,) * 2):
-                        failures.append(f"d={d} sigma={sigma} k={k} l={l}")
+                    target, roots = powers[(k + l + 1) % q]
+                    if _compose(twisted, twisted) != target:
+                        failures.append(("", d, sigma, k, l))
                         continue
-                    roots = s.roots(d, shifted[0][(k + l + 1) % q])
                     at = bisect_left(roots, twisted)
                     if roots[at : at + 1] != (twisted,):
-                        failures.append(f"membership d={d} sigma={sigma} k={k} l={l}")
+                        failures.append(("membership ", d, sigma, k, l))
     return [
         ClaimCheck(
             claim="cor-2.13",
             parameters={"ds": s.config.ds(), "instances": instances},
             witness={
                 "failures": len(failures),
-                "examples": failures[:3],
+                "examples": [
+                    f"{prefix}d={d} sigma={_trusted(sigma)} k={k} l={l}"
+                    for prefix, d, sigma, k, l in failures[:3]
+                ],
                 "note": "the twisted element sigma*a is the one landing in the "
                 "enumeration for the (k+l+1)-power; the untwisted sigma does not",
             },

@@ -99,10 +99,11 @@ def enumerate_roots(
 def enumerate_shuffles(d: int, tau: Permutation) -> EnumerationResult:
     """All distinct shuffle-built permutations over tau, over every cycle map
     and every choice of starting points, each with the first spec in
-    iter_specs order that builds it.  Each spec is walked as build_shuffle
-    walks it, with tau padded once; sigma maps 2d into [1, d], so its image
-    tuple of degree 2d is its canonical(), and the distinct tuples are
-    sorted as _sorted sorts and wrapped once each.
+    iter_specs order that builds it: the full-walk reference for
+    Session.shuffles, which walks the least-point specs alone.  Each spec is
+    walked as build_shuffle walks it, with tau padded once; sigma maps 2d
+    into [1, d], so its image tuple of degree 2d is its canonical(), and the
+    distinct tuples are sorted as _sorted sorts and wrapped once each.
 
     That spec is decompose_pair's for sigma's pair first(i) = sigma(i) - d,
     second(i) = sigma(d + i).  sigma fixes u, and on each cycle alpha the

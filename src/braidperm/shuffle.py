@@ -397,6 +397,29 @@ def iter_specs(tau: Permutation, d: int) -> Iterator[ShuffleSpec]:
     """Every spec over tau: all length-preserving bijections u of its cycles,
     and for each all starting-point choices, with j1 on u(alpha); valid by
     construction, they skip the constructor's checks."""
+    return _specs(tau, d, lambda alpha: alpha)
+
+
+def _least_point_specs(tau: Permutation, d: int) -> Iterator[ShuffleSpec]:
+    """The specs over tau with i1 the least point of every cycle alpha: for
+    each length-preserving u, j1 runs over u(alpha).  They build each shuffle
+    over tau once.
+
+    Lemma: advancing (i1, j1) together along tau rotates the 2m-cycle (i1,
+    j1+d, i2, j2+d, ...) in place, so the m specs that differ on alpha by
+    such a rotation build one sigma, and every spec is a rotation of exactly
+    one least-point spec.  Conversely sigma determines the spec: it maps
+    alpha into u(alpha) + d, so it determines u, and j1 = sigma(i1) - d.
+    So the least-point specs correspond one to one to the sigmas.  iter_specs
+    runs i1 along each cycle from its least point, so the least-point spec
+    is the first spec in iter_specs order that builds sigma, and it is
+    decompose_pair's spec for sigma's pair."""
+    return _specs(tau, d, lambda alpha: alpha[:1])
+
+
+def _specs(tau: Permutation, d: int, starts) -> Iterator[ShuffleSpec]:
+    """The specs over tau, for every length-preserving u, whose i1 on each
+    cycle alpha lies in starts(alpha), with j1 on u(alpha)."""
     cycles = tau_cycles(tau, d)
     classes: dict[int, list[tuple[int, ...]]] = {}
     for c in cycles:
@@ -409,6 +432,8 @@ def iter_specs(tau: Permutation, d: int) -> Iterator[ShuffleSpec]:
             for alpha, image in zip(classes[m], row)
         }
         pairs = tuple((alpha, u[alpha]) for alpha in cycles)
-        pools = [[(alpha, i1, j1) for i1 in alpha for j1 in u[alpha]] for alpha in cycles]
+        pools = [
+            [(alpha, i1, j1) for i1 in starts(alpha) for j1 in u[alpha]] for alpha in cycles
+        ]
         for combo in iter_product(*pools):
             yield ShuffleSpec._valid(d, tau, combo, pairs)

@@ -9,7 +9,16 @@ from itertools import product
 
 import pytest
 
-from braidperm import REGISTRY, RunConfig, claims, groups, lattice, oracles, run_verification
+from braidperm import (
+    REGISTRY,
+    RunConfig,
+    claims,
+    groups,
+    lattice,
+    oracles,
+    run_verification,
+    shuffle,
+)
 from braidperm.claims import Session
 from braidperm.cli import main
 from braidperm.groups import (
@@ -387,10 +396,7 @@ class TestPool:
         for d in range(2, 7):
             pool = Session(RunConfig(d=d)).pool(d)
             assert len(pool) == (4, 18, 120, 840, 7920)[d - 2]
-            for case in pool:
-                first = Permutation([case.sigma[i - 1] - d for i in range(1, d + 1)])
-                second = Permutation([case.sigma[d + i - 1] for i in range(1, d + 1)])
-                assert case.spec == decompose_pair(first, second, d)
+            assert undecomposed(pool, d) == []
 
     def test_each_spec_builds_its_sigma(self):
         """For every tau of S_d, d <= 5, the enumeration's specs are aligned
@@ -406,19 +412,99 @@ class TestPool:
         "cut", [lambda specs: (), lambda specs: specs[1:]], ids=["none", "one_short"]
     )
     def test_an_enumeration_without_its_specs_is_refused(self, monkeypatch, cut):
-        """A shuffle enumeration whose specs are missing or one short makes
-        the pool raise, instead of building fewer cases than sigmas."""
+        """Shuffles whose specs are missing or one short make the pool raise,
+        instead of building fewer cases than sigmas."""
         full = Session.shuffles
 
         def unspecified(self, d, tau):
-            result = full(self, d, tau)
-            return EnumerationResult(
-                result.parameters, result.elements, result.count, cut(result.specs)
-            )
+            sigmas, specs = full(self, d, tau)
+            return sigmas, cut(specs)
 
         monkeypatch.setattr(Session, "shuffles", unspecified)
         with pytest.raises(ValueError):
             Session(RunConfig(d=3)).pool(3)
+
+
+def undecomposed(pool: list, d: int) -> list:
+    """The cases of pool whose spec is not decompose_pair's for the pair read
+    off sigma, first(i) = sigma(i) - d and second(i) = sigma(d + i)."""
+    return [
+        case
+        for case in pool
+        if case.spec != decompose_pair(*map(_trusted, blocks(case.sigma, d)), d)
+    ]
+
+
+def last_point_specs(tau, d):
+    """The specs over tau with i1 the last point of every cycle, in the
+    cycle's order from its least point: another start, one spec per sigma."""
+    return shuffle._specs(tau, d, lambda alpha: alpha[-1:])
+
+
+def one_j1_fewer(tau, d):
+    """The least-point specs over tau without those whose j1 is the last
+    point of u(alpha) on a cycle alpha of length 2 or more."""
+    for spec in shuffle._least_point_specs(tau, d):
+        image = dict(spec.u)
+        if all(len(alpha) == 1 or j1 != image[alpha][-1] for alpha, _, j1 in spec.choices):
+            yield spec
+
+
+class TestShuffles:
+    def test_matches_the_full_walk(self):
+        """For every tau with d <= 6, Session.shuffles has the sigmas of
+        enumerate_shuffles, which walks every spec, as image tuples, in its
+        order, with the same specs and count."""
+        for d in range(2, 7):
+            s = Session(RunConfig(d=d))
+            for tau in s.taus(d):
+                sigmas, specs = s.shuffles(d, tau)
+                reference = enumerate_shuffles(d, tau)
+                assert sigmas == tuple([p.images for p in reference.elements])
+                assert specs == reference.specs
+                assert len(sigmas) == len(specs) == reference.count
+
+    @pytest.mark.parametrize("d, walks", [(4, 120), (5, 840), (6, 7920)])
+    def test_the_pool_walks_one_spec_per_case(self, monkeypatch, d, walks):
+        """Session.pool(d) makes p(d) * d! walks, one per case, where a walk
+        of every spec makes 336, 3,000 and 40,320 at d = 4, 5 and 6."""
+        calls = counted(monkeypatch, claims, "_walk")
+        pool = Session(RunConfig(d=d)).pool(d)
+        assert len(calls) == len(pool) == walks == partition_count(d) * math.factorial(d)
+        taus = Session(RunConfig(d=d)).taus(d)
+        assert sum(1 for tau in taus for _ in iter_specs(tau, d)) == {4: 336, 5: 3000, 6: 40320}[d]
+
+    def test_a_start_at_the_last_point_fails_the_decompositions(self, monkeypatch):
+        """i1 at each cycle's last point builds every sigma once, as the
+        least point does, but with specs that are not decompose_pair's."""
+        monkeypatch.setattr(claims, "_least_point_specs", last_point_specs)
+        for d in (3, 4):
+            s = Session(RunConfig(d=d))
+            for tau in s.taus(d):
+                reference = enumerate_shuffles(d, tau)
+                assert s.shuffles(d, tau)[0] == tuple([p.images for p in reference.elements])
+            assert undecomposed(s.pool(d), d)
+
+    def test_a_dropped_j1_fails_the_set_check(self, monkeypatch):
+        """Without the last j1 of each cycle of length 2 or more, thm-2.12
+        names every representative but the identity as a set mismatch."""
+        monkeypatch.setattr(claims, "_least_point_specs", one_j1_fewer)
+        for d in (3, 4):
+            s = Session(RunConfig(d=d, claims=("thm-2.12",)))
+            equivalence, counts = claims._check_thm_2_12(s)
+            names = [str(tau) for tau, _ in s.classes(d)]
+            assert names[0] == "()" and not equivalence.passed and not counts.passed
+            assert counts.witness["set_mismatches"] == names[1:]
+            assert counts.witness["shuffle_count_mismatches"] == names[1:]
+
+    def test_two_specs_for_one_sigma_are_refused(self, monkeypatch):
+        """Walking every spec, each sigma of a tau with a cycle of length m
+        >= 2 is built m times or more, and Session.shuffles raises."""
+        monkeypatch.setattr(claims, "_least_point_specs", iter_specs)
+        s = Session(RunConfig(d=3))
+        assert len(s.shuffles(3, Permutation.identity(3))[0]) == 6
+        with pytest.raises(RuntimeError, match="two specs build"):
+            s.shuffles(3, Permutation.parse("(1 2)"))
 
 
 class TestLemma24:
@@ -709,6 +795,23 @@ def permutation_cor_2_13(s: Session, buckets: dict):
     return instances, failures
 
 
+# cor-2.13's first three examples with every root bucket empty, recorded
+# from the checker that computed each twist per instance: at d = 3 over every
+# tau, and at d = 4 over the taus of order 4 alone
+PINNED_EXAMPLES = {
+    (3, None): [
+        "membership d=3 sigma=(1 4)(2 5)(3 6) k=1 l=1",
+        "membership d=3 sigma=(1 4)(2 5)(3 6) k=0 l=1",
+        "membership d=3 sigma=(1 4)(2 5)(3 6) k=2 l=1",
+    ],
+    (4, 4): [
+        "membership d=4 sigma=(1 5 2 6 3 7 4 8) k=6 l=6",
+        "membership d=4 sigma=(1 5 2 6 3 7 4 8) k=0 l=4",
+        "membership d=4 sigma=(1 5 2 6 3 7 4 8) k=8 l=7",
+    ],
+}
+
+
 class TestCor213:
     def test_missing_root_is_a_membership_failure(self, monkeypatch):
         """With every root bucket emptied, each instance fails the membership
@@ -756,6 +859,56 @@ class TestCor213:
         assert entry.witness["examples"] == failures[:3]
         assert entry.passed is (not dropped)
 
+    @pytest.mark.parametrize("d, order", sorted(PINNED_EXAMPLES, key=str))
+    def test_the_random_stream_is_pinned(self, monkeypatch, d, order):
+        """With every root bucket empty each instance fails the membership
+        lookup, after its square matched the target.  The first three
+        examples, with every tau or with the 4-cycles alone, are the pinned
+        strings: the tables change neither the draws nor their order."""
+        s = Session(RunConfig(d=d, n=3, claims=("cor-2.13",)))
+        if order is not None:
+            taus = [tau for tau in s.taus(d) if tau.order() == order]
+            monkeypatch.setattr(s, "taus", lambda d: taus)
+        monkeypatch.setattr(Session, "roots", lambda self, d, tau: ())
+        [entry] = claims._check_cor_2_13(s)
+        assert entry.witness["failures"] == entry.parameters["instances"]
+        assert entry.witness["examples"] == PINNED_EXAMPLES[d, order]
+
+    def test_a_second_block_one_power_off_fails_the_squares(self, monkeypatch):
+        """With tau^(r+1) in place of tau^r on the second block of the
+        twists and targets at d = 3, the square of each twisted sigma over a
+        tau of order q > 1 misses its target: the 12 such sigmas, each drawn
+        56 times, fail, and the 6 over the identity pass."""
+        real = claims._block_powers
+
+        def off_by_one(tau, d, n):
+            (low, high), lookups = real(tau, d, n)
+            return (low, high[1:] + high[:1]), lookups
+
+        monkeypatch.setattr(claims, "_block_powers", off_by_one)
+        [entry] = claims._check_cor_2_13(Session(RunConfig(d=3, n=3, claims=("cor-2.13",))))
+        assert entry.parameters["instances"] == 18 * 56
+        assert entry.witness["failures"] == 12 * 56 and not entry.passed
+        assert all(e.startswith("d=3 sigma=") for e in entry.witness["examples"])
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_the_claim_is_symmetric_in_k_and_l(self, d):
+        """For every sigma over every tau and all k, l below q, both sigma *
+        tau^k * shift(tau^l, d) and sigma * tau^l * shift(tau^k, d) are roots
+        of the (k+l+1)-power, in the full sweep's bucket: a twist table read
+        as (l, k) changes no verdict, so no test can tell it apart."""
+        s = Session(RunConfig(d=d))
+        buckets = swept_roots(d)
+        for tau in s.taus(d):
+            (low, high), _ = lattice._block_powers(tau, d, 2)
+            q = len(low)
+            for sigma in s.shuffles(d, tau)[0]:
+                for k, l in product(range(q), repeat=2):
+                    bucket = buckets[_trusted(low[(k + l + 1) % q]).canonical()]
+                    roots = {p.images for p in bucket.elements}
+                    assert _compose(sigma, low[k] + high[l]) in roots
+                    assert _compose(sigma, low[l] + high[k]) in roots
+
     def test_builds_no_pool(self, monkeypatch):
         """cor-2.13 reads its cases from the shuffle enumerations: no pool is
         cached and no pair is decomposed into a spec."""
@@ -800,7 +953,7 @@ def full_sweep_equivalence(s: Session, d: int) -> dict:
     for the checker's fibres over class representatives.  The coset element
     sigma = swap * w1 * shift(w2, d) is (w1 + d) followed by w2, and
     shift(sigma, d) is (1..d) followed by (w1 + 2d) and (w2 + d)."""
-    shuffle_all = {p.canonical() for tau in s.taus(d) for p in s.shuffles(d, tau).elements}
+    shuffle_all = {sigma for tau in s.taus(d) for sigma in s.shuffles(d, tau)[0]}
     roots_all = {p.canonical() for bucket in swept_roots(d).values() for p in bucket.elements}
     braid_count = 0
     disagreements = []
@@ -826,11 +979,11 @@ def full_sweep_counts(s: Session, d: int) -> dict:
     total = 0
     set_mismatches, count_mismatches = [], []
     for tau in s.taus(d):
-        roots, shuffles = swept_roots(d)[tau.canonical()], s.shuffles(d, tau)
+        roots, (sigmas, _) = swept_roots(d)[tau.canonical()], s.shuffles(d, tau)
         total += roots.count
-        if roots.elements != shuffles.elements:
+        if tuple([p.canonical() for p in roots.elements]) != sigmas:
             set_mismatches.append(str(tau))
-        if shuffles.count != centralizer_order(tau.cycle_type(d)):
+        if len(sigmas) != centralizer_order(tau.cycle_type(d)):
             count_mismatches.append(str(tau))
     return {
         "total_roots": total,
@@ -871,13 +1024,13 @@ def assert_one_disagreement(monkeypatch, accessor):
     s = Session(RunConfig(d=3, n=3, claims=("thm-2.12",)))
     tau = Permutation.parse("(1 2 3)")
     assert (tau, 2) in s.classes(3)
-    dropped = s.shuffles(3, tau).elements[0]
+    dropped = _trusted(s.shuffles(3, tau)[0][0])
     full = getattr(Session, accessor)
     if accessor == "shuffles":
 
         def patched(self, d, t):
-            result = full(self, d, t)
-            return without_first(result) if t == tau else result
+            sigmas, specs = full(self, d, t)
+            return (sigmas[1:], specs[1:]) if t == tau else (sigmas, specs)
 
     else:
 
@@ -1015,11 +1168,8 @@ class TestThm212:
         full = Session.shuffles
 
         def one_more(self, d, t):
-            result = full(self, d, t)
-            if t != tau:
-                return result
-            elements = (*result.elements, extra)
-            return EnumerationResult(result.parameters, elements, result.count + 1)
+            sigmas, specs = full(self, d, t)
+            return ((*sigmas, extra.canonical()), specs) if t == tau else (sigmas, specs)
 
         monkeypatch.setattr(Session, "shuffles", one_more)
         equivalence, counts = claims._check_thm_2_12(s)
@@ -1071,7 +1221,7 @@ class TestThm212:
             [(_, _, fibre)] = claims._fibres([(_trusted(tau), 1)], s.taus(d), d, 10**6)
             assert {x for x, *_ in fibre} == by_first_block[tau]
             target = tau + tuple([y + d for y in tau])
-            shuffles = {p.canonical() for p in s.shuffles(d, _trusted(tau)).elements}
+            shuffles = set(s.shuffles(d, _trusted(tau))[0])
             verdicts[tau] = {
                 x: (
                     braid_like_images(x, d), _compose(x, x) == target, commute(*blocks(x, d)),
