@@ -226,6 +226,7 @@ class Session:
         )
 
     def transitivity(self, case: GridCase, n: int):
+        """The orbits at n of a case whose sigma fails _orbit_verdict's premise."""
         return self._cached(
             ("transitivity", n, case.sigma, case.tau),
             lambda: transitivity_report(case.sigma, case.d, n, self.towers(case).points),
@@ -567,6 +568,13 @@ def _check_cor_2_13(s: Session) -> list[ClaimCheck]:
     ]
 
 
+def _orbits(s: Session, pool: list[GridCase], towers: list, n: int) -> list:
+    """Each case's orbits at n: its tower certificate's verdict, which holds
+    for every n, or Session.transitivity's union-find at n for a sigma that
+    fails the verdict's premise (groups._orbit_verdict)."""
+    return [t.orbits or s.transitivity(case, n) for case, t in zip(pool, towers)]
+
+
 def _check_prop_3_30(s: Session) -> list[ClaimCheck]:
     """Braid relations, per-tower restrictions and subdirect product, and the
     stated orbit partition into towers.
@@ -578,8 +586,8 @@ def _check_prop_3_30(s: Session) -> list[ClaimCheck]:
     subdirect product hold at every n when they hold at degree 2d, and are
     decided once per case: the relations by the certificate (sigma passes
     _block_root), the rest by tower_certificate, whose point sets, one per
-    u-orbit, also tell whether u is the identity.  Per (case, n): the
-    orbits, from sigma's image tuple.  A sigma failing _block_root counts one
+    u-orbit, also tell whether u is the identity, and the orbits for every n
+    by its verdict (_orbits).  A sigma failing _block_root counts one
     relation failure at each n; its other counters read its images as usual.
 
     The orbit-partition part of the claim is refuted by computation: the
@@ -589,22 +597,22 @@ def _check_prop_3_30(s: Session) -> list[ClaimCheck]:
     entries = []
     for d in s.config.ds():
         pool = s.pool(d)
+        towers = [s.towers(case) for case in pool]
         failures = {"relation_failures": 0, "restriction_mismatches": 0, "subdirect_failures": 0}
         examples: list[str] = []
-        for case in pool:
-            towers = s.towers(case)
+        for case, t in zip(pool, towers):
             for key, holds, label in (
                 ("relation_failures", s.certificate(case).relations, "relations"),
-                ("restriction_mismatches", towers.restrictions_match, "restriction"),
-                ("subdirect_failures", towers.subdirect, "subdirect"),
+                ("restriction_mismatches", t.restrictions_match, "restriction"),
+                ("subdirect_failures", t.subdirect, "subdirect"),
             ):
                 if not holds:
                     failures[key] += 1
                     examples.append(f"{label} {_trusted(case.sigma)}")
         # u is the identity exactly when each cycle of tau is its own u-orbit
-        identity_u = [len(s.towers(case).points) == len(case.spec.u) for case in pool]
+        identity_u = [len(t.points) == len(case.spec.u) for case, t in zip(pool, towers)]
         for n in s.config.ns():
-            matches = [s.transitivity(case, n).orbits_match for case in pool]
+            matches = [orbits.orbits_match for orbits in _orbits(s, pool, towers, n)]
             orbit_mismatches = [case for case, match in zip(pool, matches) if not match]
             refinement_holds = matches == identity_u
             entries.append(
@@ -637,9 +645,7 @@ def _check_cor_3_31(s: Session) -> list[ClaimCheck]:
     """Stated criterion: transitive exactly when the cycle map is a single orbit.
 
     Per case: the number of u-orbits, from the tower certificate's point
-    sets.  Per (case, n): transitivity.
-    g_s maps x + (s-1)*d to sigma(x) + (s-1)*d for x in [1, 2d] and fixes
-    every other point, so the orbits are read off sigma's image tuple.
+    sets, and transitivity for every n, from its verdict (_orbits).
 
     Computation refutes the 'if' direction whenever that single orbit has
     length at least two; the direction 'transitive implies single orbit' and
@@ -649,12 +655,13 @@ def _check_cor_3_31(s: Session) -> list[ClaimCheck]:
     entries = []
     for d in s.config.ds():
         pool = s.pool(d)
-        long_cycles = [len(s.towers(case).points) == 1 for case in pool]
+        towers = [s.towers(case) for case in pool]
+        long_cycles = [len(t.points) == 1 for t in towers]
         for n in s.config.ns():
             mismatches: list[GridCase] = []
             only_if_holds = refined_holds = True
-            for case, u_long_cycle in zip(pool, long_cycles):
-                transitive = s.transitivity(case, n).transitive
+            orbits = _orbits(s, pool, towers, n)
+            for case, u_long_cycle, (transitive, _) in zip(pool, long_cycles, orbits):
                 if transitive != u_long_cycle:
                     mismatches.append(case)
                 if transitive and not u_long_cycle:

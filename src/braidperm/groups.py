@@ -435,10 +435,46 @@ def tower(points: Iterable[int], d: int, n: int) -> frozenset[int]:
     return frozenset(x + s * d for x in points for s in range(n))
 
 
+class Transitivity(NamedTuple):
+    transitive: bool
+    orbits_match: bool
+
+
 class TowerCertificate(NamedTuple):
     points: tuple[frozenset[int], ...]
     restrictions_match: bool
     subdirect: bool
+    orbits: Transitivity | None
+
+
+def _orbit_verdict(sigma: tuple[int, ...], d: int, u, points) -> Transitivity | None:
+    """transitivity_report's verdict for every n >= 2, from sigma's image
+    tuple, the (beta, u(beta)) pairs u and the tower points; None unless
+    each cycle of sigma is beta + (u(beta) + d) for one pair, one per cycle
+    of tau.
+
+    Then g_s, acting on blocks s and s+1 as sigma on [1, 2d], joins
+    u^(s-1)(alpha) on block s and u^s(alpha) on block s+1 into one cycle,
+    and inside block s, u^(s-1)(alpha) is a whole piece both for g_(s-1)
+    and for g_s.  So the orbits are exactly the chains T(alpha), the union
+    over i = 0..n-1 of u^i(alpha) + i*d, one per cycle alpha of tau; they
+    partition [1, n*d], as u permutes the cycles of tau.
+    T(alpha) meets block 1 in alpha and block 2 in u(alpha) + d, so the
+    group is transitive exactly when tau is one cycle, and its orbits are
+    the towers over points exactly when u is the identity and points are
+    tau's cycles."""
+    if len(sigma) != 2 * d:
+        return None
+    for beta, image in u:
+        x, cycle = beta[0], set()
+        while x not in cycle:
+            cycle.add(x)
+            x = sigma[x - 1]
+        if cycle != {*beta, *(y + d for y in image)}:
+            return None
+    cycles = {frozenset(beta) for beta, _ in u}
+    identity = all(beta == image for beta, image in u)
+    return Transitivity(len(u) == 1, identity and set(points) == cycles)
 
 
 def tower_certificate(
@@ -449,7 +485,7 @@ def tower_certificate(
     the spec: each u-orbit's points, the x <= d its swap moves; whether
     sigma agrees with the orbit's factor on tower(points, d, 2); and for the
     subdirect product also whether each factor moves only points of that
-    tower, and the point sets partition [1, d]."""
+    tower, and the point sets partition [1, d]; and _orbit_verdict's orbits."""
     d = spec.d
     points = []
     restrictions_match = on_towers = True
@@ -461,12 +497,8 @@ def tower_certificate(
         restrictions_match = restrictions_match and all(sigma[x - 1] == factor[x - 1] for x in y)
     partition = sorted(x for own in points for x in own) == list(range(1, d + 1))
     subdirect = restrictions_match and partition and on_towers
-    return TowerCertificate(tuple(points), restrictions_match, subdirect)
-
-
-class Transitivity(NamedTuple):
-    transitive: bool
-    orbits_match: bool
+    verdict = _orbit_verdict(sigma, d, spec.u, points)
+    return TowerCertificate(tuple(points), restrictions_match, subdirect, verdict)
 
 
 def transitivity_report(sigma: tuple[int, ...], d: int, n: int, points: Iterable) -> Transitivity:

@@ -69,12 +69,6 @@ def _block_powers(tau: Permutation, d: int, n: int):
     return shifted, [{block: r for r, block in enumerate(blocks)} for blocks in shifted]
 
 
-def _realize(shifted, exponents: Sequence[int]) -> tuple[int, ...]:
-    """Image tuple of the product over blocks i of shift(tau**r_i, (i-1)*d),
-    from the shifted powers of _block_powers; exponents are reduced mod q."""
-    return tuple([y for blocks, r in zip(shifted, exponents) for y in blocks[r % len(blocks)]])
-
-
 def _read_exponents(images: tuple[int, ...], lookups, d: int) -> tuple[int, ...]:
     """Block exponents of an image tuple of degree n*d: one lookup per block."""
     entries = []

@@ -1845,10 +1845,12 @@ class TestProp330:
         so it fails _block_root and has no braid image.  At each n it counts
         one relation failure and raises nothing.  The other counters read
         its images: sigma(1) is no longer its factor's, so it counts a
-        restriction mismatch and a subdirect failure; its shifts leave 7
-        alone, so it is not transitive and its orbits are not its one tower.
-        That adds one orbit mismatch and one cor-3.31 mismatch, and breaks
-        both findings: u is the identity and tau is one cycle."""
+        restriction mismatch and a subdirect failure; its cycles are not the
+        pieces of the tower certificate's orbit verdict, so its orbits come
+        from the union-find, once per n and for both claims; its shifts
+        leave 7 alone, so it is not transitive and its orbits are not its
+        one tower.  That adds one orbit mismatch and one cor-3.31 mismatch,
+        and breaks both findings: u is the identity and tau is one cycle."""
         config = RunConfig(d=3, n_max=4)
         clean = Session(config)
         clean_prop = claims._check_prop_3_30(clean)
@@ -1859,10 +1861,15 @@ class TestProp330:
         assert (str(sigma_of(target)), str(corrupted)) == ("(1 4 2 5 3 6)", "(1 2 5 3 6)")
         corrupt_sigmas(monkeypatch, lambda case: corrupted if case == target else None)
         session = Session(config)
+        unions = counted(monkeypatch, claims, "transitivity_report")
         prop = claims._check_prop_3_30(session)
         relations = [e for e in prop if e.parameters["check"] == "relations-and-subdirect"]
         orbits = [e for e in prop if e.parameters["check"] == "orbit-partition"]
         transitivity = claims._check_cor_3_31(session)
+        assert [(sigma, n) for sigma, _, n, _ in unions] == [
+            (_padded(corrupted, 6), 3),
+            (_padded(corrupted, 6), 4),
+        ]
         assert [e.parameters["n"] for e in relations] == [3, 4]
         for entry in relations:
             witness = entry.witness
@@ -1886,7 +1893,7 @@ class TestProp330:
         """prop-3.30 and cor-3.31 at d = 3, n = 3 to 6, once the pool is
         built: no braid image and no Permutation product.  Each of the 18
         cases gets one certificate and one tower certificate for all four n,
-        and one orbit partition per n."""
+        whose orbit verdict holds for every n, so no union-find runs."""
         session = Session(RunConfig(d=3, n_max=6))
         pool = session.pool(3)
         images = counted(monkeypatch, groups, "braid_image")
@@ -1905,7 +1912,7 @@ class TestProp330:
         assert len(entries) == 3 * 4
         assert images == products == []
         assert len(certificates) == len(towers) == len(pool) == 18
-        assert len(orbits) == 18 * 4
+        assert orbits == []
 
     def test_orbit_claims_compute_each_cases_u_orbits_once(self, monkeypatch):
         """prop-3.30 and cor-3.31 at d = 3, n = 3 to 6 read whether u is the

@@ -30,7 +30,7 @@ from braidperm.lattice import expected_monodromy_matrix
 from braidperm.oracles import enumerate_shuffles
 from braidperm.perm import Permutation, _compose, _invert, _padded, _trusted
 from braidperm.shuffle import ShuffleSpec, build_shuffle, components, iter_specs
-from test_lattice import compose_matrices
+from test_lattice import compose_matrices, realize_images
 from test_perm import block_swap
 from test_shuffle import coset
 
@@ -165,10 +165,12 @@ def towers_of(sigma, spec):
 
 def transitivity(sigma, spec, n):
     """The new verdicts in the reference's form: the tower facts per case,
-    the orbits per (case, n), and the cycle map's orbit count, as the claims
-    read them."""
+    the orbits per (case, n) from the union-find, which the tower
+    certificate's orbit verdict must equal where its premise holds, and the
+    cycle map's orbit count, as the claims read them."""
     towers = towers_of(sigma, spec)
     trep = transitivity_report(_padded(sigma, 2 * spec.d), spec.d, n, towers.points)
+    assert towers.orbits in (None, trep)
     return TransitivityClass(
         transitive=trep.transitive,
         u_long_cycle=len(spec.orbits()) == 1,
@@ -598,7 +600,7 @@ def complement_search(image, span):
     if not groups._searchable(span, image.n):
         return None
     shifted = lattice._block_powers(image.tau, image.d, image.n)[0]
-    kernel_elements = [lattice._realize(shifted, v) for v in span.elements()]
+    kernel_elements = [realize_images(shifted, v) for v in span.elements()]
     ident = tuple(range(1, image.n * image.d + 1))
     candidates = []
     for g in (_padded(g, image.n * image.d) for g in image.generators):
@@ -779,7 +781,7 @@ class TestSplitComplement:
         image, _ = image_for("(1 2)", 2, 4)
         span = kernel_span(image)
         shifted = lattice._block_powers(image.tau, 2, 4)[0]
-        kernel = [lattice._realize(shifted, v) for v in span.elements()]
+        kernel = [realize_images(shifted, v) for v in span.elements()]
         ident = tuple(range(1, 9))
         lifts = [
             [h for h in (_compose(_padded(g, 8), x) for x in kernel) if _compose(h, h) == ident]
@@ -940,6 +942,13 @@ def mismatched_specs():
     return [("(1 3 2 4)", other), ("(1 3)(2 4)", swapped), ("(1 3)(2 4)", long_cycle)]
 
 
+def block_shifts(sigma, tau, q, d, n):
+    """The BraidImage of sigma's block shifts at n >= 2, with no check of
+    sigma, for transitivity_reference."""
+    gens = tuple(sigma.shift(k * d) for k in range(n - 1))
+    return BraidImage(sigma, d, n, tau, q, lattice.q2_of(q), gens)
+
+
 def subdirect_by_orders(image, spec, b_bsgs):
     """The order test prop-3.30 used before deciding on generators: the
     generators equal the shifted component factors on every tower, and the
@@ -1062,23 +1071,27 @@ class TestTransitivity:
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_mismatched_specs_match_the_reference(self, n):
+        """Only the first sigma keeps the orbit verdict's premise under the
+        other spec: its one cycle is still beta + (u(beta) + d)."""
         for sigma, spec in mismatched_specs():
             image = braid_image(perm(sigma), 2, n)
             assert transitivity(image.sigma, spec, n) == transitivity_reference(image, spec)
+        verdicts = [towers_of(perm(sigma), spec).orbits for sigma, spec in mismatched_specs()]
+        assert verdicts == [(True, True), None, None]
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_sigmas_off_the_blocks_match_the_reference(self, n):
         """Every d = 3 shuffle with the images of 1 and 4 exchanged fails
-        braid_image's checks; the new verdicts still equal the reference's on
-        the generator family of its block shifts."""
+        braid_image's checks and the orbit verdict's premise; the new
+        verdicts still equal the reference's on the generator family of its
+        block shifts."""
         for case in Session(RunConfig(d=3)).pool(3):
             images = list(case.sigma)
             images[0], images[3] = images[3], images[0]
             sigma = Permutation(tuple(images))
-            q = case.q
-            gens = tuple(sigma.shift(k * 3) for k in range(n - 1))
-            image = BraidImage(sigma, 3, n, _trusted(case.tau), q, lattice.q2_of(q), gens)
+            image = block_shifts(sigma, _trusted(case.tau), case.q, 3, n)
             assert transitivity(sigma, case.spec, n) == transitivity_reference(image, case.spec)
+            assert towers_of(sigma, case.spec).orbits is None
 
     def test_no_chain_per_tower(self, monkeypatch):
         cases = pool_cases(((2, (3, 4)), (3, (3, 4))))
@@ -1095,6 +1108,47 @@ class TestTransitivity:
 
     def test_tower(self):
         assert tower({1, 2}, 2, 3) == frozenset({1, 2, 3, 4, 5, 6})
+
+
+class TestOrbitVerdict:
+    """The tower certificate's orbit verdict, decided once per case at
+    degree 2d, against the union-find at each n (transitivity_report) and
+    the orbit partition of the block shifts at degree n * d."""
+
+    @pytest.mark.parametrize("d,ns", [(d, (2, 3, 4, 5)) for d in (2, 3, 4, 5)] + [(6, (3,))])
+    def test_the_verdict_matches_the_union_find_and_the_reference(self, d, ns):
+        verdicts = []
+        for case in Session(RunConfig(d=d)).pool(d):
+            towers = tower_certificate(case.sigma, case.tau, case.spec)
+            sigma, tau = _trusted(case.sigma), _trusted(case.tau)
+            for n in ns:
+                assert towers.orbits == transitivity_report(case.sigma, d, n, towers.points)
+                image = block_shifts(sigma, tau, case.q, d, n)
+                reference = transitivity_reference(image, case.spec)
+                assert towers.orbits == (reference.transitive, reference.orbits_match)
+            verdicts.append(towers.orbits)
+        assert None not in verdicts
+        assert {transitive for transitive, _ in verdicts} == {True, False}
+        assert {match for _, match in verdicts} == {True, False}
+
+    @pytest.mark.parametrize(
+        "pairing",
+        [
+            pytest.param(lambda u: [(b, a) for a, b in u], id="beta-with-u-inverse-beta"),
+            pytest.param(lambda u: [(a, a) for a, _ in u], id="beta-with-beta"),
+        ],
+    )
+    def test_the_premise_refuses_a_wrong_pairing(self, pairing):
+        """Towers built with u^-1 instead of u, or ignoring u, must fail on
+        the d = 3 cases where u is a 3-cycle: tau is the identity, and each
+        cycle of sigma is {x, u(x) + 3}."""
+        refused = []
+        for case in Session(RunConfig(d=3)).pool(3):
+            if len(case.spec.orbits()) == 1 and len(case.spec.u) == 3:
+                points = tower_certificate(case.sigma, case.tau, case.spec).points
+                assert groups._orbit_verdict(case.sigma, 3, case.spec.u, points) is not None
+                refused.append(groups._orbit_verdict(case.sigma, 3, pairing(case.spec.u), points))
+        assert refused == [None, None]
 
 
 class TestGapExport:

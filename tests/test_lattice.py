@@ -65,11 +65,19 @@ def parametrize_by_products(coords, tau, d):
     return realize_by_products(exponents, tau, d)
 
 
+def realize_images(shifted, exponents):
+    """Image tuple of the product over blocks i of shift(tau**r_i, (i-1)*d),
+    from the shifted powers of lattice._block_powers; exponents are reduced
+    mod q.  The reference realization of a block product, which the run
+    path no longer needs: it reads or concatenates the power tuples
+    itself."""
+    return tuple([y for blocks, r in zip(shifted, exponents) for y in blocks[r % len(blocks)]])
+
+
 def realize(exponents, tau, d):
-    """The block product as the checks build it: one image tuple from tau's
-    shifted powers."""
+    """The block product as one image tuple from tau's shifted powers."""
     shifted = lattice._block_powers(tau, d, len(exponents))[0]
-    return Permutation(lattice._realize(shifted, exponents))
+    return Permutation(realize_images(shifted, exponents))
 
 
 def exponent_vector(g, tau, d, n):
@@ -116,7 +124,7 @@ def kernel_actions(image, coords_iter):
     shifted, lookups = lattice._block_powers(image.tau, d, n)
     pairs = [(g, _invert(g)) for g in (_padded(g, n * d) for g in image.generators)]
     for coords in coords_iter:
-        elem = lattice._realize(shifted, lattice._kernel_exponents(coords))
+        elem = realize_images(shifted, lattice._kernel_exponents(coords))
         conjugates = (tuple([g[elem[x - 1] - 1] for x in inv]) for g, inv in pairs)
         yield tuple(
             coords_from_exponents(lattice._read_exponents(c, lookups, d), q) for c in conjugates
@@ -165,7 +173,7 @@ def box_parametrizes(image, a_bsgs):
     """The realized kernel box is |A| distinct elements of the chain a_bsgs."""
     shifted = lattice._block_powers(image.tau, image.d, image.n)[0]
     coords = kernel_box(image.n, image.q)
-    box = [lattice._realize(shifted, lattice._kernel_exponents(c)) for c in coords]
+    box = [realize_images(shifted, lattice._kernel_exponents(c)) for c in coords]
     return len(set(box)) == len(box) == a_bsgs.order() and all(_trusted(g) in a_bsgs for g in box)
 
 
@@ -173,7 +181,7 @@ def sweep_intersects(image, b_bsgs, a_bsgs):
     """Each of the q^n block-product elements lies in the chain b_bsgs exactly
     when it lies in the chain a_bsgs."""
     shifted = lattice._block_powers(image.tau, image.d, image.n)[0]
-    block_product = (lattice._realize(shifted, e) for e in product(range(image.q), repeat=image.n))
+    block_product = (realize_images(shifted, e) for e in product(range(image.q), repeat=image.n))
     return all((g in b_bsgs) == (g in a_bsgs) for g in map(_trusted, block_product))
 
 

@@ -3,14 +3,16 @@ imports the report, the claim checkers or the CLI.  And the claim checkers
 import nothing of the braid image at degree n * d: every claim on the group
 rests on the per-case certificate and the (n, q) lattice.  Nor do they sweep
 the whole coset of S_d: the coset claims rest on the fibres over the class
-representatives, and the |S_d|^2 sweeps are the tests' references."""
+representatives, and the |S_d|^2 sweeps are the tests' references.  Nor do
+they run a union-find per (case, n): the orbits rest on the per-case tower
+certificate."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-from braidperm import claims, oracles
+from braidperm import claims, groups, oracles
 from braidperm.claims import RunConfig, run_verification
 from braidperm.perm import Permutation
 
@@ -85,3 +87,16 @@ def test_no_pair_sweep_of_a_symmetric_group(monkeypatch):
     cyclic = [(Permutation.parse(t),) for t in ("(1 2)", "(1 2 3)", "(1 2 3 4)", "(1 2)(3 4)")]
     assert [group.generators for group in sweeps] == cyclic
     assert roots == []
+
+
+def test_no_orbit_union_find_on_clean_cases(monkeypatch):
+    """All ten claims on the acceptance grid, d <= 4 and n <= 4, read every
+    case's orbits from its tower certificate's verdict, which holds for
+    every n, so transitivity_report never runs."""
+    real, unions = groups.transitivity_report, []
+    for module in (claims, groups):
+        monkeypatch.setattr(
+            module, "transitivity_report", lambda *a: unions.append(a) or real(*a)
+        )
+    run_verification(RunConfig(d_max=4, n_max=4))
+    assert unions == []
